@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "CompareConfig",
     "parse_config",
     "serialize_config",
-    "config_to_spec",
     "emit_csv",
     "emit_compare_csv",
     "emit_plot_data",
@@ -96,21 +95,9 @@ class CompareConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scheme: str
-    dist_name: str
-    K: int
-    G_grid: tuple[float, ...]
-    dist_Y: int | str | None = None
-    trials: int = 1000
-    seed: int = 0
-    L_cu: int = 100
-    N0: float = 1.0
-    tilde_Es_over_N0: float | None = None
-    hat_R_bits: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    mu: float | None = None
-    rmax_includes_one: bool = True
+    """A validated config: the sweep plus output, tuning and comparison settings."""
+
+    spec: SweepSpec
     out: str = "."
     emit_plot_data: bool = False
     tuning: TuningConfig = field(default_factory=TuningConfig)
@@ -293,7 +280,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if c.errors:
         raise ConfigValidationError(c.errors)
-    return ExperimentConfig(
+    spec = SweepSpec(
         scheme=scheme,
         dist_name=dist_name,
         dist_Y=dist_Y,
@@ -309,6 +296,9 @@ def parse_config(text: str) -> ExperimentConfig:
         beta=beta,
         mu=mu,
         rmax_includes_one=rmax,
+    )
+    return ExperimentConfig(
+        spec=spec,
         out=out,
         emit_plot_data=plot,
         tuning=tuning,
@@ -317,71 +307,22 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON for a config; parse_config round-trips it."""
-    doc: dict = {
-        "scheme": config.scheme,
-        "distribution": {"name": config.dist_name},
-        "K": config.K,
-        "G_grid": list(config.G_grid),
-        "trials": config.trials,
-        "seed": config.seed,
-        "L_cu": config.L_cu,
-        "N0": config.N0,
-        "rmax_includes_one": config.rmax_includes_one,
-        "out": config.out,
-        "emit_plot_data": config.emit_plot_data,
-        "tuning": {
-            "alpha_grid": list(config.tuning.alpha_grid),
-            "beta_grid": list(config.tuning.beta_grid),
-            "tune_trials": config.tuning.tune_trials,
-            "mu_max": config.tuning.mu_max,
-            "mu_resolution": config.tuning.mu_resolution,
-            "target_fraction": config.tuning.target_fraction,
-            "mu_criterion": config.tuning.mu_criterion,
-            "reliability": config.tuning.reliability,
-        },
-    }
-    if config.dist_Y is not None:
-        doc["distribution"]["Y"] = config.dist_Y
-    for key, value in (
-        ("tilde_Es_over_N0", config.tilde_Es_over_N0),
-        ("hat_R_bits", config.hat_R_bits),
-        ("alpha", config.alpha),
-        ("beta", config.beta),
-        ("mu", config.mu),
-        ("tuning.throughput_cap", config.tuning.throughput_cap),
-    ):
-        if value is not None:
-            if key.startswith("tuning."):
-                doc["tuning"][key.split(".", 1)[1]] = value
-            else:
-                doc[key] = value
+    """Canonical JSON for a config; parse_config round-trips it.  Unset
+    (None) values are left out, as in a config file."""
+
+    def present(obj) -> dict:
+        return {k: v for k, v in asdict(obj).items() if v is not None}
+
+    doc = present(config.spec)
+    doc["distribution"] = {"name": doc.pop("dist_name")}
+    if "dist_Y" in doc:
+        doc["distribution"]["Y"] = doc.pop("dist_Y")
+    doc["out"] = config.out
+    doc["emit_plot_data"] = config.emit_plot_data
+    doc["tuning"] = present(config.tuning)
     if config.compare is not None:
-        doc["compare"] = {
-            "es_over_N0_db_grid": list(config.compare.es_over_N0_db_grid),
-            "min_throughput": config.compare.min_throughput,
-        }
+        doc["compare"] = present(config.compare)
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def config_to_spec(config: ExperimentConfig) -> SweepSpec:
-    return SweepSpec(
-        scheme=config.scheme,
-        dist_name=config.dist_name,
-        dist_Y=config.dist_Y,
-        K=config.K,
-        G_grid=config.G_grid,
-        trials=config.trials,
-        seed=config.seed,
-        L_cu=config.L_cu,
-        N0=config.N0,
-        tilde_Es_over_N0=config.tilde_Es_over_N0,
-        hat_R_bits=config.hat_R_bits,
-        alpha=config.alpha,
-        beta=config.beta,
-        mu=config.mu,
-        rmax_includes_one=config.rmax_includes_one,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +453,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     text = Path(args.config).read_text()
     config = parse_config(text)
     # Flag precedence: flags > file > defaults.
-    overrides = {}
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config
+    flags = {key: getattr(args, key, None) for key in ("trials", "seed")}
+    spec = replace(config.spec, **{k: v for k, v in flags.items() if v is not None})
+    out = config.out if getattr(args, "out", None) is None else args.out
+    return replace(config, spec=spec, out=out)
 
 
 def _finish_sweep(config: ExperimentConfig, records, tunings, stem: str) -> int:
@@ -545,28 +478,29 @@ def _finish_sweep(config: ExperimentConfig, records, tunings, stem: str) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if config.scheme == "RS" and (config.alpha is None or config.beta is None):
+    spec = config.spec
+    if spec.scheme == "RS" and (spec.alpha is None or spec.beta is None):
         print("error: sweep with scheme RS needs alpha and beta "
               "(use the tune command to derive them)", file=sys.stderr)
         return 1
-    if config.scheme == "PA" and config.mu is None:
+    if spec.scheme == "PA" and spec.mu is None:
         print("error: sweep with scheme PA needs mu "
               "(use the tune command to derive it)", file=sys.stderr)
         return 1
-    records = run_sweep(config_to_spec(config))
+    records = run_sweep(spec)
     return _finish_sweep(config, records, None, "sweep")
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    spec = config_to_spec(config)
+    spec = config.spec
     t = config.tuning
-    if config.scheme == "RS":
+    if spec.scheme == "RS":
         records, tunings = run_tuned_rs_sweep(
             spec, t.alpha_grid, t.beta_grid,
             tune_trials=t.tune_trials, throughput_cap=t.throughput_cap,
         )
-    elif config.scheme == "PA":
+    elif spec.scheme == "PA":
         records, tunings = run_tuned_pa_sweep(
             spec, tune_trials=t.tune_trials, mu_max=t.mu_max,
             resolution=t.mu_resolution, target_fraction=t.target_fraction,
@@ -584,12 +518,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("error: compare command needs a 'compare' config section",
               file=sys.stderr)
         return 1
-    if len(config.G_grid) != 1:
+    if len(config.spec.G_grid) != 1:
         print("error: compare runs at a single G", file=sys.stderr)
         return 1
     t = config.tuning
     rows = compare_rs_pa(
-        config_to_spec(config),
+        config.spec,
         config.compare.es_over_N0_db_grid,
         alpha_grid=t.alpha_grid,
         beta_grid=t.beta_grid,

@@ -32,6 +32,9 @@ __all__ = [
     "PHASE_LABELS",
     "DecodeResult",
     "effective_sinr",
+    "frame_edges",
+    "mrc_sinr",
+    "success_thresholds",
     "decode_frame",
     "irsa_peeling_oracle",
 ]
@@ -94,6 +97,39 @@ def effective_sinr(
     return total
 
 
+def frame_edges(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Message and slot index of every edge, grouped by message in ascending
+    order with each message's slots ascending."""
+    edge_msg = np.repeat(np.arange(graph.K, dtype=np.int64), graph.degrees)
+    edge_slot = np.fromiter(
+        (j for slots in graph.message_slots for j in slots),
+        dtype=np.int64,
+        count=graph.edge_count,
+    )
+    return edge_msg, edge_slot
+
+
+def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None) -> np.ndarray:
+    """Every message's MRC-combined SINR by one ``bincount`` over the edges
+    of ``frame_edges``, summed in ``effective_sinr``'s order.
+
+    ``slot_interference`` is the energy still on each slot; by default the
+    whole frame's, before any cancellation.  Every message needs at least
+    one edge.
+    """
+    if slot_interference is None:
+        slot_interference = np.bincount(edge_slot, weights=edge_energy)
+    denom = slot_interference[edge_slot] - edge_energy
+    np.maximum(denom, 0.0, out=denom)  # float drift around an interference-free slot
+    denom += N0
+    return np.bincount(edge_msg, weights=edge_energy / denom)
+
+
+def success_thresholds(profile: TransmitProfile) -> np.ndarray:
+    """SINR each message must reach to decode: its threshold less TIE_RTOL."""
+    return profile.sinr_thresholds * (1.0 - TIE_RTOL)
+
+
 def _genie_rate(sinr: float, L_cu: int, includes_one: bool) -> float:
     if includes_one:
         return 0.5 * L_cu * math.log2(1.0 + sinr)
@@ -114,7 +150,8 @@ def decode_frame(
     is_irsa = scheme.variant == "IRSA"
 
     state = ResidualState(graph, profile.energies)
-    thresholds = (profile.sinr_thresholds * (1.0 - TIE_RTOL)).tolist()
+    thr_arr = success_thresholds(profile)
+    thresholds = thr_arr.tolist()
     energies = profile.energies.tolist()
     message_slots = graph.message_slots
     slot_messages = graph.slot_messages
@@ -131,14 +168,8 @@ def decode_frame(
     # Flat edge arrays for the vectorised phase-2 evaluation.
     edge_msg = edge_slot = edge_energy = None
     if not is_irsa:
-        edge_msg = np.repeat(np.arange(K, dtype=np.int64), graph.degrees)
-        edge_slot = np.fromiter(
-            (j for slots in message_slots for j in slots),
-            dtype=np.int64,
-            count=graph.edge_count,
-        )
+        edge_msg, edge_slot = frame_edges(graph)
         edge_energy = profile.energies[edge_msg]
-        thr_arr = profile.sinr_thresholds * (1.0 - TIE_RTOL)
 
     step = 0
 
@@ -184,11 +215,9 @@ def decode_frame(
             break
         # Phase 2: evaluate every undecoded message against the residual
         # state; peel the lowest-index success and return to phase 1.
-        intf = np.asarray(state.slot_interference)
-        denom = intf[edge_slot] - edge_energy
-        np.maximum(denom, 0.0, out=denom)
-        denom += N0
-        sinr_all = np.bincount(edge_msg, weights=edge_energy / denom, minlength=K)
+        sinr_all = mrc_sinr(
+            edge_msg, edge_slot, edge_energy, N0, np.asarray(state.slot_interference)
+        )
         ok = (sinr_all >= thr_arr) & ~np.asarray(decoded)
         if not ok.any():
             break

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoder import decode_frame, effective_sinr
+from .decoder import decode_frame, frame_edges, mrc_sinr, success_thresholds
 from .distributions import DegreeDistribution, avg_degree, from_name
-from .frame_graph import ResidualState, build_frame
+from .frame_graph import FrameGraph, build_frame
 from .metrics import (
     TrialMetrics,
     gamma_irsa_min,
@@ -200,11 +200,9 @@ class SweepRecord:
     eta_mean: float | None = None
     eta_se: float | None = None
     eta_max_mean: float | None = None
-    eta_max_se: float | None = None
     gamma_mean: float | None = None
     gamma_se: float | None = None
     energy_per_user_db: float | None = None
-    energy_per_user_db_se: float | None = None
     # Sidecar / plot-data extras, not part of the CSV schema.
     l_avg: float | None = None
     gamma_irsa_db: float | None = None
@@ -213,26 +211,34 @@ class SweepRecord:
 
 
 class RunningStats:
-    """Order-insensitive mean / standard-error accumulator (sum, sum of
-    squares); merging two accumulators is exact set union."""
+    """Mean / standard-error accumulator; merging two accumulators is set
+    union.  The mean is the plain sum over n.  The spread is a centred sum
+    of squared deviations (Welford's update, Chan et al.'s pairwise merge),
+    so a constant series has a standard error of exactly zero."""
 
-    __slots__ = ("n", "total", "total_sq")
+    __slots__ = ("n", "total", "centre", "m2")
 
     def __init__(self) -> None:
         self.n = 0
         self.total = 0.0
-        self.total_sq = 0.0
+        self.centre = 0.0
+        self.m2 = 0.0
 
     def add(self, x: float) -> None:
         self.n += 1
         self.total += x
-        self.total_sq += x * x
+        delta = x - self.centre
+        self.centre += delta / self.n
+        self.m2 += delta * (x - self.centre)
 
     def merge(self, other: "RunningStats") -> "RunningStats":
         out = RunningStats()
         out.n = self.n + other.n
         out.total = self.total + other.total
-        out.total_sq = self.total_sq + other.total_sq
+        if out.n:
+            delta = other.centre - self.centre
+            out.centre = self.centre + delta * other.n / out.n
+            out.m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / out.n
         return out
 
     @property
@@ -245,8 +251,7 @@ class RunningStats:
         fewer than two observations."""
         if self.n < 2:
             return None
-        var = (self.total_sq - self.total * self.total / self.n) / (self.n - 1)
-        return math.sqrt(max(var, 0.0) / self.n)
+        return math.sqrt(max(self.m2, 0.0) / (self.n - 1) / self.n)
 
 
 _STAT_FIELDS = ("T", "eta", "eta_max", "gamma", "energy_per_user_db")
@@ -272,9 +277,16 @@ class MetricStats:
 def make_point(
     spec: SweepSpec, g_index: int, scheme: SchemeConfig | None = None
 ) -> SweepPoint:
+    """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
+    leaves fewer slots than the degree distribution needs."""
     G = spec.G_grid[g_index]
     M = spec.slots_for(G)
-    dist = spec.dist_for(M)
+    if M < 1:
+        raise InfeasibleOperatingPointError(f"G={G} leaves M={M} slots for K={spec.K}")
+    try:
+        dist = spec.dist_for(M)
+    except ValueError as err:
+        raise InfeasibleOperatingPointError(f"no distribution at M={M}: {err}") from err
     if dist.max_degree > M:
         raise InfeasibleOperatingPointError(
             f"max degree {dist.max_degree} exceeds M={M} at G={G}"
@@ -290,13 +302,28 @@ def make_point(
     )
 
 
+def _frame(point: SweepPoint, seed: int, trial: int) -> FrameGraph:
+    """The frame of one trial at the point, drawn from ``seed``'s streams.
+    Tuners pass a purpose-tagged seed and evaluate every candidate on the
+    same frames."""
+    rng = trial_rng(seed, point.g_index, trial)
+    return build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
+
+
+def _profile(point: SweepPoint, graph: FrameGraph, scheme: SchemeConfig):
+    return build_profile(graph.degrees, point.cfg, scheme, point.l_avg)
+
+
+def _decode(point: SweepPoint, graph: FrameGraph, scheme: SchemeConfig):
+    """Transmit profile and decode outcome of one frame under ``scheme``."""
+    profile = _profile(point, graph, scheme)
+    return profile, decode_frame(graph, profile, scheme, point.cfg)
+
+
 def run_trial(point: SweepPoint, trial: int) -> TrialMetrics:
     """One independent frame: build, assign, decode, measure.  Deterministic
     in (point.seed, point.g_index, trial)."""
-    rng = trial_rng(point.seed, point.g_index, trial)
-    graph = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
-    profile = build_profile(graph.degrees, point.cfg, point.scheme, point.l_avg)
-    result = decode_frame(graph, profile, point.scheme, point.cfg)
+    profile, result = _decode(point, _frame(point, point.seed, trial), point.scheme)
     return trial_metrics(result, profile, point.cfg)
 
 
@@ -327,10 +354,9 @@ def _fill_record(rec: SweepRecord, stats: MetricStats, point: SweepPoint) -> Swe
     s = stats.stats
     rec.T_mean, rec.T_se = s["T"].mean, s["T"].se
     rec.eta_mean, rec.eta_se = s["eta"].mean, s["eta"].se
-    rec.eta_max_mean, rec.eta_max_se = s["eta_max"].mean, s["eta_max"].se
+    rec.eta_max_mean = s["eta_max"].mean
     rec.gamma_mean, rec.gamma_se = s["gamma"].mean, s["gamma"].se
     rec.energy_per_user_db = s["energy_per_user_db"].mean
-    rec.energy_per_user_db_se = s["energy_per_user_db"].se
     rec.l_avg = point.l_avg
     if point.cfg.hat_R is not None:
         hat_es = hat_es_from_rate(point.cfg.hat_R, point.cfg.L_cu, point.cfg.N0)
@@ -395,81 +421,65 @@ def tune_rs(
     """
     if not alpha_grid or not beta_grid:
         raise ValueError("tuning grids must be non-empty")
-    tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    results = []
-    for g_index, G in enumerate(spec.G_grid):
-        target = RS_THROUGHPUT_FACTOR * (
-            G if throughput_cap is None else min(G, throughput_cap)
+    return [
+        _tune_rs_point(
+            spec, g_index, alpha_grid, beta_grid, tune_trials,
+            RS_THROUGHPUT_FACTOR * (G if throughput_cap is None else min(G, throughput_cap)),
         )
-        try:
-            base = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
-        except InfeasibleOperatingPointError as err:
-            results.append(
-                RsTuning(G, None, None, False, target=target, note=str(err))
-            )
-            continue
-        es = base.cfg.M * base.cfg.tilde_Es / base.l_avg
-        r_avg = base.cfg.G * base.l_avg
-        candidates: list[SchemeConfig] = []
-        for a in alpha_grid:
-            for b in beta_grid:
-                try:
-                    rs_sinr_target(1, es, base.cfg.N0, a, b, r_avg)
-                except TuningParameterError:
-                    continue
-                candidates.append(
-                    SchemeConfig(
-                        "RS", alpha=a, beta=b,
-                        rmax_includes_one=spec.rmax_includes_one,
-                    )
-                )
-        if not candidates:
-            results.append(
-                RsTuning(
-                    G, None, None, False, target=target,
-                    note="no admissible (alpha, beta) in the grids",
-                )
-            )
-            continue
-        # Shared frames across candidates: same tuning stream per trial.
-        accs = [MetricStats() for _ in candidates]
-        for t in range(tune_trials):
-            rng = trial_rng(tune_seed, g_index, t)
-            graph = build_frame(base.cfg.K, base.cfg.M, base.dist, rng)
-            for scheme, acc in zip(candidates, accs):
-                profile = build_profile(graph.degrees, base.cfg, scheme, base.l_avg)
-                result = decode_frame(graph, profile, scheme, base.cfg)
-                acc.add(trial_metrics(result, profile, base.cfg))
-        best = None
-        best_key = None
-        for scheme, acc in zip(candidates, accs):
-            t_mean = acc.stats["T"].mean
-            if t_mean < target:
+        for g_index, G in enumerate(spec.G_grid)
+    ]
+
+
+def _tune_rs_point(
+    spec: SweepSpec, g_index: int, alpha_grid, beta_grid, tune_trials: int, target: float
+) -> RsTuning:
+    G = spec.G_grid[g_index]
+    try:
+        base = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
+    except InfeasibleOperatingPointError as err:
+        return RsTuning(G, None, None, False, target=target, note=str(err))
+    es = base.cfg.M * base.cfg.tilde_Es / base.l_avg
+    r_avg = base.cfg.G * base.l_avg
+    candidates: list[SchemeConfig] = []
+    for a in alpha_grid:
+        for b in beta_grid:
+            try:
+                rs_sinr_target(1, es, base.cfg.N0, a, b, r_avg)
+            except TuningParameterError:
                 continue
-            key = (acc.stats["eta"].mean, t_mean, -scheme.alpha)
-            if best_key is None or key > best_key:
-                best, best_key = (scheme, acc), key
-        if best is None:
-            results.append(
-                RsTuning(
-                    G, None, None, False, target=target,
-                    note=f"no candidate reached mean T >= {target:.4g}",
-                )
+            candidates.append(
+                SchemeConfig("RS", alpha=a, beta=b, rmax_includes_one=spec.rmax_includes_one)
             )
-            continue
-        scheme, acc = best
-        results.append(
-            RsTuning(
-                G,
-                scheme.alpha,
-                scheme.beta,
-                True,
-                T_mean=acc.stats["T"].mean,
-                eta_mean=acc.stats["eta"].mean,
-                target=target,
-            )
+    if not candidates:
+        return RsTuning(
+            G, None, None, False, target=target,
+            note="no admissible (alpha, beta) in the grids",
         )
-    return results
+    # One frame at a time, every candidate on it: memory stays at one frame
+    # however many tuning trials there are.
+    tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
+    accs = [MetricStats() for _ in candidates]
+    for t in range(tune_trials):
+        graph = _frame(base, tune_seed, t)
+        for scheme, acc in zip(candidates, accs):
+            profile, result = _decode(base, graph, scheme)
+            acc.add(trial_metrics(result, profile, base.cfg))
+    feasible = [
+        (scheme, acc.stats) for scheme, acc in zip(candidates, accs)
+        if acc.stats["T"].mean >= target
+    ]
+    if not feasible:
+        return RsTuning(
+            G, None, None, False, target=target,
+            note=f"no candidate reached mean T >= {target:.4g}",
+        )
+    scheme, stats = max(
+        feasible, key=lambda c: (c[1]["eta"].mean, c[1]["T"].mean, -c[0].alpha)
+    )
+    return RsTuning(
+        G, scheme.alpha, scheme.beta, True,
+        T_mean=stats["T"].mean, eta_mean=stats["eta"].mean, target=target,
+    )
 
 
 def run_tuned_rs_sweep(
@@ -489,23 +499,27 @@ def run_tuned_rs_sweep(
         tune_trials=tune_trials,
         throughput_cap=throughput_cap,
     )
+    scheme_of = lambda t: SchemeConfig(
+        "RS", alpha=t.alpha, beta=t.beta, rmax_includes_one=spec.rmax_includes_one
+    )
+    return _tuned_records(spec, tunings, scheme_of), tunings
+
+
+def _tuned_records(spec: SweepSpec, tunings, scheme_of) -> list[SweepRecord]:
+    """Evaluate each point's tuned scheme, ``scheme_of(tuning)``, on the
+    sweep's own (unsalted) streams; flag the points whose tuner found none."""
     records = []
     for g_index, tuning in enumerate(tunings):
         if not tuning.feasible:
             rec = _base_record(spec, g_index, SchemeConfig("IRSA"))
-            rec.scheme = "RS"
-            rec.alpha = rec.beta = rec.mu = None
             rec.note = f"flagged: {tuning.note}"
-            records.append(rec)
-            continue
-        scheme = SchemeConfig(
-            "RS", alpha=tuning.alpha, beta=tuning.beta,
-            rmax_includes_one=spec.rmax_includes_one,
-        )
-        point = make_point(spec, g_index, scheme=scheme)
-        rec = _base_record(spec, g_index, scheme)
-        records.append(_fill_record(rec, run_point(point, spec.trials), point))
-    return records, tunings
+        else:
+            scheme = scheme_of(tuning)
+            point = make_point(spec, g_index, scheme=scheme)
+            rec = _base_record(spec, g_index, scheme)
+            rec = _fill_record(rec, run_point(point, spec.trials), point)
+        records.append(rec)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +540,6 @@ class MuTuning:
 
 
 MU_CRITERIA = ("mean_fraction", "static_reliability")
-
-
-def _static_frame_ok(graph, profile, cfg: ChannelConfig) -> bool:
-    """True when every message meets its SINR threshold at the initial
-    residual state, before any interference cancellation."""
-    state = ResidualState(graph, profile.energies)
-    thr = profile.sinr_thresholds * (1.0 - 1e-9)
-    for m in range(graph.K):
-        if effective_sinr(m, graph, state, profile, cfg.N0) < thr[m]:
-            return False
-    return True
 
 
 def tune_mu(
@@ -573,33 +576,31 @@ def tune_mu(
         pa_mean_energy(base.cfg, base.l_avg, base.cfg.G * base.l_avg)
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
-    frames = [
-        build_frame(base.cfg.K, base.cfg.M, base.dist, trial_rng(tune_seed, g_index, t))
-        for t in range(trials)
-    ]
-
-    def mean_decoded_fraction(mu: float) -> float:
-        scheme = spec.scheme_config(mu=mu)
-        total = 0
-        for graph in frames:
-            profile = build_profile(graph.degrees, base.cfg, scheme, base.l_avg)
-            result = decode_frame(graph, profile, scheme, base.cfg)
-            total += result.decoded_count
-        return total / (len(frames) * base.cfg.K)
-
-    def static_frame_fraction(mu: float) -> float:
-        scheme = spec.scheme_config(mu=mu)
-        ok = 0
-        for graph in frames:
-            profile = build_profile(graph.degrees, base.cfg, scheme, base.l_avg)
-            if _static_frame_ok(graph, profile, base.cfg):
-                ok += 1
-        return ok / len(frames)
+    frames = [_frame(base, tune_seed, t) for t in range(trials)]
 
     if criterion == "mean_fraction":
-        measure, target = mean_decoded_fraction, target_fraction
+        target = target_fraction
+
+        def measure(mu: float) -> float:
+            scheme = spec.scheme_config(mu=mu)
+            total = sum(_decode(base, graph, scheme)[1].decoded_count for graph in frames)
+            return total / (len(frames) * base.cfg.K)
+
     else:
-        measure, target = static_frame_fraction, reliability
+        target = reliability
+        edges = [frame_edges(graph) for graph in frames]
+
+        def measure(mu: float) -> float:
+            # Fraction of frames whose every message decodes before any
+            # cancellation.
+            scheme = spec.scheme_config(mu=mu)
+            ok = 0
+            for graph, (edge_msg, edge_slot) in zip(frames, edges):
+                profile = _profile(base, graph, scheme)
+                energy = profile.energies[edge_msg]
+                sinr = mrc_sinr(edge_msg, edge_slot, energy, base.cfg.N0)
+                ok += bool((sinr >= success_thresholds(profile)).all())
+            return ok / len(frames)
 
     n_steps = int(math.ceil((mu_max - 1.0) / resolution))
     mu_at = lambda k: 1.0 + k * resolution
@@ -638,10 +639,8 @@ def run_tuned_pa_sweep(
     reliability: float = 0.99,
 ) -> tuple[list[SweepRecord], list[MuTuning]]:
     """Tune mu per grid point, then evaluate on the sweep's own streams."""
-    records = []
-    tunings = []
-    for g_index in range(len(spec.G_grid)):
-        tuning = tune_mu(
+    tunings = [
+        tune_mu(
             spec,
             g_index,
             trials=tune_trials,
@@ -651,19 +650,9 @@ def run_tuned_pa_sweep(
             criterion=criterion,
             reliability=reliability,
         )
-        tunings.append(tuning)
-        if not tuning.feasible:
-            rec = _base_record(spec, g_index, SchemeConfig("IRSA"))
-            rec.scheme = "PA"
-            rec.alpha = rec.beta = rec.mu = None
-            rec.note = f"flagged: {tuning.note}"
-            records.append(rec)
-            continue
-        scheme = spec.scheme_config(mu=tuning.mu)
-        point = make_point(spec, g_index, scheme=scheme)
-        rec = _base_record(spec, g_index, scheme)
-        records.append(_fill_record(rec, run_point(point, spec.trials), point))
-    return records, tunings
+        for g_index in range(len(spec.G_grid))
+    ]
+    return _tuned_records(spec, tunings, lambda t: spec.scheme_config(mu=t.mu)), tunings
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +695,8 @@ def compare_rs_pa(
     if len(spec.G_grid) != 1:
         raise ValueError("comparison runs at a single G")
     G = spec.G_grid[0]
-    M = spec.slots_for(G)
-    dist = spec.dist_for(M)
-    l_avg = avg_degree(dist)
+    base = make_point(spec, 0, scheme=SchemeConfig("IRSA"))
+    M, l_avg = base.cfg.M, base.l_avg
     rows: list[CompareRow] = []
     for es_index, es_db in enumerate(es_grid_db):
         es = 10.0 ** (es_db / 10.0) * spec.N0
@@ -825,33 +813,19 @@ def _tune_rs_for_rate(
     if not candidates:
         return None
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    frames = [
-        build_frame(base.cfg.K, base.cfg.M, base.dist, trial_rng(tune_seed, 0, t))
-        for t in range(tune_trials)
-    ]
+    frames = [_frame(base, tune_seed, t) for t in range(tune_trials)]
     # Try candidates from the highest analytic rate down; the first one that
     # holds the throughput floor wins.
-    best = None
-    for mean_rate, scheme in sorted(candidates, key=lambda c: -c[0]):
-        total = 0
-        for graph in frames:
-            profile = build_profile(graph.degrees, base.cfg, scheme, base.l_avg)
-            result = decode_frame(graph, profile, scheme, base.cfg)
-            total += result.decoded_count
-        t_mean = total / (len(frames) * base.cfg.M)
-        if t_mean >= min_throughput:
-            best = scheme
+    for _, best in sorted(candidates, key=lambda c: -c[0]):
+        total = sum(_decode(base, graph, best)[1].decoded_count for graph in frames)
+        if total / (len(frames) * base.cfg.M) >= min_throughput:
             break
-    if best is None:
+    else:
         return None
-    point = make_point(spec, 0, scheme=best)
     rate_acc = RunningStats()
     t_acc = RunningStats()
     for t in range(spec.trials):
-        rng = trial_rng(spec.seed, 0, t)
-        graph = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
-        profile = build_profile(graph.degrees, point.cfg, best, point.l_avg)
-        result = decode_frame(graph, profile, best, point.cfg)
+        profile, result = _decode(base, _frame(base, spec.seed, t), best)
         rate_acc.add(float(profile.rates.mean()))
-        t_acc.add(result.decoded_count / point.cfg.M)
+        t_acc.add(result.decoded_count / base.cfg.M)
     return best, t_acc.mean, rate_acc.mean

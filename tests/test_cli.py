@@ -7,7 +7,6 @@ import pytest
 from irsa_sim.cli import (
     CSV_HEADER,
     ConfigValidationError,
-    config_to_spec,
     emit_csv,
     emit_plot_data,
     main,
@@ -42,15 +41,15 @@ def make_record(**kw):
 class TestParseConfig:
     def test_minimal_defaults(self):
         config = parse_config(json.dumps(MINIMAL_SWEEP))
-        assert config.trials == 1000
-        assert config.seed == 0
-        assert config.L_cu == 100
-        assert config.N0 == 1.0
-        assert config.rmax_includes_one is True
+        assert config.spec.trials == 1000
+        assert config.spec.seed == 0
+        assert config.spec.L_cu == 100
+        assert config.spec.N0 == 1.0
+        assert config.spec.rmax_includes_one is True
 
     def test_distribution_moment(self):
         config = parse_config(json.dumps(MINIMAL_SWEEP))
-        dist = from_name(config.dist_name, config.dist_Y)
+        dist = from_name(config.spec.dist_name, config.spec.dist_Y)
         assert avg_degree(dist) == pytest.approx(3.428968, abs=1e-5)
 
     def test_zero_g_rejected(self):
@@ -99,9 +98,8 @@ class TestParseConfig:
     def test_y_may_track_slot_count(self):
         ok = dict(MINIMAL_SWEEP, distribution={"name": "ideal_soliton", "Y": "M"})
         config = parse_config(json.dumps(ok))
-        assert config.dist_Y == "M"
-        spec = config_to_spec(config)
-        assert spec.dist_for(50).max_degree == 50
+        assert config.spec.dist_Y == "M"
+        assert config.spec.dist_for(50).max_degree == 50
 
     def test_invalid_json(self):
         with pytest.raises(ConfigValidationError, match="invalid JSON"):
@@ -266,6 +264,18 @@ class TestMainCommands:
         assert meta["tunings"][0]["feasible"]
         row = (tmp_path / "tune.csv").read_text().splitlines()[1].split(",")
         assert row[CSV_HEADER.split(",").index("mu")] != ""
+
+    def test_sweep_with_too_few_slots_flags_points(self, tmp_path, capsys):
+        # G=700 leaves M=0 slots for the M-tracking soliton.
+        config = dict(MINIMAL_SWEEP, G_grid=[700],
+                      distribution={"name": "ideal_soliton", "Y": "M"})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "note: G=700: infeasible" in err
+        assert "every sweep point failed" in err
+        assert "Traceback" not in err
 
     def test_decode_one_trace(self, tmp_path, capsys):
         # The four-message example frame decodes in a known order.

@@ -9,11 +9,19 @@ from irsa_sim.decoder import (
     PHASE_PEELING,
     decode_frame,
     effective_sinr,
+    frame_edges,
     irsa_peeling_oracle,
+    mrc_sinr,
+    success_thresholds,
 )
 from irsa_sim.distributions import avg_degree, fixed_l3, modified_soliton
 from irsa_sim.frame_graph import FrameGraph, ResidualState, build_frame, peel
-from irsa_sim.schemes import ChannelConfig, SchemeConfig, build_profile
+from irsa_sim.schemes import (
+    ChannelConfig,
+    InfeasibleOperatingPointError,
+    SchemeConfig,
+    build_profile,
+)
 
 
 def example_graph():
@@ -274,6 +282,67 @@ class TestDecodeResultInvariants:
         assert np.array_equal(a.decoded, b.decoded)
         assert np.array_equal(a.decode_step, b.decode_step)
         assert np.array_equal(a.genie_rate, b.genie_rate, equal_nan=True)
+
+
+class TestStaticCriterionOracle:
+    """The mu tuner's static criterion (every message passes its success
+    test before any cancellation), computed by ``mrc_sinr``, against the
+    per-message ``effective_sinr`` loop over a fresh ResidualState."""
+
+    MUS = (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)
+
+    @staticmethod
+    def reference(g, profile, N0):
+        state = ResidualState(g, profile.energies)
+        thr = profile.sinr_thresholds * (1 - 1e-9)
+        return all(
+            effective_sinr(m, g, state, profile, N0) >= thr[m] for m in range(g.K)
+        )
+
+    @staticmethod
+    def vectorised(g, profile, N0):
+        edge_msg, edge_slot = frame_edges(g)
+        sinr = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], N0)
+        state = ResidualState(g, profile.energies)
+        expected = [effective_sinr(m, g, state, profile, N0) for m in range(g.K)]
+        assert sinr == pytest.approx(expected, rel=1e-12)
+        return bool((sinr >= success_thresholds(profile)).all())
+
+    def check(self, g, cfg, l_avg, mus):
+        outcomes = []
+        for mu in mus:
+            try:
+                profile = build_profile(g.degrees, cfg, SchemeConfig("PA", mu=mu), l_avg)
+            except InfeasibleOperatingPointError:
+                continue
+            ok = self.vectorised(g, profile, cfg.N0)
+            assert ok == self.reference(g, profile, cfg.N0)
+            outcomes.append(ok)
+        return outcomes
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(83)
+        setup = TestDecodeResultInvariants()._random_setup
+        l_avg = avg_degree(modified_soliton(6))
+        outcomes = []
+        for _ in range(400):
+            g, cfg, _, _ = setup(rng, "PA")
+            outcomes += self.check(g, cfg, l_avg, self.MUS)
+        assert len(outcomes) >= 2000
+        assert sum(outcomes) >= 200 and len(outcomes) - sum(outcomes) >= 200
+
+    def test_hand_built_frames(self):
+        frames = [
+            FrameGraph(3, [[1]]),
+            FrameGraph(2, [[0, 1], [0, 1]]),
+            example_graph(),
+        ]
+        outcomes = []
+        for g in frames:
+            for hat_R in (1.0, 4.0, 10.0, 20.0):
+                cfg = ChannelConfig(K=g.K, M=g.M, L_cu=100, hat_R=hat_R)
+                outcomes += self.check(g, cfg, float(g.degrees.mean()), self.MUS)
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestGenieRate:

@@ -96,6 +96,17 @@ class TestRunningStats:
         acc.add(1.0)
         assert acc.mean == 1.0 and acc.se is None
 
+    def test_constant_series_has_zero_se(self):
+        acc = RunningStats()
+        for _ in range(1000):
+            acc.add(-17.3)
+        assert acc.se == 0.0
+        left, right = RunningStats(), RunningStats()
+        for i in range(999):
+            (left if i % 3 else right).add(-17.3)
+        assert left.merge(right).se == 0.0
+        assert left.merge(RunningStats()).se == 0.0
+
     def test_merge_equals_union(self):
         rng = np.random.default_rng(3)
         xs = rng.normal(size=50)
@@ -157,6 +168,24 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert records[0].note == "" and records[0].T_mean is not None
         assert "infeasible" in records[1].note and records[1].T_mean is None
+
+    def test_too_few_slots_for_the_distribution_are_flagged(self):
+        # G=700 leaves M=0 slots; G=300 leaves M=1, below the soliton's Y >= 2.
+        spec = SweepSpec(
+            scheme="IRSA", dist_name="ideal_soliton", dist_Y="M", K=300,
+            G_grid=(700.0, 300.0, 1.0), trials=2, tilde_Es_over_N0=0.0009,
+        )
+        records = run_sweep(spec)
+        assert [r.M for r in records] == [0, 1, 300]
+        for rec in records[:2]:
+            assert "infeasible" in rec.note and rec.T_mean is None
+        assert records[2].note == "" and records[2].T_mean is not None
+        rs = dataclasses.replace(spec, scheme="RS", G_grid=(700.0,))
+        assert not tune_rs(rs, (0.5,), (1.0,), tune_trials=2)[0].feasible
+        pa = dataclasses.replace(
+            spec, scheme="PA", G_grid=(700.0,), tilde_Es_over_N0=None, hat_R_bits=8.0
+        )
+        assert not tune_mu(pa, 0, trials=2).feasible
 
     def test_deterministic_under_seed(self):
         a = run_sweep(small_rs_spec(trials=15))[0]
