@@ -149,6 +149,14 @@ class _Checker:
             self.errors.append(f"{self._at(key)}: unknown key")
 
 
+def _at_least(lo: int):
+    return lambda v: None if v >= lo else f"must be >= {lo}"
+
+
+# Config keys the --trials and --seed flags override, with their checks.
+FLAG_CHECKS = {"trials": _at_least(1), "seed": _at_least(0)}
+
+
 def _positive_list(value) -> str | None:
     if not value:
         return "must be non-empty"
@@ -206,10 +214,8 @@ def parse_config(text: str) -> ExperimentConfig:
     K = c.take("K", int, required=True,
                check=lambda v: None if v >= 1 else "must be >= 1")
     G_grid = c.take("G_grid", list, required=True, check=_positive_list)
-    trials = c.take("trials", int, default=1000,
-                    check=lambda v: None if v >= 1 else "must be >= 1")
-    seed = c.take("seed", int, default=0,
-                  check=lambda v: None if v >= 0 else "must be >= 0")
+    trials = c.take("trials", int, default=1000, check=FLAG_CHECKS["trials"])
+    seed = c.take("seed", int, default=0, check=FLAG_CHECKS["seed"])
     L_cu = c.take("L_cu", int, default=100,
                   check=lambda v: None if v >= 1 else "must be >= 1")
     N0 = c.take("N0", float, default=1.0,
@@ -451,10 +457,22 @@ def _write_sidecar(path: Path, config: ExperimentConfig, records, tunings=None) 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     text = Path(args.config).read_text()
-    config = parse_config(text)
-    # Flag precedence: flags > file > defaults.
-    flags = {key: getattr(args, key, None) for key in ("trials", "seed")}
-    spec = replace(config.spec, **{k: v for k, v in flags.items() if v is not None})
+    # Flag precedence: flags > file > defaults.  Flags pass the checks of the
+    # keys they replace.
+    flags = {key: getattr(args, key, None) for key in FLAG_CHECKS}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    errors = [
+        f"--{key}: {problem}"
+        for key, value in flags.items()
+        if (problem := FLAG_CHECKS[key](value))
+    ]
+    try:
+        config = parse_config(text)
+    except ConfigValidationError as err:
+        raise ConfigValidationError(err.errors + errors) from None
+    if errors:
+        raise ConfigValidationError(errors)
+    spec = replace(config.spec, **flags)
     out = config.out if getattr(args, "out", None) is None else args.out
     return replace(config, spec=spec, out=out)
 

@@ -13,6 +13,13 @@ selection requires the selected rate to be at most the MRC capacity of the
 residual state; power adaptation requires the MRC SINR to reach the nominal
 level.  Comparisons carry a 1e-9 relative slack so that exact-tie decisions
 are immune to the bounded float drift of incremental interference updates.
+
+For RS and PA the decoded set does not depend on the order: cancellation
+never lowers another message's MRC SINR, so it is the unique closure of the
+success test.  The tuners read only which messages decode, and take that
+closure for a batch of candidates at once with ``decoded_closure``.
+Evaluation keeps the sequential receiver ``decode_frame``: the genie rate
+behind ``eta_max``, the decode steps and the phases depend on the order.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "PHASE_RESIDUAL",
     "PHASE_LABELS",
     "DecodeResult",
+    "decoded_closure",
     "effective_sinr",
     "frame_edges",
     "mrc_sinr",
@@ -128,6 +136,37 @@ def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None
 def success_thresholds(profile: TransmitProfile) -> np.ndarray:
     """SINR each message must reach to decode: its threshold less TIE_RTOL."""
     return profile.sinr_thresholds * (1.0 - TIE_RTOL)
+
+
+def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.ndarray:
+    """Decoded set of one frame, shape (candidates, K), for a batch of
+    candidate profiles: ``energies`` and ``thresholds`` (success thresholds,
+    see ``success_thresholds``) have one row per candidate.
+
+    Jacobi rounds: each round recomputes the slot interference of the
+    undecoded messages from scratch, takes every undecoded message's MRC
+    SINR and decodes all that reach their threshold, until a round decodes
+    nothing.  Cancellation never lowers another message's SINR, so the
+    result is the unique closure that ``decode_frame`` reaches in its own
+    order (RS and PA schemes).  Candidates are stacked as disjoint copies of
+    the frame, so the working set grows with the batch: callers chunk it.
+    """
+    n, K = energies.shape
+    M = int(edge_slot.max()) + 1
+    edge_energy = energies[:, edge_msg].ravel()
+    copy = np.arange(n)[:, None]
+    edge_msg = (edge_msg + copy * K).ravel()
+    edge_slot = (edge_slot + copy * M).ravel()
+    thresholds = thresholds.ravel()
+    decoded = np.zeros(n * K, dtype=bool)
+    while True:
+        live_energy = np.where(decoded[edge_msg], 0.0, edge_energy)
+        interference = np.bincount(edge_slot, weights=live_energy, minlength=n * M)
+        sinr = mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference)
+        new = (sinr >= thresholds) & ~decoded
+        if not new.any():
+            return decoded.reshape(n, K)
+        decoded |= new
 
 
 def _genie_rate(sinr: float, L_cu: int, includes_one: bool) -> float:

@@ -15,12 +15,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoder import decode_frame, frame_edges, mrc_sinr, success_thresholds
+from .decoder import (
+    decode_frame,
+    decoded_closure,
+    frame_edges,
+    mrc_sinr,
+    success_thresholds,
+)
 from .distributions import DegreeDistribution, avg_degree, from_name
 from .frame_graph import FrameGraph, build_frame
 from .metrics import (
     TrialMetrics,
     gamma_irsa_min,
+    reference_capacity,
     to_db,
     trial_metrics,
 )
@@ -66,6 +73,11 @@ PURPOSE_MU_TUNE = 2
 # Feasibility margin of the rate-selection tuner: mean throughput must reach
 # this fraction of the per-point target.
 RS_THROUGHPUT_FACTOR = 0.97
+
+# Candidates the tuners decode together.  decoded_closure stacks one copy of
+# the frame per candidate, so its working set grows with the batch; small
+# batches keep it in cache and off the peak memory.
+CANDIDATE_CHUNK = 8
 
 
 def mix64(*parts: int) -> int:
@@ -320,6 +332,23 @@ def _decode(point: SweepPoint, graph: FrameGraph, scheme: SchemeConfig):
     return profile, decode_frame(graph, profile, scheme, point.cfg)
 
 
+def _decoded_sets(point: SweepPoint, graph: FrameGraph, edges, schemes):
+    """(profile, decoded mask) of each scheme on one frame, by the order-free
+    fixed point ``decoded_closure``, CANDIDATE_CHUNK schemes at a time.
+    ``edges`` is the frame's ``frame_edges``."""
+    edge_msg, edge_slot = edges
+    for start in range(0, len(schemes), CANDIDATE_CHUNK):
+        profiles = [_profile(point, graph, s) for s in schemes[start:start + CANDIDATE_CHUNK]]
+        decoded = decoded_closure(
+            edge_msg,
+            edge_slot,
+            np.stack([p.energies for p in profiles]),
+            np.stack([success_thresholds(p) for p in profiles]),
+            point.cfg.N0,
+        )
+        yield from zip(profiles, decoded)
+
+
 def run_trial(point: SweepPoint, trial: int) -> TrialMetrics:
     """One independent frame: build, assign, decode, measure.  Deterministic
     in (point.seed, point.g_index, trial)."""
@@ -456,29 +485,26 @@ def _tune_rs_point(
             note="no admissible (alpha, beta) in the grids",
         )
     # One frame at a time, every candidate on it: memory stays at one frame
-    # however many tuning trials there are.
+    # however many tuning trials there are.  T and eta are trial_metrics'
+    # expressions, accumulated in frame order.
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    accs = [MetricStats() for _ in candidates]
+    stats = [(scheme, RunningStats(), RunningStats()) for scheme in candidates]
     for t in range(tune_trials):
         graph = _frame(base, tune_seed, t)
-        for scheme, acc in zip(candidates, accs):
-            profile, result = _decode(base, graph, scheme)
-            acc.add(trial_metrics(result, profile, base.cfg))
-    feasible = [
-        (scheme, acc.stats) for scheme, acc in zip(candidates, accs)
-        if acc.stats["T"].mean >= target
-    ]
+        decoded = _decoded_sets(base, graph, frame_edges(graph), candidates)
+        for (profile, mask), (_, T, eta) in zip(decoded, stats):
+            T.add(int(mask.sum()) / base.cfg.M)
+            eta.add(float(profile.rates[mask].sum()) / reference_capacity(profile, base.cfg))
+    feasible = [c for c in stats if c[1].mean >= target]
     if not feasible:
         return RsTuning(
             G, None, None, False, target=target,
             note=f"no candidate reached mean T >= {target:.4g}",
         )
-    scheme, stats = max(
-        feasible, key=lambda c: (c[1]["eta"].mean, c[1]["T"].mean, -c[0].alpha)
-    )
+    scheme, T, eta = max(feasible, key=lambda c: (c[2].mean, c[1].mean, -c[0].alpha))
     return RsTuning(
         G, scheme.alpha, scheme.beta, True,
-        T_mean=stats["T"].mean, eta_mean=stats["eta"].mean, target=target,
+        T_mean=T.mean, eta_mean=eta.mean, target=target,
     )
 
 
@@ -577,18 +603,22 @@ def tune_mu(
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
     frames = [_frame(base, tune_seed, t) for t in range(trials)]
+    edges = [frame_edges(graph) for graph in frames]
 
     if criterion == "mean_fraction":
         target = target_fraction
 
         def measure(mu: float) -> float:
-            scheme = spec.scheme_config(mu=mu)
-            total = sum(_decode(base, graph, scheme)[1].decoded_count for graph in frames)
+            schemes = [spec.scheme_config(mu=mu)]
+            total = sum(
+                int(mask.sum())
+                for graph, frame_edge in zip(frames, edges)
+                for _, mask in _decoded_sets(base, graph, frame_edge, schemes)
+            )
             return total / (len(frames) * base.cfg.K)
 
     else:
         target = reliability
-        edges = [frame_edges(graph) for graph in frames]
 
         def measure(mu: float) -> float:
             # Fraction of frames whose every message decodes before any
@@ -812,15 +842,22 @@ def _tune_rs_for_rate(
                                                        rmax_includes_one=spec.rmax_includes_one)))
     if not candidates:
         return None
+    ranked = [scheme for _, scheme in sorted(candidates, key=lambda c: -c[0])]
+    totals = [0] * len(ranked)
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    frames = [_frame(base, tune_seed, t) for t in range(tune_trials)]
-    # Try candidates from the highest analytic rate down; the first one that
-    # holds the throughput floor wins.
-    for _, best in sorted(candidates, key=lambda c: -c[0]):
-        total = sum(_decode(base, graph, best)[1].decoded_count for graph in frames)
-        if total / (len(frames) * base.cfg.M) >= min_throughput:
-            break
-    else:
+    for t in range(tune_trials):
+        graph = _frame(base, tune_seed, t)
+        for i, (_, mask) in enumerate(_decoded_sets(base, graph, frame_edges(graph), ranked)):
+            totals[i] += int(mask.sum())
+    # The highest analytic rate that holds the throughput floor wins.
+    best = next(
+        (
+            scheme for scheme, total in zip(ranked, totals)
+            if total / (tune_trials * base.cfg.M) >= min_throughput
+        ),
+        None,
+    )
+    if best is None:
         return None
     rate_acc = RunningStats()
     t_acc = RunningStats()

@@ -24,6 +24,7 @@ from .schemes import (
 __all__ = [
     "TrialMetrics",
     "c_ref",
+    "reference_capacity",
     "trial_metrics",
     "gamma_pa_analytic",
     "gamma_irsa_min",
@@ -72,6 +73,16 @@ def _c_ref_from_per_user_energy(cfg: ChannelConfig, per_user_energy: float) -> f
     )
 
 
+def reference_capacity(profile: TransmitProfile, cfg: ChannelConfig) -> float:
+    """C_ref of one frame's profile: the efficiency's denominator."""
+    if profile.Es is not None:
+        return c_ref(cfg, profile.l_avg)
+    # Power adaptation spends l_i*E_i per device, degree independent; the
+    # equal-energy reference follows from its mean.
+    per_user = profile.degrees * profile.energies
+    return _c_ref_from_per_user_energy(cfg, float(per_user.mean()))
+
+
 def trial_metrics(
     result: DecodeResult, profile: TransmitProfile, cfg: ChannelConfig
 ) -> TrialMetrics:
@@ -80,12 +91,7 @@ def trial_metrics(
     S = float(profile.rates[mask].sum())
     S_max = float(result.genie_rate[mask].sum()) if mask.any() else 0.0
     per_user = profile.degrees * profile.energies
-    if profile.Es is not None:
-        C = c_ref(cfg, profile.l_avg)
-    else:
-        # Power adaptation spends l_i*E_i per device, degree independent;
-        # the equal-energy reference follows from its mean.
-        C = _c_ref_from_per_user_energy(cfg, float(per_user.mean()))
+    C = reference_capacity(profile, cfg)
     T = result.decoded_count / cfg.M
     return TrialMetrics(
         T=T,

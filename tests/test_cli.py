@@ -233,6 +233,21 @@ class TestMainCommands:
         assert row[header.index("trials")] == "2"
         assert row[header.index("seed")] == "9"
 
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [("--trials", "0", "must be >= 1"), ("--seed", "-1", "must be >= 0")],
+    )
+    def test_invalid_flag_override_is_a_config_error(
+        self, tmp_path, capsys, flag, value, problem
+    ):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL_SWEEP, K=24, trials=2)))
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                     flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {flag}: {problem}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"scheme": "IRSA"}))

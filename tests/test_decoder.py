@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsa_sim.decoder import (
     PHASE_PEELING,
+    PHASE_RESIDUAL,
     decode_frame,
+    decoded_closure,
     effective_sinr,
     frame_edges,
     irsa_peeling_oracle,
@@ -20,6 +24,7 @@ from irsa_sim.schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
     SchemeConfig,
+    TuningParameterError,
     build_profile,
 )
 
@@ -343,6 +348,186 @@ class TestStaticCriterionOracle:
                 cfg = ChannelConfig(K=g.K, M=g.M, L_cu=100, hat_R=hat_R)
                 outcomes += self.check(g, cfg, float(g.degrees.mean()), self.MUS)
         assert 0 < sum(outcomes) < len(outcomes)
+
+
+# The criterion-3 tuning grids of the acceptance gate.
+RS_ALPHA_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 12))
+RS_BETA_GRID = tuple(float(x) for x in np.geomspace(0.5, 4.0, 7))
+PA_MUS = (1.0, 1.01, 1.2, 2.5)
+
+
+def closure_of(g, profiles, N0):
+    """decoded_closure over one frame for a list of profiles."""
+    edge_msg, edge_slot = frame_edges(g)
+    return decoded_closure(
+        edge_msg,
+        edge_slot,
+        np.stack([p.energies for p in profiles]),
+        np.stack([success_thresholds(p) for p in profiles]),
+        N0,
+    )
+
+
+def random_frame(rng, variant):
+    """A random frame, its RS or PA channel and the mean degree."""
+    dist = modified_soliton(6)
+    K = int(rng.integers(3, 40))
+    M = int(rng.integers(6, 40))
+    g = build_frame(K, M, dist, rng)
+    if variant == "PA":
+        cfg = ChannelConfig(K=K, M=M, L_cu=100, hat_R=float(rng.uniform(2, 12)))
+    else:
+        cfg = ChannelConfig(K=K, M=M, L_cu=100, tilde_Es=float(rng.uniform(0.001, 0.01)))
+    return g, cfg, avg_degree(dist)
+
+
+def random_candidates(rng, variant, count=4):
+    """A random frame and up to ``count`` candidate schemes on it: RS pairs
+    from the criterion-3 grids, or the PA margins PA_MUS."""
+    g, cfg, l_avg = random_frame(rng, variant)
+    if variant == "PA":
+        schemes = [SchemeConfig("PA", mu=mu) for mu in PA_MUS]
+    else:
+        schemes = [
+            SchemeConfig("RS", alpha=RS_ALPHA_GRID[a], beta=RS_BETA_GRID[b])
+            for a, b in zip(
+                rng.integers(0, len(RS_ALPHA_GRID), count),
+                rng.integers(0, len(RS_BETA_GRID), count),
+            )
+        ]
+    profiles = []
+    for scheme in schemes:
+        try:
+            profiles.append((scheme, build_profile(g.degrees, cfg, scheme, l_avg)))
+        except (TuningParameterError, InfeasibleOperatingPointError):
+            continue
+    return g, cfg, profiles
+
+
+def chain_frame():
+    """Eight degree-2 messages in a chain, message k in slots k and k+1:
+    only the two ends see a clean slot, so the cascade runs inwards and
+    takes four rounds."""
+    return FrameGraph(9, [[k, k + 1] for k in range(8)])
+
+
+class TestDecodedClosureOracle:
+    """The order-free fixed point against the sequential receiver."""
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(89)
+        pairs = decoded = partial = residual = 0
+        for frame in range(10_000):
+            variant = "PA" if frame % 2 else "RS"
+            g, cfg, profiles = random_candidates(rng, variant)
+            if not profiles:
+                continue
+            closure = closure_of(g, [p for _, p in profiles], cfg.N0)
+            for (scheme, profile), got in zip(profiles, closure):
+                result = decode_frame(g, profile, scheme, cfg)
+                assert np.array_equal(got, result.decoded), (frame, scheme)
+                pairs += 1
+                decoded += result.decoded_count
+                partial += 0 < result.decoded_count < g.K
+                residual += bool((result.phase == PHASE_RESIDUAL).any())
+        assert pairs >= 35_000
+        # Every kind of outcome is exercised: partial decodes and decodes
+        # that only the residual phase finds.
+        assert partial >= 2_000 and residual >= 1_000 and decoded > 0
+
+    def test_sinr_equal_to_threshold(self):
+        # A degree-1 RS message alone in its slot: its SINR is Es/N0, which
+        # is exactly its threshold, and the 1e-9 slack decodes it.
+        g = FrameGraph(3, [[1], [0, 2], [0, 2]])
+        cfg = uniform_cfg(3, 3, 0.5, l_avg=5 / 3)
+        for alpha in (0.0, 0.5):
+            scheme = SchemeConfig("RS", alpha=alpha, beta=1.0)
+            profile = build_profile(g.degrees, cfg, scheme, 5 / 3)
+            edge_msg, edge_slot = frame_edges(g)
+            sinr = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], cfg.N0)
+            assert sinr[0] == profile.sinr_thresholds[0]
+            result = decode_frame(g, profile, scheme, cfg)
+            assert result.decoded[0]
+            assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
+
+    def test_cascade_over_several_rounds(self):
+        g = chain_frame()
+        cfg = uniform_cfg(8, 9, 0.5, l_avg=2.0)
+        scheme = SchemeConfig("RS", alpha=0.5, beta=1.0)
+        profile = build_profile(g.degrees, cfg, scheme, 2.0)
+        edge_msg, edge_slot = frame_edges(g)
+        before = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], cfg.N0)
+        assert np.flatnonzero(before >= success_thresholds(profile)).tolist() == [0, 7]
+        result = decode_frame(g, profile, scheme, cfg)
+        assert result.decoded.all()
+        assert closure_of(g, [profile], cfg.N0)[0].all()
+
+
+def _profiles(g, cfg, l_avg, schemes):
+    return [build_profile(g.degrees, cfg, s, l_avg) for s in schemes]
+
+
+frame_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestDecodedClosureProperties:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=frame_seeds, mus=st.lists(st.floats(1.0, 4.0), min_size=2, max_size=6))
+    def test_monotone_in_mu(self, seed, mus):
+        g, cfg, l_avg = random_frame(np.random.default_rng(seed), "PA")
+        schemes = [SchemeConfig("PA", mu=mu) for mu in sorted(mus)]
+        closure = closure_of(g, _profiles(g, cfg, l_avg, schemes), cfg.N0)
+        assert np.all(closure[1:] >= closure[:-1])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=frame_seeds,
+        alphas=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=6),
+        beta=st.floats(0.8, 4.0),
+    )
+    def test_monotone_as_alpha_falls(self, seed, alphas, beta):
+        g, cfg, l_avg = random_frame(np.random.default_rng(seed), "RS")
+        alphas = sorted(alphas, reverse=True)
+        schemes = [SchemeConfig("RS", alpha=a, beta=beta) for a in alphas]
+        closure = closure_of(g, _profiles(g, cfg, l_avg, schemes), cfg.N0)
+        assert np.all(closure[1:] >= closure[:-1])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=frame_seeds,
+        alpha=st.floats(0.0, 3.0),
+        betas=st.lists(st.floats(0.8, 4.0), min_size=2, max_size=6),
+    )
+    def test_monotone_as_beta_rises(self, seed, alpha, betas):
+        g, cfg, l_avg = random_frame(np.random.default_rng(seed), "RS")
+        schemes = [SchemeConfig("RS", alpha=alpha, beta=b) for b in sorted(betas)]
+        closure = closure_of(g, _profiles(g, cfg, l_avg, schemes), cfg.N0)
+        assert np.all(closure[1:] >= closure[:-1])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=frame_seeds,
+        variant=st.sampled_from(["RS", "PA"]),
+        params=st.lists(
+            st.tuples(st.floats(0.0, 3.0), st.floats(1.0, 4.0)), min_size=1, max_size=12
+        ),
+        cuts=st.lists(st.integers(1, 11), max_size=4),
+    )
+    def test_batch_and_chunking_do_not_matter(self, seed, variant, params, cuts):
+        g, cfg, l_avg = random_frame(np.random.default_rng(seed), variant)
+        if variant == "PA":
+            schemes = [SchemeConfig("PA", mu=x) for _, x in params]
+        else:
+            schemes = [SchemeConfig("RS", alpha=a, beta=b) for a, b in params]
+        profiles = _profiles(g, cfg, l_avg, schemes)
+        whole = closure_of(g, profiles, cfg.N0)
+        alone = np.concatenate([closure_of(g, [p], cfg.N0) for p in profiles])
+        assert np.array_equal(whole, alone)
+        bounds = [0, *sorted({c for c in cuts if c < len(profiles)}), len(profiles)]
+        chunked = np.concatenate(
+            [closure_of(g, profiles[a:b], cfg.N0) for a, b in zip(bounds, bounds[1:])]
+        )
+        assert np.array_equal(whole, chunked)
 
 
 class TestGenieRate:

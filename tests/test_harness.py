@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from irsa_sim import harness
 from irsa_sim.distributions import avg_degree, modified_soliton
 from irsa_sim.harness import (
     MetricStats,
@@ -23,8 +24,13 @@ from irsa_sim.harness import (
     tune_mu,
     tune_rs,
 )
-from irsa_sim.metrics import to_db
-from irsa_sim.schemes import SchemeConfig, hat_es_from_rate
+from irsa_sim.metrics import to_db, trial_metrics
+from irsa_sim.schemes import (
+    SchemeConfig,
+    TuningParameterError,
+    hat_es_from_rate,
+    rs_sinr_target,
+)
 
 
 def small_rs_spec(**kw):
@@ -425,3 +431,111 @@ class TestPaperAnchors:
         assert records[0].M == 80 and records[1].M == 40
         assert records[0].l_avg > records[1].l_avg  # harmonic growth in M
         assert records[0].distribution == "ideal_soliton_YM"
+
+
+# ---------------------------------------------------------------------------
+# The tuners against the sequential receiver
+# ---------------------------------------------------------------------------
+
+
+def sequential_tune_rs_point(spec, g_index, alpha_grid, beta_grid, tune_trials, target):
+    """Reference for harness._tune_rs_point: every candidate decoded by
+    decode_frame and measured by trial_metrics, one frame at a time."""
+    G = spec.G_grid[g_index]
+    base = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
+    candidates = []
+    for a in alpha_grid:
+        for b in beta_grid:
+            try:
+                rs_sinr_target(1, base.cfg.M * base.cfg.tilde_Es / base.l_avg,
+                               base.cfg.N0, a, b, base.cfg.G * base.l_avg)
+            except TuningParameterError:
+                continue
+            candidates.append(SchemeConfig("RS", alpha=a, beta=b))
+    tune_seed = mix64(spec.seed, harness.PURPOSE_RS_TUNE)
+    accs = [MetricStats() for _ in candidates]
+    for t in range(tune_trials):
+        graph = harness._frame(base, tune_seed, t)
+        for scheme, acc in zip(candidates, accs):
+            profile, result = harness._decode(base, graph, scheme)
+            acc.add(trial_metrics(result, profile, base.cfg))
+    feasible = [
+        (scheme, acc.stats) for scheme, acc in zip(candidates, accs)
+        if acc.stats["T"].mean >= target
+    ]
+    if not feasible:
+        return harness.RsTuning(
+            G, None, None, False, target=target,
+            note=f"no candidate reached mean T >= {target:.4g}",
+        )
+    scheme, stats = max(
+        feasible, key=lambda c: (c[1]["eta"].mean, c[1]["T"].mean, -c[0].alpha)
+    )
+    return harness.RsTuning(
+        G, scheme.alpha, scheme.beta, True,
+        T_mean=stats["T"].mean, eta_mean=stats["eta"].mean, target=target,
+    )
+
+
+def sequential_decoded_sets(point, graph, edges, schemes):
+    """Reference for harness._decoded_sets: one decode_frame per scheme."""
+    for scheme in schemes:
+        profile, result = harness._decode(point, graph, scheme)
+        yield profile, result.decoded
+
+
+ALPHAS = tuple(float(x) for x in np.geomspace(0.02, 2.0, 6))
+BETAS = tuple(float(x) for x in np.geomspace(0.5, 4.0, 4))
+
+
+class TestTunersMatchSequentialReceiver:
+    """Every tuner decision and reported float is bit-identical to the
+    per-candidate decode_frame loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tune_rs(self, seed, monkeypatch):
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.4, 0.8, 1.1, 2.0), trials=5, seed=seed, tilde_Es_over_N0=0.002,
+        )
+        fast = tune_rs(spec, ALPHAS, BETAS, tune_trials=6)
+        monkeypatch.setattr(harness, "_tune_rs_point", sequential_tune_rs_point)
+        assert tune_rs(spec, ALPHAS, BETAS, tune_trials=6) == fast
+        # The throughput floor binds: it rules out the largest alpha.
+        assert all(t.feasible and t.alpha < max(ALPHAS) for t in fast)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tune_mu_mean_fraction(self, seed, monkeypatch):
+        spec = SweepSpec(
+            scheme="PA", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.5, 1.0, 1.3), trials=5, seed=seed, hat_R_bits=8.0,
+        )
+        fast = [
+            tune_mu(spec, g, trials=8, target_fraction=0.95, criterion="mean_fraction")
+            for g in range(3)
+        ]
+        monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
+        slow = [
+            tune_mu(spec, g, trials=8, target_fraction=0.95, criterion="mean_fraction")
+            for g in range(3)
+        ]
+        assert slow == fast
+        assert any(t.feasible and t.mu > 1.0 for t in fast)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compare_rs_pa(self, seed, monkeypatch):
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.8,), trials=6, seed=seed, tilde_Es_over_N0=0.002,
+        )
+
+        def rows():
+            return compare_rs_pa(
+                spec, (-20.0, -16.0, -12.0), alpha_grid=(0.2, 0.6, 1.2, 2.4),
+                beta_grid=(0.7071, 1.0, 1.4142), tune_trials=6, min_throughput=0.7,
+            )
+
+        fast = rows()
+        monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
+        assert rows() == fast
+        assert any(r.scheme == "PA" and r.mu is not None for r in fast)
