@@ -561,8 +561,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode_one(args: argparse.Namespace) -> int:
-    with open(args.edges) as fp:
-        graph = FrameGraph.load_edges(fp, M=args.slots)
+    try:
+        with open(args.edges) as fp:
+            graph = FrameGraph.load_edges(fp, M=args.slots)
+    except ValueError as err:
+        print(f"error: --edges {args.edges}: {err}", file=sys.stderr)
+        return 1
     l_avg = args.l_avg if args.l_avg is not None else float(graph.degrees.mean())
     rmax_includes_one = not args.rmax_excludes_one
     if args.scheme in ("IRSA", "RS"):

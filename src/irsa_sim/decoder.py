@@ -52,8 +52,10 @@ PHASE_PEELING = 1
 PHASE_RESIDUAL = 2
 PHASE_LABELS = {PHASE_NONE: "", PHASE_PEELING: "peeling", PHASE_RESIDUAL: "residual"}
 
-# One-sided slack on the success comparison; covers interference drift,
-# which refresh_interference keeps many orders of magnitude below this.
+# One-sided slack on the success comparison; covers the drift of the
+# incremental interference updates in ``peel``, which the periodic exact
+# ``bincount`` recomputation (refresh_interference) keeps many orders of
+# magnitude below this.
 TIE_RTOL = 1e-9
 
 
@@ -107,14 +109,8 @@ def effective_sinr(
 
 def frame_edges(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
     """Message and slot index of every edge, grouped by message in ascending
-    order with each message's slots ascending."""
-    edge_msg = np.repeat(np.arange(graph.K, dtype=np.int64), graph.degrees)
-    edge_slot = np.fromiter(
-        (j for slots in graph.message_slots for j in slots),
-        dtype=np.int64,
-        count=graph.edge_count,
-    )
-    return edge_msg, edge_slot
+    order with each message's slots ascending: the frame's own CSR arrays."""
+    return graph.edge_msg, graph.edge_slot
 
 
 def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None) -> np.ndarray:

@@ -2,11 +2,15 @@
 
 Messages are the variable nodes and slots the check nodes.  Indices are
 0-based dense integers so that adjacency is plain array indexing in the
-decoder's inner loop.
+decoder's inner loop.  A frame holds its adjacency twice: as per-message
+and per-slot lists for the sequential decoder's scalar loops, and as CSR
+edge arrays (``edge_msg``, ``edge_slot``) for every per-slot or per-message
+sum, each taken by one ``np.bincount``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -28,9 +32,15 @@ REFRESH_EVERY = 64
 
 
 class FrameGraph:
-    """Realised message/slot bipartite graph of one frame (immutable)."""
+    """Realised message/slot bipartite graph of one frame (immutable).
 
-    __slots__ = ("K", "M", "message_slots", "slot_messages", "degrees")
+    ``edge_msg`` and ``edge_slot`` list the message and slot of every edge
+    (int64 CSR arrays), grouped by message in ascending order with each
+    message's slots ascending; so within a slot the edges come in ascending
+    message order, as in ``slot_messages``.
+    """
+
+    __slots__ = ("K", "M", "message_slots", "slot_messages", "degrees", "edge_msg", "edge_slot")
 
     def __init__(self, M: int, message_slots: Sequence[Sequence[int]]):
         K = len(message_slots)
@@ -54,13 +64,14 @@ class FrameGraph:
         self.message_slots = slots_per_msg
         self.slot_messages = slot_messages
         self.degrees = np.array([len(s) for s in slots_per_msg], dtype=np.int64)
+        self.edge_msg, self.edge_slot = _csr_edges(slots_per_msg, self.degrees)
 
     @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum())
+        return len(self.edge_slot)
 
     def slot_degrees(self) -> np.ndarray:
-        return np.array([len(m) for m in self.slot_messages], dtype=np.int64)
+        return np.bincount(self.edge_slot, minlength=self.M)
 
     def export_edges(self, fp: IO[str]) -> None:
         """Write the frame as a tab-separated (message, slot) edge list."""
@@ -70,15 +81,21 @@ class FrameGraph:
 
     @classmethod
     def load_edges(cls, lines: Iterable[str], M: int | None = None) -> "FrameGraph":
-        """Rebuild a frame from an edge list; M defaults to max slot + 1."""
+        """Rebuild a frame from an edge list; M defaults to max slot + 1.
+        Raises ValueError, naming the line, on a malformed or invalid list."""
         per_msg: dict[int, list[int]] = {}
         max_slot = -1
-        for line in lines:
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            msg_s, slot_s = line.split("\t")
-            msg, slot = int(msg_s), int(slot_s)
+            try:
+                msg_s, slot_s = line.split("\t")
+                msg, slot = int(msg_s), int(slot_s)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: expected two tab-separated integers, got {line!r}"
+                ) from None
             per_msg.setdefault(msg, []).append(slot)
             max_slot = max(max_slot, slot)
         if not per_msg:
@@ -89,6 +106,16 @@ class FrameGraph:
         if M is None:
             M = max_slot + 1
         return cls(M, [per_msg[k] for k in range(K)])
+
+
+def _csr_edges(message_slots: list[list[int]], degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``edge_msg`` and ``edge_slot`` of sorted per-message slot lists."""
+    edge_msg = np.repeat(np.arange(len(message_slots), dtype=np.int64), degrees)
+    edge_slot = np.fromiter(chain.from_iterable(message_slots), dtype=np.int64, count=len(edge_msg))
+    # Every caller shares these arrays with the graph.
+    edge_msg.flags.writeable = False
+    edge_slot.flags.writeable = False
+    return edge_msg, edge_slot
 
 
 def build_frame(
@@ -109,13 +136,14 @@ def build_frame(
         )
     degrees = sample_degrees(dist, rng, K)
     total = int(degrees.sum())
-    uniforms = rng.random(total)
+    # Python floats and ints index and multiply faster than numpy scalars in
+    # this loop, with the same IEEE results.
+    uniforms = rng.random(total).tolist()
     pool = list(range(M))
     message_slots: list[list[int]] = []
     slot_messages: list[list[int]] = [[] for _ in range(M)]
     base = 0
-    for k in range(K):
-        l_k = int(degrees[k])
+    for k, l_k in enumerate(degrees.tolist()):
         for t in range(l_k):
             j = t + int(uniforms[base + t] * (M - t))
             pool[t], pool[j] = pool[j], pool[t]
@@ -132,6 +160,7 @@ def build_frame(
     graph.message_slots = message_slots
     graph.slot_messages = slot_messages
     graph.degrees = degrees
+    graph.edge_msg, graph.edge_slot = _csr_edges(message_slots, degrees)
     return graph
 
 
@@ -139,7 +168,8 @@ class ResidualState:
     """Mutable per-trial view of the not-yet-cancelled part of a frame.
 
     ``slot_degree[j]`` counts undecoded messages in slot j and
-    ``slot_interference[j]`` sums their energies per channel use.
+    ``slot_interference[j]`` sums their energies per channel use.  Both are
+    Python lists, so the decoder's scalar loops index them cheaply.
     """
 
     __slots__ = (
@@ -152,24 +182,29 @@ class ResidualState:
 
     def __init__(self, graph: FrameGraph, energies: Sequence[float]):
         self.decoded = [False] * graph.K
-        self.slot_degree = [len(m) for m in graph.slot_messages]
-        self.slot_interference = [
-            float(sum(energies[k] for k in msgs)) for msgs in graph.slot_messages
-        ]
-        self.num_degree_one = sum(1 for d in self.slot_degree if d == 1)
+        slot_degree = graph.slot_degrees()
+        self.slot_degree = slot_degree.tolist()
+        self.slot_interference = _slot_energy(graph, energies, self.decoded)
+        self.num_degree_one = int((slot_degree == 1).sum())
         self.peels_since_refresh = 0
 
     def decoded_count(self) -> int:
         return sum(self.decoded)
 
 
+def _slot_energy(graph: FrameGraph, energies: Sequence[float], decoded: list[bool]) -> list[float]:
+    """Energy on each slot of the messages not in ``decoded``, by one
+    ``bincount``.  It adds a slot's energies in edge order, which is
+    ascending message order, and a decoded message's edge adds an exact 0.0:
+    the same float additions as summing each slot's ``slot_messages`` list."""
+    weights = np.asarray(energies, dtype=np.float64)[graph.edge_msg]
+    weights[np.asarray(decoded)[graph.edge_msg]] = 0.0
+    return np.bincount(graph.edge_slot, weights=weights, minlength=graph.M).tolist()
+
+
 def refresh_interference(graph: FrameGraph, state: ResidualState, energies: Sequence[float]) -> None:
     """Recompute slot interference from the adjacency, clearing drift."""
-    decoded = state.decoded
-    state.slot_interference = [
-        float(sum(energies[k] for k in msgs if not decoded[k]))
-        for msgs in graph.slot_messages
-    ]
+    state.slot_interference = _slot_energy(graph, energies, state.decoded)
     state.peels_since_refresh = 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
     SchemeConfig,
+    TransmitProfile,
     TuningParameterError,
     build_profile,
     hat_es_from_rate,
@@ -322,31 +324,56 @@ def _frame(point: SweepPoint, seed: int, trial: int) -> FrameGraph:
     return build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
 
 
-def _profile(point: SweepPoint, graph: FrameGraph, scheme: SchemeConfig):
-    return build_profile(graph.degrees, point.cfg, scheme, point.l_avg)
+def _profile(point: SweepPoint, degrees: np.ndarray, scheme: SchemeConfig) -> TransmitProfile:
+    return build_profile(degrees, point.cfg, scheme, point.l_avg)
 
 
 def _decode(point: SweepPoint, graph: FrameGraph, scheme: SchemeConfig):
     """Transmit profile and decode outcome of one frame under ``scheme``."""
-    profile = _profile(point, graph, scheme)
+    profile = _profile(point, graph.degrees, scheme)
     return profile, decode_frame(graph, profile, scheme, point.cfg)
 
 
-def _decoded_sets(point: SweepPoint, graph: FrameGraph, edges, schemes):
-    """(profile, decoded mask) of each scheme on one frame, by the order-free
-    fixed point ``decoded_closure``, CANDIDATE_CHUNK schemes at a time.
-    ``edges`` is the frame's ``frame_edges``."""
-    edge_msg, edge_slot = edges
-    for start in range(0, len(schemes), CANDIDATE_CHUNK):
-        profiles = [_profile(point, graph, s) for s in schemes[start:start + CANDIDATE_CHUNK]]
-        decoded = decoded_closure(
+class _DegreeTables(NamedTuple):
+    """Tuning candidates' profiles on degrees 1..max_degree, with their
+    energies and success thresholds stacked, shape (candidates, max_degree).
+    RS and PA assign energies, rates and thresholds by degree alone, so a
+    frame's profile is the table read at ``graph.degrees - 1``, element for
+    element the profile built on the frame."""
+
+    schemes: list[SchemeConfig]
+    profiles: list[TransmitProfile]
+    energies: np.ndarray
+    thresholds: np.ndarray
+
+
+def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTables:
+    """One profile per scheme and grid point, shared by every tuning frame."""
+    degrees = np.arange(1, point.dist.max_degree + 1)
+    profiles = [_profile(point, degrees, s) for s in schemes]
+    return _DegreeTables(
+        schemes,
+        profiles,
+        np.stack([p.energies for p in profiles]),
+        np.stack([success_thresholds(p) for p in profiles]),
+    )
+
+
+def _decoded_sets(point: SweepPoint, graph: FrameGraph, tables: _DegreeTables):
+    """Decoded mask of each of ``tables``' schemes on one frame, by the
+    order-free fixed point ``decoded_closure``, CANDIDATE_CHUNK schemes at a
+    time."""
+    edge_msg, edge_slot = frame_edges(graph)
+    index = graph.degrees - 1
+    for start in range(0, len(tables.schemes), CANDIDATE_CHUNK):
+        rows = slice(start, start + CANDIDATE_CHUNK)
+        yield from decoded_closure(
             edge_msg,
             edge_slot,
-            np.stack([p.energies for p in profiles]),
-            np.stack([success_thresholds(p) for p in profiles]),
+            tables.energies[rows, index],
+            tables.thresholds[rows, index],
             point.cfg.N0,
         )
-        yield from zip(profiles, decoded)
 
 
 def run_trial(point: SweepPoint, trial: int) -> TrialMetrics:
@@ -488,13 +515,17 @@ def _tune_rs_point(
     # however many tuning trials there are.  T and eta are trial_metrics'
     # expressions, accumulated in frame order.
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
+    tables = _degree_tables(base, candidates)
+    # RS spends one common energy, so C_ref depends on the grid point alone.
+    c_refs = [reference_capacity(p, base.cfg) for p in tables.profiles]
     stats = [(scheme, RunningStats(), RunningStats()) for scheme in candidates]
     for t in range(tune_trials):
         graph = _frame(base, tune_seed, t)
-        decoded = _decoded_sets(base, graph, frame_edges(graph), candidates)
-        for (profile, mask), (_, T, eta) in zip(decoded, stats):
+        index = graph.degrees - 1
+        decoded = _decoded_sets(base, graph, tables)
+        for mask, profile, c_ref, (_, T, eta) in zip(decoded, tables.profiles, c_refs, stats):
             T.add(int(mask.sum()) / base.cfg.M)
-            eta.add(float(profile.rates[mask].sum()) / reference_capacity(profile, base.cfg))
+            eta.add(float(profile.rates[index][mask].sum()) / c_ref)
     feasible = [c for c in stats if c[1].mean >= target]
     if not feasible:
         return RsTuning(
@@ -603,17 +634,16 @@ def tune_mu(
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
     frames = [_frame(base, tune_seed, t) for t in range(trials)]
-    edges = [frame_edges(graph) for graph in frames]
 
     if criterion == "mean_fraction":
         target = target_fraction
 
         def measure(mu: float) -> float:
-            schemes = [spec.scheme_config(mu=mu)]
+            tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
             total = sum(
                 int(mask.sum())
-                for graph, frame_edge in zip(frames, edges)
-                for _, mask in _decoded_sets(base, graph, frame_edge, schemes)
+                for graph in frames
+                for mask in _decoded_sets(base, graph, tables)
             )
             return total / (len(frames) * base.cfg.K)
 
@@ -623,13 +653,14 @@ def tune_mu(
         def measure(mu: float) -> float:
             # Fraction of frames whose every message decodes before any
             # cancellation.
-            scheme = spec.scheme_config(mu=mu)
+            tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
+            energies, thresholds = tables.energies[0], tables.thresholds[0]
             ok = 0
-            for graph, (edge_msg, edge_slot) in zip(frames, edges):
-                profile = _profile(base, graph, scheme)
-                energy = profile.energies[edge_msg]
-                sinr = mrc_sinr(edge_msg, edge_slot, energy, base.cfg.N0)
-                ok += bool((sinr >= success_thresholds(profile)).all())
+            for graph in frames:
+                edge_msg, edge_slot = frame_edges(graph)
+                index = graph.degrees - 1
+                sinr = mrc_sinr(edge_msg, edge_slot, energies[index][edge_msg], base.cfg.N0)
+                ok += bool((sinr >= thresholds[index]).all())
             return ok / len(frames)
 
     n_steps = int(math.ceil((mu_max - 1.0) / resolution))
@@ -843,11 +874,12 @@ def _tune_rs_for_rate(
     if not candidates:
         return None
     ranked = [scheme for _, scheme in sorted(candidates, key=lambda c: -c[0])]
+    tables = _degree_tables(base, ranked)
     totals = [0] * len(ranked)
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
     for t in range(tune_trials):
         graph = _frame(base, tune_seed, t)
-        for i, (_, mask) in enumerate(_decoded_sets(base, graph, frame_edges(graph), ranked)):
+        for i, mask in enumerate(_decoded_sets(base, graph, tables)):
             totals[i] += int(mask.sum())
     # The highest analytic rate that holds the throughput floor wins.
     best = next(

@@ -332,6 +332,27 @@ class TestMainCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content, slots, reason",
+        [
+            ("0\t1\n2\t0\n", None, "message indices must be dense"),
+            ("0\t5\n", "3", "slot index out of range"),
+            ("", None, "edge list is empty"),
+            ("0\t1\n1 2\n", None, "line 2: expected two tab-separated integers"),
+        ],
+        ids=["non_dense", "slot_out_of_range", "empty", "malformed_line"],
+    )
+    def test_decode_one_bad_edge_list(self, tmp_path, capsys, content, slots, reason):
+        edges = tmp_path / "frame.tsv"
+        edges.write_text(content)
+        argv = ["decode-one", "--edges", str(edges), "--scheme", "IRSA", "--es-over-n0", "0.5"]
+        if slots is not None:
+            argv += ["--slots", slots]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --edges {edges}: ")
+        assert reason in err
+
     def test_compare_end_to_end(self, tmp_path):
         config = {
             "scheme": "RS",

@@ -1,12 +1,14 @@
 """Two-phase SIC receiver: fixed points, scan order, and oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsa_sim import decoder, frame_graph
 from irsa_sim.decoder import (
     PHASE_PEELING,
     PHASE_RESIDUAL,
@@ -19,7 +21,14 @@ from irsa_sim.decoder import (
     success_thresholds,
 )
 from irsa_sim.distributions import avg_degree, fixed_l3, modified_soliton
-from irsa_sim.frame_graph import FrameGraph, ResidualState, build_frame, peel
+from irsa_sim.frame_graph import (
+    REFRESH_EVERY,
+    FrameGraph,
+    ResidualState,
+    build_frame,
+    peel,
+    refresh_interference,
+)
 from irsa_sim.schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
@@ -528,6 +537,157 @@ class TestDecodedClosureProperties:
             [closure_of(g, profiles[a:b], cfg.N0) for a, b in zip(bounds, bounds[1:])]
         )
         assert np.array_equal(whole, chunked)
+
+
+def python_sum(values):
+    """Left-to-right float sum from 0, as ``sum`` adds on CPython 3.11
+    (later versions compensate sums of plain floats)."""
+    total = 0
+    for v in values:
+        total += v
+    return float(total)
+
+
+class ReferenceResidualState(ResidualState):
+    """ResidualState as first written: per-slot Python sums over
+    ``slot_messages``."""
+
+    __slots__ = ()
+
+    def __init__(self, graph, energies):
+        self.decoded = [False] * graph.K
+        self.slot_degree = [len(m) for m in graph.slot_messages]
+        self.slot_interference = [
+            python_sum(energies[k] for k in msgs) for msgs in graph.slot_messages
+        ]
+        self.num_degree_one = sum(1 for d in self.slot_degree if d == 1)
+        self.peels_since_refresh = 0
+
+
+def reference_refresh(graph, state, energies):
+    """refresh_interference as first written."""
+    decoded = state.decoded
+    state.slot_interference = [
+        python_sum(energies[k] for k in msgs if not decoded[k])
+        for msgs in graph.slot_messages
+    ]
+    state.peels_since_refresh = 0
+
+
+def reference_peel(graph, state, msg, profile):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(frame_graph, "refresh_interference", reference_refresh)
+        peel(graph, state, msg, profile)
+
+
+def reference_decode(graph, profile, scheme, cfg):
+    """decode_frame over the reference residual state."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decoder, "ResidualState", ReferenceResidualState)
+        m.setattr(frame_graph, "refresh_interference", reference_refresh)
+        return decode_frame(graph, profile, scheme, cfg)
+
+
+def state_fields(state):
+    return (state.slot_interference, state.slot_degree, state.num_degree_one, state.decoded)
+
+
+RESULT_FIELDS = ("decoded", "decode_step", "phase", "decode_slot", "decode_sinr", "genie_rate")
+
+
+class TestResidualStateMatchesPythonSums:
+    """The bincount residual state is bit-identical to the per-slot Python
+    sums it replaced, and so is every decode_frame output."""
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["numpy", "list"])
+    def test_random_peel_sequences(self, as_list):
+        rng = np.random.default_rng(97)
+        refreshed = 0
+        for frame in range(300):
+            K = int(rng.integers(2, 160))
+            M = int(rng.integers(6, 120))
+            g = build_frame(K, M, modified_soliton(6), rng)
+            energies = rng.uniform(0.05, 2.0, size=K)
+            if frame % 3 == 0:  # uniform energies: equal sums, exact cancellations
+                energies[:] = energies[0]
+            e = energies.tolist() if as_list else energies
+            profile = SimpleNamespace(energies=e)
+            state = ResidualState(g, e)
+            ref = ReferenceResidualState(g, e)
+            assert state_fields(state) == state_fields(ref)
+            order = rng.permutation(K)[: int(rng.integers(1, K + 1))]
+            for msg in order:
+                peel(g, state, int(msg), profile)
+                reference_peel(g, ref, int(msg), profile)
+                assert state_fields(state) == state_fields(ref)
+            refreshed += len(order) >= REFRESH_EVERY
+            refresh_interference(g, state, e)
+            reference_refresh(g, ref, e)
+            assert state_fields(state) == state_fields(ref)
+        assert refreshed >= 50
+
+    @staticmethod
+    def random_setup(rng, variant):
+        dist = modified_soliton(6)
+        K = int(rng.integers(3, 200))
+        M = int(rng.integers(6, 200))
+        g = build_frame(K, M, dist, rng)
+        l_avg = avg_degree(dist)
+        if variant == "PA":
+            cfg = ChannelConfig(K=K, M=M, L_cu=100, hat_R=float(rng.uniform(2, 12)))
+            scheme = SchemeConfig("PA", mu=float(rng.choice(PA_MUS)))
+        else:
+            cfg = ChannelConfig(K=K, M=M, L_cu=100, tilde_Es=float(rng.uniform(0.001, 0.01)))
+            if variant == "RS":
+                scheme = SchemeConfig(
+                    "RS", alpha=float(rng.choice(RS_ALPHA_GRID)), beta=float(rng.choice(RS_BETA_GRID))
+                )
+            else:
+                scheme = SchemeConfig("IRSA")
+        return g, build_profile(g.degrees, cfg, scheme, l_avg), scheme, cfg
+
+    @staticmethod
+    def assert_same_result(g, profile, scheme, cfg):
+        got = decode_frame(g, profile, scheme, cfg)
+        want = reference_decode(g, profile, scheme, cfg)
+        for name in RESULT_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        return got
+
+    def test_decode_frame_random_frames(self):
+        rng = np.random.default_rng(103)
+        frames = refreshed = residual = 0
+        for frame in range(2400):
+            variant = ("IRSA", "RS", "PA")[frame % 3]
+            try:
+                setup = self.random_setup(rng, variant)
+            except (TuningParameterError, InfeasibleOperatingPointError):
+                continue
+            result = self.assert_same_result(*setup)
+            frames += 1
+            refreshed += result.decoded_count >= REFRESH_EVERY
+            residual += bool((result.phase == PHASE_RESIDUAL).any())
+        assert frames >= 2000 and refreshed >= 300 and residual >= 200
+
+    def test_decode_frame_exact_ties(self):
+        # A degree-1 RS message alone in its slot sits exactly on its
+        # threshold; the chain decodes over several cascades.
+        tie = FrameGraph(3, [[1], [0, 2], [0, 2]])
+        for alpha in (0.0, 0.5):
+            scheme = SchemeConfig("RS", alpha=alpha, beta=1.0)
+            cfg = uniform_cfg(3, 3, 0.5, l_avg=5 / 3)
+            result = self.assert_same_result(tie, build_profile(tie.degrees, cfg, scheme, 5 / 3), scheme, cfg)
+            assert result.decoded[0]
+        g = chain_frame()
+        cfg = uniform_cfg(8, 9, 0.5, l_avg=2.0)
+        for scheme in (SchemeConfig("RS", alpha=0.5, beta=1.0), SchemeConfig("IRSA")):
+            result = self.assert_same_result(g, build_profile(g.degrees, cfg, scheme, 2.0), scheme, cfg)
+            assert result.decoded.all()
+        for hat_R in (1.0, 4.0, 10.0):
+            cfg = ChannelConfig(K=8, M=9, L_cu=100, hat_R=hat_R)
+            for mu in PA_MUS:
+                scheme = SchemeConfig("PA", mu=mu)
+                self.assert_same_result(g, build_profile(g.degrees, cfg, scheme, 2.0), scheme, cfg)
 
 
 class TestGenieRate:

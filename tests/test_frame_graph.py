@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from irsa_sim.decoder import frame_edges
 from irsa_sim.distributions import DegreeDistribution, avg_degree, modified_soliton
 from irsa_sim.frame_graph import (
     FrameGraph,
@@ -58,6 +59,46 @@ class TestFrameGraph:
         again = FrameGraph.load_edges(buf.getvalue().splitlines())
         assert again.M == 5
         assert again.message_slots == g.message_slots
+
+
+class TestEdgeArrays:
+    """The CSR edge arrays against the per-message slot lists they flatten."""
+
+    @staticmethod
+    def check(g):
+        flat = [j for slots in g.message_slots for j in slots]
+        owner = [k for k, slots in enumerate(g.message_slots) for _ in slots]
+        assert g.edge_slot.dtype == np.int64 and g.edge_msg.dtype == np.int64
+        assert g.edge_slot.tolist() == flat
+        assert g.edge_msg.tolist() == owner
+        assert g.edge_count == len(g.edge_slot) == len(flat)
+        edge_msg, edge_slot = frame_edges(g)
+        assert edge_msg is g.edge_msg and edge_slot is g.edge_slot
+        assert g.slot_degrees().tolist() == [len(m) for m in g.slot_messages]
+
+    def test_build_frame(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            K = int(rng.integers(1, 60))
+            M = int(rng.integers(6, 60))
+            self.check(build_frame(K, M, modified_soliton(6), rng))
+
+    def test_validating_constructor_sorts_each_message(self):
+        g = FrameGraph(6, [[4, 1], [0], [5, 2, 3]])
+        self.check(g)
+        assert g.edge_slot.tolist() == [1, 4, 0, 2, 3, 5]
+        self.check(example_graph())
+
+    def test_load_edges(self):
+        g = FrameGraph.load_edges(["1\t3", "0\t2", "# comment", "1\t0", "", "0\t1"], M=5)
+        self.check(g)
+        assert g.edge_msg.tolist() == [0, 0, 1, 1]
+        assert g.edge_slot.tolist() == [1, 2, 0, 3]
+
+    def test_arrays_are_read_only(self):
+        g = example_graph()
+        with pytest.raises(ValueError):
+            g.edge_slot[0] = 2
 
 
 class TestBuildFrame:

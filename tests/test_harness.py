@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irsa_sim import harness
+from irsa_sim.decoder import success_thresholds
 from irsa_sim.distributions import avg_degree, modified_soliton
 from irsa_sim.harness import (
     MetricStats,
@@ -477,11 +478,11 @@ def sequential_tune_rs_point(spec, g_index, alpha_grid, beta_grid, tune_trials, 
     )
 
 
-def sequential_decoded_sets(point, graph, edges, schemes):
-    """Reference for harness._decoded_sets: one decode_frame per scheme."""
-    for scheme in schemes:
-        profile, result = harness._decode(point, graph, scheme)
-        yield profile, result.decoded
+def sequential_decoded_sets(point, graph, tables):
+    """Reference for harness._decoded_sets: one decode_frame per scheme, on
+    the profile built for the frame."""
+    for scheme in tables.schemes:
+        yield harness._decode(point, graph, scheme)[1].decoded
 
 
 ALPHAS = tuple(float(x) for x in np.geomspace(0.02, 2.0, 6))
@@ -539,3 +540,30 @@ class TestTunersMatchSequentialReceiver:
         monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
         assert rows() == fast
         assert any(r.scheme == "PA" and r.mu is not None for r in fast)
+
+    @pytest.mark.parametrize("scheme_name", ["RS", "PA"])
+    def test_degree_tables_match_frame_profiles(self, scheme_name):
+        # A candidate's per-degree table read at a frame's degrees is,
+        # element for element, the profile built on that frame.
+        spec = SweepSpec(
+            scheme=scheme_name, dist_name="modified_soliton", dist_Y=10, K=300,
+            G_grid=(0.6, 1.3), trials=1, seed=3, tilde_Es_over_N0=0.0009, hat_R_bits=10.0,
+        )
+        if scheme_name == "RS":
+            schemes = [SchemeConfig("RS", alpha=a, beta=b) for a in ALPHAS for b in BETAS]
+        else:
+            schemes = [SchemeConfig("PA", mu=mu) for mu in (1.0, 1.01, 1.37, 2.5)]
+        for g_index in range(2):
+            point = make_point(spec, g_index, scheme=schemes[0])
+            tables = harness._degree_tables(point, schemes)
+            for t in range(5):
+                graph = harness._frame(point, 7, t)
+                index = graph.degrees - 1
+                for i, (scheme, table) in enumerate(zip(schemes, tables.profiles)):
+                    profile = harness._profile(point, graph.degrees, scheme)
+                    assert np.array_equal(table.energies[index], profile.energies)
+                    assert np.array_equal(table.rates[index], profile.rates)
+                    assert np.array_equal(tables.energies[i, index], profile.energies)
+                    assert np.array_equal(
+                        tables.thresholds[i, index], success_thresholds(profile)
+                    )
