@@ -15,7 +15,6 @@ from .frame_graph import (
     FrameGraph,
     ResidualState,
     build_frame,
-    degree_one_slots,
     peel,
 )
 from .schemes import (

@@ -1,10 +1,13 @@
 """Experiment configuration, dispatch, and tabular output.
 
-Config files are JSON; unknown keys are rejected and every validation error
-is reported with its key path, not just the first.  Outputs are CSV (one row
-per sweep point, fixed 6-significant-digit formatting, LF line endings) plus
-an optional set of two-column per-series files for plotting, and a JSON
-sidecar recording the resolved spec and any tuned parameters.
+Config files are JSON.  ``parse_config`` checks the JSON types and fills
+missing keys from the dataclass defaults; the config types check their own
+ranges (``config.RANGES``), and every problem is reported with its key path,
+not just the first.  A flag takes the range of the field it sets: out of
+range, it exits 1 with ``config error: --flag: problem``.  Outputs are CSV
+(one row per sweep point, fixed 6-significant-digit formatting, LF line
+endings) plus an optional set of two-column per-series files for plotting,
+and a JSON sidecar recording the resolved spec and any tuned parameters.
 
 Exit codes: 0 success, 1 validation error, 2 runtime infeasibility.
 """
@@ -14,17 +17,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, problem
 from .decoder import PHASE_LABELS, decode_frame
 from .frame_graph import FrameGraph
 from .harness import (
+    CompareConfig,
     CompareRow,
     SweepRecord,
     SweepSpec,
+    TuningConfig,
     compare_rs_pa,
     run_sweep,
     run_tuned_pa_sweep,
@@ -59,39 +66,6 @@ COMPARE_HEADER = (
     "scheme,es_over_N0_db,rate_bits,energy_per_user_db,T_mean,alpha,beta,mu,note"
 )
 
-SCHEMES = ("IRSA", "RS", "PA")
-DIST_NAMES = ("ideal_soliton", "modified_soliton", "l3")
-
-DEFAULT_ALPHA_GRID = tuple(float(x) for x in np.geomspace(0.05, 2.0, 8))
-DEFAULT_BETA_GRID = tuple(float(x) for x in np.geomspace(0.5, 2.0, 5))
-
-
-class ConfigValidationError(ValueError):
-    """Carries every validation problem found in a config document."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("; ".join(errors))
-
-
-@dataclass(frozen=True)
-class TuningConfig:
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-    tune_trials: int = 100
-    throughput_cap: float | None = None
-    mu_max: float = 10.0
-    mu_resolution: float = 0.01
-    target_fraction: float = 0.9
-    mu_criterion: str = "mean_fraction"
-    reliability: float = 0.99
-
-
-@dataclass(frozen=True)
-class CompareConfig:
-    es_over_N0_db_grid: tuple[float, ...]
-    min_throughput: float = 0.78
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,208 +82,110 @@ class ExperimentConfig:
 # Validation
 # ---------------------------------------------------------------------------
 
+# Config keys of the SweepSpec fields that a config file nests.
+_KEYS = {"dist_name": "distribution.name", "dist_Y": "distribution.Y"}
 
-class _Checker:
-    """Accumulates validation errors instead of failing fast."""
+# Flags named apart from the config field whose range they take; every
+# other flag takes the range of its namesake, if it has one.
+_FLAG_FIELDS = {
+    "slots": "M", "l_cu": "L_cu", "n0": "N0", "es_over_n0": "tilde_Es", "hat_r_bits": "hat_R",
+}
 
-    def __init__(self, data: dict, path: str = ""):
-        self.data = data
-        self.path = path
-        self.errors: list[str] = []
-        self.seen: set[str] = set()
 
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
-    def take(self, key: str, kind, default=None, required=False, check=None):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                self.errors.append(f"{self._at(key)}: missing required key")
-            return default
-        value = self.data[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+
+def _flag_problems(args: argparse.Namespace) -> list[str]:
+    """Every flag value out of its field's range, as "--flag: problem"."""
+    return [
+        f"{_flag(name)}: {found}"
+        for name, value in vars(args).items()
+        if (found := problem(_FLAG_FIELDS.get(name, name), value))
+    ]
+
+
+def _kinds(annotation) -> tuple[type, ...]:
+    """Types a field of this annotation holds, None left out; a tuple field
+    is a JSON list."""
+    if typing.get_origin(annotation) is tuple:
+        return (list,)
+    args = typing.get_args(annotation)
+    if not args:
+        return (annotation,)
+    return tuple(kind for arg in args if arg is not type(None) for kind in _kinds(arg))
+
+
+def _section(cls, doc: dict, path: str, errors: list[str], **sections):
+    """``cls`` built from the config ``sections`` it holds and the keys of
+    ``doc`` that name its other fields (popped from ``doc``); a missing key
+    takes the field's default.  The JSON types are checked here, the ranges
+    by ``cls`` itself.  On a problem, every one goes to ``errors`` under
+    ``path`` and None is returned."""
+    values, problems = dict(sections), []
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        if f.name in sections:
+            continue
+        if key not in doc:
+            if f.default is MISSING and f.default_factory is MISSING:
+                problems.append(f"{f.name}: missing required key")
+                values[f.name] = None  # unset, so that cls still checks the rest
+            continue
+        value, kinds = doc.pop(key), _kinds(hints[f.name])
+        if float in kinds and type(value) in (int, float):
             value = float(value)
-        if kind is int and isinstance(value, bool):
-            self.errors.append(f"{self._at(key)}: expected {kind.__name__}")
-            return default
-        if not isinstance(value, kind):
-            name = kind.__name__ if isinstance(kind, type) else str(kind)
-            self.errors.append(f"{self._at(key)}: expected {name}")
-            return default
-        if check is not None:
-            problem = check(value)
-            if problem:
-                self.errors.append(f"{self._at(key)}: {problem}")
-                return default
-        return value
-
-    def reject_unknown(self) -> None:
-        for key in sorted(set(self.data) - self.seen):
-            self.errors.append(f"{self._at(key)}: unknown key")
-
-
-def _at_least(lo: int):
-    return lambda v: None if v >= lo else f"must be >= {lo}"
-
-
-# Config keys the --trials and --seed flags override, with their checks.
-FLAG_CHECKS = {"trials": _at_least(1), "seed": _at_least(0)}
-
-
-def _positive_list(value) -> str | None:
-    if not value:
-        return "must be non-empty"
-    if any(not isinstance(x, (int, float)) or isinstance(x, bool) or x <= 0 for x in value):
-        return "entries must be positive numbers"
-    return None
-
-
-def _number_list(value) -> str | None:
-    if not value:
-        return "must be non-empty"
-    if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in value):
-        return "entries must be numbers"
-    return None
+        elif list in kinds and isinstance(value, list):
+            if all(type(x) in (int, float) for x in value):
+                value = tuple(float(x) for x in value)
+            else:
+                problems.append(f"{f.name}: entries must be numbers")
+                value = None
+        elif not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            problems.append(f"{f.name}: expected {' or '.join(k.__name__ for k in kinds)}")
+            value = None
+        values[f.name] = value
+    try:
+        built = cls(**values)
+    except ConfigValidationError as err:
+        built, problems = None, problems + err.errors
+    for entry in problems:
+        name, _, text = entry.partition(": ")
+        errors.append(f"{path}{_KEYS.get(name, name)}: {text}")
+    return None if problems else built
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON experiment config; raises ConfigValidationError with
-    every problem found."""
+    every problem found, each under its key path."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigValidationError([f"invalid JSON: {err}"]) from err
     if not isinstance(data, dict):
         raise ConfigValidationError(["top level: expected a JSON object"])
-
-    c = _Checker(data)
-    scheme = c.take(
-        "scheme", str, required=True,
-        check=lambda v: None if v in SCHEMES else f"must be one of {SCHEMES}",
-    )
-    dist_name: str | None = None
-    dist_Y: int | str | None = None
-    dist = c.take("distribution", dict, required=True)
-    if dist is not None:
-        dc = _Checker(dist, "distribution")
-        dist_name = dc.take(
-            "name", str, required=True,
-            check=lambda v: None if v in DIST_NAMES else f"must be one of {DIST_NAMES}",
-        )
-        dist_Y = dc.take(
-            "Y", (int, str),
-            check=lambda v: (
-                None
-                if (v == "M" or (isinstance(v, int) and v >= 2))
-                else 'must be an integer >= 2 or "M"'
-            ),
-        )
-        dc.reject_unknown()
-        c.errors.extend(dc.errors)
-        if dist_name == "l3" and dist_Y is not None:
-            c.errors.append("distribution.Y: 'l3' takes no parameter")
-        if dist_name in ("ideal_soliton", "modified_soliton") and dist_Y is None:
-            c.errors.append(f"distribution.Y: required for {dist_name!r}")
-    K = c.take("K", int, required=True,
-               check=lambda v: None if v >= 1 else "must be >= 1")
-    G_grid = c.take("G_grid", list, required=True, check=_positive_list)
-    trials = c.take("trials", int, default=1000, check=FLAG_CHECKS["trials"])
-    seed = c.take("seed", int, default=0, check=FLAG_CHECKS["seed"])
-    L_cu = c.take("L_cu", int, default=100,
-                  check=lambda v: None if v >= 1 else "must be >= 1")
-    N0 = c.take("N0", float, default=1.0,
-                check=lambda v: None if v > 0 else "must be positive")
-    tilde = c.take("tilde_Es_over_N0", float,
-                   check=lambda v: None if v > 0 else "must be positive")
-    hat_R = c.take("hat_R_bits", float,
-                   check=lambda v: None if v > 0 else "must be positive")
-    alpha = c.take("alpha", float,
-                   check=lambda v: None if v >= 0 else "must be >= 0")
-    beta = c.take("beta", float,
-                  check=lambda v: None if v > 0 else "must be positive")
-    mu = c.take("mu", float,
-                check=lambda v: None if v >= 1 else "must be >= 1")
-    rmax = c.take("rmax_includes_one", bool, default=True)
-    out = c.take("out", str, default=".")
-    plot = c.take("emit_plot_data", bool, default=False)
-
-    tuning = TuningConfig()
-    tuning_raw = c.take("tuning", dict)
-    if tuning_raw is not None:
-        tc = _Checker(tuning_raw, "tuning")
-        ag = tc.take("alpha_grid", list, check=_positive_list)
-        bg = tc.take("beta_grid", list, check=_positive_list)
-        tuning = TuningConfig(
-            alpha_grid=DEFAULT_ALPHA_GRID if ag is None else tuple(float(x) for x in ag),
-            beta_grid=DEFAULT_BETA_GRID if bg is None else tuple(float(x) for x in bg),
-            tune_trials=tc.take("tune_trials", int, default=100,
-                                check=lambda v: None if v >= 1 else "must be >= 1"),
-            throughput_cap=tc.take("throughput_cap", float,
-                                   check=lambda v: None if v > 0 else "must be positive"),
-            mu_max=tc.take("mu_max", float, default=10.0,
-                           check=lambda v: None if v >= 1 else "must be >= 1"),
-            mu_resolution=tc.take("mu_resolution", float, default=0.01,
-                                  check=lambda v: None if v > 0 else "must be positive"),
-            target_fraction=tc.take("target_fraction", float, default=0.9,
-                                    check=lambda v: None if 0 < v <= 1 else "must be in (0, 1]"),
-            mu_criterion=tc.take(
-                "mu_criterion", str, default="mean_fraction",
-                check=lambda v: None if v in ("mean_fraction", "static_reliability")
-                else "must be 'mean_fraction' or 'static_reliability'",
-            ),
-            reliability=tc.take("reliability", float, default=0.99,
-                                check=lambda v: None if 0 < v <= 1 else "must be in (0, 1]"),
-        )
-        tc.reject_unknown()
-        c.errors.extend(tc.errors)
-
+    # Dotted keys are key paths of nested sections, never keys of their own.
+    errors = [f"{key}: unknown key" for key in sorted(data) if "." in key]
+    doc, nested = {k: v for k, v in data.items() if "." not in k}, {}
+    for name in ("distribution", "tuning", "compare"):
+        if name in doc:
+            if isinstance(value := doc.pop(name), dict):
+                nested[name] = dict(value)
+            else:
+                errors.append(f"{name}: expected object")
+    doc.update({f"distribution.{k}": v for k, v in nested.pop("distribution", {}).items()})
+    spec = _section(SweepSpec, doc, "", errors)
+    tuning = _section(TuningConfig, nested.setdefault("tuning", {}), "tuning.", errors)
     compare = None
-    compare_raw = c.take("compare", dict)
-    if compare_raw is not None:
-        cc = _Checker(compare_raw, "compare")
-        grid = cc.take("es_over_N0_db_grid", list, required=True, check=_number_list)
-        compare = CompareConfig(
-            es_over_N0_db_grid=tuple(float(x) for x in grid) if grid else (),
-            min_throughput=cc.take("min_throughput", float, default=0.78,
-                                   check=lambda v: None if v > 0 else "must be positive"),
-        )
-        cc.reject_unknown()
-        c.errors.extend(cc.errors)
-
-    c.reject_unknown()
-    if scheme == "PA":
-        if hat_R is None:
-            c.errors.append("hat_R_bits: required for PA")
-    elif scheme in ("IRSA", "RS") and tilde is None:
-        c.errors.append("tilde_Es_over_N0: required for IRSA/RS")
-
-    if c.errors:
-        raise ConfigValidationError(c.errors)
-    spec = SweepSpec(
-        scheme=scheme,
-        dist_name=dist_name,
-        dist_Y=dist_Y,
-        K=K,
-        G_grid=tuple(float(g) for g in G_grid),
-        trials=trials,
-        seed=seed,
-        L_cu=L_cu,
-        N0=N0,
-        tilde_Es_over_N0=tilde,
-        hat_R_bits=hat_R,
-        alpha=alpha,
-        beta=beta,
-        mu=mu,
-        rmax_includes_one=rmax,
-    )
-    return ExperimentConfig(
-        spec=spec,
-        out=out,
-        emit_plot_data=plot,
-        tuning=tuning,
-        compare=compare,
-    )
+    if "compare" in nested:
+        compare = _section(CompareConfig, nested["compare"], "compare.", errors)
+    config = _section(ExperimentConfig, doc, "", errors, spec=spec, tuning=tuning, compare=compare)
+    for path, rest in [("", doc), *((f"{name}.", d) for name, d in nested.items())]:
+        errors += [f"{path}{key}: unknown key" for key in sorted(rest)]
+    if errors:
+        raise ConfigValidationError(errors)
+    return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -320,9 +196,10 @@ def serialize_config(config: ExperimentConfig) -> str:
         return {k: v for k, v in asdict(obj).items() if v is not None}
 
     doc = present(config.spec)
-    doc["distribution"] = {"name": doc.pop("dist_name")}
-    if "dist_Y" in doc:
-        doc["distribution"]["Y"] = doc.pop("dist_Y")
+    for name, key in _KEYS.items():
+        if name in doc:
+            section, sub = key.split(".")
+            doc.setdefault(section, {})[sub] = doc.pop(name)
     doc["out"] = config.out
     doc["emit_plot_data"] = config.emit_plot_data
     doc["tuning"] = present(config.tuning)
@@ -459,20 +336,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     text = Path(args.config).read_text()
     # Flag precedence: flags > file > defaults.  Flags pass the checks of the
     # keys they replace.
-    flags = {key: getattr(args, key, None) for key in FLAG_CHECKS}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    errors = [
-        f"--{key}: {problem}"
-        for key, value in flags.items()
-        if (problem := FLAG_CHECKS[key](value))
-    ]
+    errors = _flag_problems(args)
     try:
         config = parse_config(text)
     except ConfigValidationError as err:
         raise ConfigValidationError(err.errors + errors) from None
     if errors:
         raise ConfigValidationError(errors)
-    spec = replace(config.spec, **flags)
+    flags = {key: getattr(args, key) for key in ("trials", "seed")}
+    spec = replace(config.spec, **{k: v for k, v in flags.items() if v is not None})
     out = config.out if getattr(args, "out", None) is None else args.out
     return replace(config, spec=spec, out=out)
 
@@ -497,13 +369,10 @@ def _finish_sweep(config: ExperimentConfig, records, tunings, stem: str) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     spec = config.spec
-    if spec.scheme == "RS" and (spec.alpha is None or spec.beta is None):
-        print("error: sweep with scheme RS needs alpha and beta "
+    missing = [name for name in SCHEME_PARAMETERS[spec.scheme] if getattr(spec, name) is None]
+    if missing:
+        print(f"error: sweep with scheme {spec.scheme} needs {' and '.join(missing)} "
               "(use the tune command to derive them)", file=sys.stderr)
-        return 1
-    if spec.scheme == "PA" and spec.mu is None:
-        print("error: sweep with scheme PA needs mu "
-              "(use the tune command to derive it)", file=sys.stderr)
         return 1
     records = run_sweep(spec)
     return _finish_sweep(config, records, None, "sweep")
@@ -536,9 +405,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("error: compare command needs a 'compare' config section",
               file=sys.stderr)
         return 1
-    if len(config.spec.G_grid) != 1:
-        print("error: compare runs at a single G", file=sys.stderr)
-        return 1
     t = config.tuning
     rows = compare_rs_pa(
         config.spec,
@@ -561,6 +427,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode_one(args: argparse.Namespace) -> int:
+    errors = _flag_problems(args)
+    if errors:
+        raise ConfigValidationError(errors)
     try:
         with open(args.edges) as fp:
             graph = FrameGraph.load_edges(fp, M=args.slots)
@@ -568,35 +437,23 @@ def _cmd_decode_one(args: argparse.Namespace) -> int:
         print(f"error: --edges {args.edges}: {err}", file=sys.stderr)
         return 1
     l_avg = args.l_avg if args.l_avg is not None else float(graph.degrees.mean())
-    rmax_includes_one = not args.rmax_excludes_one
-    if args.scheme in ("IRSA", "RS"):
-        if args.es_over_n0 is None:
-            print("error: IRSA/RS decoding needs --es-over-n0", file=sys.stderr)
-            return 1
-        cfg = ChannelConfig(
-            K=graph.K, M=graph.M, L_cu=args.l_cu, N0=args.n0,
-            tilde_Es=args.es_over_n0 * args.n0 * l_avg / graph.M,
-        )
-        if args.scheme == "RS":
-            if args.alpha is None or args.beta is None:
-                print("error: RS decoding needs --alpha and --beta", file=sys.stderr)
-                return 1
-            scheme = SchemeConfig("RS", alpha=args.alpha, beta=args.beta,
-                                  rmax_includes_one=rmax_includes_one)
-        else:
-            scheme = SchemeConfig("IRSA", rmax_includes_one=rmax_includes_one)
-    else:
-        if args.hat_r_bits is None or args.mu is None:
-            print("error: PA decoding needs --hat-r-bits and --mu", file=sys.stderr)
-            return 1
-        cfg = ChannelConfig(K=graph.K, M=graph.M, L_cu=args.l_cu, N0=args.n0,
-                            hat_R=args.hat_r_bits)
-        scheme = SchemeConfig("PA", mu=args.mu, rmax_includes_one=rmax_includes_one)
-    try:
-        profile = build_profile(graph.degrees, cfg, scheme, l_avg)
-    except (TuningParameterError, InfeasibleOperatingPointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    takes = SCHEME_PARAMETERS[args.scheme]
+    energy = "hat_r_bits" if args.scheme == "PA" else "es_over_n0"
+    missing = [_flag(name) for name in (energy, *takes) if getattr(args, name) is None]
+    if missing:
+        print(f"error: {args.scheme} decoding needs {' and '.join(missing)}", file=sys.stderr)
+        return 1
+    cfg = ChannelConfig(
+        K=graph.K, M=graph.M, L_cu=args.l_cu, N0=args.n0,
+        tilde_Es=None if args.scheme == "PA" else args.es_over_n0 * args.n0 * l_avg / graph.M,
+        hat_R=args.hat_r_bits if args.scheme == "PA" else None,
+    )
+    scheme = SchemeConfig(
+        args.scheme,
+        rmax_includes_one=not args.rmax_excludes_one,
+        **{name: getattr(args, name) for name in takes},
+    )
+    profile = build_profile(graph.degrees, cfg, scheme, l_avg)
     result = decode_frame(graph, profile, scheme, cfg)
     print("step\tphase\tmessage\tslot\teffective_sinr\tassigned_rate\tgenie_rate")
     for msg in result.decode_order():
@@ -637,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--edges", required=True, help="tab-separated (message, slot) lines")
     d.add_argument("--scheme", required=True, choices=SCHEMES)
     d.add_argument("--slots", type=int, help="slot count (default: max slot index + 1)")
-    d.add_argument("--l-cu", type=int, default=100, help="channel uses per slot")
-    d.add_argument("--n0", type=float, default=1.0, help="noise variance")
+    d.add_argument("--l-cu", type=int, default=ChannelConfig.L_cu, help="channel uses per slot")
+    d.add_argument("--n0", type=float, default=ChannelConfig.N0, help="noise variance")
     d.add_argument("--es-over-n0", type=float, help="per-replica energy (IRSA/RS)")
     d.add_argument("--alpha", type=float, help="RS rate boost coefficient")
     d.add_argument("--beta", type=float, help="RS interference estimate coefficient")

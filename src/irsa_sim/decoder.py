@@ -40,7 +40,6 @@ __all__ = [
     "DecodeResult",
     "decoded_closure",
     "effective_sinr",
-    "frame_edges",
     "mrc_sinr",
     "success_thresholds",
     "decode_frame",
@@ -107,15 +106,9 @@ def effective_sinr(
     return total
 
 
-def frame_edges(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Message and slot index of every edge, grouped by message in ascending
-    order with each message's slots ascending: the frame's own CSR arrays."""
-    return graph.edge_msg, graph.edge_slot
-
-
 def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None) -> np.ndarray:
-    """Every message's MRC-combined SINR by one ``bincount`` over the edges
-    of ``frame_edges``, summed in ``effective_sinr``'s order.
+    """Every message's MRC-combined SINR by one ``bincount`` over a frame's
+    edge arrays, summed in ``effective_sinr``'s order.
 
     ``slot_interference`` is the energy still on each slot; by default the
     whole frame's, before any cancellation.  Every message needs at least
@@ -203,7 +196,7 @@ def decode_frame(
     # Flat edge arrays for the vectorised phase-2 evaluation.
     edge_msg = edge_slot = edge_energy = None
     if not is_irsa:
-        edge_msg, edge_slot = frame_edges(graph)
+        edge_msg, edge_slot = graph.edge_msg, graph.edge_slot
         edge_energy = profile.energies[edge_msg]
 
     step = 0

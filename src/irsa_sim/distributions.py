@@ -19,7 +19,9 @@ __all__ = [
     "ideal_soliton",
     "modified_soliton",
     "fixed_l3",
+    "DIST_NAMES",
     "from_name",
+    "parameter_problem",
     "avg_degree",
     "sample_degree",
     "sample_degrees",
@@ -93,9 +95,24 @@ class DegreeDistribution:
         return {int(d): float(p) for d, p in self.atoms}
 
 
-def _check_soliton_parameter(Y: int) -> int:
-    if Y != int(Y) or int(Y) < 2:
-        raise ValueError(f"soliton parameter Y must be an integer >= 2, got {Y!r}")
+def parameter_problem(name: str, Y) -> str | None:
+    """Why ``Y`` (None when absent) cannot parameterise the distribution
+    called ``name``, or None when it can: a soliton takes an integer Y >= 2,
+    'l3' takes none.  An unknown name is left to the name's own check."""
+    if name not in DIST_NAMES:
+        return None
+    if name == "l3":
+        return None if Y is None else "'l3' takes no parameter"
+    if Y is None:
+        return f"required for {name!r}"
+    if isinstance(Y, (int, float, np.integer)) and float(Y).is_integer() and Y >= 2:
+        return None
+    return "must be an integer >= 2"
+
+
+def _soliton_parameter(name: str, Y) -> int:
+    if problem := parameter_problem(name, Y):
+        raise ValueError(f"{name} parameter Y {problem}, got {Y!r}")
     return int(Y)
 
 
@@ -104,7 +121,7 @@ def ideal_soliton(Y: int) -> DegreeDistribution:
 
     The telescoping sum makes normalisation exact.
     """
-    Y = _check_soliton_parameter(Y)
+    Y = _soliton_parameter("ideal_soliton", Y)
     atoms = [(1, Fraction(1, Y))]
     atoms += [(i, Fraction(1, i * (i - 1))) for i in range(2, Y + 1)]
     return DegreeDistribution(f"ideal_soliton_Y{Y}", tuple(atoms))
@@ -117,7 +134,7 @@ def modified_soliton(Y: int) -> DegreeDistribution:
     1/Y is spread uniformly over the Y-1 remaining atoms, so the total is
     exactly one.
     """
-    Y = _check_soliton_parameter(Y)
+    Y = _soliton_parameter("modified_soliton", Y)
     bump = Fraction(1, Y * (Y - 1))
     atoms = tuple((i, Fraction(1, i * (i - 1)) + bump) for i in range(2, Y + 1))
     return DegreeDistribution(f"modified_soliton_Y{Y}", atoms)
@@ -129,22 +146,19 @@ def fixed_l3() -> DegreeDistribution:
     return DegreeDistribution("l3", atoms)
 
 
+# Config names of the distributions.
+_SOLITONS = {"ideal_soliton": ideal_soliton, "modified_soliton": modified_soliton}
+DIST_NAMES = (*_SOLITONS, "l3")
+
+
 def from_name(name: str, Y: int | None = None) -> DegreeDistribution:
-    """Build a distribution from its config name ("ideal_soliton",
-    "modified_soliton" or "l3"); the solitons require parameter Y."""
-    if name == "l3":
-        if Y is not None:
-            raise ValueError("distribution 'l3' takes no parameter Y")
-        return fixed_l3()
-    if name == "ideal_soliton":
-        if Y is None:
-            raise ValueError("distribution 'ideal_soliton' requires parameter Y")
-        return ideal_soliton(Y)
-    if name == "modified_soliton":
-        if Y is None:
-            raise ValueError("distribution 'modified_soliton' requires parameter Y")
-        return modified_soliton(Y)
-    raise ValueError(f"unknown distribution name {name!r}")
+    """Build a distribution from its config name (one of ``DIST_NAMES``);
+    the solitons require parameter Y."""
+    if name not in DIST_NAMES:
+        raise ValueError(f"unknown distribution name {name!r}")
+    if problem := parameter_problem(name, Y):
+        raise ValueError(f"distribution parameter Y: {problem}")
+    return fixed_l3() if name == "l3" else _SOLITONS[name](Y)
 
 
 def avg_degree(dist: DegreeDistribution) -> float:

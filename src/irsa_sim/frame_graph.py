@@ -22,7 +22,6 @@ __all__ = [
     "ResidualState",
     "build_frame",
     "peel",
-    "degree_one_slots",
     "refresh_interference",
 ]
 
@@ -127,8 +126,6 @@ def build_frame(
     Distinct slots come from a partial Fisher-Yates pass over a shared pool,
     which stays exactly uniform even for degrees close to M.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     if dist.max_degree > M:
         raise ValueError(
             f"max degree {dist.max_degree} exceeds slot count {M}; "
@@ -188,9 +185,6 @@ class ResidualState:
         self.num_degree_one = int((slot_degree == 1).sum())
         self.peels_since_refresh = 0
 
-    def decoded_count(self) -> int:
-        return sum(self.decoded)
-
 
 def _slot_energy(graph: FrameGraph, energies: Sequence[float], decoded: list[bool]) -> list[float]:
     """Energy on each slot of the messages not in ``decoded``, by one
@@ -231,8 +225,3 @@ def peel(graph: FrameGraph, state: ResidualState, msg: int, profile) -> Residual
     if state.peels_since_refresh >= REFRESH_EVERY:
         refresh_interference(graph, state, profile.energies)
     return state
-
-
-def degree_one_slots(state: ResidualState) -> list[int]:
-    """All slots with residual degree exactly one, ascending."""
-    return [j for j, d in enumerate(state.slot_degree) if d == 1]

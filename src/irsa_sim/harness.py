@@ -16,14 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, require, validate
 from .decoder import (
     decode_frame,
     decoded_closure,
-    frame_edges,
     mrc_sinr,
     success_thresholds,
 )
-from .distributions import DegreeDistribution, avg_degree, from_name
+from .distributions import DegreeDistribution, avg_degree, from_name, parameter_problem
 from .frame_graph import FrameGraph, build_frame
 from .metrics import (
     TrialMetrics,
@@ -47,6 +47,8 @@ from .schemes import (
 
 __all__ = [
     "SweepSpec",
+    "TuningConfig",
+    "CompareConfig",
     "SweepRecord",
     "SweepPoint",
     "RsTuning",
@@ -116,29 +118,24 @@ class SweepSpec:
     dist_Y: int | str | None = None
     trials: int = 1000
     seed: int = 0
-    L_cu: int = 100
-    N0: float = 1.0
+    L_cu: int = ChannelConfig.L_cu
+    N0: float = ChannelConfig.N0
     tilde_Es_over_N0: float | None = None
     hat_R_bits: float | None = None
     alpha: float | None = None
     beta: float | None = None
     mu: float | None = None
-    rmax_includes_one: bool = True
+    rmax_includes_one: bool = SchemeConfig.rmax_includes_one
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("IRSA", "RS", "PA"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if not self.G_grid or any(g <= 0 for g in self.G_grid):
-            raise ValueError("G_grid must be non-empty with positive entries")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.scheme == "PA":
-            if self.hat_R_bits is None:
-                raise ValueError("PA sweeps need hat_R_bits")
-        elif self.tilde_Es_over_N0 is None:
-            raise ValueError(f"{self.scheme} sweeps need tilde_Es_over_N0")
+        energy = "hat_R_bits" if self.scheme == "PA" else "tilde_Es_over_N0"
+        needs_energy = self.scheme in SCHEMES and getattr(self, energy) is None
+        # "M" stands for each grid point's slot count, checked when it runs.
+        tracks_M = self.dist_Y == "M" and self.dist_name != "l3"
+        validate(self, {
+            energy: f"required for {self.scheme}" if needs_energy else None,
+            "dist_Y": None if tracks_M else parameter_problem(self.dist_name, self.dist_Y),
+        })
 
     @property
     def distribution_label(self) -> str:
@@ -165,21 +162,44 @@ class SweepSpec:
             hat_R=self.hat_R_bits,
         )
 
-    def scheme_config(self, alpha=None, beta=None, mu=None) -> SchemeConfig:
-        if self.scheme == "RS":
-            return SchemeConfig(
-                "RS",
-                alpha=self.alpha if alpha is None else alpha,
-                beta=self.beta if beta is None else beta,
-                rmax_includes_one=self.rmax_includes_one,
-            )
-        if self.scheme == "PA":
-            return SchemeConfig(
-                "PA",
-                mu=self.mu if mu is None else mu,
-                rmax_includes_one=self.rmax_includes_one,
-            )
-        return SchemeConfig("IRSA", rmax_includes_one=self.rmax_includes_one)
+    def scheme_config(self, **params) -> SchemeConfig:
+        """The spec's scheme, with the parameters in ``params`` (alpha, beta,
+        mu) in place of the spec's own."""
+        return SchemeConfig(
+            self.scheme,
+            rmax_includes_one=self.rmax_includes_one,
+            **{name: params.get(name, getattr(self, name))
+               for name in SCHEME_PARAMETERS[self.scheme]},
+        )
+
+
+@dataclass(frozen=True)
+class TuningConfig:
+    """Tuner settings; their defaults are the tuners' keyword defaults."""
+
+    alpha_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(0.05, 2.0, 8))
+    beta_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(0.5, 2.0, 5))
+    tune_trials: int = 100
+    throughput_cap: float | None = None
+    mu_max: float = 10.0
+    mu_resolution: float = 0.01
+    target_fraction: float = 0.9
+    mu_criterion: str = "mean_fraction"
+    reliability: float = 0.99
+
+    def __post_init__(self) -> None:
+        validate(self)
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """Energy grid and throughput floor of the RS-vs-PA comparison."""
+
+    es_over_N0_db_grid: tuple[float, ...]
+    min_throughput: float = 0.78
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -363,13 +383,12 @@ def _decoded_sets(point: SweepPoint, graph: FrameGraph, tables: _DegreeTables):
     """Decoded mask of each of ``tables``' schemes on one frame, by the
     order-free fixed point ``decoded_closure``, CANDIDATE_CHUNK schemes at a
     time."""
-    edge_msg, edge_slot = frame_edges(graph)
     index = graph.degrees - 1
     for start in range(0, len(tables.schemes), CANDIDATE_CHUNK):
         rows = slice(start, start + CANDIDATE_CHUNK)
         yield from decoded_closure(
-            edge_msg,
-            edge_slot,
+            graph.edge_msg,
+            graph.edge_slot,
             tables.energies[rows, index],
             tables.thresholds[rows, index],
             point.cfg.N0,
@@ -464,8 +483,8 @@ def tune_rs(
     alpha_grid: tuple[float, ...],
     beta_grid: tuple[float, ...],
     *,
-    tune_trials: int = 100,
-    throughput_cap: float | None = None,
+    tune_trials: int = TuningConfig.tune_trials,
+    throughput_cap: float | None = TuningConfig.throughput_cap,
 ) -> list[RsTuning]:
     """Grid-search (alpha, beta) per G point.
 
@@ -475,8 +494,8 @@ def tune_rs(
     smaller alpha.  Pairs whose estimated-interference denominator is
     non-positive are rejected up front.
     """
-    if not alpha_grid or not beta_grid:
-        raise ValueError("tuning grids must be non-empty")
+    require("alpha_grid", alpha_grid)
+    require("beta_grid", beta_grid)
     return [
         _tune_rs_point(
             spec, g_index, alpha_grid, beta_grid, tune_trials,
@@ -503,9 +522,7 @@ def _tune_rs_point(
                 rs_sinr_target(1, es, base.cfg.N0, a, b, r_avg)
             except TuningParameterError:
                 continue
-            candidates.append(
-                SchemeConfig("RS", alpha=a, beta=b, rmax_includes_one=spec.rmax_includes_one)
-            )
+            candidates.append(spec.scheme_config(alpha=a, beta=b))
     if not candidates:
         return RsTuning(
             G, None, None, False, target=target,
@@ -543,22 +560,12 @@ def run_tuned_rs_sweep(
     spec: SweepSpec,
     alpha_grid: tuple[float, ...],
     beta_grid: tuple[float, ...],
-    *,
-    tune_trials: int = 100,
-    throughput_cap: float | None = None,
+    **tuning,
 ) -> tuple[list[SweepRecord], list[RsTuning]]:
-    """Tune per grid point, then evaluate the chosen pairs on the sweep's
-    own (unsalted) streams."""
-    tunings = tune_rs(
-        spec,
-        alpha_grid,
-        beta_grid,
-        tune_trials=tune_trials,
-        throughput_cap=throughput_cap,
-    )
-    scheme_of = lambda t: SchemeConfig(
-        "RS", alpha=t.alpha, beta=t.beta, rmax_includes_one=spec.rmax_includes_one
-    )
+    """Tune per grid point (``tuning`` holds tune_rs's keywords), then
+    evaluate the chosen pairs on the sweep's own (unsalted) streams."""
+    tunings = tune_rs(spec, alpha_grid, beta_grid, **tuning)
+    scheme_of = lambda t: spec.scheme_config(alpha=t.alpha, beta=t.beta)
     return _tuned_records(spec, tunings, scheme_of), tunings
 
 
@@ -592,23 +599,20 @@ class MuTuning:
     mu: float | None
     feasible: bool
     decoded_fraction: float | None = None
-    criterion: str = "mean_fraction"
+    criterion: str = TuningConfig.mu_criterion
     note: str = ""
-
-
-MU_CRITERIA = ("mean_fraction", "static_reliability")
 
 
 def tune_mu(
     spec: SweepSpec,
     g_index: int = 0,
     *,
-    trials: int = 100,
-    mu_max: float = 10.0,
-    resolution: float = 0.01,
-    target_fraction: float = 0.9,
-    criterion: str = "mean_fraction",
-    reliability: float = 0.99,
+    trials: int = TuningConfig.tune_trials,
+    mu_max: float = TuningConfig.mu_max,
+    resolution: float = TuningConfig.mu_resolution,
+    target_fraction: float = TuningConfig.target_fraction,
+    criterion: str = TuningConfig.mu_criterion,
+    reliability: float = TuningConfig.reliability,
 ) -> MuTuning:
     """Smallest mu on a grid of the given resolution meeting the criterion.
 
@@ -624,8 +628,7 @@ def tune_mu(
     every energy never breaks a threshold test), so bisection over the grid
     is exact for the tuning streams.
     """
-    if criterion not in MU_CRITERIA:
-        raise ValueError(f"criterion must be one of {MU_CRITERIA}")
+    require("mu_criterion", criterion)
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
     try:
@@ -657,9 +660,9 @@ def tune_mu(
             energies, thresholds = tables.energies[0], tables.thresholds[0]
             ok = 0
             for graph in frames:
-                edge_msg, edge_slot = frame_edges(graph)
                 index = graph.degrees - 1
-                sinr = mrc_sinr(edge_msg, edge_slot, energies[index][edge_msg], base.cfg.N0)
+                energy = energies[index][graph.edge_msg]
+                sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energy, base.cfg.N0)
                 ok += bool((sinr >= thresholds[index]).all())
             return ok / len(frames)
 
@@ -690,27 +693,12 @@ def tune_mu(
 
 
 def run_tuned_pa_sweep(
-    spec: SweepSpec,
-    *,
-    tune_trials: int = 100,
-    mu_max: float = 10.0,
-    resolution: float = 0.01,
-    target_fraction: float = 0.9,
-    criterion: str = "mean_fraction",
-    reliability: float = 0.99,
+    spec: SweepSpec, *, tune_trials: int = TuningConfig.tune_trials, **tuning
 ) -> tuple[list[SweepRecord], list[MuTuning]]:
-    """Tune mu per grid point, then evaluate on the sweep's own streams."""
+    """Tune mu per grid point (``tune_trials`` frames; ``tuning`` holds
+    tune_mu's other keywords), then evaluate on the sweep's own streams."""
     tunings = [
-        tune_mu(
-            spec,
-            g_index,
-            trials=tune_trials,
-            mu_max=mu_max,
-            resolution=resolution,
-            target_fraction=target_fraction,
-            criterion=criterion,
-            reliability=reliability,
-        )
+        tune_mu(spec, g_index, trials=tune_trials, **tuning)
         for g_index in range(len(spec.G_grid))
     ]
     return _tuned_records(spec, tunings, lambda t: spec.scheme_config(mu=t.mu)), tunings
@@ -742,19 +730,19 @@ def compare_rs_pa(
     *,
     alpha_grid: tuple[float, ...],
     beta_grid: tuple[float, ...],
-    tune_trials: int = 100,
-    min_throughput: float = 0.78,
-    mu_max: float = 10.0,
-    resolution: float = 0.01,
+    tune_trials: int = TuningConfig.tune_trials,
+    min_throughput: float = CompareConfig.min_throughput,
+    **mu_search,
 ) -> list[CompareRow]:
     """At fixed G (the spec's single grid point), feed each energy to rate
     selection and find the highest mean rate keeping throughput at or above
     ``min_throughput``; hand that rate to power adaptation as its nominal
-    rate and find the least energy reaching the same throughput; add the
-    baseline's closed-form energy at the same rate.
+    rate and find the least energy reaching the same throughput (tune_mu,
+    with ``mu_search``: mu_max, resolution); add the baseline's closed-form
+    energy at the same rate.
     """
     if len(spec.G_grid) != 1:
-        raise ValueError("comparison runs at a single G")
+        raise ConfigValidationError(["G_grid: the comparison runs at a single G"])
     G = spec.G_grid[0]
     base = make_point(spec, 0, scheme=SchemeConfig("IRSA"))
     M, l_avg = base.cfg.M, base.l_avg
@@ -816,9 +804,8 @@ def compare_rs_pa(
             pa_spec,
             0,
             trials=tune_trials,
-            mu_max=mu_max,
-            resolution=resolution,
             target_fraction=min_throughput / G,
+            **mu_search,
         )
         if not mu_tuning.feasible:
             rows.append(
@@ -869,8 +856,7 @@ def _tune_rs_for_rate(
                 )
             except TuningParameterError:
                 continue
-            candidates.append((mean_rate, SchemeConfig("RS", alpha=a, beta=b,
-                                                       rmax_includes_one=spec.rmax_includes_one)))
+            candidates.append((mean_rate, spec.scheme_config(alpha=a, beta=b)))
     if not candidates:
         return None
     ranked = [scheme for _, scheme in sorted(candidates, key=lambda c: -c[0])]

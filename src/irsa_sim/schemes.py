@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SCHEME_PARAMETERS, require, validate
+
 __all__ = [
     "ChannelConfig",
     "SchemeConfig",
@@ -30,9 +32,6 @@ __all__ = [
     "pa_powers",
     "build_profile",
 ]
-
-VARIANTS = ("IRSA", "RS", "PA")
-
 
 class TuningParameterError(ValueError):
     """The (alpha, beta) pair makes the estimated-interference denominator
@@ -56,20 +55,13 @@ class ChannelConfig:
 
     K: int
     M: int
-    L_cu: int
+    L_cu: int = 100
     N0: float = 1.0
     tilde_Es: float | None = None
     hat_R: float | None = None
 
     def __post_init__(self) -> None:
-        if self.K < 1 or self.M < 1 or self.L_cu < 1:
-            raise ValueError("K, M and L_cu must be >= 1")
-        if self.N0 <= 0:
-            raise ValueError("N0 must be positive")
-        if self.tilde_Es is not None and self.tilde_Es <= 0:
-            raise ValueError("tilde_Es must be positive")
-        if self.hat_R is not None and self.hat_R <= 0:
-            raise ValueError("hat_R must be positive")
+        validate(self)
 
     @property
     def G(self) -> float:
@@ -94,25 +86,14 @@ class SchemeConfig:
     rmax_includes_one: bool = True
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "RS":
-            if self.alpha is None or self.beta is None:
-                raise ValueError("RS requires alpha and beta")
-            if self.alpha < 0 or self.beta <= 0:
-                raise ValueError("RS requires alpha >= 0 and beta > 0")
-            if self.mu is not None:
-                raise ValueError("mu is a PA parameter")
-        elif self.variant == "PA":
-            if self.mu is None:
-                raise ValueError("PA requires mu")
-            if self.mu < 1.0:
-                raise ValueError("mu must be >= 1")
-            if self.alpha is not None or self.beta is not None:
-                raise ValueError("alpha/beta are RS parameters")
-        else:
-            if self.alpha is not None or self.beta is not None or self.mu is not None:
-                raise ValueError("IRSA takes no tuning parameters")
+        # A parameter is an error where it is set but not taken, or taken
+        # but not set.
+        takes = SCHEME_PARAMETERS.get(self.variant, ())
+        validate(self, {
+            name: f"{'required' if name in takes else 'not a parameter'} for {self.variant}"
+            for name in ("alpha", "beta", "mu")
+            if (getattr(self, name) is None) == (name in takes)
+        })
 
 
 @dataclass(frozen=True)
@@ -146,8 +127,7 @@ def es_from_reference(cfg: ChannelConfig, l_avg: float) -> float:
     everyone-in-every-slot reference: Es = M * tilde_Es / l_avg."""
     if cfg.tilde_Es is None:
         raise ValueError("config carries no reference energy tilde_Es")
-    if l_avg <= 0:
-        raise ValueError("l_avg must be positive")
+    require("l_avg", l_avg)
     return cfg.M * cfg.tilde_Es / l_avg
 
 def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
@@ -158,8 +138,7 @@ def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
 def hat_es_from_rate(hat_R: float, L_cu: int, N0: float) -> float:
     """Energy per channel use sustaining ``hat_R`` bits without interference:
     the inverse of rate_irsa."""
-    if hat_R <= 0:
-        raise ValueError("hat_R must be positive")
+    require("hat_R", hat_R)
     return N0 * (2.0 ** (2.0 * hat_R / L_cu) - 1.0)
 
 

@@ -1,6 +1,7 @@
 """Config validation, CSV/plot-data emission, and the command surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from irsa_sim.distributions import avg_degree, from_name
 from irsa_sim.frame_graph import FrameGraph
 from irsa_sim.harness import SweepRecord, run_sweep
 
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 MINIMAL_SWEEP = {
     "scheme": "IRSA",
@@ -120,6 +123,26 @@ class TestParseConfig:
         )
         config = parse_config(json.dumps(doc))
         assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_parse_and_round_trip(self, path):
+        config = parse_config(path.read_text())
+        assert parse_config(serialize_config(config)) == config
+
+    def test_problems_of_mistyped_and_out_of_range_keys_together(self):
+        bad = dict(MINIMAL_SWEEP, scheme="PA", K="many", trials=0,
+                   tuning={"mu_max": 0.5, "reliability": "x"})
+        del bad["distribution"]
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(json.dumps(bad))
+        assert sorted(err.value.errors) == [
+            "K: expected int",
+            "distribution.name: missing required key",
+            "hat_R_bits: required for PA",
+            "trials: must be >= 1",
+            "tuning.mu_max: must be >= 1",
+            "tuning.reliability: expected float",
+        ]
 
 
 class TestEmitCsv:
@@ -246,6 +269,48 @@ class TestMainCommands:
                      flag, value])
         assert code == 1
         assert capsys.readouterr().err == f"config error: {flag}: {problem}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, problem",
+        [
+            (["--scheme", "PA", "--hat-r-bits", "4", "--mu", "0.5"], "--mu: must be >= 1"),
+            (["--scheme", "IRSA", "--es-over-n0", "1", "--l-cu", "0"], "--l-cu: must be >= 1"),
+            (["--scheme", "IRSA", "--es-over-n0", "-1"], "--es-over-n0: must be positive"),
+            (["--scheme", "IRSA", "--es-over-n0", "inf"], "--es-over-n0: must be finite"),
+            (["--scheme", "IRSA", "--es-over-n0", "1", "--n0", "0"], "--n0: must be positive"),
+            (["--scheme", "IRSA", "--es-over-n0", "1", "--n0", "nan"], "--n0: must be finite"),
+            (["--scheme", "IRSA", "--es-over-n0", "1", "--l-avg", "0"], "--l-avg: must be positive"),
+            (["--scheme", "RS", "--es-over-n0", "1", "--alpha", "-1", "--beta", "1"],
+             "--alpha: must be >= 0"),
+            (["--scheme", "PA", "--hat-r-bits", "0", "--mu", "1.5"], "--hat-r-bits: must be positive"),
+            (["--scheme", "IRSA", "--es-over-n0", "1", "--slots", "0"], "--slots: must be >= 1"),
+        ],
+        ids=["mu", "l_cu", "es_over_n0", "es_over_n0_inf", "n0", "n0_nan", "l_avg", "alpha",
+             "hat_r_bits", "slots"],
+    )
+    def test_decode_one_flag_out_of_range(self, tmp_path, capsys, args, problem):
+        edges = tmp_path / "frame.tsv"
+        edges.write_text("0\t0\n0\t1\n1\t1\n")
+        assert main(["decode-one", "--edges", str(edges), *args]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("G_grid", [float("nan")], "G_grid: entries must be finite"),
+            # Infinity left M = round(K/G) = 0 slots: a flagged row, exit 2.
+            ("G_grid", [float("inf")], "G_grid: entries must be finite"),
+            ("tilde_Es_over_N0", float("inf"), "tilde_Es_over_N0: must be finite"),
+            ("N0", float("inf"), "N0: must be finite"),
+        ],
+        ids=["G_grid_nan", "G_grid_inf", "tilde_Es_over_N0_inf", "N0_inf"],
+    )
+    def test_non_finite_config_exits_1(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(dict(MINIMAL_SWEEP, K=24, trials=2, **{key: value})))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from irsa_sim.decoder import (
     decode_frame,
     decoded_closure,
     effective_sinr,
-    frame_edges,
     irsa_peeling_oracle,
     mrc_sinr,
     success_thresholds,
@@ -315,7 +314,7 @@ class TestStaticCriterionOracle:
 
     @staticmethod
     def vectorised(g, profile, N0):
-        edge_msg, edge_slot = frame_edges(g)
+        edge_msg, edge_slot = g.edge_msg, g.edge_slot
         sinr = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], N0)
         state = ResidualState(g, profile.energies)
         expected = [effective_sinr(m, g, state, profile, N0) for m in range(g.K)]
@@ -367,7 +366,7 @@ PA_MUS = (1.0, 1.01, 1.2, 2.5)
 
 def closure_of(g, profiles, N0):
     """decoded_closure over one frame for a list of profiles."""
-    edge_msg, edge_slot = frame_edges(g)
+    edge_msg, edge_slot = g.edge_msg, g.edge_slot
     return decoded_closure(
         edge_msg,
         edge_slot,
@@ -452,7 +451,7 @@ class TestDecodedClosureOracle:
         for alpha in (0.0, 0.5):
             scheme = SchemeConfig("RS", alpha=alpha, beta=1.0)
             profile = build_profile(g.degrees, cfg, scheme, 5 / 3)
-            edge_msg, edge_slot = frame_edges(g)
+            edge_msg, edge_slot = g.edge_msg, g.edge_slot
             sinr = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], cfg.N0)
             assert sinr[0] == profile.sinr_thresholds[0]
             result = decode_frame(g, profile, scheme, cfg)
@@ -464,7 +463,7 @@ class TestDecodedClosureOracle:
         cfg = uniform_cfg(8, 9, 0.5, l_avg=2.0)
         scheme = SchemeConfig("RS", alpha=0.5, beta=1.0)
         profile = build_profile(g.degrees, cfg, scheme, 2.0)
-        edge_msg, edge_slot = frame_edges(g)
+        edge_msg, edge_slot = g.edge_msg, g.edge_slot
         before = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], cfg.N0)
         assert np.flatnonzero(before >= success_thresholds(profile)).tolist() == [0, 7]
         result = decode_frame(g, profile, scheme, cfg)

@@ -6,13 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from irsa_sim.decoder import frame_edges
 from irsa_sim.distributions import DegreeDistribution, avg_degree, modified_soliton
 from irsa_sim.frame_graph import (
     FrameGraph,
     ResidualState,
     build_frame,
-    degree_one_slots,
     peel,
     refresh_interference,
 )
@@ -72,8 +70,6 @@ class TestEdgeArrays:
         assert g.edge_slot.tolist() == flat
         assert g.edge_msg.tolist() == owner
         assert g.edge_count == len(g.edge_slot) == len(flat)
-        edge_msg, edge_slot = frame_edges(g)
-        assert edge_msg is g.edge_msg and edge_slot is g.edge_slot
         assert g.slot_degrees().tolist() == [len(m) for m in g.slot_messages]
 
     def test_build_frame(self):
@@ -166,7 +162,7 @@ class TestResidualState:
         state = ResidualState(g, [1.0] * 4)
         assert state.slot_degree == [2, 2, 3, 1, 2]
         assert state.slot_interference == pytest.approx([2.0, 2.0, 3.0, 1.0, 2.0])
-        assert degree_one_slots(state) == [3]
+        assert state.num_degree_one == 1
 
     def test_peel_example_message(self):
         g = example_graph()
@@ -174,7 +170,7 @@ class TestResidualState:
         state = ResidualState(g, profile.energies)
         peel(g, state, 1, profile)
         assert state.slot_degree == [1, 2, 2, 0, 2]
-        assert degree_one_slots(state) == [0]
+        assert state.num_degree_one == 1
 
     def test_single_message_peel_zeroes_its_slots(self):
         g = build_frame(1, 8, point_dist(3), np.random.default_rng(2))
