@@ -164,12 +164,12 @@ class SweepSpec:
 
     def scheme_config(self, **params) -> SchemeConfig:
         """The spec's scheme, with the parameters in ``params`` (alpha, beta,
-        mu) in place of the spec's own."""
+        mu) in place of the spec's own; SchemeConfig rejects a parameter the
+        scheme does not take."""
         return SchemeConfig(
             self.scheme,
             rmax_includes_one=self.rmax_includes_one,
-            **{name: params.get(name, getattr(self, name))
-               for name in SCHEME_PARAMETERS[self.scheme]},
+            **{name: getattr(self, name) for name in SCHEME_PARAMETERS[self.scheme]} | params,
         )
 
 
@@ -522,7 +522,7 @@ def _tune_rs_point(
                 rs_sinr_target(1, es, base.cfg.N0, a, b, r_avg)
             except TuningParameterError:
                 continue
-            candidates.append(spec.scheme_config(alpha=a, beta=b))
+            candidates.append(_rs_scheme(spec, a, b))
     if not candidates:
         return RsTuning(
             G, None, None, False, target=target,
@@ -565,8 +565,13 @@ def run_tuned_rs_sweep(
     """Tune per grid point (``tuning`` holds tune_rs's keywords), then
     evaluate the chosen pairs on the sweep's own (unsalted) streams."""
     tunings = tune_rs(spec, alpha_grid, beta_grid, **tuning)
-    scheme_of = lambda t: spec.scheme_config(alpha=t.alpha, beta=t.beta)
-    return _tuned_records(spec, tunings, scheme_of), tunings
+    return _tuned_records(spec, tunings, lambda t: _rs_scheme(spec, t.alpha, t.beta)), tunings
+
+
+def _rs_scheme(spec: SweepSpec, alpha: float, beta: float) -> SchemeConfig:
+    """Rate selection with (alpha, beta): the RS tuners tune RS whatever
+    scheme the spec names."""
+    return SchemeConfig("RS", alpha=alpha, beta=beta, rmax_includes_one=spec.rmax_includes_one)
 
 
 def _tuned_records(spec: SweepSpec, tunings, scheme_of) -> list[SweepRecord]:
@@ -732,14 +737,15 @@ def compare_rs_pa(
     beta_grid: tuple[float, ...],
     tune_trials: int = TuningConfig.tune_trials,
     min_throughput: float = CompareConfig.min_throughput,
-    **mu_search,
+    mu_max: float = TuningConfig.mu_max,
+    resolution: float = TuningConfig.mu_resolution,
 ) -> list[CompareRow]:
     """At fixed G (the spec's single grid point), feed each energy to rate
     selection and find the highest mean rate keeping throughput at or above
     ``min_throughput``; hand that rate to power adaptation as its nominal
     rate and find the least energy reaching the same throughput (tune_mu,
-    with ``mu_search``: mu_max, resolution); add the baseline's closed-form
-    energy at the same rate.
+    bisecting up to ``mu_max`` at ``resolution``); add the baseline's
+    closed-form energy at the same rate.
     """
     if len(spec.G_grid) != 1:
         raise ConfigValidationError(["G_grid: the comparison runs at a single G"])
@@ -749,17 +755,14 @@ def compare_rs_pa(
     rows: list[CompareRow] = []
     for es_index, es_db in enumerate(es_grid_db):
         es = 10.0 ** (es_db / 10.0) * spec.N0
+        # Each energy runs on its own streams, with the tuners' parameters.
+        point_spec = replace(
+            spec, seed=mix64(spec.seed, es_index), alpha=None, beta=None, mu=None
+        )
         # Feed the energy through the equal-total-energy relation so the
         # profile machinery sees a consistent reference level.
         rs_spec = replace(
-            spec,
-            scheme="RS",
-            tilde_Es_over_N0=l_avg * es / (M * spec.N0),
-            hat_R_bits=None,
-            seed=mix64(spec.seed, es_index),
-            alpha=None,
-            beta=None,
-            mu=None,
+            point_spec, scheme="RS", tilde_Es_over_N0=l_avg * es / (M * spec.N0), hat_R_bits=None
         )
         tuning = _tune_rs_for_rate(
             rs_spec,
@@ -790,22 +793,14 @@ def compare_rs_pa(
         rows.append(
             CompareRow("IRSA", None, mean_rate, to_db(l_avg * hat_es / spec.N0), None)
         )
-        pa_spec = replace(
-            spec,
-            scheme="PA",
-            hat_R_bits=mean_rate,
-            tilde_Es_over_N0=None,
-            seed=mix64(spec.seed, es_index),
-            alpha=None,
-            beta=None,
-            mu=None,
-        )
+        pa_spec = replace(point_spec, scheme="PA", hat_R_bits=mean_rate, tilde_Es_over_N0=None)
         mu_tuning = tune_mu(
             pa_spec,
             0,
             trials=tune_trials,
+            mu_max=mu_max,
+            resolution=resolution,
             target_fraction=min_throughput / G,
-            **mu_search,
         )
         if not mu_tuning.feasible:
             rows.append(
@@ -856,7 +851,7 @@ def _tune_rs_for_rate(
                 )
             except TuningParameterError:
                 continue
-            candidates.append((mean_rate, spec.scheme_config(alpha=a, beta=b)))
+            candidates.append((mean_rate, _rs_scheme(spec, a, b)))
     if not candidates:
         return None
     ranked = [scheme for _, scheme in sorted(candidates, key=lambda c: -c[0])]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEME_PARAMETERS, require, validate
+from .config import SCHEME_PARAMETERS, ConfigValidationError, validate
 
 __all__ = [
     "ChannelConfig",
@@ -127,7 +127,8 @@ def es_from_reference(cfg: ChannelConfig, l_avg: float) -> float:
     everyone-in-every-slot reference: Es = M * tilde_Es / l_avg."""
     if cfg.tilde_Es is None:
         raise ValueError("config carries no reference energy tilde_Es")
-    require("l_avg", l_avg)
+    if not l_avg > 0:  # one comparison: this runs once per frame
+        raise ConfigValidationError(["l_avg: must be positive"])
     return cfg.M * cfg.tilde_Es / l_avg
 
 def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
@@ -138,7 +139,8 @@ def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
 def hat_es_from_rate(hat_R: float, L_cu: int, N0: float) -> float:
     """Energy per channel use sustaining ``hat_R`` bits without interference:
     the inverse of rate_irsa."""
-    require("hat_R", hat_R)
+    if not hat_R > 0:  # one comparison: this runs once per frame
+        raise ConfigValidationError(["hat_R: must be positive"])
     return N0 * (2.0 ** (2.0 * hat_R / L_cu) - 1.0)
 
 

@@ -247,6 +247,22 @@ class TestTuneRs:
         assert tunings[0].feasible
         assert tunings[0].alpha == 0.5
 
+    def test_tunes_rate_selection_whatever_the_spec_scheme(self):
+        # The RS tuners build RS candidates themselves: an IRSA spec is
+        # tuned exactly as the same spec marked RS.
+        spec = SweepSpec(
+            scheme="IRSA", dist_name="modified_soliton", dist_Y=4, K=20,
+            G_grid=(0.2,), trials=5, seed=13, tilde_Es_over_N0=0.01,
+        )
+        rs = dataclasses.replace(spec, scheme="RS")
+        grids = ((0.05, 0.5), (1.5,))
+        assert tune_rs(spec, *grids, tune_trials=4) == tune_rs(rs, *grids, tune_trials=4)
+        records, _ = run_tuned_rs_sweep(spec, *grids, tune_trials=4)
+        assert records[0].alpha is not None
+        assert [dataclasses.replace(r, scheme="RS") for r in records] == (
+            run_tuned_rs_sweep(rs, *grids, tune_trials=4)[0]
+        )
+
 
 class TestTuneMu:
     def test_single_user_matches_closed_form(self):
@@ -334,6 +350,12 @@ class TestTuneMu:
         with pytest.raises(ValueError):
             tune_mu(small_rs_spec(), criterion="vibes")
 
+    def test_rejects_spec_without_power_adaptation(self):
+        # mu is not a parameter of rate selection: tuning it is an error,
+        # not a silently ignored value.
+        with pytest.raises(ValueError, match="mu: not a parameter for RS"):
+            tune_mu(small_rs_spec(), trials=2)
+
 
 class TestTunedPaSweep:
     def test_records_carry_mu_and_energy_refs(self):
@@ -380,6 +402,12 @@ class TestCompare:
         spec = small_rs_spec(G_grid=(0.4, 0.8))
         with pytest.raises(ValueError):
             compare_rs_pa(spec, (-16.0,), alpha_grid=(0.2,), beta_grid=(1.0,))
+
+    def test_takes_no_mu_criterion(self):
+        # The PA side always uses the mean-fraction rule at min_throughput/G.
+        with pytest.raises(TypeError):
+            compare_rs_pa(small_rs_spec(), (-16.0,), alpha_grid=(0.2,), beta_grid=(1.0,),
+                          criterion="static_reliability")
 
 
 class TestPaperAnchors:

@@ -53,6 +53,11 @@ class TestEsFromReference:
         with pytest.raises(ValueError):
             es_from_reference(cfg, 3.0)
 
+    def test_rejects_nonpositive_average_degree(self):
+        cfg = ChannelConfig(K=10, M=20, L_cu=100, tilde_Es=0.3)
+        with pytest.raises(ValueError, match="l_avg: must be positive"):
+            es_from_reference(cfg, 0.0)
+
 
 class TestRateIrsa:
     def test_unit_snr(self):
