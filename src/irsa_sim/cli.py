@@ -443,9 +443,17 @@ def _cmd_decode_one(args: argparse.Namespace) -> int:
     if missing:
         print(f"error: {args.scheme} decoding needs {' and '.join(missing)}", file=sys.stderr)
         return 1
+    tilde_Es = None
+    if args.scheme != "PA":
+        tilde_Es = args.es_over_n0 * args.n0 * l_avg / graph.M
+        # In-range flags can still overflow or underflow the product.
+        if found := problem("tilde_Es", tilde_Es):
+            raise ConfigValidationError([
+                f"--es-over-n0: times --n0 and --l-avg over {graph.M} slots "
+                f"gives a per-slot energy of {tilde_Es!r}, which {found}"
+            ])
     cfg = ChannelConfig(
-        K=graph.K, M=graph.M, L_cu=args.l_cu, N0=args.n0,
-        tilde_Es=None if args.scheme == "PA" else args.es_over_n0 * args.n0 * l_avg / graph.M,
+        K=graph.K, M=graph.M, L_cu=args.l_cu, N0=args.n0, tilde_Es=tilde_Es,
         hat_R=args.hat_r_bits if args.scheme == "PA" else None,
     )
     scheme = SchemeConfig(

@@ -2,10 +2,19 @@
 
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
 the unique undecoded message in each; a success cancels all its replicas.
-When no degree-one slot yields a success, phase 2 scans undecoded messages
-in ascending order against the residual state; the first success is peeled
-and control returns to phase 1.  The loop ends when a full phase-2 pass
-produces nothing.
+When no degree-one slot yields a success, phase 2 peels the lowest-index
+undecoded message that passes against the residual state and control
+returns to phase 1.  The loop ends when no undecoded message passes.
+
+Phase 2 finds its message without testing every message at every entry.
+Between two refreshes of the slot interference (``REFRESH_EVERY`` peels)
+cancellation only lowers it, so a message that passes keeps passing: phase
+2 keeps a min-heap of passing indices and tests again only the messages
+that share a slot with a decode since its last entry.  After a refresh,
+whose exact sums can move a SINR by an ulp either way, it tests every
+message with one ``mrc_sinr``.  Every SINR is added over ascending slots,
+as ``mrc_sinr``'s ``bincount`` adds it, so the decisions, the order and the
+outputs are those of a full evaluation at every entry, bit for bit.
 
 Success tests by scheme: the baseline decodes any message sitting in a
 degree-one slot (single-slot decoding, no MRC, phase 2 disabled); rate
@@ -24,6 +33,7 @@ behind ``eta_max``, the decode steps and the phases depend on the order.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -54,7 +64,9 @@ PHASE_LABELS = {PHASE_NONE: "", PHASE_PEELING: "peeling", PHASE_RESIDUAL: "resid
 # One-sided slack on the success comparison; covers the drift of the
 # incremental interference updates in ``peel``, which the periodic exact
 # ``bincount`` recomputation (refresh_interference) keeps many orders of
-# magnitude below this.
+# magnitude below this.  The slack does not make phase 2's heap safe across
+# a refresh: a SINR that sits on its threshold can still flip there, so
+# phase 2 tests every message again after each refresh.
 TIE_RTOL = 1e-9
 
 
@@ -186,30 +198,33 @@ def decode_frame(
     slot_degree = state.slot_degree
     decoded = state.decoded
 
-    out_decoded = np.zeros(K, dtype=bool)
-    out_step = np.full(K, -1, dtype=np.int64)
-    out_phase = np.zeros(K, dtype=np.int8)
-    out_slot = np.full(K, -1, dtype=np.int64)
-    out_sinr = np.full(K, np.nan)
-    out_genie = np.full(K, np.nan)
+    def sinr_of(msg: int) -> float:
+        # MRC over all replicas, added over ascending slots as mrc_sinr's
+        # bincount adds them; Python's sum() may compensate, so no sum().
+        e = energies[msg]
+        interference = state.slot_interference
+        total = 0.0
+        for j in message_slots[msg]:
+            other = interference[j] - e
+            if other < 0.0:
+                other = 0.0
+            total += e / (other + N0)
+        return total
 
-    # Flat edge arrays for the vectorised phase-2 evaluation.
-    edge_msg = edge_slot = edge_energy = None
-    if not is_irsa:
-        edge_msg, edge_slot = graph.edge_msg, graph.edge_slot
-        edge_energy = profile.energies[edge_msg]
+    # Decodes in step order: message, phase, degree-one slot, SINR.
+    order: list[int] = []
+    phases: list[int] = []
+    slots: list[int] = []
+    sinrs: list[float] = []
 
-    step = 0
-
-    def record(msg: int, phase: int, slot: int, sinr: float) -> None:
-        nonlocal step
-        out_decoded[msg] = True
-        out_step[msg] = step
-        out_phase[msg] = phase
-        out_slot[msg] = slot
-        out_sinr[msg] = sinr
-        out_genie[msg] = _genie_rate(sinr, L_cu, includes_one)
-        step += 1
+    # Phase 2 (see the module docstring): ``passing`` is a min-heap of the
+    # messages that pass since the interference list ``basis`` was last
+    # replaced by a refresh, decoded ones dropped when they reach the top;
+    # ``order[seen:]`` are the decodes since the last phase-2 entry.
+    basis = None
+    passing: list[int] = []
+    in_heap: set[int] = set()
+    seen = 0
 
     while True:
         # Phase 1: ascending scans over degree-one slots until a full pass
@@ -225,34 +240,60 @@ def decode_frame(
                     if not decoded[m]:
                         msg = m
                         break
-                # MRC over all replicas (the baseline's single-slot rate is
-                # met by construction in an interference-free slot).
-                e = energies[msg]
-                interference = state.slot_interference
-                sinr = 0.0
-                for jj in message_slots[msg]:
-                    other = interference[jj] - e
-                    if other < 0.0:
-                        other = 0.0
-                    sinr += e / (other + N0)
+                # The baseline's single-slot rate is met by construction in
+                # an interference-free slot.
+                sinr = sinr_of(msg)
                 if is_irsa or sinr >= thresholds[msg]:
-                    record(msg, PHASE_PEELING, j, sinr)
+                    order.append(msg)
+                    phases.append(PHASE_PEELING)
+                    slots.append(j)
+                    sinrs.append(sinr)
                     peel(graph, state, msg, profile)
                     progress = True
         if is_irsa:
             break
-        # Phase 2: evaluate every undecoded message against the residual
-        # state; peel the lowest-index success and return to phase 1.
-        sinr_all = mrc_sinr(
-            edge_msg, edge_slot, edge_energy, N0, np.asarray(state.slot_interference)
-        )
-        ok = (sinr_all >= thr_arr) & ~np.asarray(decoded)
-        if not ok.any():
+        # Phase 2: peel the lowest-index undecoded message that passes
+        # against the residual state and return to phase 1.
+        if state.slot_interference is not basis:
+            basis = state.slot_interference
+            sinr_all = mrc_sinr(
+                graph.edge_msg, graph.edge_slot, profile.energies[graph.edge_msg], N0,
+                np.asarray(basis),
+            )
+            passing = np.flatnonzero((sinr_all >= thr_arr) & ~np.asarray(decoded)).tolist()
+            in_heap = set(passing)
+        else:
+            touched = {
+                m for p in order[seen:] for j in message_slots[p] for m in slot_messages[j]
+            }
+            for m in touched - in_heap:
+                if not decoded[m] and sinr_of(m) >= thresholds[m]:
+                    heapq.heappush(passing, m)
+                    in_heap.add(m)
+        seen = len(order)
+        while passing and decoded[passing[0]]:
+            heapq.heappop(passing)
+        if not passing:
             break
-        msg = int(np.argmax(ok))
-        record(msg, PHASE_RESIDUAL, -1, float(sinr_all[msg]))
+        msg = heapq.heappop(passing)
+        order.append(msg)
+        phases.append(PHASE_RESIDUAL)
+        slots.append(-1)
+        sinrs.append(sinr_of(msg))
         peel(graph, state, msg, profile)
 
+    out_decoded = np.zeros(K, dtype=bool)
+    out_step = np.full(K, -1, dtype=np.int64)
+    out_phase = np.zeros(K, dtype=np.int8)
+    out_slot = np.full(K, -1, dtype=np.int64)
+    out_sinr = np.full(K, np.nan)
+    out_genie = np.full(K, np.nan)
+    out_decoded[order] = True
+    out_step[order] = np.arange(len(order))
+    out_phase[order] = phases
+    out_slot[order] = slots
+    out_sinr[order] = sinrs
+    out_genie[order] = [_genie_rate(s, L_cu, includes_one) for s in sinrs]
     return DecodeResult(
         decoded=out_decoded,
         decode_step=out_step,

@@ -872,10 +872,15 @@ def _tune_rs_for_rate(
     )
     if best is None:
         return None
+    # Only the decoded count and the mean rate are read: the order-free
+    # decoded set serves, with the rates read from the winner's table.
+    best_table = _degree_tables(base, [best])
+    rates = best_table.profiles[0].rates
     rate_acc = RunningStats()
     t_acc = RunningStats()
     for t in range(spec.trials):
-        profile, result = _decode(base, _frame(base, spec.seed, t), best)
-        rate_acc.add(float(profile.rates.mean()))
-        t_acc.add(result.decoded_count / base.cfg.M)
+        graph = _frame(base, spec.seed, t)
+        (mask,) = _decoded_sets(base, graph, best_table)
+        rate_acc.add(float(rates[graph.degrees - 1].mean()))
+        t_acc.add(int(mask.sum()) / base.cfg.M)
     return best, t_acc.mean, rate_acc.mean

@@ -296,6 +296,27 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"config error: {problem}\n"
 
     @pytest.mark.parametrize(
+        "args, energy, found",
+        [
+            (["--es-over-n0", "1e308", "--n0", "1e10"], "inf", "must be finite"),
+            (["--es-over-n0", "1e-300", "--n0", "1e-30"], "0.0", "must be positive"),
+            (["--es-over-n0", "1e300", "--l-avg", "1e300"], "inf", "must be finite"),
+        ],
+        ids=["overflow", "underflow", "l_avg_overflow"],
+    )
+    def test_decode_one_energy_out_of_range_blames_the_flags(
+        self, tmp_path, capsys, args, energy, found
+    ):
+        # Each flag is in range; their product, the per-slot energy, is not.
+        edges = tmp_path / "frame.tsv"
+        edges.write_text("0\t0\n0\t1\n1\t1\n")
+        assert main(["decode-one", "--edges", str(edges), "--scheme", "IRSA", *args]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --es-over-n0: times --n0 and --l-avg over 2 slots gives a "
+            f"per-slot energy of {energy}, which {found}\n"
+        )
+
+    @pytest.mark.parametrize(
         "key, value, message",
         [
             ("G_grid", [float("nan")], "G_grid: entries must be finite"),

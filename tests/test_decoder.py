@@ -547,6 +547,21 @@ def python_sum(values):
     return float(total)
 
 
+def compensated_sum(values, start=0.0):
+    """Neumaier-compensated float sum, as ``sum`` adds floats on CPython
+    3.12 and later."""
+    total = float(start)
+    comp = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    return total + comp
+
+
 class ReferenceResidualState(ResidualState):
     """ResidualState as first written: per-slot Python sums over
     ``slot_messages``."""
@@ -579,12 +594,95 @@ def reference_peel(graph, state, msg, profile):
         peel(graph, state, msg, profile)
 
 
-def reference_decode(graph, profile, scheme, cfg):
-    """decode_frame over the reference residual state."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(decoder, "ResidualState", ReferenceResidualState)
-        m.setattr(frame_graph, "refresh_interference", reference_refresh)
-        return decode_frame(graph, profile, scheme, cfg)
+def reference_decode_frame(graph, profile, scheme, cfg):
+    """decode_frame as it was before its phase-2 bookkeeping went
+    incremental: every phase-2 entry evaluates every message with a full
+    ``mrc_sinr`` and picks the lowest passing index with ``argmax``, and
+    each decode is written to the outputs as it happens.  Runs over the
+    reference residual state."""
+    K, M = graph.K, graph.M
+    N0 = cfg.N0
+    L_cu = cfg.L_cu
+    includes_one = scheme.rmax_includes_one
+    is_irsa = scheme.variant == "IRSA"
+
+    state = ReferenceResidualState(graph, profile.energies)
+    thr_arr = success_thresholds(profile)
+    thresholds = thr_arr.tolist()
+    energies = profile.energies.tolist()
+    message_slots = graph.message_slots
+    slot_messages = graph.slot_messages
+    slot_degree = state.slot_degree
+    decoded = state.decoded
+
+    out_decoded = np.zeros(K, dtype=bool)
+    out_step = np.full(K, -1, dtype=np.int64)
+    out_phase = np.zeros(K, dtype=np.int8)
+    out_slot = np.full(K, -1, dtype=np.int64)
+    out_sinr = np.full(K, np.nan)
+    out_genie = np.full(K, np.nan)
+
+    edge_msg = edge_slot = edge_energy = None
+    if not is_irsa:
+        edge_msg, edge_slot = graph.edge_msg, graph.edge_slot
+        edge_energy = profile.energies[edge_msg]
+
+    step = 0
+
+    def record(msg, phase, slot, sinr):
+        nonlocal step
+        out_decoded[msg] = True
+        out_step[msg] = step
+        out_phase[msg] = phase
+        out_slot[msg] = slot
+        out_sinr[msg] = sinr
+        out_genie[msg] = 0.5 * L_cu * math.log2((1.0 + sinr) if includes_one else sinr)
+        step += 1
+
+    while True:
+        progress = True
+        while progress and state.num_degree_one > 0:
+            progress = False
+            for j in range(M):
+                if slot_degree[j] != 1:
+                    continue
+                msg = -1
+                for m in slot_messages[j]:
+                    if not decoded[m]:
+                        msg = m
+                        break
+                e = energies[msg]
+                interference = state.slot_interference
+                sinr = 0.0
+                for jj in message_slots[msg]:
+                    other = interference[jj] - e
+                    if other < 0.0:
+                        other = 0.0
+                    sinr += e / (other + N0)
+                if is_irsa or sinr >= thresholds[msg]:
+                    record(msg, PHASE_PEELING, j, sinr)
+                    reference_peel(graph, state, msg, profile)
+                    progress = True
+        if is_irsa:
+            break
+        sinr_all = mrc_sinr(
+            edge_msg, edge_slot, edge_energy, N0, np.asarray(state.slot_interference)
+        )
+        ok = (sinr_all >= thr_arr) & ~np.asarray(decoded)
+        if not ok.any():
+            break
+        msg = int(np.argmax(ok))
+        record(msg, PHASE_RESIDUAL, -1, float(sinr_all[msg]))
+        reference_peel(graph, state, msg, profile)
+
+    return decoder.DecodeResult(
+        decoded=out_decoded,
+        decode_step=out_step,
+        phase=out_phase,
+        decode_slot=out_slot,
+        decode_sinr=out_sinr,
+        genie_rate=out_genie,
+    )
 
 
 def state_fields(state):
@@ -648,14 +746,14 @@ class TestResidualStateMatchesPythonSums:
     @staticmethod
     def assert_same_result(g, profile, scheme, cfg):
         got = decode_frame(g, profile, scheme, cfg)
-        want = reference_decode(g, profile, scheme, cfg)
+        want = reference_decode_frame(g, profile, scheme, cfg)
         for name in RESULT_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
         return got
 
     def test_decode_frame_random_frames(self):
         rng = np.random.default_rng(103)
-        frames = refreshed = residual = 0
+        frames = refreshed = refreshed_twice = residual = residual_after_refresh = 0
         for frame in range(2400):
             variant = ("IRSA", "RS", "PA")[frame % 3]
             try:
@@ -665,8 +763,78 @@ class TestResidualStateMatchesPythonSums:
             result = self.assert_same_result(*setup)
             frames += 1
             refreshed += result.decoded_count >= REFRESH_EVERY
-            residual += bool((result.phase == PHASE_RESIDUAL).any())
-        assert frames >= 2000 and refreshed >= 300 and residual >= 200
+            refreshed_twice += result.decoded_count >= 2 * REFRESH_EVERY
+            in_residual = result.phase == PHASE_RESIDUAL
+            residual += bool(in_residual.any())
+            # A decode at step REFRESH_EVERY or later follows a refresh.
+            residual_after_refresh += bool(
+                (in_residual & (result.decode_step >= REFRESH_EVERY)).any()
+            )
+        assert frames >= 2000 and refreshed >= 300 and refreshed_twice >= 200
+        assert residual >= 200 and residual_after_refresh >= 200
+
+    def test_decode_frame_independent_of_builtin_sum(self, monkeypatch):
+        # CPython 3.12 compensates sum() over floats and 3.11 does not, so a
+        # decoder adding SINR terms with sum() would match the reference on
+        # 3.11 alone.  A compensated sum in the module shadows the builtin.
+        monkeypatch.setattr(decoder, "sum", compensated_sum, raising=False)
+        rng = np.random.default_rng(109)
+        for frame in range(600):
+            try:
+                setup = self.random_setup(rng, ("RS", "PA")[frame % 2])
+            except (TuningParameterError, InfeasibleOperatingPointError):
+                continue
+            self.assert_same_result(*setup)
+
+    @staticmethod
+    def threshold_for(success):
+        """A threshold whose success threshold is exactly ``success``."""
+        factor = 1.0 - decoder.TIE_RTOL
+        thr = success / factor
+        while thr * factor > success:
+            thr = np.nextafter(thr, 0.0)
+        while thr * factor < success:
+            thr = np.nextafter(thr, np.inf)
+        assert thr * factor == success
+        return float(thr)
+
+    def test_decode_frame_pass_decided_by_a_refresh(self):
+        # Slot D holds a watched message w, a blocker that never decodes and
+        # 40 heavy messages, each also alone in a private slot.  Phase 1
+        # peels the heavy ones, leaving float drift on D's interference, and
+        # phase 2 then decodes 30 fillers, one per entry, each sharing a slot
+        # with a blocker; the refresh at the 64th peel clears the drift.
+        # w's threshold sits between its SINR under the drifted and the
+        # exact interference, and nothing peels in its slot after the
+        # refresh: only a fresh test after the refresh gives the right pass.
+        F, H, N0 = 30, 40, 1.0
+        K, M = 2 * F + H + 2, F + H + 1
+        D, blocker, w = F + H, 2 * F + H, 2 * F + H + 1
+        slots = [[k] for k in range(F)] * 2 + [[F + i, D] for i in range(H)] + [[D], [D]]
+        g = FrameGraph(M, slots)
+        rng = np.random.default_rng(107)
+        energies = np.concatenate(
+            [rng.uniform(0.5, 2.0, 2 * F), rng.uniform(1e3, 1e6, H), rng.uniform(0.5, 2.0, 2)]
+        )
+        profile = SimpleNamespace(energies=energies, sinr_thresholds=np.zeros(K))
+        state = ResidualState(g, energies)
+        for msg in range(2 * F, 2 * F + H):
+            peel(g, state, msg, profile)
+        drifted = state.slot_interference[D]
+        refresh_interference(g, state, energies)
+        exact = state.slot_interference[D]
+        e = float(energies[w])
+        sinr_drifted, sinr_exact = (e / (max(i - e, 0.0) + N0) for i in (drifted, exact))
+        assert sinr_drifted != sinr_exact
+        thresholds = profile.sinr_thresholds
+        thresholds[F : 2 * F] = thresholds[blocker] = np.inf
+        thresholds[w] = self.threshold_for(max(sinr_drifted, sinr_exact))
+        scheme = SchemeConfig("RS", alpha=0.5, beta=1.0)
+        cfg = ChannelConfig(K=K, M=M, L_cu=100, N0=N0, tilde_Es=1.0)
+        result = self.assert_same_result(g, profile, scheme, cfg)
+        assert result.decoded[w] == (sinr_exact > sinr_drifted)
+        assert (result.phase[:F] == PHASE_RESIDUAL).all()
+        assert result.decoded_count == H + F + result.decoded[w]
 
     def test_decode_frame_exact_ties(self):
         # A degree-1 RS message alone in its slot sits exactly on its
