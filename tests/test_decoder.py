@@ -694,7 +694,8 @@ RESULT_FIELDS = ("decoded", "decode_step", "phase", "decode_slot", "decode_sinr"
 
 class TestResidualStateMatchesPythonSums:
     """The bincount residual state is bit-identical to the per-slot Python
-    sums it replaced, and so is every decode_frame output."""
+    sums it replaced, and every decode_frame output is bit-identical to
+    the full-evaluation receiver over that state (reference_decode_frame)."""
 
     @pytest.mark.parametrize("as_list", [False, True], ids=["numpy", "list"])
     def test_random_peel_sequences(self, as_list):
