@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, problem
+from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, problem, rate_problem
 from .decoder import PHASE_LABELS, decode_frame
 from .frame_graph import FrameGraph
 from .harness import (
@@ -428,6 +428,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_decode_one(args: argparse.Namespace) -> int:
     errors = _flag_problems(args)
+    if found := rate_problem(args.hat_r_bits, args.l_cu, args.n0):
+        errors.append(f"--hat-r-bits: {found}")
     if errors:
         raise ConfigValidationError(errors)
     try:

@@ -5,12 +5,15 @@ Defaults live on the dataclasses that hold the fields (``SweepSpec``,
 ``SchemeConfig`` in ``schemes``); ranges live in ``RANGES``, keyed by field
 name, so a field has one range in every type that holds it.  Each type runs
 ``validate`` once, when it is built.  ``problem`` serves the CLI flags and
-the library functions that take one of these values on its own.
+the library functions that take one of these values on its own;
+``rate_problem`` serves the nominal rate, whose range depends on ``L_cu``
+and ``N0``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import fields
 
 from .distributions import DIST_NAMES
@@ -79,6 +82,36 @@ RANGES.update(
 )
 
 
+def rate_problem(hat_R, L_cu, N0) -> str | None:
+    """What is wrong with the nominal rate ``hat_R`` (bits over ``L_cu``
+    channel uses at noise ``N0``), or None: its interference-free energy
+    N0 * (2**(2*hat_R/L_cu) - 1) must be finite.  A value out of its own
+    range is left to that range's check."""
+    if hat_R is None or any(
+        problem(name, value) for name, value in (("hat_R", hat_R), ("L_cu", L_cu), ("N0", N0))
+    ):
+        return None
+    try:
+        energy = N0 * (2.0 ** (2.0 * hat_R / L_cu) - 1.0)
+    except OverflowError:
+        energy = math.inf
+    if math.isfinite(energy):
+        return None
+    limit = 0.5 * L_cu * math.log2(sys.float_info.max / N0)
+    return (
+        f"must be below {limit:.6g} bits at L_cu = {L_cu} and N0 = {N0:g}, "
+        "where the energy N0*(2**(2*hat_R/L_cu) - 1) overflows"
+    )
+
+
+# Fields whose range depends on other fields of the type that holds them;
+# each check takes the object and runs once the field's own range holds.
+CROSS_CHECKS = {
+    "hat_R": lambda obj: rate_problem(obj.hat_R, obj.L_cu, obj.N0),
+    "hat_R_bits": lambda obj: rate_problem(obj.hat_R_bits, obj.L_cu, obj.N0),
+}
+
+
 def problem(name: str, value) -> str | None:
     """What is wrong with ``value`` as the config field ``name``, or None.
     An unset (None) value passes and numbers must be finite.  A grid (a
@@ -106,12 +139,14 @@ def require(name: str, value) -> None:
 
 def validate(obj, cross: dict[str, str | None] | None = None) -> None:
     """Raise ConfigValidationError listing every problem of the dataclass
-    ``obj``: each field's range, then the cross-field problems in ``cross``
-    that are set, as "field: problem"."""
+    ``obj``: each field's range and ``CROSS_CHECKS``, then the cross-field
+    problems in ``cross`` that are set, as "field: problem"."""
     errors = [
         f"{f.name}: {found}"
         for f in fields(obj)
-        if (found := problem(f.name, getattr(obj, f.name)))
+        if (found := problem(f.name, getattr(obj, f.name)) or (
+            f.name in CROSS_CHECKS and CROSS_CHECKS[f.name](obj)
+        ))
     ]
     errors += [f"{name}: {found}" for name, found in (cross or {}).items() if found]
     if errors:

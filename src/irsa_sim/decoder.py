@@ -1,7 +1,8 @@
 """Two-phase SIC receiver: degree-one peeling with MRC, then residual MRC.
 
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
-the unique undecoded message in each; a success cancels all its replicas.
+the unique undecoded message in each, which the slot's id sum in the
+residual state names; a success cancels all its replicas.
 When no degree-one slot yields a success, phase 2 peels the lowest-index
 undecoded message that passes against the residual state and control
 returns to phase 1.  The loop ends when no undecoded message passes.
@@ -194,8 +195,8 @@ def decode_frame(
     thresholds = thr_arr.tolist()
     energies = profile.energies.tolist()
     message_slots = graph.message_slots
-    slot_messages = graph.slot_messages
     slot_degree = state.slot_degree
+    slot_id_sum = state.slot_id_sum
     decoded = state.decoded
 
     def sinr_of(msg: int) -> float:
@@ -235,11 +236,7 @@ def decode_frame(
             for j in range(M):
                 if slot_degree[j] != 1:
                     continue
-                msg = -1
-                for m in slot_messages[j]:
-                    if not decoded[m]:
-                        msg = m
-                        break
+                msg = slot_id_sum[j]
                 # The baseline's single-slot rate is met by construction in
                 # an interference-free slot.
                 sinr = sinr_of(msg)
@@ -263,6 +260,7 @@ def decode_frame(
             passing = np.flatnonzero((sinr_all >= thr_arr) & ~np.asarray(decoded)).tolist()
             in_heap = set(passing)
         else:
+            slot_messages = graph.slot_messages
             touched = {
                 m for p in order[seen:] for j in message_slots[p] for m in slot_messages[j]
             }

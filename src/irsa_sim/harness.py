@@ -16,7 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, require, validate
+from .config import (
+    SCHEME_PARAMETERS,
+    SCHEMES,
+    ConfigValidationError,
+    rate_problem,
+    require,
+    validate,
+)
 from .decoder import (
     decode_frame,
     decoded_closure,
@@ -787,6 +794,10 @@ def compare_rs_pa(
                 alpha=scheme.alpha, beta=scheme.beta,
             )
         )
+        if found := rate_problem(mean_rate, spec.L_cu, spec.N0):
+            note = f"rate_bits: {found}"
+            rows += [CompareRow(s, None, mean_rate, None, None, note=note) for s in ("IRSA", "PA")]
+            continue
         # Baseline at the same rate: energy from the rate definition, one
         # useful replica out of l_avg transmitted.
         hat_es = hat_es_from_rate(mean_rate, spec.L_cu, spec.N0)

@@ -316,6 +316,35 @@ class TestMainCommands:
             f"per-slot energy of {energy}, which {found}\n"
         )
 
+    OVERFLOW = (
+        "must be below 51200 bits at L_cu = 100 and N0 = 1, "
+        "where the energy N0*(2**(2*hat_R/L_cu) - 1) overflows"
+    )
+
+    def test_overflowing_rate_in_config_exits_1(self, tmp_path, capsys):
+        config = dict(MINIMAL_SWEEP, scheme="PA", K=24, G_grid=[0.5], trials=2, mu=1.5,
+                      distribution={"name": "l3"}, hat_R_bits=100000.0)
+        del config["tilde_Es_over_N0"]
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: hat_R_bits: {self.OVERFLOW}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, limit",
+        [(["--hat-r-bits", "1e5"], "51200"), (["--hat-r-bits", "600", "--l-cu", "1"], "512")],
+        ids=["hat_r_bits", "l_cu"],
+    )
+    def test_decode_one_overflowing_rate_exits_1(self, tmp_path, capsys, args, limit):
+        edges = tmp_path / "frame.tsv"
+        edges.write_text("0\t0\n0\t1\n1\t1\n")
+        argv = ["decode-one", "--edges", str(edges), "--scheme", "PA", "--mu", "1.5", *args]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --hat-r-bits: must be below {limit} bits at L_cu = ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

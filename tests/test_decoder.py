@@ -564,13 +564,14 @@ def compensated_sum(values, start=0.0):
 
 class ReferenceResidualState(ResidualState):
     """ResidualState as first written: per-slot Python sums over
-    ``slot_messages``."""
+    ``slot_messages``, with the per-slot id sums added."""
 
     __slots__ = ()
 
     def __init__(self, graph, energies):
         self.decoded = [False] * graph.K
         self.slot_degree = [len(m) for m in graph.slot_messages]
+        self.slot_id_sum = [sum(m) for m in graph.slot_messages]
         self.slot_interference = [
             python_sum(energies[k] for k in msgs) for msgs in graph.slot_messages
         ]
@@ -686,7 +687,13 @@ def reference_decode_frame(graph, profile, scheme, cfg):
 
 
 def state_fields(state):
-    return (state.slot_interference, state.slot_degree, state.num_degree_one, state.decoded)
+    return (
+        state.slot_interference,
+        state.slot_degree,
+        state.slot_id_sum,
+        state.num_degree_one,
+        state.decoded,
+    )
 
 
 RESULT_FIELDS = ("decoded", "decode_step", "phase", "decode_slot", "decode_sinr", "genie_rate")

@@ -1,12 +1,23 @@
 """Frame construction, adjacency consistency, and residual-state updates."""
 
 import io
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from irsa_sim.distributions import DegreeDistribution, avg_degree, modified_soliton
+from irsa_sim import frame_graph
+from irsa_sim.decoder import decode_frame
+from irsa_sim.distributions import (
+    DegreeDistribution,
+    avg_degree,
+    ideal_soliton,
+    modified_soliton,
+)
 from irsa_sim.frame_graph import (
     FrameGraph,
     ResidualState,
@@ -14,6 +25,8 @@ from irsa_sim.frame_graph import (
     peel,
     refresh_interference,
 )
+from irsa_sim.harness import SweepSpec, _decoded_sets, _degree_tables, make_point
+from irsa_sim.schemes import SchemeConfig, build_profile
 
 
 def point_dist(degree: int) -> DegreeDistribution:
@@ -23,6 +36,18 @@ def point_dist(degree: int) -> DegreeDistribution:
 class FakeProfile:
     def __init__(self, energies):
         self.energies = np.asarray(energies, dtype=float)
+
+
+class CountingRng:
+    """A numpy Generator that counts the calls of each of its methods."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
 
 
 def example_graph() -> FrameGraph:
@@ -96,6 +121,46 @@ class TestEdgeArrays:
         with pytest.raises(ValueError):
             g.edge_slot[0] = 2
 
+    @staticmethod
+    def check_slot_lists(g):
+        """The lazy per-slot lists, built on first access, against the ones
+        the edge arrays give: each slot's messages in ascending order."""
+        assert "slot_messages" not in vars(g)
+        want = [[] for _ in range(g.M)]
+        for k, j in zip(g.edge_msg.tolist(), g.edge_slot.tolist()):
+            want[j].append(k)
+        assert g.slot_messages == want
+        assert g.slot_messages is g.slot_messages  # cached
+
+    def test_lazy_slot_lists(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            K = int(rng.integers(1, 60))
+            M = int(rng.integers(6, 60))
+            self.check_slot_lists(build_frame(K, M, modified_soliton(6), rng))
+        self.check_slot_lists(FrameGraph(6, [[4, 1], [0], [5, 2, 3], [2]]))
+        self.check_slot_lists(example_graph())
+        self.check_slot_lists(
+            FrameGraph.load_edges(["1\t3", "0\t2", "2\t3", "1\t0", "0\t1"], M=5)
+        )
+
+    def test_irsa_decode_and_tuner_leave_slot_lists_unbuilt(self):
+        spec = SweepSpec(
+            scheme="IRSA", dist_name="modified_soliton", dist_Y=6, K=80,
+            G_grid=(0.7,), tilde_Es_over_N0=0.01,
+        )
+        point = make_point(spec, 0)
+        rng = np.random.default_rng(37)
+        scheme = SchemeConfig("IRSA")
+        tables = _degree_tables(point, [SchemeConfig("RS", alpha=a, beta=1.0) for a in (0.1, 0.5)])
+        for _ in range(20):
+            g = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
+            list(_decoded_sets(point, g, tables))
+            assert "message_slots" not in vars(g) and "slot_messages" not in vars(g)
+            profile = build_profile(g.degrees, point.cfg, scheme, point.l_avg)
+            assert decode_frame(g, profile, scheme, point.cfg).decoded_count > 0
+            assert "slot_messages" not in vars(g)
+
 
 class TestBuildFrame:
     def test_single_message_single_slot(self):
@@ -149,6 +214,47 @@ class TestBuildFrame:
         p = 1 / M
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts / n - p) < 3 * se + 1e-12)
+
+    def test_uniform_slot_subsets_on_both_draw_paths(self):
+        # Degrees 2..6 of M=6 take the redraw path at or below M/3 and the
+        # permutation path above it; one frame mixes both.  Each message's
+        # slot set must be uniform over the subsets of its size.
+        M, degrees = 6, (2, 3, 5, 6)
+        wide = {d > frame_graph.WIDE_FRACTION * M for d in degrees}
+        assert wide == {False, True}
+        dist = DegreeDistribution("mix", tuple((d, Fraction(1, 4)) for d in degrees))
+        counts = {d: dict.fromkeys(combinations(range(M), d), 0) for d in degrees}
+        rng = CountingRng(41)
+        for _ in range(100):
+            g = build_frame(400, M, dist, rng)
+            for slots in g.message_slots:
+                counts[len(slots)][tuple(slots)] += 1
+        # Redraw rounds beyond each frame's first draw, and permutations.
+        assert rng.calls["integers"] > 200 and rng.calls["permutation"] > 100 * 200
+        for d in degrees:
+            observed = np.array(list(counts[d].values()))
+            assert len(observed) == comb(M, d)
+            if len(observed) == 1:
+                assert observed[0] > 0
+                continue
+            assert observed.sum() > 8000
+            chi2 = stats.chisquare(observed).statistic
+            assert chi2 < stats.chi2.ppf(0.999, len(observed) - 1), (d, chi2)
+
+    @pytest.mark.parametrize("M", [2, 3, 6, 11, 40])
+    def test_ideal_soliton_up_to_slot_count(self, M):
+        # "Y": "M" puts mass on every degree up to M, so some messages take
+        # every slot; the draw stays distinct, sorted and in range.
+        rng = np.random.default_rng(M)
+        dist = ideal_soliton(M)
+        widest = 0
+        for _ in range(50):
+            g = build_frame(300, M, dist, rng)
+            assert g.degrees.tolist() == [len(s) for s in g.message_slots]
+            for slots in g.message_slots:
+                assert slots == sorted(set(slots)) and 0 <= slots[0] and slots[-1] < M
+            widest = max(widest, int(g.degrees.max()))
+        assert widest > frame_graph.WIDE_FRACTION * M
 
     def test_deterministic_for_fixed_stream(self):
         a = build_frame(50, 60, modified_soliton(10), np.random.default_rng(11))
@@ -222,6 +328,29 @@ class TestResidualState:
                 assert state.slot_interference[j] == pytest.approx(
                     exact, rel=1e-9, abs=1e-12
                 )
+
+    def test_slot_id_sums_under_random_peels(self):
+        # After every peel each slot's id sum is the sum of its undecoded
+        # messages, recomputed from the edge arrays.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            K = int(rng.integers(2, 40))
+            M = int(rng.integers(5, 40))
+            g = build_frame(K, M, modified_soliton(5), rng)
+            profile = FakeProfile(rng.uniform(0.1, 2.0, size=K))
+            state = ResidualState(g, profile.energies)
+            alive = np.ones(K, dtype=bool)
+            for msg in rng.permutation(K)[: int(rng.integers(1, K + 1))].tolist():
+                peel(g, state, msg, profile)
+                alive[msg] = False
+                live = alive[g.edge_msg]
+                exact = np.bincount(
+                    g.edge_slot[live], weights=g.edge_msg[live], minlength=M
+                ).astype(np.int64)
+                assert state.slot_id_sum == exact.tolist()
+                degree_one = [j for j in range(M) if state.slot_degree[j] == 1]
+                for j in degree_one:
+                    assert [m for m in g.slot_messages[j] if alive[m]] == [state.slot_id_sum[j]]
 
     def test_refresh_clears_drift(self):
         g = example_graph()

@@ -398,6 +398,19 @@ class TestCompare:
         assert pa.rate_bits == rs.rate_bits
         assert pa.mu is not None and pa.T_mean >= 0.6 - 0.05
 
+    def test_overflowing_rate_is_a_flagged_row(self, monkeypatch):
+        # A rate whose interference-free energy overflows flags the rows
+        # that need that energy instead of raising OverflowError.
+        spec = small_rs_spec(G_grid=(0.8,), alpha=None, beta=None)
+        scheme = SchemeConfig("RS", alpha=0.2, beta=1.0)
+        monkeypatch.setattr(harness, "_tune_rs_for_rate", lambda *a, **k: (scheme, 0.7, 1e5))
+        rows = compare_rs_pa(spec, (-16.0,), alpha_grid=(0.2,), beta_grid=(1.0,))
+        assert [(r.scheme, r.rate_bits) for r in rows] == [("RS", 1e5), ("IRSA", 1e5), ("PA", 1e5)]
+        assert rows[0].note == "" and rows[0].T_mean == 0.7
+        for row in rows[1:]:
+            assert row.note.startswith("rate_bits: must be below 51200 bits at L_cu = 100")
+            assert row.energy_per_user_db is None and row.T_mean is None
+
     def test_requires_single_g(self):
         spec = small_rs_spec(G_grid=(0.4, 0.8))
         with pytest.raises(ValueError):
