@@ -34,8 +34,9 @@ REFRESH_EVERY = 64
 # A message whose degree exceeds this fraction of the slot count draws its
 # slots as a prefix of a random permutation instead of by redraws, whose
 # rounds grow without bound as the degree nears M (a "Y": "M" soliton).
-# Building K=300 ideal-soliton frames at M 10-375, fractions 0.25-0.4 were
-# fastest within noise; 0.15 was up to 2.8x slower and 0.7 up to 1.4x.
+# Building K=300 ideal-soliton frames at M 10-375, no fraction from 0.25 to
+# 0.4 was faster at every M; 0.15 was 2.8x slower than 0.3 at M=10 (a
+# permutation per message) and 0.7 1.4x slower at M=375 (more rounds).
 WIDE_FRACTION = 1 / 3
 
 
