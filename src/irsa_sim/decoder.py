@@ -1,11 +1,37 @@
-"""Two-phase SIC receiver: degree-one peeling with MRC, then residual MRC.
+"""SIC receivers: integer peeling for the baseline, two-phase MRC for RS/PA.
 
+The baseline (IRSA) decodes any message sitting in a degree-one slot
+(single-slot decoding, Liva 2011): its receiver is erasure peeling on
+integers alone.  Ascending passes over the slots decode the message a
+degree-one slot's id sum names and take it out of its slots' degrees and id
+sums, until a pass decodes nothing.  The SINRs it reports are accounting
+for the genie rate behind ``eta_max``; no decision reads them.
+
+They are the values the MRC receiver's float state would give, bit for bit,
+computed in one vectorised block after the peeling.  Baseline energies are
+uniform, say e.  The float state holds a slot's interference as a refresh
+leaves it, a ``bincount`` adding e once per undecoded message from 0.0,
+S[c] = (((0 + e) + e) + ...) for c messages, and then subtracts e once per
+decode in that slot until the next refresh, every ``REFRESH_EVERY`` decodes.
+So at a decode the slot holds T[c, k] = ((S[c] - e) - ...) - e, k
+subtractions, where c is the slot's degree when the refresh epoch began
+and k the decodes in the slot earlier in the epoch: a table that
+``np.add.accumulate`` and ``np.subtract.accumulate`` build with the same
+float operations in the same order.  Each SINR adds e / (max(T[c, k] - e,
+0) + N0) over the message's slots in ascending order, as one ``bincount``
+does.
+
+Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
 the unique undecoded message in each, which the slot's id sum in the
 residual state names; a success cancels all its replicas.
 When no degree-one slot yields a success, phase 2 peels the lowest-index
 undecoded message that passes against the residual state and control
-returns to phase 1.  The loop ends when no undecoded message passes.
+returns to phase 1.  The loop ends when no undecoded message passes.  Rate
+selection requires the selected rate to be at most the MRC capacity of the
+residual state; power adaptation requires the MRC SINR to reach the nominal
+level.  Comparisons carry a 1e-9 relative slack so that exact-tie decisions
+are immune to the bounded float drift of incremental interference updates.
 
 Phase 2 finds its message without testing every message at every entry.
 Between two refreshes of the slot interference (``REFRESH_EVERY`` peels)
@@ -16,13 +42,6 @@ whose exact sums can move a SINR by an ulp either way, it tests every
 message with one ``mrc_sinr``.  Every SINR is added over ascending slots,
 as ``mrc_sinr``'s ``bincount`` adds it, so the decisions, the order and the
 outputs are those of a full evaluation at every entry, bit for bit.
-
-Success tests by scheme: the baseline decodes any message sitting in a
-degree-one slot (single-slot decoding, no MRC, phase 2 disabled); rate
-selection requires the selected rate to be at most the MRC capacity of the
-residual state; power adaptation requires the MRC SINR to reach the nominal
-level.  Comparisons carry a 1e-9 relative slack so that exact-tie decisions
-are immune to the bounded float drift of incremental interference updates.
 
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
@@ -40,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_graph import FrameGraph, ResidualState, peel
+from .frame_graph import REFRESH_EVERY, FrameGraph, ResidualState, peel
 from .schemes import ChannelConfig, SchemeConfig, TransmitProfile
 
 __all__ = [
@@ -171,25 +190,106 @@ def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.
         decoded |= new
 
 
-def _genie_rate(sinr: float, L_cu: int, includes_one: bool) -> float:
-    if includes_one:
-        return 0.5 * L_cu * math.log2(1.0 + sinr)
-    return 0.5 * L_cu * math.log2(sinr)
-
-
 def decode_frame(
     graph: FrameGraph,
     profile: TransmitProfile,
     scheme: SchemeConfig,
     cfg: ChannelConfig,
 ) -> DecodeResult:
-    """Run the two-phase receiver to its fixed point on one frame."""
-    K, M = graph.K, graph.M
-    N0 = cfg.N0
-    L_cu = cfg.L_cu
-    includes_one = scheme.rmax_includes_one
-    is_irsa = scheme.variant == "IRSA"
+    """Run the receiver to its fixed point on one frame: integer peeling for
+    the baseline, the two-phase MRC receiver for RS and PA."""
+    if scheme.variant == "IRSA":
+        order, slots = _peel_irsa(graph)
+        sinrs = _uniform_sinrs(graph, order, profile.Es, cfg.N0) if order else []
+        phases = PHASE_PEELING
+    else:
+        order, phases, slots, sinrs = _decode_mrc(graph, profile, cfg.N0)
+    return _result(graph.K, order, phases, slots, sinrs, cfg.L_cu, scheme.rmax_includes_one)
 
+
+def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
+    """Baseline receiver: erasure peeling on slot degrees and id sums.
+    Returns the decoded messages and their degree-one slots, in step
+    order."""
+    M = graph.M
+    # Message k's slots are edge_slot[start[k]:end[k]], ascending; slicing
+    # the decoded ones costs less than building every message's list.
+    flat = graph.edge_slot.tolist()
+    end = np.cumsum(graph.degrees)
+    start = (end - graph.degrees).tolist()
+    end = end.tolist()
+    degree = graph.slot_degrees()
+    slot_degree = degree.tolist()
+    # Float sums of integers below 2**53 are exact.
+    id_sum = np.bincount(graph.edge_slot, weights=graph.edge_msg, minlength=M)
+    slot_id_sum = id_sum.astype(np.int64).tolist()
+    order: list[int] = []
+    slots: list[int] = []
+    # Ascending passes over the slots that still hold a message: an empty
+    # slot never holds one again.
+    busy = np.flatnonzero(degree).tolist()
+    progress = True
+    while progress:
+        progress = False
+        for j in busy:
+            if slot_degree[j] != 1:
+                continue
+            msg = slot_id_sum[j]
+            order.append(msg)
+            slots.append(j)
+            for jj in flat[start[msg]:end[msg]]:
+                slot_degree[jj] -= 1
+                slot_id_sum[jj] -= msg
+            progress = True
+        busy = [j for j in busy if slot_degree[j]]
+    return order, slots
+
+
+def _uniform_sinrs(graph: FrameGraph, order: list[int], e: float, N0: float) -> np.ndarray:
+    """SINR of each decode in ``order`` (step order) under the MRC
+    receiver's float state, every message at energy e; see the module
+    docstring."""
+    # The decoded messages' edges by slot, each slot's in step order.
+    n = len(order)
+    step = np.full(graph.K, -1, dtype=np.int64)
+    step[order] = np.arange(n)
+    edge_step = step[graph.edge_msg]
+    live = edge_step >= 0
+    edge_step = edge_step[live]
+    slot = graph.edge_slot[live]
+    by_slot = np.argsort(slot * n + edge_step)
+    edge_step = edge_step[by_slot]
+    slot = slot[by_slot]
+    # An edge's slot held c messages when its refresh epoch began and has
+    # lost k of them since: the slot's earlier edges in the same epoch.
+    position = np.arange(len(slot))
+    slot_begins = np.ones(len(slot), dtype=bool)
+    slot_begins[1:] = slot[1:] != slot[:-1]
+    epoch = edge_step // REFRESH_EVERY
+    epoch_begins = slot_begins.copy()
+    epoch_begins[1:] |= epoch[1:] != epoch[:-1]
+    slot_start = np.maximum.accumulate(np.where(slot_begins, position, 0))
+    epoch_start = np.maximum.accumulate(np.where(epoch_begins, position, 0))
+    k = position - epoch_start
+    c = graph.slot_degrees()[slot] - (epoch_start - slot_start)
+    # T[c, k]: a refresh's bincount sum over c messages, then k cancellations.
+    rows, row_of = np.unique(c, return_inverse=True)
+    S = np.add.accumulate(np.concatenate(([0.0], np.full(rows[-1], e))))
+    T = np.full((len(rows), int(k.max()) + 1), e)
+    T[:, 0] = S[rows]
+    T = np.subtract.accumulate(T, axis=1)
+    other = T[row_of, k] - e
+    np.maximum(other, 0.0, out=other)
+    other += N0
+    # A step's edges come in ascending slot order, as the MRC receiver adds
+    # them.
+    return np.bincount(edge_step, weights=e / other, minlength=n)
+
+
+def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
+    """Two-phase MRC receiver (RS and PA).  Returns the decoded messages,
+    their phases, degree-one slots and SINRs, in step order."""
+    M = graph.M
     state = ResidualState(graph, profile.energies)
     thr_arr = success_thresholds(profile)
     thresholds = thr_arr.tolist()
@@ -237,18 +337,14 @@ def decode_frame(
                 if slot_degree[j] != 1:
                     continue
                 msg = slot_id_sum[j]
-                # The baseline's single-slot rate is met by construction in
-                # an interference-free slot.
                 sinr = sinr_of(msg)
-                if is_irsa or sinr >= thresholds[msg]:
+                if sinr >= thresholds[msg]:
                     order.append(msg)
                     phases.append(PHASE_PEELING)
                     slots.append(j)
                     sinrs.append(sinr)
                     peel(graph, state, msg, profile)
                     progress = True
-        if is_irsa:
-            break
         # Phase 2: peel the lowest-index undecoded message that passes
         # against the residual state and return to phase 1.
         if state.slot_interference is not basis:
@@ -272,7 +368,7 @@ def decode_frame(
         while passing and decoded[passing[0]]:
             heapq.heappop(passing)
         if not passing:
-            break
+            return order, phases, slots, sinrs
         msg = heapq.heappop(passing)
         order.append(msg)
         phases.append(PHASE_RESIDUAL)
@@ -280,6 +376,13 @@ def decode_frame(
         sinrs.append(sinr_of(msg))
         peel(graph, state, msg, profile)
 
+
+def _result(K: int, order, phases, slots, sinrs, L_cu: int, includes_one: bool) -> DecodeResult:
+    """Per-message outputs from the decodes listed in step order.  The genie
+    rate takes ``math.log2`` per value: ``np.log2`` need not round alike."""
+    order = np.array(order, dtype=np.int64)
+    sinr = np.asarray(sinrs, dtype=np.float64)
+    capacity = (1.0 + sinr) if includes_one else sinr
     out_decoded = np.zeros(K, dtype=bool)
     out_step = np.full(K, -1, dtype=np.int64)
     out_phase = np.zeros(K, dtype=np.int8)
@@ -290,8 +393,8 @@ def decode_frame(
     out_step[order] = np.arange(len(order))
     out_phase[order] = phases
     out_slot[order] = slots
-    out_sinr[order] = sinrs
-    out_genie[order] = [_genie_rate(s, L_cu, includes_one) for s in sinrs]
+    out_sinr[order] = sinr
+    out_genie[order] = (0.5 * L_cu) * np.array([math.log2(v) for v in capacity.tolist()])
     return DecodeResult(
         decoded=out_decoded,
         decode_step=out_step,

@@ -20,6 +20,7 @@ from .config import (
     SCHEME_PARAMETERS,
     SCHEMES,
     ConfigValidationError,
+    problem,
     rate_problem,
     require,
     validate,
@@ -761,16 +762,24 @@ def compare_rs_pa(
     M, l_avg = base.cfg.M, base.l_avg
     rows: list[CompareRow] = []
     for es_index, es_db in enumerate(es_grid_db):
-        es = 10.0 ** (es_db / 10.0) * spec.N0
+        try:
+            es = 10.0 ** (es_db / 10.0) * spec.N0
+        except OverflowError:
+            es = math.inf
+        # Feed the energy through the equal-total-energy relation so the
+        # profile machinery sees a consistent reference level.
+        user_es = l_avg * es / spec.N0
+        tilde_es = l_avg * es / (M * spec.N0)
+        # An entry far from 0 dB overflows or underflows in linear terms.
+        if found := problem("tilde_Es", user_es) or problem("tilde_Es", tilde_es):
+            note = f"es_over_N0_db: {found} in linear terms"
+            rows.append(CompareRow("RS", es_db, None, None, None, note=note))
+            continue
         # Each energy runs on its own streams, with the tuners' parameters.
         point_spec = replace(
             spec, seed=mix64(spec.seed, es_index), alpha=None, beta=None, mu=None
         )
-        # Feed the energy through the equal-total-energy relation so the
-        # profile machinery sees a consistent reference level.
-        rs_spec = replace(
-            point_spec, scheme="RS", tilde_Es_over_N0=l_avg * es / (M * spec.N0), hat_R_bits=None
-        )
+        rs_spec = replace(point_spec, scheme="RS", tilde_Es_over_N0=tilde_es, hat_R_bits=None)
         tuning = _tune_rs_for_rate(
             rs_spec,
             alpha_grid,
@@ -778,7 +787,7 @@ def compare_rs_pa(
             tune_trials=tune_trials,
             min_throughput=min_throughput,
         )
-        energy_rs_db = to_db(l_avg * es / spec.N0)
+        energy_rs_db = to_db(user_es)
         if tuning is None:
             rows.append(
                 CompareRow(

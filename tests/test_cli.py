@@ -468,20 +468,47 @@ class TestMainCommands:
         assert err.startswith(f"error: --edges {edges}: ")
         assert reason in err
 
-    def test_compare_end_to_end(self, tmp_path):
-        config = {
-            "scheme": "RS",
-            "distribution": {"name": "modified_soliton", "Y": 4},
-            "K": 24,
-            "G_grid": [0.8],
-            "trials": 10,
-            "tilde_Es_over_N0": 0.004,
-            "tuning": {"alpha_grid": [0.2, 0.6], "beta_grid": [1.0],
-                       "tune_trials": 10},
-            "compare": {"es_over_N0_db_grid": [-16.0], "min_throughput": 0.5},
-        }
+    COMPARE = {
+        "scheme": "RS",
+        "distribution": {"name": "modified_soliton", "Y": 4},
+        "K": 24,
+        "G_grid": [0.8],
+        "trials": 10,
+        "tilde_Es_over_N0": 0.004,
+        "tuning": {"alpha_grid": [0.2, 0.6], "beta_grid": [1.0], "tune_trials": 10},
+        "compare": {"es_over_N0_db_grid": [-16.0], "min_throughput": 0.5},
+    }
+
+    @pytest.mark.parametrize(
+        "es_db, found",
+        [
+            (3100.0, "must be finite"),  # 10 ** 310 overflows
+            (3080.0, "must be finite"),  # finite, but l_avg times it is not
+            (-3300.0, "must be positive"),  # underflows to 0
+        ],
+    )
+    def test_compare_energy_out_of_float_range_flags_its_row(self, tmp_path, capsys, es_db, found):
+        config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [es_db, -16.0], "min_throughput": 0.5})
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        rows = [l.split(",") for l in (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+        assert rows[0][:2] == ["RS", f"{es_db:g}"]
+        assert rows[0][-1] == f"es_over_N0_db: {found} in linear terms"
+        assert [r[0] for r in rows[1:]] == ["RS", "IRSA", "PA"]
+        assert all(r[-1] == "" for r in rows[1:])
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_compare_with_every_energy_flagged_exits_2(self, tmp_path, capsys):
+        config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [3100.0]})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "every comparison point failed" in capsys.readouterr().err
+
+    def test_compare_end_to_end(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(self.COMPARE))
         assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert lines[0].startswith("scheme,es_over_N0_db")

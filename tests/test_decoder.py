@@ -19,7 +19,7 @@ from irsa_sim.decoder import (
     mrc_sinr,
     success_thresholds,
 )
-from irsa_sim.distributions import avg_degree, fixed_l3, modified_soliton
+from irsa_sim.distributions import avg_degree, fixed_l3, ideal_soliton, modified_soliton
 from irsa_sim.frame_graph import (
     REFRESH_EVERY,
     FrameGraph,
@@ -885,3 +885,76 @@ class TestGenieRate:
         profile = build_profile(g.degrees, cfg, scheme, 3.0)
         result = decode_frame(g, profile, scheme, cfg)
         assert result.genie_rate[0] == pytest.approx(50 * math.log2(es), rel=1e-12)
+
+
+class TestIrsaIntegerPeeling:
+    """The baseline decodes by integer peeling and computes its SINRs after
+    the fact; every output equals the float receiver's (reference_decode_frame)
+    bit for bit, and the decoded set equals the stateless peeling oracle."""
+
+    @staticmethod
+    def check(g, rng, l_avg):
+        cfg = ChannelConfig(
+            K=g.K, M=g.M, L_cu=int(rng.integers(1, 200)), N0=float(rng.uniform(0.2, 3.0)),
+            tilde_Es=float(rng.uniform(1e-4, 0.05)),
+        )
+        scheme = SchemeConfig("IRSA", rmax_includes_one=bool(rng.integers(2)))
+        profile = build_profile(g.degrees, cfg, scheme, l_avg)
+        got = TestResidualStateMatchesPythonSums.assert_same_result(g, profile, scheme, cfg)
+        assert set(np.flatnonzero(got.decoded).tolist()) == irsa_peeling_oracle(g)
+        return got
+
+    def test_random_frames_across_refresh_epochs(self):
+        rng = np.random.default_rng(211)
+        epochs = []
+        for frame in range(60):
+            dist = (fixed_l3(), modified_soliton(10))[frame % 2]
+            K = int(rng.integers(200, 500))
+            M = int(np.ceil(K / rng.uniform(0.2, 0.7)))
+            result = self.check(build_frame(K, M, dist, rng), rng, avg_degree(dist))
+            epochs.append(-(-result.decoded_count // REFRESH_EVERY))
+        assert min(epochs) >= 3 and max(epochs) >= 6
+
+    def test_ideal_soliton_tracking_slot_count(self):
+        # "Y": "M": degrees up to M, so slots hold tens of messages, and a
+        # decode's SINR reads interference summed over many of them.
+        rng = np.random.default_rng(223)
+        busiest = decoded = 0
+        for _ in range(120):
+            M = int(rng.integers(5, 80))
+            K = int(rng.integers(1, 2 * M))
+            dist = ideal_soliton(M)
+            g = build_frame(K, M, dist, rng)
+            result = self.check(g, rng, avg_degree(dist))
+            read = g.slot_degrees()[g.edge_slot[result.decoded[g.edge_msg]]]
+            busiest = max(busiest, int(read.max(initial=0)))
+            decoded += result.decoded_count
+        assert busiest >= 15 and decoded >= 500
+
+    def test_crafted_frames(self):
+        rng = np.random.default_rng(227)
+        single = self.check(FrameGraph(1, [[0]]), rng, 1.0)
+        assert single.decoded.all() and single.decode_slot.tolist() == [0]
+        stuck = self.check(FrameGraph(3, [[0, 1], [0, 1], [1, 2], [1, 2]]), rng, 2.0)
+        assert not stuck.decoded.any() and np.isnan(stuck.decode_sinr).all()
+        # One slot shared by every message: only K = 1 decodes.
+        for K in (1, 2, 5):
+            self.check(FrameGraph(1, [[0]] * K), rng, 1.0)
+        # 150 messages whose cancellations all land on one hub slot, so the
+        # hub's interference crosses refresh epochs while it drains.
+        hub = FrameGraph(151, [[k, 150] for k in range(150)])
+        assert self.check(hub, rng, 2.0).decoded.all()
+
+    def test_never_touches_the_float_state(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("IRSA decode used the float residual state")
+
+        monkeypatch.setattr(decoder, "peel", forbidden)
+        monkeypatch.setattr(decoder, "ResidualState", forbidden)
+        monkeypatch.setattr(frame_graph, "refresh_interference", forbidden)
+        rng = np.random.default_rng(229)
+        g = build_frame(300, 400, fixed_l3(), rng)
+        cfg = ChannelConfig(K=300, M=400, tilde_Es=0.0009)
+        scheme = SchemeConfig("IRSA")
+        result = decode_frame(g, build_profile(g.degrees, cfg, scheme, 3.0), scheme, cfg)
+        assert result.decoded_count > REFRESH_EVERY
