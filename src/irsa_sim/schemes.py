@@ -202,11 +202,13 @@ def pa_powers(
     the nominal level assuming r_avg interferers per slot at the mean energy,
     then scales by the safety factor mu.
 
-    The per-device total l_i * E_i is degree independent by construction.
+    The per-device total l_i * E_i is degree independent by construction:
+    (hat_Es/N0) * ((r_avg - 1) * bar_Es + N0), which is l_avg * bar_Es
+    exactly and is computed so, since the first form cancels
+    catastrophically once hat_Es/N0 is large.
     """
     hat_es = hat_es_from_rate(cfg.hat_R, cfg.L_cu, cfg.N0)
-    bar_es = pa_mean_energy(cfg, l_avg, r_avg)
-    per_user = (hat_es / cfg.N0) * ((r_avg - 1.0) * bar_es + cfg.N0)  # l_i * check_E_i
+    per_user = l_avg * pa_mean_energy(cfg, l_avg, r_avg)  # l_i * check_E_i
     degrees = np.asarray(degrees, dtype=np.int64)
     energies = mu * per_user / degrees
     rates = np.full(len(degrees), float(cfg.hat_R))

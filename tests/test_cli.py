@@ -331,6 +331,18 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"config error: hat_R_bits: {self.OVERFLOW}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_high_nominal_rate_at_low_load_gives_a_row(self, tmp_path):
+        # hat_Es/N0 = 2**100: the per-user energy must not cancel to 0.
+        config = dict(MINIMAL_SWEEP, scheme="PA", K=24, G_grid=[0.1], trials=2, mu=1.5,
+                      distribution={"name": "l3"}, hat_R_bits=5000.0)
+        del config["tilde_Es_over_N0"]
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["T_mean"] == "0" and float(values["energy_per_user_db"]) > 0
+
     @pytest.mark.parametrize(
         "args, limit",
         [(["--hat-r-bits", "1e5"], "51200"), (["--hat-r-bits", "600", "--l-cu", "1"], "512")],

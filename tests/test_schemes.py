@@ -182,6 +182,16 @@ class TestPaPowers:
             totals = degrees * profile.energies
             assert np.ptp(totals) <= 1e-9 * totals.mean()
 
+    def test_per_user_energy_without_cancellation(self):
+        # (r_avg - 1) * bar_Es + N0 cancels to 0 at hat_Es/N0 = 2**100 and
+        # r_avg < 1; the total is l_avg * bar_Es.
+        cfg = ChannelConfig(K=24, M=240, L_cu=100, hat_R=5000.0)
+        degrees = np.array([1, 3, 6])
+        profile = pa_powers(degrees, cfg, 1.5, 3.0, 0.3)
+        bar_es = pa_mean_energy(cfg, 3.0, 0.3)
+        assert np.array_equal(profile.energies, 1.5 * (3.0 * bar_es) / degrees)
+        assert bar_es == pytest.approx(1.0 / 0.7, rel=1e-12)
+
     def test_energy_strictly_decreasing_in_degree(self):
         cfg = ChannelConfig(K=6, M=10, L_cu=100, hat_R=10.0)
         degrees = np.array([1, 2, 3, 5, 9, 16])
