@@ -211,7 +211,6 @@ def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
     """Baseline receiver: erasure peeling on slot degrees and id sums.
     Returns the decoded messages and their degree-one slots, in step
     order."""
-    M = graph.M
     # Message k's slots are edge_slot[start[k]:end[k]], ascending; slicing
     # the decoded ones costs less than building every message's list.
     flat = graph.edge_slot.tolist()
@@ -220,9 +219,7 @@ def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
     end = end.tolist()
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
-    # Float sums of integers below 2**53 are exact.
-    id_sum = np.bincount(graph.edge_slot, weights=graph.edge_msg, minlength=M)
-    slot_id_sum = id_sum.astype(np.int64).tolist()
+    slot_id_sum = graph.slot_id_sums().tolist()
     order: list[int] = []
     slots: list[int] = []
     # Ascending passes over the slots that still hold a message: an empty

@@ -98,6 +98,12 @@ class FrameGraph:
     def slot_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_slot, minlength=self.M)
 
+    def slot_id_sums(self) -> np.ndarray:
+        """Sum of each slot's message indices."""
+        # Float sums of integers below 2**53 are exact.
+        id_sum = np.bincount(self.edge_slot, weights=self.edge_msg, minlength=self.M)
+        return id_sum.astype(np.int64)
+
     def export_edges(self, fp: IO[str]) -> None:
         """Write the frame as a tab-separated (message, slot) edge list."""
         for k, j in zip(self.edge_msg.tolist(), self.edge_slot.tolist()):
@@ -223,9 +229,7 @@ class ResidualState:
         self.decoded = [False] * graph.K
         slot_degree = graph.slot_degrees()
         self.slot_degree = slot_degree.tolist()
-        # Float sums of integers below 2**53 are exact.
-        id_sum = np.bincount(graph.edge_slot, weights=graph.edge_msg, minlength=graph.M)
-        self.slot_id_sum = id_sum.astype(np.int64).tolist()
+        self.slot_id_sum = graph.slot_id_sums().tolist()
         self.slot_interference = _slot_energy(graph, energies, self.decoded)
         self.num_degree_one = int((slot_degree == 1).sum())
         self.peels_since_refresh = 0

@@ -203,9 +203,9 @@ def pa_powers(
     then scales by the safety factor mu.
 
     The per-device total l_i * E_i is degree independent by construction:
-    (hat_Es/N0) * ((r_avg - 1) * bar_Es + N0), which is l_avg * bar_Es
-    exactly and is computed so, since the first form cancels
-    catastrophically once hat_Es/N0 is large.
+    (hat_Es/N0) * ((r_avg - 1) * bar_Es + N0), which equals l_avg * bar_Es.
+    The first form cancels catastrophically once hat_Es/N0 is large, so the
+    second is computed.
     """
     hat_es = hat_es_from_rate(cfg.hat_R, cfg.L_cu, cfg.N0)
     per_user = l_avg * pa_mean_energy(cfg, l_avg, r_avg)  # l_i * check_E_i
