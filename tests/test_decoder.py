@@ -937,9 +937,9 @@ class TestIrsaIntegerPeeling:
         assert single.decoded.all() and single.decode_slot.tolist() == [0]
         stuck = self.check(FrameGraph(3, [[0, 1], [0, 1], [1, 2], [1, 2]]), rng, 2.0)
         assert not stuck.decoded.any() and np.isnan(stuck.decode_sinr).all()
-        # One slot shared by every message: only K = 1 decodes.
-        for K in (1, 2, 5):
-            self.check(FrameGraph(1, [[0]] * K), rng, 1.0)
+        # One slot shared by several messages: nothing decodes.
+        for K in (2, 5):
+            assert not self.check(FrameGraph(1, [[0]] * K), rng, 1.0).decoded.any()
         # 150 messages whose cancellations all land on one hub slot, so the
         # hub's interference crosses refresh epochs while it drains.
         hub = FrameGraph(151, [[k, 150] for k in range(150)])
