@@ -227,6 +227,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cell(value) -> str:
+    """A formatted CSV field, quoted RFC 4180 style only when it holds a
+    comma, a quote or a line break."""
+    text = _fmt(value)
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_csv(records: list[SweepRecord], path: Path | str) -> Path:
     """One row per sweep point under the fixed header; byte-stable."""
     if not records:
@@ -257,7 +266,7 @@ def emit_compare_csv(rows: list[CompareRow], path: Path | str) -> Path:
                 r.scheme, r.es_over_N0_db, r.rate_bits, r.energy_per_user_db,
                 r.T_mean, r.alpha, r.beta, r.mu, r.note,
             ]
-            fp.write(",".join(_fmt(v) for v in row) + "\n")
+            fp.write(",".join(_cell(v) for v in row) + "\n")
     return path
 
 

@@ -7,19 +7,15 @@ degree-one slot's id sum names and take it out of its slots' degrees and id
 sums, until a pass decodes nothing.  The SINRs it reports are accounting
 for the genie rate behind ``eta_max``; no decision reads them.
 
-They are the values the MRC receiver's float state would give, bit for bit,
-computed in one vectorised block after the peeling.  Baseline energies are
-uniform, say e.  The float state holds a slot's interference as a refresh
-leaves it, a ``bincount`` adding e once per undecoded message from 0.0,
-S[c] = (((0 + e) + e) + ...) for c messages, and then subtracts e once per
-decode in that slot until the next refresh, every ``REFRESH_EVERY`` decodes.
-So at a decode the slot holds T[c, k] = ((S[c] - e) - ...) - e, k
-subtractions, where c is the slot's degree when the refresh epoch began
-and k the decodes in the slot earlier in the epoch: a table that
-``np.add.accumulate`` and ``np.subtract.accumulate`` build with the same
-float operations in the same order.  Each SINR adds e / (max(T[c, k] - e,
-0) + N0) over the message's slots in ascending order, as one ``bincount``
-does.
+They are the values the MRC receiver would give, bit for bit, computed in
+one vectorised block after the peeling.  That receiver holds a slot's
+interference as the sum of its undecoded messages' energies, added from 0.0
+in ascending message order.  Baseline energies are uniform, say e, so a slot
+holding h messages carries S[h] = ((0 + e) + e) + ..., h additions, which
+``np.add.accumulate`` builds with the same float operations; at a decode
+the slot holds its initial degree less its earlier decodes.  Each SINR adds
+e / (S[h] - e + N0) over the message's slots in ascending order, as one
+``bincount`` does.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
@@ -30,17 +26,17 @@ undecoded message that passes against the residual state and control
 returns to phase 1.  The loop ends when no undecoded message passes.  Rate
 selection requires the selected rate to be at most the MRC capacity of the
 residual state; power adaptation requires the MRC SINR to reach the nominal
-level.  Comparisons carry a 1e-9 relative slack so that exact-tie decisions
-are immune to the bounded float drift of incremental interference updates.
+level.  Comparisons carry a 1e-9 relative slack (``TIE_RTOL``), the tie
+convention: a SINR that meets its threshold up to rounding passes.
 
 Phase 2 finds its message without testing every message at every entry.
-Between two refreshes of the slot interference (``REFRESH_EVERY`` peels)
-cancellation only lowers it, so a message that passes keeps passing: phase
-2 keeps a min-heap of passing indices and tests again only the messages
-that share a slot with a decode since its last entry.  After a refresh,
-whose exact sums can move a SINR by an ulp either way, it tests every
-message with one ``mrc_sinr``.  Every SINR is added over ascending slots,
-as ``mrc_sinr``'s ``bincount`` adds it, so the decisions, the order and the
+Each slot's interference is the exact sum over the messages it still holds,
+and float rounding is monotone, so cancellation never lowers a SINR: a
+message that passes keeps passing.  Phase 2 tests every message with one
+``mrc_sinr`` at its first entry, keeps a min-heap of passing indices, and
+at later entries tests again only the messages that share a slot with a
+decode since its last entry.  Every SINR is added over ascending slots, as
+``mrc_sinr``'s ``bincount`` adds it, so the decisions, the order and the
 outputs are those of a full evaluation at every entry, bit for bit.
 
 For RS and PA the decoded set does not depend on the order: cancellation
@@ -59,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_graph import REFRESH_EVERY, FrameGraph, ResidualState, peel
+from .frame_graph import FrameGraph, ResidualState, peel
 from .schemes import ChannelConfig, SchemeConfig, TransmitProfile
 
 __all__ = [
@@ -81,12 +77,9 @@ PHASE_PEELING = 1
 PHASE_RESIDUAL = 2
 PHASE_LABELS = {PHASE_NONE: "", PHASE_PEELING: "peeling", PHASE_RESIDUAL: "residual"}
 
-# One-sided slack on the success comparison; covers the drift of the
-# incremental interference updates in ``peel``, which the periodic exact
-# ``bincount`` recomputation (refresh_interference) keeps many orders of
-# magnitude below this.  The slack does not make phase 2's heap safe across
-# a refresh: a SINR that sits on its threshold can still flip there, so
-# phase 2 tests every message again after each refresh.
+# One-sided slack on the success comparison: the tie convention.  A SINR
+# exactly on its threshold, such as a lone degree-one message's Es/N0 under
+# rate selection, passes; the interference sums themselves are exact.
 TIE_RTOL = 1e-9
 
 
@@ -131,10 +124,7 @@ def effective_sinr(
     interference = state.slot_interference
     total = 0.0
     for j in graph.message_slots[msg]:
-        other = interference[j] - e
-        if other < 0.0:  # float drift around an interference-free slot
-            other = 0.0
-        total += e / (other + N0)
+        total += e / (interference[j] - e + N0)
     return total
 
 
@@ -149,7 +139,7 @@ def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None
     if slot_interference is None:
         slot_interference = np.bincount(edge_slot, weights=edge_energy)
     denom = slot_interference[edge_slot] - edge_energy
-    np.maximum(denom, 0.0, out=denom)  # float drift around an interference-free slot
+    np.maximum(denom, 0.0, out=denom)  # a decoded message's slots lack its energy
     denom += N0
     return np.bincount(edge_msg, weights=edge_energy / denom)
 
@@ -244,7 +234,7 @@ def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
 
 def _uniform_sinrs(graph: FrameGraph, order: list[int], e: float, N0: float) -> np.ndarray:
     """SINR of each decode in ``order`` (step order) under the MRC
-    receiver's float state, every message at energy e; see the module
+    receiver's exact slot sums, every message at energy e; see the module
     docstring."""
     # The decoded messages' edges by slot, each slot's in step order.
     n = len(order)
@@ -257,26 +247,16 @@ def _uniform_sinrs(graph: FrameGraph, order: list[int], e: float, N0: float) -> 
     by_slot = np.argsort(slot * n + edge_step)
     edge_step = edge_step[by_slot]
     slot = slot[by_slot]
-    # An edge's slot held c messages when its refresh epoch began and has
-    # lost k of them since: the slot's earlier edges in the same epoch.
+    # At a decode a slot holds its initial degree less its earlier decodes:
+    # the slot's earlier edges.
     position = np.arange(len(slot))
     slot_begins = np.ones(len(slot), dtype=bool)
     slot_begins[1:] = slot[1:] != slot[:-1]
-    epoch = edge_step // REFRESH_EVERY
-    epoch_begins = slot_begins.copy()
-    epoch_begins[1:] |= epoch[1:] != epoch[:-1]
     slot_start = np.maximum.accumulate(np.where(slot_begins, position, 0))
-    epoch_start = np.maximum.accumulate(np.where(epoch_begins, position, 0))
-    k = position - epoch_start
-    c = graph.slot_degrees()[slot] - (epoch_start - slot_start)
-    # T[c, k]: a refresh's bincount sum over c messages, then k cancellations.
-    rows, row_of = np.unique(c, return_inverse=True)
-    S = np.add.accumulate(np.concatenate(([0.0], np.full(rows[-1], e))))
-    T = np.full((len(rows), int(k.max()) + 1), e)
-    T[:, 0] = S[rows]
-    T = np.subtract.accumulate(T, axis=1)
-    other = T[row_of, k] - e
-    np.maximum(other, 0.0, out=other)
+    held = graph.slot_degrees()[slot] - (position - slot_start)
+    # S[h]: the interference of h messages, added from 0.0.
+    S = np.add.accumulate(np.concatenate(([0.0], np.full(int(held.max()), e))))
+    other = S[held] - e
     other += N0
     # A step's edges come in ascending slot order, as the MRC receiver adds
     # them.
@@ -290,23 +270,21 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     state = ResidualState(graph, profile.energies)
     thr_arr = success_thresholds(profile)
     thresholds = thr_arr.tolist()
-    energies = profile.energies.tolist()
+    energies = state.energies
     message_slots = graph.message_slots
+    slot_messages = graph.slot_messages
     slot_degree = state.slot_degree
     slot_id_sum = state.slot_id_sum
+    interference = state.slot_interference
     decoded = state.decoded
 
     def sinr_of(msg: int) -> float:
         # MRC over all replicas, added over ascending slots as mrc_sinr's
         # bincount adds them; Python's sum() may compensate, so no sum().
         e = energies[msg]
-        interference = state.slot_interference
         total = 0.0
         for j in message_slots[msg]:
-            other = interference[j] - e
-            if other < 0.0:
-                other = 0.0
-            total += e / (other + N0)
+            total += e / (interference[j] - e + N0)
         return total
 
     # Decodes in step order: message, phase, degree-one slot, SINR.
@@ -316,11 +294,10 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     sinrs: list[float] = []
 
     # Phase 2 (see the module docstring): ``passing`` is a min-heap of the
-    # messages that pass since the interference list ``basis`` was last
-    # replaced by a refresh, decoded ones dropped when they reach the top;
-    # ``order[seen:]`` are the decodes since the last phase-2 entry.
-    basis = None
-    passing: list[int] = []
+    # messages that have passed, from its first entry on, decoded ones
+    # dropped when they reach the top; ``order[seen:]`` are the decodes
+    # since the last phase-2 entry.
+    passing: list[int] | None = None
     in_heap: set[int] = set()
     seen = 0
 
@@ -344,16 +321,14 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                     progress = True
         # Phase 2: peel the lowest-index undecoded message that passes
         # against the residual state and return to phase 1.
-        if state.slot_interference is not basis:
-            basis = state.slot_interference
+        if passing is None:
             sinr_all = mrc_sinr(
                 graph.edge_msg, graph.edge_slot, profile.energies[graph.edge_msg], N0,
-                np.asarray(basis),
+                np.asarray(interference),
             )
             passing = np.flatnonzero((sinr_all >= thr_arr) & ~np.asarray(decoded)).tolist()
             in_heap = set(passing)
         else:
-            slot_messages = graph.slot_messages
             touched = {
                 m for p in order[seen:] for j in message_slots[p] for m in slot_messages[j]
             }

@@ -8,6 +8,11 @@ decoder's inner loop.  A frame holds its adjacency once, as CSR edge arrays
 sequential decoder's scalar loops read are built from the arrays on first
 use; a decode of the baseline never builds the per-slot lists, and the
 tuners' order-free decoder builds neither.
+
+The residual state holds each slot's interference as the exact sum of its
+undecoded messages' energies, added from 0.0 in ascending message order:
+``peel`` re-sums every slot it touches over its per-slot list, so the value
+is the one a ``bincount`` over the undecoded edges gives, with no drift.
 """
 
 from __future__ import annotations
@@ -24,12 +29,7 @@ __all__ = [
     "ResidualState",
     "build_frame",
     "peel",
-    "refresh_interference",
 ]
-
-# Full interference recomputation cadence; bounds float drift from the
-# incremental +- updates without costing anything measurable per peel.
-REFRESH_EVERY = 64
 
 # A message whose degree exceeds this fraction of the slot count draws its
 # slots as a prefix of a random permutation instead of by redraws, whose
@@ -210,57 +210,56 @@ class ResidualState:
 
     ``slot_degree[j]`` counts undecoded messages in slot j,
     ``slot_id_sum[j]`` sums their indices and ``slot_interference[j]`` sums
-    their energies per channel use.  A slot of degree one holds the message
-    its id sum names (the count/id-sum pair of an invertible Bloom lookup
-    table), so peeling never lists a slot's messages.  All are Python lists,
-    so the decoder's scalar loops index them cheaply.
+    their energies per channel use, from 0.0 in ascending message order: the
+    exact value of that sum, as a ``bincount`` over the undecoded edges adds
+    it.  A slot of degree one holds the message its id sum names (the
+    count/id-sum pair of an invertible Bloom lookup table), so peeling never
+    lists a slot's messages to find it.  All are Python lists, so the
+    decoder's scalar loops index them cheaply; ``energies`` is the per-message
+    energy list the sums read.
     """
 
     __slots__ = (
         "decoded",
+        "energies",
         "slot_degree",
         "slot_id_sum",
         "slot_interference",
         "num_degree_one",
-        "peels_since_refresh",
     )
 
     def __init__(self, graph: FrameGraph, energies: Sequence[float]):
+        energies = np.asarray(energies, dtype=np.float64)
         self.decoded = [False] * graph.K
+        self.energies = energies.tolist()
         slot_degree = graph.slot_degrees()
         self.slot_degree = slot_degree.tolist()
         self.slot_id_sum = graph.slot_id_sums().tolist()
-        self.slot_interference = _slot_energy(graph, energies, self.decoded)
+        # bincount adds a slot's energies in edge order: ascending messages.
+        self.slot_interference = np.bincount(
+            graph.edge_slot, weights=energies[graph.edge_msg], minlength=graph.M
+        ).tolist()
         self.num_degree_one = int((slot_degree == 1).sum())
-        self.peels_since_refresh = 0
-
-
-def _slot_energy(graph: FrameGraph, energies: Sequence[float], decoded: list[bool]) -> list[float]:
-    """Energy on each slot of the messages not in ``decoded``, by one
-    ``bincount``.  It adds a slot's energies in edge order, which is
-    ascending message order, and a decoded message's edge adds an exact 0.0:
-    the same float additions as summing each slot's ``slot_messages`` list."""
-    weights = np.asarray(energies, dtype=np.float64)[graph.edge_msg]
-    weights[np.asarray(decoded)[graph.edge_msg]] = 0.0
-    return np.bincount(graph.edge_slot, weights=weights, minlength=graph.M).tolist()
-
-
-def refresh_interference(graph: FrameGraph, state: ResidualState, energies: Sequence[float]) -> None:
-    """Recompute slot interference from the adjacency, clearing drift."""
-    state.slot_interference = _slot_energy(graph, energies, state.decoded)
-    state.peels_since_refresh = 0
 
 
 def peel(graph: FrameGraph, state: ResidualState, msg: int, profile) -> ResidualState:
     """Cancel all replicas of ``msg``: mark it decoded, decrement the degree
-    of each of its slots and remove its index from their id sums and its
-    energy from their interference.
+    of each of its slots, remove its index from their id sums and re-sum
+    their interference over the messages they still hold.
+
+    A slot left empty holds 0.0 and one left with a single message that
+    message's energy; any other is added from 0.0 in ascending message
+    order.  Float rounding is monotone, so a sum over fewer non-negative
+    terms is never larger: cancellation never raises a slot's interference.
+    ``profile`` is not read; the state holds the energies it was built with.
 
     Mutates ``state`` in place and returns it.
     """
     assert not state.decoded[msg], f"message {msg} peeled twice"
-    state.decoded[msg] = True
-    energy = float(profile.energies[msg])
+    decoded = state.decoded
+    decoded[msg] = True
+    energies = state.energies
+    slot_messages = graph.slot_messages
     slot_degree = state.slot_degree
     slot_id_sum = state.slot_id_sum
     slot_interference = state.slot_interference
@@ -270,10 +269,14 @@ def peel(graph: FrameGraph, state: ResidualState, msg: int, profile) -> Residual
         slot_id_sum[j] -= msg
         if d == 1:
             state.num_degree_one += 1
+            slot_interference[j] = energies[slot_id_sum[j]]
         elif d == 0:
             state.num_degree_one -= 1
-        slot_interference[j] -= energy
-    state.peels_since_refresh += 1
-    if state.peels_since_refresh >= REFRESH_EVERY:
-        refresh_interference(graph, state, profile.energies)
+            slot_interference[j] = 0.0
+        else:
+            total = 0.0
+            for m in slot_messages[j]:
+                if not decoded[m]:
+                    total += energies[m]
+            slot_interference[j] = total
     return state

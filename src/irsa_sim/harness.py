@@ -540,7 +540,10 @@ def _tune_rs_point(
     # however many tuning trials there are.  T and eta are trial_metrics'
     # expressions, accumulated in frame order.
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    tables = _degree_tables(base, candidates)
+    try:
+        tables = _degree_tables(base, candidates)
+    except InfeasibleOperatingPointError as err:
+        return RsTuning(G, None, None, False, target=target, note=str(err))
     # RS spends one common energy, so C_ref depends on the grid point alone.
     c_refs = [reference_capacity(p, base.cfg) for p in tables.profiles]
     stats = [(scheme, RunningStats(), RunningStats()) for scheme in candidates]
@@ -780,21 +783,20 @@ def compare_rs_pa(
             spec, seed=mix64(spec.seed, es_index), alpha=None, beta=None, mu=None
         )
         rs_spec = replace(point_spec, scheme="RS", tilde_Es_over_N0=tilde_es, hat_R_bits=None)
-        tuning = _tune_rs_for_rate(
-            rs_spec,
-            alpha_grid,
-            beta_grid,
-            tune_trials=tune_trials,
-            min_throughput=min_throughput,
-        )
+        note = "no (alpha, beta) reached the throughput floor"
+        try:
+            tuning = _tune_rs_for_rate(
+                rs_spec,
+                alpha_grid,
+                beta_grid,
+                tune_trials=tune_trials,
+                min_throughput=min_throughput,
+            )
+        except InfeasibleOperatingPointError as err:
+            tuning, note = None, f"infeasible: {err}"
         energy_rs_db = to_db(user_es)
         if tuning is None:
-            rows.append(
-                CompareRow(
-                    "RS", es_db, None, energy_rs_db, None,
-                    note="no (alpha, beta) reached the throughput floor",
-                )
-            )
+            rows.append(CompareRow("RS", es_db, None, energy_rs_db, None, note=note))
             continue
         scheme, t_mean, mean_rate = tuning
         rows.append(

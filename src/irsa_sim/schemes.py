@@ -248,6 +248,8 @@ def build_profile(
     else:  # RS
         x = rs_sinr_target(degrees, Es, cfg.N0, scheme.alpha, scheme.beta, r_avg)
     rates = 0.5 * cfg.L_cu * np.log2(1.0 + x)
+    if not rates.min() > 0:  # 1 + x rounds to 1 below x of about 1e-16
+        raise InfeasibleOperatingPointError(f"rates round to 0 bits at Es/N0 = {Es / cfg.N0:.3g}")
     # Success test is rate <= (L/2)log2(1 + sinr)  <=>  sinr >= x; without the
     # "1 +" the equivalent threshold is 1 + x.  Either way no log roundtrip.
     thresholds = x if scheme.rmax_includes_one else 1.0 + x

@@ -1,5 +1,6 @@
 """Config validation, CSV/plot-data emission, and the command surface."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -419,6 +420,25 @@ class TestMainCommands:
         assert "every sweep point failed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, scheme, flag",
+        [
+            ("sweep", {"scheme": "IRSA"}, "infeasible"),
+            ("tune", {"scheme": "RS", "tuning": {"alpha_grid": [0.2], "beta_grid": [1.0]}}, "flagged"),
+        ],
+        ids=["sweep", "tune"],
+    )
+    def test_zero_rates_flag_the_point(self, tmp_path, capsys, command, scheme, flag):
+        # 0.5 * L_cu * log2(1 + Es/N0) rounds to 0 bits at this energy.
+        config = dict(scheme, distribution={"name": "l3"}, K=20, G_grid=[0.5], trials=4,
+                      tilde_Es_over_N0=1e-300)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"note: G=0.5: {flag}: rates round to 0 bits" in err
+        assert "Traceback" not in err
+
     def test_decode_one_trace(self, tmp_path, capsys):
         # The four-message example frame decodes in a known order.
         graph = FrameGraph(5, [[1], [0, 2, 3], [0, 2, 4], [1, 2, 4]])
@@ -517,6 +537,28 @@ class TestMainCommands:
         cfg_path.write_text(json.dumps(config))
         assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "every comparison point failed" in capsys.readouterr().err
+
+    def test_compare_with_zero_rates_flags_its_row(self, tmp_path, capsys):
+        config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [-3000.0], "min_throughput": 0.5})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        with open(tmp_path / "compare.csv", newline="") as fp:
+            rows = list(csv.reader(fp))[1:]
+        assert [r[:2] for r in rows] == [["RS", "-3000"]]
+        assert rows[0][-1].startswith("infeasible: rates round to 0 bits")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_compare_note_with_commas_reads_back_as_nine_fields(self, tmp_path):
+        # At 3070 dB the PA energy balance fails with a note full of commas.
+        config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [3070.0], "min_throughput": 0.5})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "compare.csv", newline="") as fp:
+            rows = list(csv.reader(fp))
+        assert all(len(r) == 9 for r in rows)
+        assert rows[-1][0] == "PA" and "," in rows[-1][-1]
 
     def test_compare_end_to_end(self, tmp_path):
         cfg_path = tmp_path / "c.json"
