@@ -7,15 +7,15 @@ degree-one slot's id sum names and take it out of its slots' degrees and id
 sums, until a pass decodes nothing.  The SINRs it reports are accounting
 for the genie rate behind ``eta_max``; no decision reads them.
 
-They are the values the MRC receiver would give, bit for bit, computed in
-one vectorised block after the peeling.  That receiver holds a slot's
-interference as the sum of its undecoded messages' energies, added from 0.0
-in ascending message order.  Baseline energies are uniform, say e, so a slot
-holding h messages carries S[h] = ((0 + e) + e) + ..., h additions, which
-``np.add.accumulate`` builds with the same float operations; at a decode
-the slot holds its initial degree less its earlier decodes.  Each SINR adds
-e / (S[h] - e + N0) over the message's slots in ascending order, as one
-``bincount`` does.
+They are the values the MRC receiver would give, bit for bit.  That
+receiver holds a slot's interference as the sum of its undecoded messages'
+energies, added from 0.0 in ascending message order.  Baseline energies are
+uniform, say e, so a slot holding h messages carries S[h] = ((0 + e) + e) +
+..., h additions, which ``np.add.accumulate`` builds with the same float
+operations.  The peeling records, for each slot of a decoded message in
+ascending slot order, the count h the slot still held when it took the
+message out; each SINR adds e / (S[h] - e + N0) over those slots in that
+order, all decodes at once in one ``bincount``.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
@@ -52,6 +52,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -85,29 +87,45 @@ TIE_RTOL = 1e-9
 
 @dataclass
 class DecodeResult:
-    """Outcome of decoding one frame.
+    """Outcome of decoding one frame: the decodes in step order.
 
-    Per-message arrays; undecoded entries hold -1 / NaN.  ``genie_rate`` is
-    the maximum rate the message could have sustained given the actual
-    residual state at its decode step; ``decode_slot`` is set only for
-    phase-1 (degree-one slot) decodes.
+    ``order`` lists the decoded messages; ``sinrs`` and ``genie_rates`` hold
+    each decode's effective SINR and the maximum rate the message could have
+    sustained given the residual state at its step; ``phases`` holds each
+    decode's phase (one value for every decode of the baseline) and
+    ``slots`` its degree-one slot, -1 for a phase-2 decode.
+
+    The per-message views (``decoded``, ``decode_step``, ``phase``,
+    ``decode_slot``, ``decode_sinr``, ``genie_rate``; undecoded entries -1 /
+    NaN) are built when first read: a sweep reads none of them.
     """
 
-    decoded: np.ndarray
-    decode_step: np.ndarray
-    phase: np.ndarray
-    decode_slot: np.ndarray
-    decode_sinr: np.ndarray
-    genie_rate: np.ndarray
+    K: int
+    order: np.ndarray
+    sinrs: np.ndarray
+    genie_rates: np.ndarray
+    phases: Sequence[int] | int
+    slots: Sequence[int]
 
     @property
     def decoded_count(self) -> int:
-        return int(self.decoded.sum())
+        return len(self.order)
 
     def decode_order(self) -> list[int]:
         """Messages in decode order (by step index)."""
-        order = [(s, m) for m, s in enumerate(self.decode_step) if s >= 0]
-        return [m for _, m in sorted(order)]
+        return self.order.tolist()
+
+    def _per_message(self, values, fill=np.nan, dtype=np.float64) -> np.ndarray:
+        out = np.full(self.K, fill, dtype=dtype)
+        out[self.order] = values
+        return out
+
+    decoded = cached_property(lambda r: r._per_message(True, False, bool))
+    decode_step = cached_property(lambda r: r._per_message(np.arange(len(r.order)), -1, np.int64))
+    phase = cached_property(lambda r: r._per_message(r.phases, PHASE_NONE, np.int8))
+    decode_slot = cached_property(lambda r: r._per_message(r.slots, -1, np.int64))
+    decode_sinr = cached_property(lambda r: r._per_message(r.sinrs))
+    genie_rate = cached_property(lambda r: r._per_message(r.genie_rates))
 
 
 def effective_sinr(
@@ -187,20 +205,23 @@ def decode_frame(
     cfg: ChannelConfig,
 ) -> DecodeResult:
     """Run the receiver to its fixed point on one frame: integer peeling for
-    the baseline, the two-phase MRC receiver for RS and PA."""
+    the baseline, the two-phase MRC receiver for RS and PA.  The genie rate
+    takes ``math.log2`` per value: ``np.log2`` need not round alike."""
     if scheme.variant == "IRSA":
-        order, slots = _peel_irsa(graph)
-        sinrs = _uniform_sinrs(graph, order, profile.Es, cfg.N0) if order else []
+        order, slots, sinrs = _peel_irsa(graph, profile.Es, cfg.N0)
         phases = PHASE_PEELING
     else:
         order, phases, slots, sinrs = _decode_mrc(graph, profile, cfg.N0)
-    return _result(graph.K, order, phases, slots, sinrs, cfg.L_cu, scheme.rmax_includes_one)
+    sinrs = np.asarray(sinrs, dtype=np.float64)
+    capacity = (1.0 + sinrs) if scheme.rmax_includes_one else sinrs
+    genie = (0.5 * cfg.L_cu) * np.array(list(map(math.log2, capacity.tolist())))
+    return DecodeResult(graph.K, np.array(order, dtype=np.int64), sinrs, genie, phases, slots)
 
 
-def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
+def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     """Baseline receiver: erasure peeling on slot degrees and id sums.
-    Returns the decoded messages and their degree-one slots, in step
-    order."""
+    Returns the decoded messages, their degree-one slots and their SINRs at
+    per-replica energy e (see the module docstring), in step order."""
     # Message k's slots are edge_slot[start[k]:end[k]], ascending; slicing
     # the decoded ones costs less than building every message's list.
     flat = graph.edge_slot.tolist()
@@ -212,6 +233,8 @@ def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
     slot_id_sum = graph.slot_id_sums().tolist()
     order: list[int] = []
     slots: list[int] = []
+    # Per decoded edge, by step and then slot: the count its slot held.
+    held: list[int] = []
     # Ascending passes over the slots that still hold a message: an empty
     # slot never holds one again.
     busy = np.flatnonzero(degree).tolist()
@@ -225,42 +248,18 @@ def _peel_irsa(graph: FrameGraph) -> tuple[list[int], list[int]]:
             order.append(msg)
             slots.append(j)
             for jj in flat[start[msg]:end[msg]]:
+                held.append(slot_degree[jj])
                 slot_degree[jj] -= 1
                 slot_id_sum[jj] -= msg
             progress = True
         busy = [j for j in busy if slot_degree[j]]
-    return order, slots
-
-
-def _uniform_sinrs(graph: FrameGraph, order: list[int], e: float, N0: float) -> np.ndarray:
-    """SINR of each decode in ``order`` (step order) under the MRC
-    receiver's exact slot sums, every message at energy e; see the module
-    docstring."""
-    # The decoded messages' edges by slot, each slot's in step order.
-    n = len(order)
-    step = np.full(graph.K, -1, dtype=np.int64)
-    step[order] = np.arange(n)
-    edge_step = step[graph.edge_msg]
-    live = edge_step >= 0
-    edge_step = edge_step[live]
-    slot = graph.edge_slot[live]
-    by_slot = np.argsort(slot * n + edge_step)
-    edge_step = edge_step[by_slot]
-    slot = slot[by_slot]
-    # At a decode a slot holds its initial degree less its earlier decodes:
-    # the slot's earlier edges.
-    position = np.arange(len(slot))
-    slot_begins = np.ones(len(slot), dtype=bool)
-    slot_begins[1:] = slot[1:] != slot[:-1]
-    slot_start = np.maximum.accumulate(np.where(slot_begins, position, 0))
-    held = graph.slot_degrees()[slot] - (position - slot_start)
+    held = np.array(held, dtype=np.int64)
     # S[h]: the interference of h messages, added from 0.0.
-    S = np.add.accumulate(np.concatenate(([0.0], np.full(int(held.max()), e))))
+    S = np.add.accumulate(np.concatenate(([0.0], np.full(held.max(initial=0), e))))
     other = S[held] - e
     other += N0
-    # A step's edges come in ascending slot order, as the MRC receiver adds
-    # them.
-    return np.bincount(edge_step, weights=e / other, minlength=n)
+    step = np.repeat(np.arange(len(order)), graph.degrees[order])
+    return order, slots, np.bincount(step, weights=e / other, minlength=len(order))
 
 
 def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
@@ -317,7 +316,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                     phases.append(PHASE_PEELING)
                     slots.append(j)
                     sinrs.append(sinr)
-                    peel(graph, state, msg, profile)
+                    peel(graph, state, msg)
                     progress = True
         # Phase 2: peel the lowest-index undecoded message that passes
         # against the residual state and return to phase 1.
@@ -346,35 +345,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         phases.append(PHASE_RESIDUAL)
         slots.append(-1)
         sinrs.append(sinr_of(msg))
-        peel(graph, state, msg, profile)
-
-
-def _result(K: int, order, phases, slots, sinrs, L_cu: int, includes_one: bool) -> DecodeResult:
-    """Per-message outputs from the decodes listed in step order.  The genie
-    rate takes ``math.log2`` per value: ``np.log2`` need not round alike."""
-    order = np.array(order, dtype=np.int64)
-    sinr = np.asarray(sinrs, dtype=np.float64)
-    capacity = (1.0 + sinr) if includes_one else sinr
-    out_decoded = np.zeros(K, dtype=bool)
-    out_step = np.full(K, -1, dtype=np.int64)
-    out_phase = np.zeros(K, dtype=np.int8)
-    out_slot = np.full(K, -1, dtype=np.int64)
-    out_sinr = np.full(K, np.nan)
-    out_genie = np.full(K, np.nan)
-    out_decoded[order] = True
-    out_step[order] = np.arange(len(order))
-    out_phase[order] = phases
-    out_slot[order] = slots
-    out_sinr[order] = sinr
-    out_genie[order] = (0.5 * L_cu) * np.array([math.log2(v) for v in capacity.tolist()])
-    return DecodeResult(
-        decoded=out_decoded,
-        decode_step=out_step,
-        phase=out_phase,
-        decode_slot=out_slot,
-        decode_sinr=out_sinr,
-        genie_rate=out_genie,
-    )
+        peel(graph, state, msg)
 
 
 def irsa_peeling_oracle(graph: FrameGraph) -> set[int]:

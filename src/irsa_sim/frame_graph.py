@@ -242,7 +242,7 @@ class ResidualState:
         self.num_degree_one = int((slot_degree == 1).sum())
 
 
-def peel(graph: FrameGraph, state: ResidualState, msg: int, profile) -> ResidualState:
+def peel(graph: FrameGraph, state: ResidualState, msg: int) -> ResidualState:
     """Cancel all replicas of ``msg``: mark it decoded, decrement the degree
     of each of its slots, remove its index from their id sums and re-sum
     their interference over the messages they still hold.
@@ -251,7 +251,7 @@ def peel(graph: FrameGraph, state: ResidualState, msg: int, profile) -> Residual
     message's energy; any other is added from 0.0 in ascending message
     order.  Float rounding is monotone, so a sum over fewer non-negative
     terms is never larger: cancellation never raises a slot's interference.
-    ``profile`` is not read; the state holds the energies it was built with.
+    The energies are those the state was built with.
 
     Mutates ``state`` in place and returns it.
     """

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -352,38 +352,39 @@ def _frame(point: SweepPoint, seed: int, trial: int) -> FrameGraph:
     return build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
 
 
-def _profile(point: SweepPoint, degrees: np.ndarray, scheme: SchemeConfig) -> TransmitProfile:
-    return build_profile(degrees, point.cfg, scheme, point.l_avg)
-
-
-def _decode(point: SweepPoint, graph: FrameGraph, scheme: SchemeConfig):
-    """Transmit profile and decode outcome of one frame under ``scheme``."""
-    profile = _profile(point, graph.degrees, scheme)
-    return profile, decode_frame(graph, profile, scheme, point.cfg)
-
-
 class _DegreeTables(NamedTuple):
-    """Tuning candidates' profiles on degrees 1..max_degree, with their
-    energies and success thresholds stacked, shape (candidates, max_degree).
-    RS and PA assign energies, rates and thresholds by degree alone, so a
-    frame's profile is the table read at ``graph.degrees - 1``, element for
-    element the profile built on the frame."""
+    """Profiles of a grid point's schemes on the degree distribution's
+    support, shared by the sweeps and the tuners, with the energies and
+    success thresholds stacked, shape (schemes, support size).  Every scheme
+    assigns energies, rates and thresholds by degree alone, so a frame's
+    profile is a table read at ``index(graph)``, element for element the
+    profile built on the frame.  A rate that rounds to 0 bits at any degree
+    of the support makes the point infeasible, whichever degrees its frames
+    draw."""
 
     schemes: list[SchemeConfig]
     profiles: list[TransmitProfile]
     energies: np.ndarray
     thresholds: np.ndarray
+    column: np.ndarray  # column[d]: degree d's place in the support
+
+    def index(self, graph: FrameGraph) -> np.ndarray:
+        """Each message's column in the tables."""
+        return self.column[graph.degrees]
 
 
 def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTables:
-    """One profile per scheme and grid point, shared by every tuning frame."""
-    degrees = np.arange(1, point.dist.max_degree + 1)
-    profiles = [_profile(point, degrees, s) for s in schemes]
+    """One profile per scheme and grid point, shared by every frame."""
+    degrees = point.dist.degrees
+    profiles = [build_profile(degrees, point.cfg, s, point.l_avg) for s in schemes]
+    column = np.zeros(point.dist.max_degree + 1, dtype=np.int64)
+    column[degrees] = np.arange(len(degrees))
     return _DegreeTables(
         schemes,
         profiles,
         np.stack([p.energies for p in profiles]),
         np.stack([success_thresholds(p) for p in profiles]),
+        column,
     )
 
 
@@ -391,7 +392,7 @@ def _decoded_sets(point: SweepPoint, graph: FrameGraph, tables: _DegreeTables):
     """Decoded mask of each of ``tables``' schemes on one frame, by the
     order-free fixed point ``decoded_closure``, CANDIDATE_CHUNK schemes at a
     time."""
-    index = graph.degrees - 1
+    index = tables.index(graph)
     for start in range(0, len(tables.schemes), CANDIDATE_CHUNK):
         rows = slice(start, start + CANDIDATE_CHUNK)
         yield from decoded_closure(
@@ -403,17 +404,29 @@ def _decoded_sets(point: SweepPoint, graph: FrameGraph, tables: _DegreeTables):
         )
 
 
+def _trials(point: SweepPoint, trials: Iterable[int]) -> Iterator[TrialMetrics]:
+    """Measures of the given trials at the point: each frame drawn from the
+    point's streams, profiled by the point's degree table, decoded and
+    measured.  Deterministic in (point.seed, point.g_index, trial)."""
+    tables = _degree_tables(point, [point.scheme])
+    (table,) = tables.profiles
+    for t in trials:
+        graph = _frame(point, point.seed, t)
+        profile = table.take(tables.index(graph))
+        result = decode_frame(graph, profile, point.scheme, point.cfg)
+        yield trial_metrics(result, profile, point.cfg)
+
+
 def run_trial(point: SweepPoint, trial: int) -> TrialMetrics:
-    """One independent frame: build, assign, decode, measure.  Deterministic
-    in (point.seed, point.g_index, trial)."""
-    profile, result = _decode(point, _frame(point, point.seed, trial), point.scheme)
-    return trial_metrics(result, profile, point.cfg)
+    """One independent frame: build, assign, decode, measure."""
+    (metrics,) = _trials(point, [trial])
+    return metrics
 
 
 def run_point(point: SweepPoint, trials: int) -> MetricStats:
     acc = MetricStats()
-    for t in range(trials):
-        acc.add(run_trial(point, t))
+    for metrics in _trials(point, range(trials)):
+        acc.add(metrics)
     return acc
 
 
@@ -549,7 +562,7 @@ def _tune_rs_point(
     stats = [(scheme, RunningStats(), RunningStats()) for scheme in candidates]
     for t in range(tune_trials):
         graph = _frame(base, tune_seed, t)
-        index = graph.degrees - 1
+        index = tables.index(graph)
         decoded = _decoded_sets(base, graph, tables)
         for mask, profile, c_ref, (_, T, eta) in zip(decoded, tables.profiles, c_refs, stats):
             T.add(int(mask.sum()) / base.cfg.M)
@@ -676,7 +689,7 @@ def tune_mu(
             energies, thresholds = tables.energies[0], tables.thresholds[0]
             ok = 0
             for graph in frames:
-                index = graph.degrees - 1
+                index = tables.index(graph)
                 energy = energies[index][graph.edge_msg]
                 sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energy, base.cfg.N0)
                 ok += bool((sinr >= thresholds[index]).all())
@@ -903,6 +916,6 @@ def _tune_rs_for_rate(
     for t in range(spec.trials):
         graph = _frame(base, spec.seed, t)
         (mask,) = _decoded_sets(base, graph, best_table)
-        rate_acc.add(float(rates[graph.degrees - 1].mean()))
+        rate_acc.add(float(rates[best_table.index(graph)].mean()))
         t_acc.add(int(mask.sum()) / base.cfg.M)
     return best, t_acc.mean, rate_acc.mean

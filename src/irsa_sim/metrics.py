@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decoder import DecodeResult
 from .schemes import (
     ChannelConfig,
@@ -86,10 +88,11 @@ def reference_capacity(profile: TransmitProfile, cfg: ChannelConfig) -> float:
 def trial_metrics(
     result: DecodeResult, profile: TransmitProfile, cfg: ChannelConfig
 ) -> TrialMetrics:
-    """Reduce one decode outcome to its scalar measures."""
-    mask = result.decoded
-    S = float(profile.rates[mask].sum())
-    S_max = float(result.genie_rate[mask].sum()) if mask.any() else 0.0
+    """Reduce one decode outcome to its scalar measures.  S and S_max add
+    over the decoded messages in ascending message order."""
+    by_message = np.argsort(result.order)
+    S = float(profile.rates[result.order[by_message]].sum())
+    S_max = float(result.genie_rates[by_message].sum())
     per_user = profile.degrees * profile.energies
     C = reference_capacity(profile, cfg)
     T = result.decoded_count / cfg.M

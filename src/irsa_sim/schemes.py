@@ -103,6 +103,11 @@ class TransmitProfile:
     ``sinr_thresholds`` holds the per-message effective-SINR level at which
     the decoder's success test passes; it is the rate threshold inverted once
     so the hot loop compares SINRs instead of taking logs.
+
+    Every scheme assigns by degree alone, so a profile built on a list of
+    distinct degrees is a table: ``take`` reads it at a frame's messages.
+    ``build_profile`` checks the values it assigns; a table read is not
+    checked again.
     """
 
     degrees: np.ndarray
@@ -113,13 +118,12 @@ class TransmitProfile:
     l_avg: float
     r_avg: float
 
-    def __post_init__(self) -> None:
-        for field_name in ("energies", "rates", "sinr_thresholds"):
-            arr = getattr(self, field_name)
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise ValueError(f"{field_name} must be strictly positive and finite")
-        if self.Es is not None and np.any(self.energies != self.Es):
-            raise ValueError("uniform profile must carry identical energies")
+    def take(self, index: np.ndarray) -> TransmitProfile:
+        """The profile whose message i is this one's message ``index[i]``."""
+        return TransmitProfile(
+            self.degrees[index], self.energies[index], self.rates[index],
+            self.sinr_thresholds[index], self.Es, self.l_avg, self.r_avg,
+        )
 
 
 def es_from_reference(cfg: ChannelConfig, l_avg: float) -> float:
@@ -230,35 +234,44 @@ def build_profile(
     scheme: SchemeConfig,
     l_avg: float,
 ) -> TransmitProfile:
-    """Assign rates and energies to the messages of one frame.
+    """Assign rates and energies to messages of the given degrees.
 
     ``l_avg`` is the analytic mean of the degree distribution; devices plan
     against r_avg = (K/M) * l_avg rather than the realised graph, which they
-    cannot observe.
+    cannot observe.  Raises ValueError unless every energy, rate and
+    threshold is positive and finite.
     """
+    degrees = np.asarray(degrees, dtype=np.int64)
     r_avg = cfg.G * l_avg
     if scheme.variant == "PA":
-        return pa_powers(degrees, cfg, scheme.mu, l_avg, r_avg)
-
-    degrees = np.asarray(degrees, dtype=np.int64)
-    Es = es_from_reference(cfg, l_avg)
-    n = len(degrees)
-    if scheme.variant == "IRSA":
-        x = np.full(n, Es / cfg.N0)
-    else:  # RS
-        x = rs_sinr_target(degrees, Es, cfg.N0, scheme.alpha, scheme.beta, r_avg)
-    rates = 0.5 * cfg.L_cu * np.log2(1.0 + x)
-    if not rates.min() > 0:  # 1 + x rounds to 1 below x of about 1e-16
-        raise InfeasibleOperatingPointError(f"rates round to 0 bits at Es/N0 = {Es / cfg.N0:.3g}")
-    # Success test is rate <= (L/2)log2(1 + sinr)  <=>  sinr >= x; without the
-    # "1 +" the equivalent threshold is 1 + x.  Either way no log roundtrip.
-    thresholds = x if scheme.rmax_includes_one else 1.0 + x
-    return TransmitProfile(
-        degrees=degrees,
-        energies=np.full(n, Es),
-        rates=rates,
-        sinr_thresholds=thresholds,
-        Es=Es,
-        l_avg=l_avg,
-        r_avg=r_avg,
-    )
+        profile = pa_powers(degrees, cfg, scheme.mu, l_avg, r_avg)
+    else:
+        Es = es_from_reference(cfg, l_avg)
+        n = len(degrees)
+        if scheme.variant == "IRSA":
+            x = np.full(n, Es / cfg.N0)
+        else:  # RS
+            x = rs_sinr_target(degrees, Es, cfg.N0, scheme.alpha, scheme.beta, r_avg)
+        rates = 0.5 * cfg.L_cu * np.log2(1.0 + x)
+        if not rates.min() > 0:  # 1 + x rounds to 1 below x of about 1e-16
+            raise InfeasibleOperatingPointError(
+                f"rates round to 0 bits at Es/N0 = {Es / cfg.N0:.3g}"
+            )
+        # Success test is rate <= (L/2)log2(1 + sinr)  <=>  sinr >= x; without
+        # the "1 +" the equivalent threshold is 1 + x.  Either way no log
+        # roundtrip.
+        thresholds = x if scheme.rmax_includes_one else 1.0 + x
+        profile = TransmitProfile(
+            degrees=degrees,
+            energies=np.full(n, Es),
+            rates=rates,
+            sinr_thresholds=thresholds,
+            Es=Es,
+            l_avg=l_avg,
+            r_avg=r_avg,
+        )
+    for field_name in ("energies", "rates", "sinr_thresholds"):
+        arr = getattr(profile, field_name)
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise ValueError(f"{field_name} must be strictly positive and finite")
+    return profile

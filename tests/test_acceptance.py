@@ -218,7 +218,7 @@ def test_criterion_7_property_suite():
         profile.energies = energies
         state = ResidualState(g, energies)
         for msg in rng.permutation(g.K)[: int(rng.integers(1, g.K + 1))]:
-            peel(g, state, int(msg), profile)
+            peel(g, state, int(msg))
         for j in range(g.M):
             alive = [m for m in g.slot_messages[j] if not state.decoded[m]]
             if state.slot_degree[j] != len(alive):
@@ -245,7 +245,7 @@ def test_criterion_7_property_suite():
         for msg in rng.permutation(g.K):
             if msg == watched:
                 continue
-            peel(g, state, int(msg), profile)
+            peel(g, state, int(msg))
             now = effective_sinr(watched, g, state, profile, cfg.N0)
             if now < last * (1 - 1e-12):
                 bad += 1

@@ -127,7 +127,7 @@ class TestEffectiveSinr:
             for msg in rng.permutation(K):
                 if msg == watched:
                     continue
-                peel(g, state, int(msg), profile)
+                peel(g, state, int(msg))
                 now = effective_sinr(watched, g, state, profile, cfg.N0)
                 assert now >= last
                 last = now
@@ -146,7 +146,7 @@ class TestEffectiveSinr:
             for msg in rng.permutation(K).tolist():
                 if msg == watched:
                     continue
-                peel(g, state, msg, profile)
+                peel(g, state, msg)
                 now = effective_sinr(watched, g, state, profile, 1.0)
                 assert now >= last
                 last = now
@@ -284,7 +284,7 @@ class TestDecodeResultInvariants:
             result = decode_frame(g, profile, scheme, cfg)
             state = ResidualState(g, profile.energies)
             for m in np.flatnonzero(result.decoded):
-                peel(g, state, int(m), profile)
+                peel(g, state, int(m))
             thr = profile.sinr_thresholds * (1 - 1e-9)
             for m in np.flatnonzero(~result.decoded):
                 assert effective_sinr(m, g, state, profile, cfg.N0) < thr[m]
@@ -653,7 +653,7 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
             break
         decode(msg, PHASE_RESIDUAL, -1, sinr_of(msg))
 
-    out = decoder.DecodeResult(
+    out = SimpleNamespace(
         decoded=np.zeros(K, dtype=bool),
         decode_step=np.full(K, -1, dtype=np.int64),
         phase=np.zeros(K, dtype=np.int8),
@@ -721,7 +721,7 @@ class TestResidualStateMatchesPythonSums:
             assert state_fields(state) == oracle_state_fields(g, energies, decoded)
             order = rng.permutation(K)[: int(rng.integers(1, K + 1))]
             for msg in order.tolist():
-                peel(g, state, msg, profile)
+                peel(g, state, msg)
                 decoded[msg] = True
                 assert state_fields(state) == oracle_state_fields(g, energies, decoded)
             long_sequences += len(order) >= 64

@@ -268,7 +268,7 @@ class TestResidualState:
         g = example_graph()
         profile = FakeProfile([1.0] * 4)
         state = ResidualState(g, profile.energies)
-        peel(g, state, 1, profile)
+        peel(g, state, 1)
         assert state.slot_degree == [1, 2, 2, 0, 2]
         assert state.num_degree_one == 1
 
@@ -276,7 +276,7 @@ class TestResidualState:
         g = build_frame(1, 8, point_dist(3), np.random.default_rng(2))
         profile = FakeProfile([2.5])
         state = ResidualState(g, profile.energies)
-        peel(g, state, 0, profile)
+        peel(g, state, 0)
         assert all(d == 0 for d in state.slot_degree)
         assert max(abs(x) for x in state.slot_interference) < 1e-12
 
@@ -284,9 +284,9 @@ class TestResidualState:
         g = example_graph()
         profile = FakeProfile([1.0] * 4)
         state = ResidualState(g, profile.energies)
-        peel(g, state, 0, profile)
+        peel(g, state, 0)
         with pytest.raises(AssertionError):
-            peel(g, state, 0, profile)
+            peel(g, state, 0)
 
     def test_uniform_power_interference_tracks_degree(self):
         es = 0.37
@@ -296,7 +296,7 @@ class TestResidualState:
         state = ResidualState(g, profile.energies)
         order = rng.permutation(30)
         for msg in order[:20]:
-            peel(g, state, int(msg), profile)
+            peel(g, state, int(msg))
             for j in range(g.M):
                 assert state.slot_interference[j] == pytest.approx(
                     state.slot_degree[j] * es, abs=1e-12
@@ -313,7 +313,7 @@ class TestResidualState:
             state = ResidualState(g, energies)
             n_peel = int(rng.integers(1, K + 1))
             for msg in rng.permutation(K)[:n_peel]:
-                peel(g, state, int(msg), profile)
+                peel(g, state, int(msg))
             # Degrees and interference recomputed from scratch must match
             # exactly: the interference adds from 0.0 in ascending order.
             for j in range(M):
@@ -336,7 +336,7 @@ class TestResidualState:
             state = ResidualState(g, profile.energies)
             alive = np.ones(K, dtype=bool)
             for msg in rng.permutation(K)[: int(rng.integers(1, K + 1))].tolist():
-                peel(g, state, msg, profile)
+                peel(g, state, msg)
                 alive[msg] = False
                 live = alive[g.edge_msg]
                 exact = np.bincount(
@@ -359,4 +359,4 @@ class TestResidualState:
                 assert state.num_degree_one == sum(
                     1 for d in state.slot_degree if d == 1
                 )
-                peel(g, state, int(msg), profile)
+                peel(g, state, int(msg))

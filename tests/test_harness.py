@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from irsa_sim import harness
-from irsa_sim.decoder import success_thresholds
-from irsa_sim.distributions import avg_degree, modified_soliton
+from irsa_sim.decoder import decode_frame, success_thresholds
+from irsa_sim.distributions import avg_degree, fixed_l3, modified_soliton
+from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
     MetricStats,
     RunningStats,
@@ -25,10 +26,12 @@ from irsa_sim.harness import (
     tune_mu,
     tune_rs,
 )
-from irsa_sim.metrics import to_db, trial_metrics
+from irsa_sim.metrics import TrialMetrics, reference_capacity, to_db, trial_metrics
 from irsa_sim.schemes import (
+    InfeasibleOperatingPointError,
     SchemeConfig,
     TuningParameterError,
+    build_profile,
     hat_es_from_rate,
     rs_sinr_target,
 )
@@ -42,6 +45,31 @@ def small_rs_spec(**kw):
     )
     base.update(kw)
     return SweepSpec(**base)
+
+
+def frame_outcome(point, graph, scheme):
+    """The profile built on the frame's own degrees, and its decode."""
+    profile = build_profile(graph.degrees, point.cfg, scheme, point.l_avg)
+    return profile, decode_frame(graph, profile, scheme, point.cfg)
+
+
+def reference_metrics(point, trial):
+    """One trial of the point in three steps: build_profile on the frame's
+    degrees, decode_frame, and the measures as masks over the per-message
+    arrays."""
+    rng = trial_rng(point.seed, point.g_index, trial)
+    graph = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
+    profile, result = frame_outcome(point, graph, point.scheme)
+    mask = result.decoded
+    S = float(profile.rates[mask].sum())
+    S_max = float(result.genie_rate[mask].sum()) if mask.any() else 0.0
+    C = reference_capacity(profile, point.cfg)
+    M = point.cfg.M
+    per_user = float((profile.degrees * profile.energies).mean())
+    return TrialMetrics(
+        T=int(mask.sum()) / M, S=S, S_max=S_max, C_ref=C, eta=S / C, eta_max=S_max / C,
+        gamma=S / M, gamma_max=S_max / M, energy_per_user_db=to_db(per_user / point.cfg.N0),
+    )
 
 
 class TestMix64:
@@ -163,7 +191,7 @@ class TestRunSweep:
         first = MetricStats()
         second = MetricStats()
         for t in range(30):
-            (first if t < 13 else second).add(run_trial(point, t))
+            (first if t < 13 else second).add(reference_metrics(point, t))
         merged = first.merge(second)
         for name in whole.stats:
             assert merged.stats[name].mean == pytest.approx(
@@ -200,6 +228,57 @@ class TestRunSweep:
         assert a == b
         c = run_sweep(small_rs_spec(trials=15, seed=6))[0]
         assert c.T_mean != a.T_mean or c.eta_mean != a.eta_mean
+
+
+class TestRunPointMatchesFrameOracle:
+    """run_point reads one degree table per point; every aggregate equals,
+    bit for bit, the one over profiles built on each frame's degrees."""
+
+    @pytest.mark.parametrize("scheme", ["IRSA", "RS", "PA"])
+    @pytest.mark.parametrize("dist_name,dist_Y", [("l3", None), ("modified_soliton", 6)])
+    def test_bit_identical(self, scheme, dist_name, dist_Y):
+        spec = SweepSpec(
+            scheme=scheme, dist_name=dist_name, dist_Y=dist_Y, K=60,
+            G_grid=(0.5, 0.9, 1.3), trials=12, seed=4, tilde_Es_over_N0=0.002,
+            hat_R_bits=8.0 if scheme == "PA" else None,
+            alpha=0.6 if scheme == "RS" else None, beta=1.0 if scheme == "RS" else None,
+            mu=1.1 if scheme == "PA" else None,
+        )
+        partial = 0
+        for g_index in range(len(spec.G_grid)):
+            point = make_point(spec, g_index)
+            want = MetricStats()
+            for t in range(spec.trials):
+                want.add(reference_metrics(point, t))
+            got = run_point(point, spec.trials)
+            for name, stats in got.stats.items():
+                ref = want.stats[name]
+                assert (stats.n, stats.total, stats.centre, stats.m2) == (
+                    ref.n, ref.total, ref.centre, ref.m2
+                ), name
+            partial += 0 < want.stats["T"].mean < point.G
+        assert partial  # some point decodes part of its frames
+
+
+class TestOneTableRule:
+    """Sweeps and tuners read the same table, over the distribution's
+    support, so they agree on which points they can serve."""
+
+    def test_degree_outside_the_support_does_not_flag(self):
+        # At Es/N0 = 8e-17 a degree-1 RS device's rate rounds to 0 bits,
+        # while every degree l3 draws (2 and up) keeps a positive rate.
+        K, G, es = 60, 0.5, 8e-17
+        spec = SweepSpec(
+            scheme="RS", dist_name="l3", K=K, G_grid=(G,), trials=4, seed=2,
+            tilde_Es_over_N0=es * avg_degree(fixed_l3()) / round(K / G), alpha=1.0, beta=1.0,
+        )
+        point = make_point(spec, 0)
+        with pytest.raises(InfeasibleOperatingPointError, match="round to 0 bits"):
+            build_profile(np.array([1]), point.cfg, point.scheme, point.l_avg)
+        (record,) = run_sweep(spec)
+        (tuning,) = tune_rs(spec, (1.0,), (1.0,), tune_trials=3)
+        assert record.note == "" and record.T_mean == G
+        assert tuning.feasible and tuning.T_mean == G
 
 
 class TestTuneRs:
@@ -499,7 +578,7 @@ def sequential_tune_rs_point(spec, g_index, alpha_grid, beta_grid, tune_trials, 
     for t in range(tune_trials):
         graph = harness._frame(base, tune_seed, t)
         for scheme, acc in zip(candidates, accs):
-            profile, result = harness._decode(base, graph, scheme)
+            profile, result = frame_outcome(base, graph, scheme)
             acc.add(trial_metrics(result, profile, base.cfg))
     feasible = [
         (scheme, acc.stats) for scheme, acc in zip(candidates, accs)
@@ -523,7 +602,7 @@ def sequential_decoded_sets(point, graph, tables):
     """Reference for harness._decoded_sets: one decode_frame per scheme, on
     the profile built for the frame."""
     for scheme in tables.schemes:
-        yield harness._decode(point, graph, scheme)[1].decoded
+        yield frame_outcome(point, graph, scheme)[1].decoded
 
 
 ALPHAS = tuple(float(x) for x in np.geomspace(0.02, 2.0, 6))
@@ -599,9 +678,9 @@ class TestTunersMatchSequentialReceiver:
             tables = harness._degree_tables(point, schemes)
             for t in range(5):
                 graph = harness._frame(point, 7, t)
-                index = graph.degrees - 1
+                index = tables.index(graph)
                 for i, (scheme, table) in enumerate(zip(schemes, tables.profiles)):
-                    profile = harness._profile(point, graph.degrees, scheme)
+                    profile = build_profile(graph.degrees, point.cfg, scheme, point.l_avg)
                     assert np.array_equal(table.energies[index], profile.energies)
                     assert np.array_equal(table.rates[index], profile.rates)
                     assert np.array_equal(tables.energies[i, index], profile.energies)
