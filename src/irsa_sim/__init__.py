@@ -8,7 +8,6 @@ from .distributions import (
     from_name,
     ideal_soliton,
     modified_soliton,
-    sample_degree,
     sample_degrees,
 )
 from .frame_graph import (
@@ -28,20 +27,16 @@ from .schemes import (
     hat_es_from_rate,
     pa_powers,
     rate_irsa,
-    rate_rs,
 )
 from .decoder import (
     DecodeResult,
     decode_frame,
-    effective_sinr,
-    irsa_peeling_oracle,
 )
 from .metrics import (
     TrialMetrics,
     c_ref,
     gamma_irsa_min,
     gamma_pa_analytic,
-    jensen_bound_rs,
     trial_metrics,
 )
 from .harness import (

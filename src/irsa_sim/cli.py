@@ -475,7 +475,7 @@ def _cmd_decode_one(args: argparse.Namespace) -> int:
     profile = build_profile(graph.degrees, cfg, scheme, l_avg)
     result = decode_frame(graph, profile, scheme, cfg)
     print("step\tphase\tmessage\tslot\teffective_sinr\tassigned_rate\tgenie_rate")
-    for msg in result.decode_order():
+    for msg in result.order.tolist():
         step = result.decode_step[msg]
         phase = PHASE_LABELS[int(result.phase[msg])]
         slot = "" if result.decode_slot[msg] < 0 else str(int(result.decode_slot[msg]))

@@ -104,11 +104,22 @@ def rate_problem(hat_R, L_cu, N0) -> str | None:
     )
 
 
+def mu_grid_problem(mu_max, mu_resolution) -> str | None:
+    """What is wrong with ``mu_resolution`` as the step of the mu grid 1,
+    1 + mu_resolution, ... up to ``mu_max``, or None: the step count must be
+    finite.  A ``mu_max`` out of its own range is left to that check."""
+    if problem("mu_max", mu_max) or math.isfinite((mu_max - 1.0) / mu_resolution):
+        return None
+    return (f"too fine for mu_max = {mu_max:g}: "
+            "the step count (mu_max - 1) / mu_resolution overflows")
+
+
 # Fields whose range depends on other fields of the type that holds them;
 # each check takes the object and runs once the field's own range holds.
 CROSS_CHECKS = {
     "hat_R": lambda obj: rate_problem(obj.hat_R, obj.L_cu, obj.N0),
     "hat_R_bits": lambda obj: rate_problem(obj.hat_R_bits, obj.L_cu, obj.N0),
+    "mu_resolution": lambda obj: mu_grid_problem(obj.mu_max, obj.mu_resolution),
 }
 
 

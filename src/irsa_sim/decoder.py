@@ -67,11 +67,9 @@ __all__ = [
     "PHASE_LABELS",
     "DecodeResult",
     "decoded_closure",
-    "effective_sinr",
     "mrc_sinr",
     "success_thresholds",
     "decode_frame",
-    "irsa_peeling_oracle",
 ]
 
 PHASE_NONE = 0
@@ -111,10 +109,6 @@ class DecodeResult:
     def decoded_count(self) -> int:
         return len(self.order)
 
-    def decode_order(self) -> list[int]:
-        """Messages in decode order (by step index)."""
-        return self.order.tolist()
-
     def _per_message(self, values, fill=np.nan, dtype=np.float64) -> np.ndarray:
         out = np.full(self.K, fill, dtype=dtype)
         out[self.order] = values
@@ -128,27 +122,10 @@ class DecodeResult:
     genie_rate = cached_property(lambda r: r._per_message(r.genie_rates))
 
 
-def effective_sinr(
-    msg: int,
-    graph: FrameGraph,
-    state: ResidualState,
-    profile: TransmitProfile,
-    N0: float,
-) -> float:
-    """MRC-combined SINR of an undecoded message at the current state: the
-    sum over its slots of own energy over other-user interference plus noise.
-    """
-    e = float(profile.energies[msg])
-    interference = state.slot_interference
-    total = 0.0
-    for j in graph.message_slots[msg]:
-        total += e / (interference[j] - e + N0)
-    return total
-
-
 def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None) -> np.ndarray:
     """Every message's MRC-combined SINR by one ``bincount`` over a frame's
-    edge arrays, summed in ``effective_sinr``'s order.
+    edge arrays: the sum over its slots, in ascending slot order, of its own
+    energy over the other messages' interference plus noise.
 
     ``slot_interference`` is the energy still on each slot; by default the
     whole frame's, before any cancellation.  Every message needs at least
@@ -346,22 +323,3 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         slots.append(-1)
         sinrs.append(sinr_of(msg))
         peel(graph, state, msg)
-
-
-def irsa_peeling_oracle(graph: FrameGraph) -> set[int]:
-    """Reference erasure peeling: recompute every slot's residual degree
-    from scratch each round and decode all singletons, until stable.
-
-    Slow but stateless; the fixed point is unique, so this is an exact
-    oracle for the baseline decoder's decoded set.
-    """
-    decoded: set[int] = set()
-    while True:
-        newly: set[int] = set()
-        for msgs in graph.slot_messages:
-            residual = [m for m in msgs if m not in decoded]
-            if len(residual) == 1:
-                newly.add(residual[0])
-        if not newly:
-            return decoded
-        decoded |= newly

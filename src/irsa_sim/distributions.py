@@ -23,7 +23,6 @@ __all__ = [
     "from_name",
     "parameter_problem",
     "avg_degree",
-    "sample_degree",
     "sample_degrees",
 ]
 
@@ -90,9 +89,6 @@ class DegreeDistribution:
     @property
     def max_degree(self) -> int:
         return int(self.atoms[-1][0])
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(d): float(p) for d, p in self.atoms}
 
 
 def parameter_problem(name: str, Y) -> str | None:
@@ -164,14 +160,6 @@ def from_name(name: str, Y: int | None = None) -> DegreeDistribution:
 def avg_degree(dist: DegreeDistribution) -> float:
     """Mean repetition degree: the degree polynomial's derivative at one."""
     return float(sum(Fraction(d) * p for d, p in dist.atoms))
-
-
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Draw one degree by inverse CDF over the sorted atoms."""
-    idx = int(np.searchsorted(dist._cdf, rng.random(), side="right"))
-    if idx >= len(dist.atoms):  # cdf[-1] may round a hair below 1.0
-        idx = len(dist.atoms) - 1
-    return int(dist.degrees[idx])
 
 
 def sample_degrees(dist: DegreeDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -91,10 +91,6 @@ class FrameGraph:
         ends = np.cumsum(self.slot_degrees()).tolist()
         return [msgs[a:b] for a, b in zip([0, *ends], ends)]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_slot)
-
     def slot_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_slot, minlength=self.M)
 

@@ -48,8 +48,7 @@ from .schemes import (
     TuningParameterError,
     build_profile,
     hat_es_from_rate,
-    pa_mean_energy,
-    rate_rs,
+    pa_powers,
     rs_sinr_target,
 )
 
@@ -253,10 +252,10 @@ class SweepRecord:
 
 
 class RunningStats:
-    """Mean / standard-error accumulator; merging two accumulators is set
-    union.  The mean is the plain sum over n.  The spread is a centred sum
-    of squared deviations (Welford's update, Chan et al.'s pairwise merge),
-    so a constant series has a standard error of exactly zero."""
+    """Mean / standard-error accumulator.  The mean is the plain sum, added
+    in order, over n.  The spread is a centred sum of squared deviations
+    (Welford's update), so a constant series has a standard error of exactly
+    zero."""
 
     __slots__ = ("n", "total", "centre", "m2")
 
@@ -272,16 +271,6 @@ class RunningStats:
         delta = x - self.centre
         self.centre += delta / self.n
         self.m2 += delta * (x - self.centre)
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        out = RunningStats()
-        out.n = self.n + other.n
-        out.total = self.total + other.total
-        if out.n:
-            delta = other.centre - self.centre
-            out.centre = self.centre + delta * other.n / out.n
-            out.m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / out.n
-        return out
 
     @property
     def mean(self) -> float | None:
@@ -308,12 +297,6 @@ class MetricStats:
     def add(self, m: TrialMetrics) -> None:
         for name in _STAT_FIELDS:
             self.stats[name].add(getattr(m, name))
-
-    def merge(self, other: "MetricStats") -> "MetricStats":
-        out = MetricStats()
-        for name in _STAT_FIELDS:
-            out.stats[name] = self.stats[name].merge(other.stats[name])
-        return out
 
 
 def make_point(
@@ -526,58 +509,74 @@ def tune_rs(
     ]
 
 
+def _rs_candidate_trials(
+    spec: SweepSpec, g_index: int, alpha_grid, beta_grid, tune_trials: int
+):
+    """The RS tuners' shared work at one grid point: the point, the degree
+    tables of the admissible (alpha, beta) pairs, alpha-major, and each
+    candidate's decoded count and decoded messages' summed rate on each
+    PURPOSE_RS_TUNE frame, shape (candidates, frames).  None when no pair
+    is admissible; InfeasibleOperatingPointError when a table fails."""
+    point = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
+    es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
+    r_avg = point.cfg.G * point.l_avg
+    candidates: list[SchemeConfig] = []
+    for a in alpha_grid:
+        for b in beta_grid:
+            try:
+                rs_sinr_target(1, es, point.cfg.N0, a, b, r_avg)
+            except TuningParameterError:
+                continue
+            candidates.append(_rs_scheme(spec, a, b))
+    if not candidates:
+        return None
+    tables = _degree_tables(point, candidates)
+    counts = np.zeros((len(candidates), tune_trials), dtype=np.int64)
+    rate_sums = np.zeros((len(candidates), tune_trials))
+    # One frame at a time, every candidate on it: memory stays at one frame
+    # however many tuning trials there are.
+    tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
+    for t in range(tune_trials):
+        graph = _frame(point, tune_seed, t)
+        index = tables.index(graph)
+        for i, mask in enumerate(_decoded_sets(point, graph, tables)):
+            counts[i, t] = mask.sum()
+            rate_sums[i, t] = tables.profiles[i].rates[index][mask].sum()
+    return point, tables, counts, rate_sums
+
+
 def _tune_rs_point(
     spec: SweepSpec, g_index: int, alpha_grid, beta_grid, tune_trials: int, target: float
 ) -> RsTuning:
     G = spec.G_grid[g_index]
     try:
-        base = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
+        trials = _rs_candidate_trials(spec, g_index, alpha_grid, beta_grid, tune_trials)
     except InfeasibleOperatingPointError as err:
         return RsTuning(G, None, None, False, target=target, note=str(err))
-    es = base.cfg.M * base.cfg.tilde_Es / base.l_avg
-    r_avg = base.cfg.G * base.l_avg
-    candidates: list[SchemeConfig] = []
-    for a in alpha_grid:
-        for b in beta_grid:
-            try:
-                rs_sinr_target(1, es, base.cfg.N0, a, b, r_avg)
-            except TuningParameterError:
-                continue
-            candidates.append(_rs_scheme(spec, a, b))
-    if not candidates:
+    if trials is None:
         return RsTuning(
             G, None, None, False, target=target,
             note="no admissible (alpha, beta) in the grids",
         )
-    # One frame at a time, every candidate on it: memory stays at one frame
-    # however many tuning trials there are.  T and eta are trial_metrics'
-    # expressions, accumulated in frame order.
-    tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    try:
-        tables = _degree_tables(base, candidates)
-    except InfeasibleOperatingPointError as err:
-        return RsTuning(G, None, None, False, target=target, note=str(err))
+    point, tables, counts, rate_sums = trials
+    # T and eta are trial_metrics' expressions, accumulated in frame order.
     # RS spends one common energy, so C_ref depends on the grid point alone.
-    c_refs = [reference_capacity(p, base.cfg) for p in tables.profiles]
-    stats = [(scheme, RunningStats(), RunningStats()) for scheme in candidates]
-    for t in range(tune_trials):
-        graph = _frame(base, tune_seed, t)
-        index = tables.index(graph)
-        decoded = _decoded_sets(base, graph, tables)
-        for mask, profile, c_ref, (_, T, eta) in zip(decoded, tables.profiles, c_refs, stats):
-            T.add(int(mask.sum()) / base.cfg.M)
-            eta.add(float(profile.rates[index][mask].sum()) / c_ref)
-    feasible = [c for c in stats if c[1].mean >= target]
+    c_ref = reference_capacity(tables.profiles[0], point.cfg)
+    stats = []
+    for scheme, n, s in zip(tables.schemes, counts.tolist(), rate_sums.tolist()):
+        T, eta = RunningStats(), RunningStats()
+        for count, rate_sum in zip(n, s):
+            T.add(count / point.cfg.M)
+            eta.add(rate_sum / c_ref)
+        stats.append((scheme, T.mean, eta.mean))
+    feasible = [c for c in stats if c[1] >= target]
     if not feasible:
         return RsTuning(
             G, None, None, False, target=target,
             note=f"no candidate reached mean T >= {target:.4g}",
         )
-    scheme, T, eta = max(feasible, key=lambda c: (c[2].mean, c[1].mean, -c[0].alpha))
-    return RsTuning(
-        G, scheme.alpha, scheme.beta, True,
-        T_mean=T.mean, eta_mean=eta.mean, target=target,
-    )
+    scheme, T, eta = max(feasible, key=lambda c: (c[2], c[1], -c[0].alpha))
+    return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
 
 
 def run_tuned_rs_sweep(
@@ -660,9 +659,12 @@ def tune_mu(
     require("mu_criterion", criterion)
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
+    n_steps = int(math.ceil((mu_max - 1.0) / resolution))
+    mu_at = lambda k: 1.0 + k * resolution
     try:
         base = make_point(spec, g_index, scheme=spec.scheme_config(mu=1.0))
-        pa_mean_energy(base.cfg, base.l_avg, base.cfg.G * base.l_avg)
+        # Energies rise with mu: the top of the grid is the one to check.
+        pa_powers(base.dist.degrees, base.cfg, mu_at(n_steps), base.l_avg, base.cfg.G * base.l_avg)
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
     frames = [_frame(base, tune_seed, t) for t in range(trials)]
@@ -694,9 +696,6 @@ def tune_mu(
                 sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energy, base.cfg.N0)
                 ok += bool((sinr >= thresholds[index]).all())
             return ok / len(frames)
-
-    n_steps = int(math.ceil((mu_max - 1.0) / resolution))
-    mu_at = lambda k: 1.0 + k * resolution
 
     frac_lo = measure(1.0)
     if frac_lo >= target:
@@ -857,6 +856,13 @@ def compare_rs_pa(
     return rows
 
 
+def _by_mean_rate(point: SweepPoint, tables: _DegreeTables) -> list[int]:
+    """The candidates of ``tables`` by descending mean rate over devices, the
+    expectation of their rate tables over the degree distribution."""
+    means = [point.dist.probabilities @ profile.rates for profile in tables.profiles]
+    return sorted(range(len(means)), key=lambda i: -means[i])
+
+
 def _tune_rs_for_rate(
     spec: SweepSpec,
     alpha_grid: tuple[float, ...],
@@ -871,37 +877,17 @@ def _tune_rs_for_rate(
     degree distribution; only the throughput constraint needs simulation.
     Returns (scheme, eval T mean, eval mean rate) or None.
     """
-    base = make_point(spec, 0, scheme=SchemeConfig("IRSA"))
-    es = base.cfg.M * base.cfg.tilde_Es / base.l_avg
-    r_avg = base.cfg.G * base.l_avg
-    candidates = []
-    for a in alpha_grid:
-        for b in beta_grid:
-            try:
-                mean_rate = float(
-                    sum(
-                        float(p) * rate_rs(int(d), es, base.cfg.N0, base.cfg.L_cu, a, b, r_avg)
-                        for d, p in base.dist.atoms
-                    )
-                )
-            except TuningParameterError:
-                continue
-            candidates.append((mean_rate, _rs_scheme(spec, a, b)))
-    if not candidates:
+    trials = _rs_candidate_trials(spec, 0, alpha_grid, beta_grid, tune_trials)
+    if trials is None:
         return None
-    ranked = [scheme for _, scheme in sorted(candidates, key=lambda c: -c[0])]
-    tables = _degree_tables(base, ranked)
-    totals = [0] * len(ranked)
-    tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    for t in range(tune_trials):
-        graph = _frame(base, tune_seed, t)
-        for i, mask in enumerate(_decoded_sets(base, graph, tables)):
-            totals[i] += int(mask.sum())
-    # The highest analytic rate that holds the throughput floor wins.
+    point, tables, counts, _ = trials
+    # The highest analytic rate that holds the throughput floor wins.  The
+    # floor compares the exact ratio of integer totals: a mean of per-frame
+    # ratios can round below a floor the total meets exactly.
     best = next(
         (
-            scheme for scheme, total in zip(ranked, totals)
-            if total / (tune_trials * base.cfg.M) >= min_throughput
+            tables.schemes[i] for i in _by_mean_rate(point, tables)
+            if int(counts[i].sum()) / (tune_trials * point.cfg.M) >= min_throughput
         ),
         None,
     )
@@ -909,13 +895,13 @@ def _tune_rs_for_rate(
         return None
     # Only the decoded count and the mean rate are read: the order-free
     # decoded set serves, with the rates read from the winner's table.
-    best_table = _degree_tables(base, [best])
+    best_table = _degree_tables(point, [best])
     rates = best_table.profiles[0].rates
     rate_acc = RunningStats()
     t_acc = RunningStats()
     for t in range(spec.trials):
-        graph = _frame(base, spec.seed, t)
-        (mask,) = _decoded_sets(base, graph, best_table)
+        graph = _frame(point, spec.seed, t)
+        (mask,) = _decoded_sets(point, graph, best_table)
         rate_acc.add(float(rates[best_table.index(graph)].mean()))
-        t_acc.add(int(mask.sum()) / base.cfg.M)
+        t_acc.add(int(mask.sum()) / point.cfg.M)
     return best, t_acc.mean, rate_acc.mean

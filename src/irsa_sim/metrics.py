@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import require
 from .decoder import DecodeResult
 from .schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
     TransmitProfile,
     es_from_reference,
-    rate_rs,
 )
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "trial_metrics",
     "gamma_pa_analytic",
     "gamma_irsa_min",
-    "jensen_bound_rs",
     "to_db",
 ]
 
@@ -130,20 +129,8 @@ def gamma_pa_analytic(
 def gamma_irsa_min(hat_es: float, N0: float, l_avg: float) -> tuple[float, float]:
     """Reference energy levels (linear): the baseline's l_avg * hat_Es/N0 and
     the interference-free minimum hat_Es/N0."""
-    if hat_es <= 0 or N0 <= 0 or l_avg <= 0:
-        raise ValueError("inputs must be positive")
+    if not hat_es > 0:
+        raise ValueError("hat_es must be positive")
+    require("N0", N0)
+    require("l_avg", l_avg)
     return l_avg * hat_es / N0, hat_es / N0
-
-
-def jensen_bound_rs(
-    Es: float,
-    N0: float,
-    L_cu: int,
-    alpha: float,
-    beta: float,
-    l_avg: float,
-    r_avg: float,
-) -> float:
-    """Upper bound on the mean selected rate: the rate formula evaluated at
-    the mean degree (concavity of the log)."""
-    return rate_rs(l_avg, Es, N0, L_cu, alpha, beta, r_avg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEME_PARAMETERS, ConfigValidationError, validate
+from .config import SCHEME_PARAMETERS, require, validate
 
 __all__ = [
     "ChannelConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "es_from_reference",
     "rate_irsa",
     "hat_es_from_rate",
-    "rate_rs",
     "rs_sinr_target",
     "pa_mean_energy",
     "pa_powers",
@@ -131,8 +130,7 @@ def es_from_reference(cfg: ChannelConfig, l_avg: float) -> float:
     everyone-in-every-slot reference: Es = M * tilde_Es / l_avg."""
     if cfg.tilde_Es is None:
         raise ValueError("config carries no reference energy tilde_Es")
-    if not l_avg > 0:  # one comparison: this runs once per frame
-        raise ConfigValidationError(["l_avg: must be positive"])
+    require("l_avg", l_avg)
     return cfg.M * cfg.tilde_Es / l_avg
 
 def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
@@ -143,8 +141,7 @@ def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
 def hat_es_from_rate(hat_R: float, L_cu: int, N0: float) -> float:
     """Energy per channel use sustaining ``hat_R`` bits without interference:
     the inverse of rate_irsa."""
-    if not hat_R > 0:  # one comparison: this runs once per frame
-        raise ConfigValidationError(["hat_R: must be positive"])
+    require("hat_R", hat_R)
     return N0 * (2.0 ** (2.0 * hat_R / L_cu) - 1.0)
 
 
@@ -166,26 +163,16 @@ def rs_sinr_target(
     return Es / N0 + alpha * (np.asarray(l_i) - 1.0) * Es / den
 
 
-def rate_rs(
-    l_i: float,
-    Es: float,
-    N0: float,
-    L_cu: int,
-    alpha: float,
-    beta: float,
-    r_avg: float,
-) -> float:
-    """Selected rate of a degree-l device, in bits."""
-    x = rs_sinr_target(l_i, Es, N0, alpha, beta, r_avg)
-    return 0.5 * L_cu * math.log2(1.0 + float(x))
-
-
 def pa_mean_energy(cfg: ChannelConfig, l_avg: float, r_avg: float) -> float:
     """Uniform per-replica energy that meets the nominal SINR on an
     (l_avg, r_avg) regular graph at the worst decoding step."""
     if cfg.hat_R is None:
         raise ValueError("config carries no nominal rate hat_R")
     hat_es = hat_es_from_rate(cfg.hat_R, cfg.L_cu, cfg.N0)
+    if not hat_es > 0:  # 2**(2*hat_R/L_cu) rounds to 1 below about 1e-16
+        raise InfeasibleOperatingPointError(
+            f"hat_R: the energy N0*(2**(2*hat_R/L_cu) - 1) rounds to 0 at hat_R = {cfg.hat_R!r}"
+        )
     den = (1.0 - r_avg) * hat_es / cfg.N0 + l_avg
     if den <= 0:
         raise InfeasibleOperatingPointError(
@@ -213,6 +200,11 @@ def pa_powers(
     """
     hat_es = hat_es_from_rate(cfg.hat_R, cfg.L_cu, cfg.N0)
     per_user = l_avg * pa_mean_energy(cfg, l_avg, r_avg)  # l_i * check_E_i
+    # The sweeps' measures sum l_i*E_i = mu * per_user over the K devices.
+    if not math.isfinite(cfg.K * mu * per_user / cfg.N0):
+        raise InfeasibleOperatingPointError(
+            f"mu: the frame energy K*mu*l_i*E_i/N0 overflows at mu = {mu:g}"
+        )
     degrees = np.asarray(degrees, dtype=np.int64)
     energies = mu * per_user / degrees
     rates = np.full(len(degrees), float(cfg.hat_R))
@@ -247,6 +239,10 @@ def build_profile(
         profile = pa_powers(degrees, cfg, scheme.mu, l_avg, r_avg)
     else:
         Es = es_from_reference(cfg, l_avg)
+        if not math.isfinite(Es):
+            raise InfeasibleOperatingPointError(
+                f"tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = {cfg.M}"
+            )
         n = len(degrees)
         if scheme.variant == "IRSA":
             x = np.full(n, Es / cfg.N0)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from irsa_sim.cli import emit_csv
-from irsa_sim.decoder import decode_frame, effective_sinr, irsa_peeling_oracle
+from irsa_sim.decoder import decode_frame
 from irsa_sim.distributions import (
     avg_degree,
     fixed_l3,
@@ -24,7 +24,7 @@ from irsa_sim.harness import (
     run_tuned_pa_sweep,
     run_tuned_rs_sweep,
 )
-from irsa_sim.metrics import jensen_bound_rs, to_db
+from irsa_sim.metrics import to_db
 from irsa_sim.schemes import (
     ChannelConfig,
     SchemeConfig,
@@ -32,8 +32,8 @@ from irsa_sim.schemes import (
     es_from_reference,
     hat_es_from_rate,
     pa_powers,
-    rate_rs,
 )
+from oracles import effective_sinr, irsa_peeling_oracle, jensen_bound_rs, rate_rs
 
 L2_AVG = float(sum(Fraction(1, i) for i in range(1, 10)) + Fraction(3, 5))
 

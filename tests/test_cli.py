@@ -119,10 +119,11 @@ class TestParseConfig:
             seed=3,
             out="results",
             emit_plot_data=True,
-            tuning={"alpha_grid": [0.1, 0.5], "tune_trials": 12},
+            tuning={"alpha_grid": [0.1, 0.5], "tune_trials": 12, "throughput_cap": 0.8},
             compare={"es_over_N0_db_grid": [-18.0, -16.0]},
         )
         config = parse_config(json.dumps(doc))
+        assert config.tuning.throughput_cap == 0.8
         assert parse_config(serialize_config(config)) == config
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -438,6 +439,46 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert f"note: G=0.5: {flag}: rates round to 0 bits" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "energy, found",
+        [
+            ({"scheme": "IRSA", "tilde_Es_over_N0": 1e307},
+             "tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = 120"),
+            ({"scheme": "PA", "hat_R_bits": 10.0, "mu": 1e308},
+             "mu: the frame energy K*mu*l_i*E_i/N0 overflows at mu = 1e+308"),
+            ({"scheme": "PA", "hat_R_bits": 1e-20, "mu": 1.5},
+             "hat_R: the energy N0*(2**(2*hat_R/L_cu) - 1) rounds to 0 at hat_R = 1e-20"),
+        ],
+        ids=["irsa_energy_overflow", "pa_frame_energy_overflow", "pa_energy_underflow"],
+    )
+    def test_energy_out_of_float_range_flags_the_point(self, tmp_path, capsys, energy, found):
+        config = dict(energy, distribution={"name": "l3"}, K=60, G_grid=[0.5], trials=3)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"note: G=0.5: infeasible: {found}\n" in err
+        assert "Traceback" not in err
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
+
+    @pytest.mark.parametrize(
+        "tuning, mu_max",
+        [({"mu_max": 1e308}, "1e+308"), ({"mu_resolution": 1e-320}, "10")],
+        ids=["mu_max", "mu_resolution"],
+    )
+    def test_mu_grid_overflow_exits_1(self, tmp_path, capsys, tuning, mu_max):
+        config = {"scheme": "PA", "distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5],
+                  "trials": 2, "hat_R_bits": 10.0, "tuning": tuning}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: tuning.mu_resolution: too fine for mu_max = {mu_max}: "
+            "the step count (mu_max - 1) / mu_resolution overflows\n"
+        )
+        assert not (tmp_path / "tune.csv").exists()
 
     def test_decode_one_trace(self, tmp_path, capsys):
         # The four-message example frame decodes in a known order.

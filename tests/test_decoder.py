@@ -14,8 +14,6 @@ from irsa_sim.decoder import (
     PHASE_RESIDUAL,
     decode_frame,
     decoded_closure,
-    effective_sinr,
-    irsa_peeling_oracle,
     mrc_sinr,
     success_thresholds,
 )
@@ -28,6 +26,7 @@ from irsa_sim.schemes import (
     TuningParameterError,
     build_profile,
 )
+from oracles import effective_sinr, irsa_peeling_oracle
 
 
 def example_graph():
@@ -159,7 +158,7 @@ class TestBaselineDecoding:
         scheme = SchemeConfig("IRSA")
         result = decode_frame(g, build_profile(g.degrees, cfg, scheme, 2.25), scheme, cfg)
         assert result.decoded.all()
-        assert result.decode_order() == [1, 2, 3, 0]
+        assert result.order.tolist() == [1, 2, 3, 0]
         assert result.decode_slot.tolist() == [1, 3, 0, 2]
         assert np.all(result.phase == PHASE_PEELING)
 
@@ -265,7 +264,7 @@ class TestDecodeResultInvariants:
                 continue
             result = decode_frame(g, profile, scheme, cfg)
             edge_energy = profile.energies[g.edge_msg]
-            for msg in result.decode_order():
+            for msg in result.order.tolist():
                 earlier = result.decoded & (result.decode_step < result.decode_step[msg])
                 weights = np.where(earlier[g.edge_msg], 0.0, edge_energy)
                 residual = np.bincount(g.edge_slot, weights=weights, minlength=g.M)

@@ -59,7 +59,7 @@ class TestFrameGraph:
         for k, slots in enumerate(g.message_slots):
             for j in slots:
                 assert k in g.slot_messages[j]
-        assert g.edge_count == sum(len(m) for m in g.slot_messages)
+        assert len(g.edge_slot) == sum(len(m) for m in g.slot_messages)
 
     def test_rejects_out_of_range_and_duplicate_slots(self):
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestEdgeArrays:
         assert g.edge_slot.dtype == np.int64 and g.edge_msg.dtype == np.int64
         assert g.edge_slot.tolist() == flat
         assert g.edge_msg.tolist() == owner
-        assert g.edge_count == len(g.edge_slot) == len(flat)
+        assert len(g.edge_msg) == len(g.edge_slot) == len(flat)
         assert g.slot_degrees().tolist() == [len(m) for m in g.slot_messages]
 
     def test_build_frame(self):
@@ -180,7 +180,7 @@ class TestBuildFrame:
         frames = 1000
         for _ in range(frames):
             g = build_frame(300, 375, dist, rng)
-            total_edges += g.edge_count
+            total_edges += len(g.edge_slot)
         mean_slot_degree = total_edges / (frames * 375)
         assert mean_slot_degree == pytest.approx(r_avg, rel=0.02)
 

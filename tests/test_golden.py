@@ -1,18 +1,31 @@
-"""Golden outputs: small IRSA, RS and PA sweeps and a decode-one trace, byte
-for byte.
+"""Golden outputs: small IRSA, RS and PA sweeps, RS and PA tunes, a
+comparison and decode-one traces, byte for byte.
 
 The IRSA files under ``tests/data`` were written by the receiver as it stood
 before IRSA decoding became integer peeling, the RS and PA sweeps by the
-evaluation path as it stood before sweeps read one degree table per point.
-A change that declares new numbers regenerates them with the commands below;
-any other change must leave them as they are:
+evaluation path as it stood before sweeps read one degree table per point,
+and the tunes, the comparison and the RS and PA traces by the RS tuners as
+they stood before they shared one candidate evaluation.  A change that
+declares new numbers regenerates them with the commands below; any other
+change must leave them as they are:
 
     irsa-sim sweep --config tests/data/NAME.json --out OUT
-        (OUT/sweep.csv -> tests/data/NAME.sweep.csv, for each NAME below)
+        (OUT/sweep.csv -> tests/data/NAME.sweep.csv, for each sweep NAME)
+    irsa-sim tune --config tests/data/NAME.json --out OUT
+        (OUT/tune.csv -> tests/data/NAME.tune.csv, and the "tunings" block
+        of OUT/tune.meta.json, dumped with indent=2 and sorted keys, ->
+        tests/data/NAME.tunings.json, for each tune NAME)
+    irsa-sim compare --config tests/data/compare_small.json --out OUT
+        (OUT/compare.csv -> tests/data/compare_small.compare.csv)
     irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme IRSA \\
         --es-over-n0 0.5 > tests/data/irsa_frame.decode-one.tsv
+    irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme RS \\
+        --es-over-n0 0.5 --alpha 0.5 --beta 1.0 > tests/data/irsa_frame.rs.decode-one.tsv
+    irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme PA \\
+        --hat-r-bits 10 --mu 1.0 > tests/data/irsa_frame.pa.decode-one.tsv
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +33,6 @@ import pytest
 from irsa_sim.cli import main
 
 DATA = Path(__file__).parent / "data"
-
 
 def assert_golden_sweep(name, out):
     assert main(["sweep", "--config", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
@@ -38,11 +50,43 @@ def test_untuned_sweep_csv(name, tmp_path):
     assert_golden_sweep(name, tmp_path)
 
 
-def test_irsa_decode_one_trace(capsys):
-    code = main([
-        "decode-one", "--edges", str(DATA / "irsa_frame.tsv"),
-        "--scheme", "IRSA", "--es-over-n0", "0.5",
-    ])
-    assert code == 0
+@pytest.mark.parametrize("name", ["rs_tune_small", "pa_tune_small"])
+def test_tune_csv_and_tunings(name, tmp_path):
+    # RS: alpha 0 in the grid and a point flagged for too few slots.  PA:
+    # the mean-fraction rule on a coarse mu grid.
+    assert main(["tune", "--config", str(DATA / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "tune.csv").read_bytes() == (DATA / f"{name}.tune.csv").read_bytes()
+    tunings = json.loads((tmp_path / "tune.meta.json").read_text())["tunings"]
+    text = json.dumps(tunings, indent=2, sort_keys=True) + "\n"
+    assert text == (DATA / f"{name}.tunings.json").read_text()
+
+
+def test_compare_csv(tmp_path):
+    config = DATA / "compare_small.json"
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "compare.csv").read_bytes()
+    assert got == (DATA / "compare_small.compare.csv").read_bytes()
+
+
+def assert_golden_trace(trace, args, capsys):
+    assert main(["decode-one", "--edges", str(DATA / "irsa_frame.tsv"), *args]) == 0
     out = capsys.readouterr().out
-    assert out.encode() == (DATA / "irsa_frame.decode-one.tsv").read_bytes()
+    assert out.encode() == (DATA / f"irsa_frame.{trace}.tsv").read_bytes()
+
+
+def test_irsa_decode_one_trace(capsys):
+    assert_golden_trace("decode-one", ["--scheme", "IRSA", "--es-over-n0", "0.5"], capsys)
+
+
+@pytest.mark.parametrize(
+    "trace, args",
+    [
+        ("rs.decode-one", ["--scheme", "RS", "--es-over-n0", "0.5", "--alpha", "0.5",
+                           "--beta", "1.0"]),
+        ("pa.decode-one", ["--scheme", "PA", "--hat-r-bits", "10", "--mu", "1.0"]),
+    ],
+    ids=["RS", "PA"],
+)
+def test_mrc_decode_one_trace(trace, args, capsys):
+    # Both decode in both phases; PA leaves messages undecoded.
+    assert_golden_trace(trace, args, capsys)

@@ -8,7 +8,7 @@ import pytest
 
 from irsa_sim import harness
 from irsa_sim.decoder import decode_frame, success_thresholds
-from irsa_sim.distributions import avg_degree, fixed_l3, modified_soliton
+from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
 from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
     MetricStats,
@@ -35,6 +35,7 @@ from irsa_sim.schemes import (
     hat_es_from_rate,
     rs_sinr_target,
 )
+from oracles import rate_rs
 
 
 def small_rs_spec(**kw):
@@ -136,23 +137,6 @@ class TestRunningStats:
         for _ in range(1000):
             acc.add(-17.3)
         assert acc.se == 0.0
-        left, right = RunningStats(), RunningStats()
-        for i in range(999):
-            (left if i % 3 else right).add(-17.3)
-        assert left.merge(right).se == 0.0
-        assert left.merge(RunningStats()).se == 0.0
-
-    def test_merge_equals_union(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=50)
-        whole = RunningStats()
-        left, right = RunningStats(), RunningStats()
-        for i, x in enumerate(xs):
-            whole.add(float(x))
-            (left if i % 2 else right).add(float(x))
-        merged = left.merge(right)
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.se == pytest.approx(whole.se, rel=1e-12)
 
 
 class TestRunSweep:
@@ -183,20 +167,6 @@ class TestRunSweep:
         assert rec.T_mean == pytest.approx(np.mean(ts), rel=1e-12)
         assert rec.T_se == pytest.approx(np.std(ts, ddof=1) / math.sqrt(40), rel=1e-9)
         assert rec.eta_mean == pytest.approx(np.mean(etas), rel=1e-12)
-
-    def test_metric_stats_merge(self):
-        spec = small_rs_spec(trials=30)
-        point = make_point(spec, 0)
-        whole = run_point(point, 30)
-        first = MetricStats()
-        second = MetricStats()
-        for t in range(30):
-            (first if t < 13 else second).add(reference_metrics(point, t))
-        merged = first.merge(second)
-        for name in whole.stats:
-            assert merged.stats[name].mean == pytest.approx(
-                whole.stats[name].mean, rel=1e-12
-            )
 
     def test_infeasible_point_is_flagged_not_fatal(self):
         spec = small_rs_spec(G_grid=(0.6, 8.0))
@@ -326,6 +296,23 @@ class TestTuneRs:
         assert tunings[0].feasible
         assert tunings[0].alpha == 0.5
 
+    def test_throughput_cap_binds_below_the_load(self):
+        # The cap lowers the throughput target below 0.97*G, so the feasible
+        # set can only grow and the chosen efficiency can only rise.
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=4, K=30,
+            G_grid=(0.6, 1.0), trials=5, seed=3, tilde_Es_over_N0=0.004,
+        )
+        grids = ((0.0, 0.4, 1.0, 2.0), (1.0, 2.0))
+        free = tune_rs(spec, *grids, tune_trials=10)
+        capped = tune_rs(spec, *grids, tune_trials=10, throughput_cap=0.5)
+        factor = harness.RS_THROUGHPUT_FACTOR
+        for t, f in zip(capped, free):
+            assert t.target == factor * 0.5 < factor * t.G
+            assert f.target == factor * f.G
+            assert t.feasible and t.T_mean >= t.target
+            assert t.eta_mean >= f.eta_mean
+
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
         # The RS tuners build RS candidates themselves: an IRSA spec is
         # tuned exactly as the same spec marked RS.
@@ -415,6 +402,16 @@ class TestTuneMu:
         assert not tuning.feasible
         assert tuning.mu is None
 
+    def test_overflowing_top_of_the_mu_grid_is_flagged(self):
+        # mu_max = 1e307 leaves a finite grid of 1e7 steps whose top energy
+        # summed over the frame overflows.
+        spec = SweepSpec(
+            scheme="PA", dist_name="l3", K=60, G_grid=(0.5,), trials=2, seed=4, hat_R_bits=10.0,
+        )
+        tuning = tune_mu(spec, 0, trials=2, mu_max=1e307, resolution=1e300)
+        assert not tuning.feasible and tuning.mu is None
+        assert tuning.note.startswith("mu: the frame energy K*mu*l_i*E_i/N0 overflows")
+
     def test_static_criterion_needs_more_power(self):
         spec = SweepSpec(
             scheme="PA", dist_name="modified_soliton", dist_Y=4, K=40,
@@ -489,6 +486,73 @@ class TestCompare:
         for row in rows[1:]:
             assert row.note.startswith("rate_bits: must be below 51200 bits at L_cu = 100")
             assert row.energy_per_user_db is None and row.T_mean is None
+
+    def test_throughput_floor_compares_exact_totals(self, monkeypatch):
+        # 30 tuning frames decoding 293 of M = 375 slots and 30 decoding 292
+        # total exactly 0.78 of 60 * 375, while the mean of the per-frame
+        # ratios rounds below 0.78: the floor must hold.
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
+            G_grid=(0.8,), trials=2, seed=1, tilde_Es_over_N0=0.0009,
+        )
+        per_frame = [293] * 30 + [292] * 30
+        acc = RunningStats()
+        for count in per_frame:
+            acc.add(count / 375)
+        assert acc.mean < 0.78 == sum(per_frame) / (60 * 375)
+        shared = harness._rs_candidate_trials
+
+        def exact_tie(*args):
+            point, tables, counts, rate_sums = shared(*args)
+            counts[:] = per_frame
+            return point, tables, counts, rate_sums
+
+        monkeypatch.setattr(harness, "_rs_candidate_trials", exact_tie)
+        tuning = harness._tune_rs_for_rate(
+            spec, (0.5,), (1.0,), tune_trials=60, min_throughput=0.78
+        )
+        assert tuning is not None and tuning[0].alpha == 0.5
+
+    def test_rate_ranking_matches_rate_rs(self):
+        # The comparison ranks candidates by the expectation of their rate
+        # tables; it orders them as the per-degree rate_rs sums do.
+        rng = np.random.default_rng(11)
+        alphas = (0.0, 0.05, 0.3, 0.97, 1.0, 2.5)
+        betas = (0.5, 0.7071, 1.0, 2.0)
+        points = 0
+        while points < 300:
+            name = ("l3", "ideal_soliton", "modified_soliton")[rng.integers(3)]
+            Y = None if name == "l3" else int(rng.integers(2, 30))
+            K = int(rng.integers(20, 400))
+            G = float(rng.uniform(0.05, 2.0))
+            M = round(K / G)
+            if M < from_name(name, Y).max_degree:
+                continue
+            spec = SweepSpec(
+                scheme="RS", dist_name=name, dist_Y=Y, K=K, G_grid=(G,), trials=1,
+                tilde_Es_over_N0=float(10.0 ** rng.uniform(-5.0, 1.0)),
+            )
+            point = make_point(spec, 0, scheme=SchemeConfig("IRSA"))
+            es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
+            r_avg = point.cfg.G * point.l_avg
+            schemes, by_rate_rs = [], []
+            for a in alphas:
+                for b in betas:
+                    try:
+                        mean = sum(
+                            float(p) * rate_rs(int(d), es, 1.0, 100, a, b, r_avg)
+                            for d, p in point.dist.atoms
+                        )
+                    except TuningParameterError:
+                        continue
+                    schemes.append(SchemeConfig("RS", alpha=a, beta=b))
+                    by_rate_rs.append(mean)
+            if not schemes:
+                continue
+            tables = harness._degree_tables(point, schemes)
+            want = sorted(range(len(schemes)), key=lambda i: -by_rate_rs[i])
+            assert harness._by_mean_rate(point, tables) == want
+            points += 1
 
     def test_requires_single_g(self):
         spec = small_rs_spec(G_grid=(0.4, 0.8))

@@ -13,7 +13,6 @@ from irsa_sim.metrics import (
     c_ref,
     gamma_irsa_min,
     gamma_pa_analytic,
-    jensen_bound_rs,
     to_db,
     trial_metrics,
 )
@@ -23,8 +22,8 @@ from irsa_sim.schemes import (
     SchemeConfig,
     build_profile,
     hat_es_from_rate,
-    rate_rs,
 )
+from oracles import jensen_bound_rs, rate_rs
 
 L2_AVG = float(sum(Fraction(1, i) for i in range(1, 10)) + Fraction(3, 5))
 

@@ -17,8 +17,8 @@ from irsa_sim.schemes import (
     pa_mean_energy,
     pa_powers,
     rate_irsa,
-    rate_rs,
 )
+from oracles import rate_rs
 
 
 def harmonic(n):
