@@ -12,9 +12,7 @@ from .distributions import (
 )
 from .frame_graph import (
     FrameGraph,
-    ResidualState,
     build_frame,
-    peel,
 )
 from .schemes import (
     ChannelConfig,
@@ -26,7 +24,6 @@ from .schemes import (
     es_from_reference,
     hat_es_from_rate,
     pa_powers,
-    rate_irsa,
 )
 from .decoder import (
     DecodeResult,
@@ -36,7 +33,6 @@ from .metrics import (
     TrialMetrics,
     c_ref,
     gamma_irsa_min,
-    gamma_pa_analytic,
     trial_metrics,
 )
 from .harness import (
@@ -47,7 +43,6 @@ from .harness import (
     SweepSpec,
     compare_rs_pa,
     run_sweep,
-    run_trial,
     run_tuned_pa_sweep,
     run_tuned_rs_sweep,
     tune_mu,

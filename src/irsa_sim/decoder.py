@@ -18,9 +18,20 @@ message out; each SINR adds e / (S[h] - e + N0) over those slots in that
 order, all decodes at once in one ``bincount``.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
+Its residual state is a set of lists local to ``_decode_mrc``: per slot,
+the count of undecoded messages, the sum of their indices and the sum of
+their energies per channel use.  A slot of degree one holds the message its
+id sum names (the count/id-sum pair of an invertible Bloom lookup table),
+so the receiver never lists a slot's messages to find it.  Cancelling a
+message re-sums every slot it touches: a slot left empty holds 0.0, one
+left with a single message that message's energy, and any other is added
+over its per-slot list from 0.0 in ascending message order.  So the
+interference is the value a ``bincount`` over the undecoded edges gives,
+with no drift.
+
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
-the unique undecoded message in each, which the slot's id sum in the
-residual state names; a success cancels all its replicas.
+the unique undecoded message in each, which the slot's id sum names; a
+success cancels all its replicas.
 When no degree-one slot yields a success, phase 2 peels the lowest-index
 undecoded message that passes against the residual state and control
 returns to phase 1.  The loop ends when no undecoded message passes.  Rate
@@ -57,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame_graph import FrameGraph, ResidualState, peel
+from .frame_graph import FrameGraph
 from .schemes import ChannelConfig, SchemeConfig, TransmitProfile
 
 __all__ = [
@@ -243,16 +254,21 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     """Two-phase MRC receiver (RS and PA).  Returns the decoded messages,
     their phases, degree-one slots and SINRs, in step order."""
     M = graph.M
-    state = ResidualState(graph, profile.energies)
     thr_arr = success_thresholds(profile)
     thresholds = thr_arr.tolist()
-    energies = state.energies
+    energies = profile.energies.tolist()
     message_slots = graph.message_slots
     slot_messages = graph.slot_messages
-    slot_degree = state.slot_degree
-    slot_id_sum = state.slot_id_sum
-    interference = state.slot_interference
-    decoded = state.decoded
+    # The residual state (see the module docstring).  bincount adds a
+    # slot's energies in edge order: ascending messages.
+    degree = graph.slot_degrees()
+    slot_degree = degree.tolist()
+    slot_id_sum = graph.slot_id_sums().tolist()
+    interference = np.bincount(
+        graph.edge_slot, weights=profile.energies[graph.edge_msg], minlength=M
+    ).tolist()
+    decoded = [False] * graph.K
+    num_degree_one = int((degree == 1).sum())
 
     def sinr_of(msg: int) -> float:
         # MRC over all replicas, added over ascending slots as mrc_sinr's
@@ -262,6 +278,28 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         for j in message_slots[msg]:
             total += e / (interference[j] - e + N0)
         return total
+
+    def cancel(msg: int) -> None:
+        # Take every replica of msg out of its slots' residual state.
+        nonlocal num_degree_one
+        assert not decoded[msg], f"message {msg} cancelled twice"
+        decoded[msg] = True
+        for j in message_slots[msg]:
+            d = slot_degree[j] - 1
+            slot_degree[j] = d
+            slot_id_sum[j] -= msg
+            if d == 1:
+                num_degree_one += 1
+                interference[j] = energies[slot_id_sum[j]]
+            elif d == 0:
+                num_degree_one -= 1
+                interference[j] = 0.0
+            else:
+                total = 0.0
+                for m in slot_messages[j]:
+                    if not decoded[m]:
+                        total += energies[m]
+                interference[j] = total
 
     # Decodes in step order: message, phase, degree-one slot, SINR.
     order: list[int] = []
@@ -281,7 +319,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         # Phase 1: ascending scans over degree-one slots until a full pass
         # yields no success.
         progress = True
-        while progress and state.num_degree_one > 0:
+        while progress and num_degree_one > 0:
             progress = False
             for j in range(M):
                 if slot_degree[j] != 1:
@@ -293,7 +331,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                     phases.append(PHASE_PEELING)
                     slots.append(j)
                     sinrs.append(sinr)
-                    peel(graph, state, msg)
+                    cancel(msg)
                     progress = True
         # Phase 2: peel the lowest-index undecoded message that passes
         # against the residual state and return to phase 1.
@@ -322,4 +360,4 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         phases.append(PHASE_RESIDUAL)
         slots.append(-1)
         sinrs.append(sinr_of(msg))
-        peel(graph, state, msg)
+        cancel(msg)

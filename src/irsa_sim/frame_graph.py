@@ -1,4 +1,4 @@
-"""Random bipartite frame graphs and residual state during decoding.
+"""Random bipartite frame graphs.
 
 Messages are the variable nodes and slots the check nodes.  Indices are
 0-based dense integers so that adjacency is plain array indexing in the
@@ -8,17 +8,12 @@ decoder's inner loop.  A frame holds its adjacency once, as CSR edge arrays
 sequential decoder's scalar loops read are built from the arrays on first
 use; a decode of the baseline never builds the per-slot lists, and the
 tuners' order-free decoder builds neither.
-
-The residual state holds each slot's interference as the exact sum of its
-undecoded messages' energies, added from 0.0 in ascending message order:
-``peel`` re-sums every slot it touches over its per-slot list, so the value
-is the one a ``bincount`` over the undecoded edges gives, with no drift.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,9 +21,7 @@ from .distributions import DegreeDistribution, sample_degrees
 
 __all__ = [
     "FrameGraph",
-    "ResidualState",
     "build_frame",
-    "peel",
 ]
 
 # A message whose degree exceeds this fraction of the slot count draws its
@@ -99,11 +92,6 @@ class FrameGraph:
         # Float sums of integers below 2**53 are exact.
         id_sum = np.bincount(self.edge_slot, weights=self.edge_msg, minlength=self.M)
         return id_sum.astype(np.int64)
-
-    def export_edges(self, fp: IO[str]) -> None:
-        """Write the frame as a tab-separated (message, slot) edge list."""
-        for k, j in zip(self.edge_msg.tolist(), self.edge_slot.tolist()):
-            fp.write(f"{k}\t{j}\n")
 
     @classmethod
     def load_edges(cls, lines: Iterable[str], M: int | None = None) -> "FrameGraph":
@@ -200,79 +188,3 @@ def build_frame(
         key[redo] = base[redo] + rng.integers(0, M, size=len(redo))
     return FrameGraph(M, degrees=degrees, edge_slot=sorted_key - base)
 
-
-class ResidualState:
-    """Mutable per-trial view of the not-yet-cancelled part of a frame.
-
-    ``slot_degree[j]`` counts undecoded messages in slot j,
-    ``slot_id_sum[j]`` sums their indices and ``slot_interference[j]`` sums
-    their energies per channel use, from 0.0 in ascending message order: the
-    exact value of that sum, as a ``bincount`` over the undecoded edges adds
-    it.  A slot of degree one holds the message its id sum names (the
-    count/id-sum pair of an invertible Bloom lookup table), so peeling never
-    lists a slot's messages to find it.  All are Python lists, so the
-    decoder's scalar loops index them cheaply; ``energies`` is the per-message
-    energy list the sums read.
-    """
-
-    __slots__ = (
-        "decoded",
-        "energies",
-        "slot_degree",
-        "slot_id_sum",
-        "slot_interference",
-        "num_degree_one",
-    )
-
-    def __init__(self, graph: FrameGraph, energies: Sequence[float]):
-        energies = np.asarray(energies, dtype=np.float64)
-        self.decoded = [False] * graph.K
-        self.energies = energies.tolist()
-        slot_degree = graph.slot_degrees()
-        self.slot_degree = slot_degree.tolist()
-        self.slot_id_sum = graph.slot_id_sums().tolist()
-        # bincount adds a slot's energies in edge order: ascending messages.
-        self.slot_interference = np.bincount(
-            graph.edge_slot, weights=energies[graph.edge_msg], minlength=graph.M
-        ).tolist()
-        self.num_degree_one = int((slot_degree == 1).sum())
-
-
-def peel(graph: FrameGraph, state: ResidualState, msg: int) -> ResidualState:
-    """Cancel all replicas of ``msg``: mark it decoded, decrement the degree
-    of each of its slots, remove its index from their id sums and re-sum
-    their interference over the messages they still hold.
-
-    A slot left empty holds 0.0 and one left with a single message that
-    message's energy; any other is added from 0.0 in ascending message
-    order.  Float rounding is monotone, so a sum over fewer non-negative
-    terms is never larger: cancellation never raises a slot's interference.
-    The energies are those the state was built with.
-
-    Mutates ``state`` in place and returns it.
-    """
-    assert not state.decoded[msg], f"message {msg} peeled twice"
-    decoded = state.decoded
-    decoded[msg] = True
-    energies = state.energies
-    slot_messages = graph.slot_messages
-    slot_degree = state.slot_degree
-    slot_id_sum = state.slot_id_sum
-    slot_interference = state.slot_interference
-    for j in graph.message_slots[msg]:
-        d = slot_degree[j] - 1
-        slot_degree[j] = d
-        slot_id_sum[j] -= msg
-        if d == 1:
-            state.num_degree_one += 1
-            slot_interference[j] = energies[slot_id_sum[j]]
-        elif d == 0:
-            state.num_degree_one -= 1
-            slot_interference[j] = 0.0
-        else:
-            total = 0.0
-            for m in slot_messages[j]:
-                if not decoded[m]:
-                    total += energies[m]
-            slot_interference[j] = total
-    return state

@@ -64,7 +64,6 @@ __all__ = [
     "mix64",
     "trial_rng",
     "make_point",
-    "run_trial",
     "run_point",
     "run_sweep",
     "tune_rs",
@@ -211,14 +210,14 @@ class CompareConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Fully resolved grid point, ready to run trials."""
+    """The frame side of one grid point: its load, channel, degree
+    distribution and streams.  The scheme run at it is passed alongside."""
 
     g_index: int
     G: float
     cfg: ChannelConfig
     dist: DegreeDistribution
     l_avg: float
-    scheme: SchemeConfig
     seed: int
 
 
@@ -299,9 +298,7 @@ class MetricStats:
             self.stats[name].add(getattr(m, name))
 
 
-def make_point(
-    spec: SweepSpec, g_index: int, scheme: SchemeConfig | None = None
-) -> SweepPoint:
+def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
     leaves fewer slots than the degree distribution needs."""
     G = spec.G_grid[g_index]
@@ -322,7 +319,6 @@ def make_point(
         cfg=spec.channel_for(M),
         dist=dist,
         l_avg=avg_degree(dist),
-        scheme=spec.scheme_config() if scheme is None else scheme,
         seed=spec.seed,
     )
 
@@ -387,34 +383,48 @@ def _decoded_sets(point: SweepPoint, graph: FrameGraph, tables: _DegreeTables):
         )
 
 
-def _trials(point: SweepPoint, trials: Iterable[int]) -> Iterator[TrialMetrics]:
-    """Measures of the given trials at the point: each frame drawn from the
-    point's streams, profiled by the point's degree table, decoded and
-    measured.  Deterministic in (point.seed, point.g_index, trial)."""
-    tables = _degree_tables(point, [point.scheme])
+def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
+    """Raise InfeasibleOperatingPointError unless a frame's measures stay in
+    float range: K*max(l_i*E_i)/N0 bounds the energy the mean per-device
+    energy sums, and C_ref divides the efficiencies."""
+    with np.errstate(over="ignore"):  # an overflow is the finding, not a warning
+        per_user = float((profile.degrees * profile.energies).max())
+    if not math.isfinite(cfg.K * per_user / cfg.N0):
+        raise InfeasibleOperatingPointError("the frame energy K*l_i*E_i/N0 overflows")
+    c = reference_capacity(profile, cfg)
+    if not 0.0 < c < math.inf:
+        raise InfeasibleOperatingPointError(f"C_ref = {c:g} is not positive and finite")
+
+
+def _trials(
+    point: SweepPoint, scheme: SchemeConfig, trials: Iterable[int]
+) -> Iterator[TrialMetrics]:
+    """Measures of ``scheme`` on the given trials at the point: each frame
+    drawn from the point's streams, profiled by the scheme's degree table,
+    decoded and measured.  Deterministic in (point.seed, point.g_index,
+    trial)."""
+    tables = _degree_tables(point, [scheme])
     (table,) = tables.profiles
+    _check_measures(table, point.cfg)
     for t in trials:
         graph = _frame(point, point.seed, t)
         profile = table.take(tables.index(graph))
-        result = decode_frame(graph, profile, point.scheme, point.cfg)
+        result = decode_frame(graph, profile, scheme, point.cfg)
         yield trial_metrics(result, profile, point.cfg)
 
 
-def run_trial(point: SweepPoint, trial: int) -> TrialMetrics:
-    """One independent frame: build, assign, decode, measure."""
-    (metrics,) = _trials(point, [trial])
-    return metrics
-
-
-def run_point(point: SweepPoint, trials: int) -> MetricStats:
+def run_point(point: SweepPoint, scheme: SchemeConfig, trials: int) -> MetricStats:
     acc = MetricStats()
-    for metrics in _trials(point, range(trials)):
+    for metrics in _trials(point, scheme, range(trials)):
         acc.add(metrics)
     return acc
 
 
-def _base_record(spec: SweepSpec, g_index: int, scheme: SchemeConfig) -> SweepRecord:
+def _base_record(spec: SweepSpec, g_index: int, scheme: SchemeConfig | None) -> SweepRecord:
+    """A grid point's row without measures; ``scheme`` gives its parameters,
+    none where no scheme was chosen."""
     G = spec.G_grid[g_index]
+    params = {} if scheme is None else dict(alpha=scheme.alpha, beta=scheme.beta, mu=scheme.mu)
     return SweepRecord(
         scheme=spec.scheme,
         distribution=spec.distribution_label,
@@ -423,9 +433,7 @@ def _base_record(spec: SweepSpec, g_index: int, scheme: SchemeConfig) -> SweepRe
         G=G,
         trials=spec.trials,
         seed=spec.seed,
-        alpha=scheme.alpha,
-        beta=scheme.beta,
-        mu=scheme.mu,
+        **params,
     )
 
 
@@ -445,22 +453,23 @@ def _fill_record(rec: SweepRecord, stats: MetricStats, point: SweepPoint) -> Swe
     return rec
 
 
+def _evaluate(spec: SweepSpec, g_index: int, scheme: SchemeConfig) -> SweepRecord:
+    """The record of ``scheme`` at one grid point, on the sweep's own
+    streams; an infeasible point is flagged in ``note`` and left empty
+    rather than aborting the sweep."""
+    rec = _base_record(spec, g_index, scheme)
+    try:
+        point = make_point(spec, g_index)
+        return _fill_record(rec, run_point(point, scheme, spec.trials), point)
+    except (TuningParameterError, InfeasibleOperatingPointError) as err:
+        rec.note = f"infeasible: {err}"
+        return rec
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """One record per grid point; infeasible points are flagged in ``note``
-    and left empty rather than aborting the sweep."""
-    records = []
-    for g_index in range(len(spec.G_grid)):
-        try:
-            point = make_point(spec, g_index)
-            rec = _base_record(spec, g_index, point.scheme)
-            stats = run_point(point, spec.trials)
-        except (TuningParameterError, InfeasibleOperatingPointError) as err:
-            rec = _base_record(spec, g_index, spec.scheme_config())
-            rec.note = f"infeasible: {err}"
-            records.append(rec)
-            continue
-        records.append(_fill_record(rec, stats, point))
-    return records
+    """One record per grid point, the spec's scheme at each."""
+    scheme = spec.scheme_config()
+    return [_evaluate(spec, g_index, scheme) for g_index in range(len(spec.G_grid))]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +526,7 @@ def _rs_candidate_trials(
     candidate's decoded count and decoded messages' summed rate on each
     PURPOSE_RS_TUNE frame, shape (candidates, frames).  None when no pair
     is admissible; InfeasibleOperatingPointError when a table fails."""
-    point = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
+    point = make_point(spec, g_index)
     es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
     r_avg = point.cfg.G * point.l_avg
     candidates: list[SchemeConfig] = []
@@ -602,14 +611,11 @@ def _tuned_records(spec: SweepSpec, tunings, scheme_of) -> list[SweepRecord]:
     sweep's own (unsalted) streams; flag the points whose tuner found none."""
     records = []
     for g_index, tuning in enumerate(tunings):
-        if not tuning.feasible:
-            rec = _base_record(spec, g_index, SchemeConfig("IRSA"))
-            rec.note = f"flagged: {tuning.note}"
+        if tuning.feasible:
+            rec = _evaluate(spec, g_index, scheme_of(tuning))
         else:
-            scheme = scheme_of(tuning)
-            point = make_point(spec, g_index, scheme=scheme)
-            rec = _base_record(spec, g_index, scheme)
-            rec = _fill_record(rec, run_point(point, spec.trials), point)
+            rec = _base_record(spec, g_index, None)
+            rec.note = f"flagged: {tuning.note}"
         records.append(rec)
     return records
 
@@ -657,12 +663,13 @@ def tune_mu(
     is exact for the tuning streams.
     """
     require("mu_criterion", criterion)
+    spec.scheme_config(mu=1.0)  # raises for a scheme that takes no mu
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
     n_steps = int(math.ceil((mu_max - 1.0) / resolution))
     mu_at = lambda k: 1.0 + k * resolution
     try:
-        base = make_point(spec, g_index, scheme=spec.scheme_config(mu=1.0))
+        base = make_point(spec, g_index)
         # Energies rise with mu: the top of the grid is the one to check.
         pa_powers(base.dist.degrees, base.cfg, mu_at(n_steps), base.l_avg, base.cfg.G * base.l_avg)
     except InfeasibleOperatingPointError as err:
@@ -773,7 +780,7 @@ def compare_rs_pa(
     if len(spec.G_grid) != 1:
         raise ConfigValidationError(["G_grid: the comparison runs at a single G"])
     G = spec.G_grid[0]
-    base = make_point(spec, 0, scheme=SchemeConfig("IRSA"))
+    base = make_point(spec, 0)
     M, l_avg = base.cfg.M, base.l_avg
     rows: list[CompareRow] = []
     for es_index, es_db in enumerate(es_grid_db):
@@ -841,8 +848,8 @@ def compare_rs_pa(
                 CompareRow("PA", None, mean_rate, None, None, note=mu_tuning.note)
             )
             continue
-        point = make_point(pa_spec, 0, scheme=pa_spec.scheme_config(mu=mu_tuning.mu))
-        stats = run_point(point, spec.trials)
+        point = make_point(pa_spec, 0)
+        stats = run_point(point, pa_spec.scheme_config(mu=mu_tuning.mu), spec.trials)
         rows.append(
             CompareRow(
                 "PA",

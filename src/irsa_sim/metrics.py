@@ -18,7 +18,6 @@ from .config import require
 from .decoder import DecodeResult
 from .schemes import (
     ChannelConfig,
-    InfeasibleOperatingPointError,
     TransmitProfile,
     es_from_reference,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "c_ref",
     "reference_capacity",
     "trial_metrics",
-    "gamma_pa_analytic",
     "gamma_irsa_min",
     "to_db",
 ]
@@ -106,24 +104,6 @@ def trial_metrics(
         gamma_max=S_max / cfg.M,
         energy_per_user_db=to_db(float(per_user.mean()) / cfg.N0),
     )
-
-
-def gamma_pa_analytic(
-    mu: float, hat_es: float, N0: float, l_avg: float, r_avg: float
-) -> float:
-    """Average per-device energy of power adaptation normalised by N0
-    (linear scale): mu * (hat_Es/N0) * (1 + (r_avg-1)hat_Es / ((r_avg-1)hat_Es + N0*l_avg)).
-    """
-    if (1.0 - r_avg) * hat_es / N0 + l_avg <= 0:
-        raise InfeasibleOperatingPointError(
-            f"no positive mean energy at r_avg={r_avg}, hat_Es/N0={hat_es / N0}"
-        )
-    x = (r_avg - 1.0) * hat_es
-    if x + N0 * l_avg <= 0:
-        raise InfeasibleOperatingPointError(
-            f"(r_avg-1)*hat_Es + N0*l_avg = {x + N0 * l_avg!r} <= 0"
-        )
-    return mu * (hat_es / N0) * (1.0 + x / (x + N0 * l_avg))
 
 
 def gamma_irsa_min(hat_es: float, N0: float, l_avg: float) -> tuple[float, float]:

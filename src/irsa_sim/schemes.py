@@ -24,7 +24,6 @@ __all__ = [
     "TuningParameterError",
     "InfeasibleOperatingPointError",
     "es_from_reference",
-    "rate_irsa",
     "hat_es_from_rate",
     "rs_sinr_target",
     "pa_mean_energy",
@@ -133,14 +132,10 @@ def es_from_reference(cfg: ChannelConfig, l_avg: float) -> float:
     require("l_avg", l_avg)
     return cfg.M * cfg.tilde_Es / l_avg
 
-def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
-    """Single-slot rate in bits: (L/2) log2(1 + Es/N0)."""
-    return 0.5 * L_cu * math.log2(1.0 + Es / N0)
-
 
 def hat_es_from_rate(hat_R: float, L_cu: int, N0: float) -> float:
     """Energy per channel use sustaining ``hat_R`` bits without interference:
-    the inverse of rate_irsa."""
+    the inverse of the single-slot rate (L/2) log2(1 + Es/N0)."""
     require("hat_R", hat_R)
     return N0 * (2.0 ** (2.0 * hat_R / L_cu) - 1.0)
 
@@ -230,8 +225,8 @@ def build_profile(
 
     ``l_avg`` is the analytic mean of the degree distribution; devices plan
     against r_avg = (K/M) * l_avg rather than the realised graph, which they
-    cannot observe.  Raises ValueError unless every energy, rate and
-    threshold is positive and finite.
+    cannot observe.  Raises InfeasibleOperatingPointError unless every
+    energy, rate and threshold is positive and finite.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     r_avg = cfg.G * l_avg
@@ -269,5 +264,7 @@ def build_profile(
     for field_name in ("energies", "rates", "sinr_thresholds"):
         arr = getattr(profile, field_name)
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError(f"{field_name} must be strictly positive and finite")
+            raise InfeasibleOperatingPointError(
+                f"{field_name} must be strictly positive and finite"
+            )
     return profile

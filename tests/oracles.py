@@ -2,23 +2,38 @@
 checked against."""
 
 import math
+from typing import Sequence
 
-from irsa_sim.frame_graph import FrameGraph, ResidualState
-from irsa_sim.schemes import TransmitProfile, rs_sinr_target
+from irsa_sim.frame_graph import FrameGraph
+from irsa_sim.schemes import InfeasibleOperatingPointError, TransmitProfile, rs_sinr_target
+
+
+def oracle_interference(graph: FrameGraph, energies, decoded) -> list[float]:
+    """Every slot's interference from scratch: the energies of its
+    undecoded messages added from 0.0 in ascending order, by an explicit
+    loop (``sum`` may compensate)."""
+    interference = []
+    for msgs in graph.slot_messages:
+        total = 0.0
+        for m in msgs:
+            if not decoded[m]:
+                total += energies[m]
+        interference.append(total)
+    return interference
 
 
 def effective_sinr(
     msg: int,
     graph: FrameGraph,
-    state: ResidualState,
+    interference: Sequence[float],
     profile: TransmitProfile,
     N0: float,
 ) -> float:
-    """MRC-combined SINR of an undecoded message at the current state: the
-    sum over its slots of own energy over other-user interference plus noise.
+    """MRC-combined SINR of an undecoded message against the given slot
+    interference (such as ``oracle_interference``): the sum over its slots
+    of own energy over other-user interference plus noise.
     """
     e = float(profile.energies[msg])
-    interference = state.slot_interference
     total = 0.0
     for j in graph.message_slots[msg]:
         total += e / (interference[j] - e + N0)
@@ -71,3 +86,26 @@ def jensen_bound_rs(
     """Upper bound on the mean selected rate: the rate formula evaluated at
     the mean degree (concavity of the log)."""
     return rate_rs(l_avg, Es, N0, L_cu, alpha, beta, r_avg)
+
+
+def rate_irsa(Es: float, N0: float, L_cu: int) -> float:
+    """Single-slot rate in bits: (L/2) log2(1 + Es/N0)."""
+    return 0.5 * L_cu * math.log2(1.0 + Es / N0)
+
+
+def gamma_pa_analytic(
+    mu: float, hat_es: float, N0: float, l_avg: float, r_avg: float
+) -> float:
+    """Average per-device energy of power adaptation normalised by N0
+    (linear scale): mu * (hat_Es/N0) * (1 + (r_avg-1)hat_Es / ((r_avg-1)hat_Es + N0*l_avg)).
+    """
+    if (1.0 - r_avg) * hat_es / N0 + l_avg <= 0:
+        raise InfeasibleOperatingPointError(
+            f"no positive mean energy at r_avg={r_avg}, hat_Es/N0={hat_es / N0}"
+        )
+    x = (r_avg - 1.0) * hat_es
+    if x + N0 * l_avg <= 0:
+        raise InfeasibleOperatingPointError(
+            f"(r_avg-1)*hat_Es + N0*l_avg = {x + N0 * l_avg!r} <= 0"
+        )
+    return mu * (hat_es / N0) * (1.0 + x / (x + N0 * l_avg))

@@ -11,13 +11,13 @@ from fractions import Fraction
 import numpy as np
 
 from irsa_sim.cli import emit_csv
-from irsa_sim.decoder import decode_frame
+from irsa_sim.decoder import decode_frame, mrc_sinr
 from irsa_sim.distributions import (
     avg_degree,
     fixed_l3,
     modified_soliton,
 )
-from irsa_sim.frame_graph import ResidualState, build_frame, peel
+from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
     SweepSpec,
     run_sweep,
@@ -28,12 +28,19 @@ from irsa_sim.metrics import to_db
 from irsa_sim.schemes import (
     ChannelConfig,
     SchemeConfig,
+    TransmitProfile,
     build_profile,
     es_from_reference,
     hat_es_from_rate,
     pa_powers,
 )
-from oracles import effective_sinr, irsa_peeling_oracle, jensen_bound_rs, rate_rs
+from oracles import (
+    effective_sinr,
+    irsa_peeling_oracle,
+    jensen_bound_rs,
+    oracle_interference,
+    rate_rs,
+)
 
 L2_AVG = float(sum(Fraction(1, i) for i in range(1, 10)) + Fraction(3, 5))
 
@@ -205,29 +212,27 @@ def test_criterion_7_property_suite():
     if bad:
         failures.append(f"edge conservation: {bad}/{cases}")
 
-    # Residual-state consistency under random peel sequences.
+    # The receiver's residual state under arbitrary energies and
+    # thresholds: every decode's SINR is the MRC SINR against the exact
+    # interference of the messages not yet decoded at its step.
     bad = 0
+    pa = SchemeConfig("PA", mu=1.0)
     for _ in range(cases):
         g = _random_small_frame(rng, dist)
         energies = rng.uniform(0.05, 2.0, size=g.K)
-
-        class P:
-            pass
-
-        profile = P()
-        profile.energies = energies
-        state = ResidualState(g, energies)
-        for msg in rng.permutation(g.K)[: int(rng.integers(1, g.K + 1))]:
-            peel(g, state, int(msg))
-        for j in range(g.M):
-            alive = [m for m in g.slot_messages[j] if not state.decoded[m]]
-            if state.slot_degree[j] != len(alive):
+        thresholds = rng.uniform(0.05, 2.0, size=g.K)
+        profile = TransmitProfile(g.degrees, energies, np.ones(g.K), thresholds, None, l_avg, 1.0)
+        cfg = ChannelConfig(K=g.K, M=g.M, hat_R=1.0)
+        result = decode_frame(g, profile, pa, cfg)
+        decoded = np.zeros(g.K, dtype=bool)
+        edge_energy = energies[g.edge_msg]
+        for msg, sinr in zip(result.order.tolist(), result.sinrs.tolist()):
+            live = np.where(decoded[g.edge_msg], 0.0, edge_energy)
+            residual = np.bincount(g.edge_slot, weights=live, minlength=g.M)
+            if mrc_sinr(g.edge_msg, g.edge_slot, edge_energy, cfg.N0, residual)[msg] != sinr:
                 bad += 1
                 break
-            exact = sum(energies[m] for m in alive)
-            if abs(state.slot_interference[j] - exact) > 1e-9 * max(exact, 1.0):
-                bad += 1
-                break
+            decoded[msg] = True
     if bad:
         failures.append(f"residual consistency: {bad}/{cases}")
 
@@ -239,14 +244,16 @@ def test_criterion_7_property_suite():
         profile = build_profile(
             g.degrees, cfg, SchemeConfig("PA", mu=float(rng.uniform(1, 2))), l_avg
         )
-        state = ResidualState(g, profile.energies)
+        decoded = [False] * g.K
         watched = int(rng.integers(0, g.K))
-        last = effective_sinr(watched, g, state, profile, cfg.N0)
+        interference = oracle_interference(g, profile.energies, decoded)
+        last = effective_sinr(watched, g, interference, profile, cfg.N0)
         for msg in rng.permutation(g.K):
             if msg == watched:
                 continue
-            peel(g, state, int(msg))
-            now = effective_sinr(watched, g, state, profile, cfg.N0)
+            decoded[msg] = True
+            interference = oracle_interference(g, profile.energies, decoded)
+            now = effective_sinr(watched, g, interference, profile, cfg.N0)
             if now < last * (1 - 1e-12):
                 bad += 1
                 break

@@ -31,6 +31,13 @@ MINIMAL_SWEEP = {
 }
 
 
+def write_edges(path, graph):
+    """Write a frame as the tab-separated (message, slot) list decode-one
+    reads."""
+    pairs = zip(graph.edge_msg.tolist(), graph.edge_slot.tolist())
+    path.write_text("".join(f"{k}\t{j}\n" for k, j in pairs))
+
+
 def make_record(**kw):
     base = dict(
         scheme="IRSA", distribution="l3", K=30, M=40, G=0.75, trials=10, seed=0,
@@ -441,26 +448,44 @@ class TestMainCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "energy, found",
+        "command, energy, found",
         [
-            ({"scheme": "IRSA", "tilde_Es_over_N0": 1e307},
-             "tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = 120"),
-            ({"scheme": "PA", "hat_R_bits": 10.0, "mu": 1e308},
-             "mu: the frame energy K*mu*l_i*E_i/N0 overflows at mu = 1e+308"),
-            ({"scheme": "PA", "hat_R_bits": 1e-20, "mu": 1.5},
-             "hat_R: the energy N0*(2**(2*hat_R/L_cu) - 1) rounds to 0 at hat_R = 1e-20"),
+            ("sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 1e307},
+             "infeasible: tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = 120"),
+            ("sweep", {"scheme": "PA", "hat_R_bits": 10.0, "mu": 1e308},
+             "infeasible: mu: the frame energy K*mu*l_i*E_i/N0 overflows at mu = 1e+308"),
+            ("sweep", {"scheme": "PA", "hat_R_bits": 1e-20, "mu": 1.5},
+             "infeasible: hat_R: the energy N0*(2**(2*hat_R/L_cu) - 1) rounds to 0 at hat_R = 1e-20"),
+            ("sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 1e306},
+             "infeasible: the frame energy K*l_i*E_i/N0 overflows"),
+            ("sweep", {"scheme": "RS", "alpha": 0.01, "beta": 1.0, "tilde_Es_over_N0": 1e305},
+             "infeasible: the frame energy K*l_i*E_i/N0 overflows"),
+            ("sweep", {"scheme": "RS", "alpha": 1.0, "beta": 1.0, "tilde_Es_over_N0": 1e306},
+             "infeasible: rates must be strictly positive and finite"),
+            ("sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 5e-18, "K": 20, "G_grid": [0.01]},
+             "infeasible: C_ref = 0 is not positive and finite"),
+            ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1e306,
+                      "tuning": {"alpha_grid": [1.0], "beta_grid": [1.0], "tune_trials": 2}},
+             "flagged: rates must be strictly positive and finite"),
+            ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1e305,
+                      "tuning": {"alpha_grid": [0.01], "beta_grid": [1.0], "tune_trials": 2}},
+             "infeasible: the frame energy K*l_i*E_i/N0 overflows"),
         ],
-        ids=["irsa_energy_overflow", "pa_frame_energy_overflow", "pa_energy_underflow"],
+        ids=["irsa_energy_overflow", "pa_frame_energy_overflow", "pa_energy_underflow",
+             "irsa_frame_energy_overflow", "rs_frame_energy_overflow", "rs_rate_overflow",
+             "irsa_c_ref_underflow", "rs_tune_rate_overflow", "rs_tuned_frame_energy_overflow"],
     )
-    def test_energy_out_of_float_range_flags_the_point(self, tmp_path, capsys, energy, found):
-        config = dict(energy, distribution={"name": "l3"}, K=60, G_grid=[0.5], trials=3)
+    def test_energy_out_of_float_range_flags_the_point(
+        self, tmp_path, capsys, command, energy, found
+    ):
+        config = {"distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5], "trials": 3, **energy}
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert f"note: G=0.5: infeasible: {found}\n" in err
+        assert f"note: G={config['G_grid'][0]}: {found}\n" in err
         assert "Traceback" not in err
-        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        row = (tmp_path / f"{command}.csv").read_text().splitlines()[1].split(",")
         assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
 
     @pytest.mark.parametrize(
@@ -484,8 +509,7 @@ class TestMainCommands:
         # The four-message example frame decodes in a known order.
         graph = FrameGraph(5, [[1], [0, 2, 3], [0, 2, 4], [1, 2, 4]])
         edges = tmp_path / "frame.tsv"
-        with open(edges, "w") as fp:
-            graph.export_edges(fp)
+        write_edges(edges, graph)
         code = main([
             "decode-one", "--edges", str(edges), "--scheme", "IRSA",
             "--es-over-n0", "0.5",
@@ -504,16 +528,14 @@ class TestMainCommands:
     def test_decode_one_missing_energy(self, tmp_path, capsys):
         graph = FrameGraph(3, [[0], [1], [2]])
         edges = tmp_path / "frame.tsv"
-        with open(edges, "w") as fp:
-            graph.export_edges(fp)
+        write_edges(edges, graph)
         assert main(["decode-one", "--edges", str(edges), "--scheme", "IRSA"]) == 1
 
     def test_decode_one_infeasible_pa(self, tmp_path, capsys):
         # Crowded frame at a high nominal rate: the energy balance fails.
         graph = FrameGraph(2, [[0, 1], [0, 1]])
         edges = tmp_path / "frame.tsv"
-        with open(edges, "w") as fp:
-            graph.export_edges(fp)
+        write_edges(edges, graph)
         code = main([
             "decode-one", "--edges", str(edges), "--scheme", "PA",
             "--hat-r-bits", "80.0", "--mu", "1.5", "--l-avg", "3.0",

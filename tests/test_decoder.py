@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsa_sim import decoder, frame_graph
+from irsa_sim import decoder
 from irsa_sim.decoder import (
     PHASE_PEELING,
     PHASE_RESIDUAL,
@@ -18,7 +18,7 @@ from irsa_sim.decoder import (
     success_thresholds,
 )
 from irsa_sim.distributions import avg_degree, fixed_l3, ideal_soliton, modified_soliton
-from irsa_sim.frame_graph import FrameGraph, ResidualState, build_frame, peel
+from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
@@ -26,7 +26,7 @@ from irsa_sim.schemes import (
     TuningParameterError,
     build_profile,
 )
-from oracles import effective_sinr, irsa_peeling_oracle
+from oracles import effective_sinr, irsa_peeling_oracle, oracle_interference
 
 
 def example_graph():
@@ -82,8 +82,8 @@ class TestEffectiveSinr:
         g = FrameGraph(3, [[1]])
         es = 0.4
         profile = build_profile(g.degrees, uniform_cfg(1, 3, es), SchemeConfig("IRSA"), 3.0)
-        state = ResidualState(g, profile.energies)
-        assert effective_sinr(0, g, state, profile, 1.0) == pytest.approx(es, rel=1e-12)
+        interference = oracle_interference(g, profile.energies, [False])
+        assert effective_sinr(0, g, interference, profile, 1.0) == pytest.approx(es, rel=1e-12)
 
     def test_two_replicas_one_interferer_each(self):
         # Message 0 shares each of its two slots with exactly one other.
@@ -92,8 +92,8 @@ class TestEffectiveSinr:
         profile = build_profile(
             g.degrees, uniform_cfg(2, 2, es, l_avg=2.0), SchemeConfig("IRSA"), 2.0
         )
-        state = ResidualState(g, profile.energies)
-        assert effective_sinr(0, g, state, profile, 1.0) == pytest.approx(
+        interference = oracle_interference(g, profile.energies, [False] * 2)
+        assert effective_sinr(0, g, interference, profile, 1.0) == pytest.approx(
             2 * es / (es + 1.0), rel=1e-12
         )
 
@@ -103,9 +103,9 @@ class TestEffectiveSinr:
         profile = build_profile(
             g.degrees, uniform_cfg(4, 5, es, l_avg=2.25), SchemeConfig("IRSA"), 2.25
         )
-        state = ResidualState(g, profile.energies)
+        interference = oracle_interference(g, profile.energies, [False] * 4)
         expected = es / (es + 1.0) + es / (2 * es + 1.0) + es / 1.0
-        assert effective_sinr(1, g, state, profile, 1.0) == pytest.approx(
+        assert effective_sinr(1, g, interference, profile, 1.0) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -120,14 +120,16 @@ class TestEffectiveSinr:
             profile = build_profile(
                 g.degrees, cfg, SchemeConfig("PA", mu=1.5), avg_degree(dist)
             )
-            state = ResidualState(g, profile.energies)
+            decoded = [False] * K
             watched = int(rng.integers(0, K))
-            last = effective_sinr(watched, g, state, profile, cfg.N0)
+            interference = oracle_interference(g, profile.energies, decoded)
+            last = effective_sinr(watched, g, interference, profile, cfg.N0)
             for msg in rng.permutation(K):
                 if msg == watched:
                     continue
-                peel(g, state, int(msg))
-                now = effective_sinr(watched, g, state, profile, cfg.N0)
+                decoded[msg] = True
+                interference = oracle_interference(g, profile.energies, decoded)
+                now = effective_sinr(watched, g, interference, profile, cfg.N0)
                 assert now >= last
                 last = now
 
@@ -139,14 +141,17 @@ class TestEffectiveSinr:
             K = int(rng.integers(64, 200))
             g = build_frame(K, int(rng.integers(K // 2, K)), modified_soliton(6), rng)
             profile = SimpleNamespace(energies=rng.uniform(0.05, 2.0, size=K))
-            state = ResidualState(g, profile.energies)
+            energies = profile.energies.tolist()
+            decoded = [False] * K
             watched = int(rng.integers(0, K))
-            last = effective_sinr(watched, g, state, profile, 1.0)
+            interference = oracle_interference(g, energies, decoded)
+            last = effective_sinr(watched, g, interference, profile, 1.0)
             for msg in rng.permutation(K).tolist():
                 if msg == watched:
                     continue
-                peel(g, state, msg)
-                now = effective_sinr(watched, g, state, profile, 1.0)
+                decoded[msg] = True
+                interference = oracle_interference(g, energies, decoded)
+                now = effective_sinr(watched, g, interference, profile, 1.0)
                 assert now >= last
                 last = now
 
@@ -281,12 +286,10 @@ class TestDecodeResultInvariants:
         for _ in range(400):
             g, cfg, scheme, profile = self._random_setup(rng, variant)
             result = decode_frame(g, profile, scheme, cfg)
-            state = ResidualState(g, profile.energies)
-            for m in np.flatnonzero(result.decoded):
-                peel(g, state, int(m))
+            interference = oracle_interference(g, profile.energies, result.decoded)
             thr = profile.sinr_thresholds * (1 - 1e-9)
             for m in np.flatnonzero(~result.decoded):
-                assert effective_sinr(m, g, state, profile, cfg.N0) < thr[m]
+                assert effective_sinr(m, g, interference, profile, cfg.N0) < thr[m]
 
     @pytest.mark.parametrize("variant", ["RS", "PA"])
     def test_matches_brute_force_fixed_point(self, variant):
@@ -335,24 +338,24 @@ class TestDecodeResultInvariants:
 class TestStaticCriterionOracle:
     """The mu tuner's static criterion (every message passes its success
     test before any cancellation), computed by ``mrc_sinr``, against the
-    per-message ``effective_sinr`` loop over a fresh ResidualState."""
+    per-message ``effective_sinr`` loop over the whole frame's interference."""
 
     MUS = (1.0, 1.2, 1.5, 2.0, 3.0, 5.0)
 
     @staticmethod
     def reference(g, profile, N0):
-        state = ResidualState(g, profile.energies)
+        interference = oracle_interference(g, profile.energies, [False] * g.K)
         thr = profile.sinr_thresholds * (1 - 1e-9)
         return all(
-            effective_sinr(m, g, state, profile, N0) >= thr[m] for m in range(g.K)
+            effective_sinr(m, g, interference, profile, N0) >= thr[m] for m in range(g.K)
         )
 
     @staticmethod
     def vectorised(g, profile, N0):
         edge_msg, edge_slot = g.edge_msg, g.edge_slot
         sinr = mrc_sinr(edge_msg, edge_slot, profile.energies[edge_msg], N0)
-        state = ResidualState(g, profile.energies)
-        expected = [effective_sinr(m, g, state, profile, N0) for m in range(g.K)]
+        interference = oracle_interference(g, profile.energies, [False] * g.K)
+        expected = [effective_sinr(m, g, interference, profile, N0) for m in range(g.K)]
         assert sinr == pytest.approx(expected, rel=1e-12)
         return bool((sinr >= success_thresholds(profile)).all())
 
@@ -588,20 +591,6 @@ def compensated_sum(values, start=0.0):
     return total + comp
 
 
-def oracle_interference(graph, energies, decoded):
-    """Every slot's interference from scratch: the energies of its
-    undecoded messages added from 0.0 in ascending order, by an explicit
-    loop (``sum`` may compensate)."""
-    interference = []
-    for msgs in graph.slot_messages:
-        total = 0.0
-        for m in msgs:
-            if not decoded[m]:
-                total += energies[m]
-        interference.append(total)
-    return interference
-
-
 def oracle_decode_frame(graph, profile, scheme, cfg):
     """The receiver with no state kept between steps: after every decode it
     re-sums every slot's interference over its undecoded messages, and it
@@ -671,60 +660,13 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
     return out
 
 
-def state_fields(state):
-    return (
-        state.slot_interference,
-        state.slot_degree,
-        state.slot_id_sum,
-        state.num_degree_one,
-        state.decoded,
-    )
-
-
-def oracle_state_fields(graph, energies, decoded):
-    """``state_fields`` of a residual state with ``decoded`` cancelled,
-    recomputed from the slot lists."""
-    alive = [[m for m in msgs if not decoded[m]] for msgs in graph.slot_messages]
-    return (
-        oracle_interference(graph, energies, decoded),
-        [len(msgs) for msgs in alive],
-        [sum(msgs) for msgs in alive],
-        sum(1 for msgs in alive if len(msgs) == 1),
-        list(decoded),
-    )
-
-
 RESULT_FIELDS = ("decoded", "decode_step", "phase", "decode_slot", "decode_sinr", "genie_rate")
 
 
 class TestResidualStateMatchesPythonSums:
-    """The residual state equals per-slot Python sums recomputed from
-    scratch after every peel, and every decode_frame output is bit-identical
-    to the stateless receiver (oracle_decode_frame)."""
-
-    @pytest.mark.parametrize("as_list", [False, True], ids=["numpy", "list"])
-    def test_random_peel_sequences(self, as_list):
-        rng = np.random.default_rng(97)
-        long_sequences = 0
-        for frame in range(300):
-            K = int(rng.integers(2, 160))
-            M = int(rng.integers(6, 120))
-            g = build_frame(K, M, modified_soliton(6), rng)
-            energies = rng.uniform(0.05, 2.0, size=K)
-            if frame % 3 == 0:  # uniform energies: equal sums, exact cancellations
-                energies[:] = energies[0]
-            e = energies.tolist() if as_list else energies
-            profile = SimpleNamespace(energies=e)
-            state = ResidualState(g, e)
-            decoded = [False] * K
-            assert state_fields(state) == oracle_state_fields(g, energies, decoded)
-            order = rng.permutation(K)[: int(rng.integers(1, K + 1))]
-            for msg in order.tolist():
-                peel(g, state, msg)
-                decoded[msg] = True
-                assert state_fields(state) == oracle_state_fields(g, energies, decoded)
-            long_sequences += len(order) >= 64
-        assert long_sequences >= 50
+    """The receiver's residual state equals per-slot Python sums recomputed
+    from scratch after every decode: every decode_frame output is
+    bit-identical to the stateless receiver (oracle_decode_frame)."""
 
     @staticmethod
     def random_setup(rng, variant):
@@ -772,10 +714,9 @@ class TestResidualStateMatchesPythonSums:
     def test_decode_frame_independent_of_builtin_sum(self, monkeypatch):
         # CPython 3.12 compensates sum() over floats and 3.11 does not, so a
         # receiver adding interference or SINR terms with sum() would match
-        # the oracle on 3.11 alone.  A compensated sum in the modules shadows
-        # the builtin.
+        # the oracle on 3.11 alone.  A compensated sum in the receiver's
+        # module shadows the builtin.
         monkeypatch.setattr(decoder, "sum", compensated_sum, raising=False)
-        monkeypatch.setattr(frame_graph, "sum", compensated_sum, raising=False)
         rng = np.random.default_rng(109)
         for frame in range(600):
             try:
@@ -803,6 +744,69 @@ class TestResidualStateMatchesPythonSums:
             for mu in PA_MUS:
                 scheme = SchemeConfig("PA", mu=mu)
                 self.assert_same_result(g, build_profile(g.degrees, cfg, scheme, 2.0), scheme, cfg)
+
+
+    @staticmethod
+    def cancellations(g, result):
+        """How each decode's cancellation left each of its slots, as (phase,
+        messages left: 0, 1, or 2 for several), and the number of degree-one
+        slots after each decode, in step order."""
+        held = g.slot_degrees().tolist()
+        left, degree_one = set(), []
+        for msg, phase in zip(result.order.tolist(), result.phase[result.order].tolist()):
+            for j in g.message_slots[msg]:
+                held[j] -= 1
+                left.add((phase, min(held[j], 2)))
+            degree_one.append(held.count(1))
+        return left, degree_one
+
+    def test_crafted_frames_cancel_every_way(self):
+        # RS: no slot starts at degree one, so phase 1 has nothing to scan.
+        # Decoding 0 in phase 2 leaves no degree-one slot, so phase 1 is
+        # skipped again; decoding 2 in phase 2 leaves three, and phase 1
+        # drains the frame.
+        rs_frame = FrameGraph(4, [[0, 1, 3], [1], [0, 2, 3], [0, 1], [1, 2, 3]])
+        rs = SchemeConfig("RS", alpha=0.0, beta=1.0)
+        # PA: phase 1 decodes 1 and empties its slots; then the same pattern
+        # of two phase-2 decodes, the first leaving no degree-one slot.
+        pa_frame = FrameGraph(5, [[3], [0, 2, 4], [4], [1, 3], [1, 3, 4]])
+        pa = SchemeConfig("PA", mu=3.0)
+        cases = [
+            (rs_frame, rs, uniform_cfg(5, 4, 0.5, l_avg=2.0),
+             [0, 2, 3, 4, 1], [2, 2, 1, 1, 1], [0, 3, 2, 1, 0]),
+            (pa_frame, pa, ChannelConfig(K=5, M=5, L_cu=100, hat_R=10.0),
+             [1, 0, 2, 4, 3], [1, 2, 2, 1, 1], [0, 0, 1, 2, 0]),
+        ]
+        left = set()
+        for g, scheme, cfg, order, phases, degree_one in cases:
+            profile = build_profile(g.degrees, cfg, scheme, 2.0)
+            result = self.assert_same_result(g, profile, scheme, cfg)
+            assert result.order.tolist() == order
+            assert result.phase[result.order].tolist() == phases
+            frame_left, frame_degree_one = self.cancellations(g, result)
+            assert frame_degree_one == degree_one
+            left |= frame_left
+        # Every way a cancellation leaves a slot, in both phases.  A phase-2
+        # decode never empties a slot (test_phase_two_never_empties_a_slot).
+        assert left == {
+            (PHASE_PEELING, 0), (PHASE_PEELING, 1), (PHASE_PEELING, 2),
+            (PHASE_RESIDUAL, 1), (PHASE_RESIDUAL, 2),
+        }
+
+    def test_phase_two_never_empties_a_slot(self):
+        # A message alone in a slot that passes its test is decoded by
+        # phase 1, which runs to the end before phase 2 is entered.
+        rng = np.random.default_rng(131)
+        residual = 0
+        for frame in range(300):
+            try:
+                setup = self.random_setup(rng, ("RS", "PA")[frame % 2])
+            except (TuningParameterError, InfeasibleOperatingPointError):
+                continue
+            left, _ = self.cancellations(setup[0], decode_frame(*setup))
+            assert (PHASE_RESIDUAL, 0) not in left
+            residual += (PHASE_RESIDUAL, 1) in left or (PHASE_RESIDUAL, 2) in left
+        assert residual >= 50
 
 
 class TestGenieRate:
@@ -890,8 +894,7 @@ class TestIrsaIntegerPeeling:
         def forbidden(*args, **kwargs):
             raise AssertionError("IRSA decode used the float residual state")
 
-        monkeypatch.setattr(decoder, "peel", forbidden)
-        monkeypatch.setattr(decoder, "ResidualState", forbidden)
+        monkeypatch.setattr(decoder, "_decode_mrc", forbidden)
         rng = np.random.default_rng(229)
         g = build_frame(300, 400, fixed_l3(), rng)
         cfg = ChannelConfig(K=300, M=400, tilde_Es=0.0009)

@@ -1,6 +1,5 @@
-"""Frame construction, adjacency consistency, and residual-state updates."""
+"""Frame construction and adjacency consistency."""
 
-import io
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -18,18 +17,13 @@ from irsa_sim.distributions import (
     ideal_soliton,
     modified_soliton,
 )
-from irsa_sim.frame_graph import FrameGraph, ResidualState, build_frame, peel
+from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.harness import SweepSpec, _decoded_sets, _degree_tables, make_point
 from irsa_sim.schemes import SchemeConfig, build_profile
 
 
 def point_dist(degree: int) -> DegreeDistribution:
     return DegreeDistribution(f"point{degree}", ((degree, Fraction(1)),))
-
-
-class FakeProfile:
-    def __init__(self, energies):
-        self.energies = np.asarray(energies, dtype=float)
 
 
 class CountingRng:
@@ -71,9 +65,8 @@ class TestFrameGraph:
 
     def test_edge_roundtrip(self):
         g = example_graph()
-        buf = io.StringIO()
-        g.export_edges(buf)
-        again = FrameGraph.load_edges(buf.getvalue().splitlines())
+        lines = [f"{k}\t{j}" for k, j in zip(g.edge_msg.tolist(), g.edge_slot.tolist())]
+        again = FrameGraph.load_edges(lines)
         assert again.M == 5
         assert again.message_slots == g.message_slots
 
@@ -254,109 +247,3 @@ class TestBuildFrame:
         a = build_frame(50, 60, modified_soliton(10), np.random.default_rng(11))
         b = build_frame(50, 60, modified_soliton(10), np.random.default_rng(11))
         assert a.message_slots == b.message_slots
-
-
-class TestResidualState:
-    def test_initial_state(self):
-        g = example_graph()
-        state = ResidualState(g, [1.0] * 4)
-        assert state.slot_degree == [2, 2, 3, 1, 2]
-        assert state.slot_interference == pytest.approx([2.0, 2.0, 3.0, 1.0, 2.0])
-        assert state.num_degree_one == 1
-
-    def test_peel_example_message(self):
-        g = example_graph()
-        profile = FakeProfile([1.0] * 4)
-        state = ResidualState(g, profile.energies)
-        peel(g, state, 1)
-        assert state.slot_degree == [1, 2, 2, 0, 2]
-        assert state.num_degree_one == 1
-
-    def test_single_message_peel_zeroes_its_slots(self):
-        g = build_frame(1, 8, point_dist(3), np.random.default_rng(2))
-        profile = FakeProfile([2.5])
-        state = ResidualState(g, profile.energies)
-        peel(g, state, 0)
-        assert all(d == 0 for d in state.slot_degree)
-        assert max(abs(x) for x in state.slot_interference) < 1e-12
-
-    def test_double_peel_asserts(self):
-        g = example_graph()
-        profile = FakeProfile([1.0] * 4)
-        state = ResidualState(g, profile.energies)
-        peel(g, state, 0)
-        with pytest.raises(AssertionError):
-            peel(g, state, 0)
-
-    def test_uniform_power_interference_tracks_degree(self):
-        es = 0.37
-        rng = np.random.default_rng(5)
-        g = build_frame(30, 25, modified_soliton(8), rng)
-        profile = FakeProfile([es] * 30)
-        state = ResidualState(g, profile.energies)
-        order = rng.permutation(30)
-        for msg in order[:20]:
-            peel(g, state, int(msg))
-            for j in range(g.M):
-                assert state.slot_interference[j] == pytest.approx(
-                    state.slot_degree[j] * es, abs=1e-12
-                )
-
-    def test_incremental_matches_recomputed_under_random_peels(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            K = int(rng.integers(2, 25))
-            M = int(rng.integers(5, 30))
-            g = build_frame(K, M, point_dist(min(4, M)), rng)
-            energies = rng.uniform(0.1, 2.0, size=K)
-            profile = FakeProfile(energies)
-            state = ResidualState(g, energies)
-            n_peel = int(rng.integers(1, K + 1))
-            for msg in rng.permutation(K)[:n_peel]:
-                peel(g, state, int(msg))
-            # Degrees and interference recomputed from scratch must match
-            # exactly: the interference adds from 0.0 in ascending order.
-            for j in range(M):
-                alive = [m for m in g.slot_messages[j] if not state.decoded[m]]
-                assert state.slot_degree[j] == len(alive)
-                exact = 0.0
-                for m in alive:
-                    exact += float(energies[m])
-                assert state.slot_interference[j] == exact
-
-    def test_slot_id_sums_under_random_peels(self):
-        # After every peel each slot's id sum is the sum of its undecoded
-        # messages, recomputed from the edge arrays.
-        rng = np.random.default_rng(43)
-        for _ in range(300):
-            K = int(rng.integers(2, 40))
-            M = int(rng.integers(5, 40))
-            g = build_frame(K, M, modified_soliton(5), rng)
-            profile = FakeProfile(rng.uniform(0.1, 2.0, size=K))
-            state = ResidualState(g, profile.energies)
-            alive = np.ones(K, dtype=bool)
-            for msg in rng.permutation(K)[: int(rng.integers(1, K + 1))].tolist():
-                peel(g, state, msg)
-                alive[msg] = False
-                live = alive[g.edge_msg]
-                exact = np.bincount(
-                    g.edge_slot[live], weights=g.edge_msg[live], minlength=M
-                ).astype(np.int64)
-                assert state.slot_id_sum == exact.tolist()
-                degree_one = [j for j in range(M) if state.slot_degree[j] == 1]
-                for j in degree_one:
-                    assert [m for m in g.slot_messages[j] if alive[m]] == [state.slot_id_sum[j]]
-
-    def test_degree_one_counter_consistent(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            K = int(rng.integers(2, 20))
-            M = int(rng.integers(4, 25))
-            g = build_frame(K, M, point_dist(min(3, M)), rng)
-            profile = FakeProfile(np.ones(K))
-            state = ResidualState(g, profile.energies)
-            for msg in rng.permutation(K):
-                assert state.num_degree_one == sum(
-                    1 for d in state.slot_degree if d == 1
-                )
-                peel(g, state, int(msg))

@@ -19,7 +19,6 @@ from irsa_sim.harness import (
     mix64,
     run_point,
     run_sweep,
-    run_trial,
     run_tuned_pa_sweep,
     run_tuned_rs_sweep,
     trial_rng,
@@ -54,13 +53,20 @@ def frame_outcome(point, graph, scheme):
     return profile, decode_frame(graph, profile, scheme, point.cfg)
 
 
-def reference_metrics(point, trial):
-    """One trial of the point in three steps: build_profile on the frame's
-    degrees, decode_frame, and the measures as masks over the per-message
-    arrays."""
+def run_trial(point, scheme, trial):
+    """The measures of one trial of ``scheme`` at the point, as run_point
+    adds them."""
+    (metrics,) = harness._trials(point, scheme, [trial])
+    return metrics
+
+
+def reference_metrics(point, scheme, trial):
+    """One trial of ``scheme`` at the point in three steps: build_profile on
+    the frame's degrees, decode_frame, and the measures as masks over the
+    per-message arrays."""
     rng = trial_rng(point.seed, point.g_index, trial)
     graph = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
-    profile, result = frame_outcome(point, graph, point.scheme)
+    profile, result = frame_outcome(point, graph, scheme)
     mask = result.decoded
     S = float(profile.rates[mask].sum())
     S_max = float(result.genie_rate[mask].sum()) if mask.any() else 0.0
@@ -87,14 +93,14 @@ class TestRunTrial:
     def test_bit_identical_reruns(self):
         spec = small_rs_spec()
         point = make_point(spec, 0)
-        a = run_trial(point, 7)
-        b = run_trial(point, 7)
+        a = run_trial(point, spec.scheme_config(), 7)
+        b = run_trial(point, spec.scheme_config(), 7)
         assert a == b
 
     def test_trials_differ(self):
         spec = small_rs_spec(trials=50)
         point = make_point(spec, 0)
-        values = {run_trial(point, t).eta for t in range(50)}
+        values = {run_trial(point, spec.scheme_config(), t).eta for t in range(50)}
         assert len(values) > 1
 
     def test_single_user_single_slot(self):
@@ -106,7 +112,7 @@ class TestRunTrial:
         # degenerate draw instead: K=1, G=0.5 -> M=2, Y=2.
         spec = dataclasses.replace(spec, G_grid=(0.5,))
         point = make_point(spec, 0)
-        m = run_trial(point, 0)
+        m = run_trial(point, spec.scheme_config(), 0)
         assert m.T in (0.5, 1.0)  # one message over two slots always decodes
         assert m.T == 0.5
 
@@ -162,8 +168,8 @@ class TestRunSweep:
         spec = small_rs_spec(trials=40)
         rec = run_sweep(spec)[0]
         point = make_point(spec, 0)
-        ts = [run_trial(point, t).T for t in range(40)]
-        etas = [run_trial(point, t).eta for t in range(40)]
+        ts = [run_trial(point, spec.scheme_config(), t).T for t in range(40)]
+        etas = [run_trial(point, spec.scheme_config(), t).eta for t in range(40)]
         assert rec.T_mean == pytest.approx(np.mean(ts), rel=1e-12)
         assert rec.T_se == pytest.approx(np.std(ts, ddof=1) / math.sqrt(40), rel=1e-9)
         assert rec.eta_mean == pytest.approx(np.mean(etas), rel=1e-12)
@@ -215,12 +221,13 @@ class TestRunPointMatchesFrameOracle:
             mu=1.1 if scheme == "PA" else None,
         )
         partial = 0
+        scheme = spec.scheme_config()
         for g_index in range(len(spec.G_grid)):
             point = make_point(spec, g_index)
             want = MetricStats()
             for t in range(spec.trials):
-                want.add(reference_metrics(point, t))
-            got = run_point(point, spec.trials)
+                want.add(reference_metrics(point, scheme, t))
+            got = run_point(point, scheme, spec.trials)
             for name, stats in got.stats.items():
                 ref = want.stats[name]
                 assert (stats.n, stats.total, stats.centre, stats.m2) == (
@@ -244,7 +251,7 @@ class TestOneTableRule:
         )
         point = make_point(spec, 0)
         with pytest.raises(InfeasibleOperatingPointError, match="round to 0 bits"):
-            build_profile(np.array([1]), point.cfg, point.scheme, point.l_avg)
+            build_profile(np.array([1]), point.cfg, spec.scheme_config(), point.l_avg)
         (record,) = run_sweep(spec)
         (tuning,) = tune_rs(spec, (1.0,), (1.0,), tune_trials=3)
         assert record.note == "" and record.T_mean == G
@@ -339,7 +346,7 @@ class TestTuneMu:
             scheme="PA", dist_name="modified_soliton", dist_Y=3, K=1,
             G_grid=(0.1,), trials=10, seed=2, hat_R_bits=10.0, L_cu=100,
         )
-        point = make_point(spec, 0, scheme=SchemeConfig("PA", mu=1.0))
+        point = make_point(spec, 0)
         hat_es = hat_es_from_rate(10.0, 100, 1.0)
         r_avg = point.cfg.G * point.l_avg
         bar = hat_es / ((1 - r_avg) * hat_es + point.l_avg)
@@ -358,7 +365,7 @@ class TestTuneMu:
         from irsa_sim.frame_graph import build_frame
         from irsa_sim.schemes import build_profile
 
-        base = make_point(spec, 0, scheme=SchemeConfig("PA", mu=1.0))
+        base = make_point(spec, 0)
         frames = [
             build_frame(base.cfg.K, base.cfg.M, base.dist, trial_rng(11, 0, t))
             for t in range(30)
@@ -532,7 +539,7 @@ class TestCompare:
                 scheme="RS", dist_name=name, dist_Y=Y, K=K, G_grid=(G,), trials=1,
                 tilde_Es_over_N0=float(10.0 ** rng.uniform(-5.0, 1.0)),
             )
-            point = make_point(spec, 0, scheme=SchemeConfig("IRSA"))
+            point = make_point(spec, 0)
             es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
             r_avg = point.cfg.G * point.l_avg
             schemes, by_rate_rs = [], []
@@ -627,7 +634,7 @@ def sequential_tune_rs_point(spec, g_index, alpha_grid, beta_grid, tune_trials, 
     """Reference for harness._tune_rs_point: every candidate decoded by
     decode_frame and measured by trial_metrics, one frame at a time."""
     G = spec.G_grid[g_index]
-    base = make_point(spec, g_index, scheme=SchemeConfig("IRSA"))
+    base = make_point(spec, g_index)
     candidates = []
     for a in alpha_grid:
         for b in beta_grid:
@@ -738,7 +745,7 @@ class TestTunersMatchSequentialReceiver:
         else:
             schemes = [SchemeConfig("PA", mu=mu) for mu in (1.0, 1.01, 1.37, 2.5)]
         for g_index in range(2):
-            point = make_point(spec, g_index, scheme=schemes[0])
+            point = make_point(spec, g_index)
             tables = harness._degree_tables(point, schemes)
             for t in range(5):
                 graph = harness._frame(point, 7, t)

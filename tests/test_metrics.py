@@ -12,7 +12,6 @@ from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.metrics import (
     c_ref,
     gamma_irsa_min,
-    gamma_pa_analytic,
     to_db,
     trial_metrics,
 )
@@ -23,7 +22,7 @@ from irsa_sim.schemes import (
     build_profile,
     hat_es_from_rate,
 )
-from oracles import jensen_bound_rs, rate_rs
+from oracles import gamma_pa_analytic, jensen_bound_rs, rate_rs
 
 L2_AVG = float(sum(Fraction(1, i) for i in range(1, 10)) + Fraction(3, 5))
 

@@ -16,9 +16,8 @@ from irsa_sim.schemes import (
     hat_es_from_rate,
     pa_mean_energy,
     pa_powers,
-    rate_irsa,
 )
-from oracles import rate_rs
+from oracles import rate_irsa, rate_rs
 
 
 def harmonic(n):
