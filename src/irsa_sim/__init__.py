@@ -43,8 +43,7 @@ from .harness import (
     SweepSpec,
     compare_rs_pa,
     run_sweep,
-    run_tuned_pa_sweep,
-    run_tuned_rs_sweep,
+    run_tuned_sweep,
     tune_mu,
     tune_rs,
 )

@@ -34,8 +34,7 @@ from .harness import (
     TuningConfig,
     compare_rs_pa,
     run_sweep,
-    run_tuned_pa_sweep,
-    run_tuned_rs_sweep,
+    run_tuned_sweep,
 )
 from .schemes import (
     ChannelConfig,
@@ -236,38 +235,38 @@ def _cell(value) -> str:
     return text
 
 
+def _write_csv(path: Path | str, header: str, rows: list[list]) -> Path:
+    """``rows`` under ``header``, one CSV line each, LF line endings."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fp:
+        fp.write(header + "\n")
+        for row in rows:
+            fp.write(",".join(_cell(v) for v in row) + "\n")
+    return path
+
+
 def emit_csv(records: list[SweepRecord], path: Path | str) -> Path:
     """One row per sweep point under the fixed header; byte-stable."""
     if not records:
         raise ValueError("no records to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fp:
-        fp.write(CSV_HEADER + "\n")
-        for r in records:
-            row = [
-                r.scheme, r.distribution, r.K, r.M, r.G, r.trials, r.seed,
-                r.alpha, r.beta, r.mu, r.T_mean, r.T_se, r.eta_mean, r.eta_se,
-                r.eta_max_mean, r.gamma_mean, r.gamma_se, r.energy_per_user_db,
-            ]
-            fp.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
+    return _write_csv(path, CSV_HEADER, [
+        [r.scheme, r.distribution, r.K, r.M, r.G, r.trials, r.seed,
+         r.alpha, r.beta, r.mu, r.T_mean, r.T_se, r.eta_mean, r.eta_se,
+         r.eta_max_mean, r.gamma_mean, r.gamma_se, r.energy_per_user_db]
+        for r in records
+    ])
 
 
 def emit_compare_csv(rows: list[CompareRow], path: Path | str) -> Path:
+    """One row per comparison line under the fixed header; byte-stable."""
     if not rows:
         raise ValueError("no rows to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fp:
-        fp.write(COMPARE_HEADER + "\n")
-        for r in rows:
-            row = [
-                r.scheme, r.es_over_N0_db, r.rate_bits, r.energy_per_user_db,
-                r.T_mean, r.alpha, r.beta, r.mu, r.note,
-            ]
-            fp.write(",".join(_cell(v) for v in row) + "\n")
-    return path
+    return _write_csv(path, COMPARE_HEADER, [
+        [r.scheme, r.es_over_N0_db, r.rate_bits, r.energy_per_user_db,
+         r.T_mean, r.alpha, r.beta, r.mu, r.note]
+        for r in rows
+    ])
 
 
 _PLOT_METRICS = (
@@ -389,22 +388,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    spec = config.spec
-    t = config.tuning
-    if spec.scheme == "RS":
-        records, tunings = run_tuned_rs_sweep(
-            spec, t.alpha_grid, t.beta_grid,
-            tune_trials=t.tune_trials, throughput_cap=t.throughput_cap,
-        )
-    elif spec.scheme == "PA":
-        records, tunings = run_tuned_pa_sweep(
-            spec, tune_trials=t.tune_trials, mu_max=t.mu_max,
-            resolution=t.mu_resolution, target_fraction=t.target_fraction,
-            criterion=t.mu_criterion, reliability=t.reliability,
-        )
-    else:
+    if config.spec.scheme not in ("RS", "PA"):
         print("error: tune applies to RS or PA", file=sys.stderr)
         return 1
+    records, tunings = run_tuned_sweep(config.spec, config.tuning)
     return _finish_sweep(config, records, tunings, "tune")
 
 
@@ -414,17 +401,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("error: compare command needs a 'compare' config section",
               file=sys.stderr)
         return 1
-    t = config.tuning
-    rows = compare_rs_pa(
-        config.spec,
-        config.compare.es_over_N0_db_grid,
-        alpha_grid=t.alpha_grid,
-        beta_grid=t.beta_grid,
-        tune_trials=t.tune_trials,
-        min_throughput=config.compare.min_throughput,
-        mu_max=t.mu_max,
-        resolution=t.mu_resolution,
-    )
+    rows = compare_rs_pa(config.spec, config.tuning, config.compare)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = emit_compare_csv(rows, outdir / "compare.csv")

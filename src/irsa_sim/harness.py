@@ -22,7 +22,6 @@ from .config import (
     ConfigValidationError,
     problem,
     rate_problem,
-    require,
     validate,
 )
 from .decoder import (
@@ -67,9 +66,8 @@ __all__ = [
     "run_point",
     "run_sweep",
     "tune_rs",
-    "run_tuned_rs_sweep",
     "tune_mu",
-    "run_tuned_pa_sweep",
+    "run_tuned_sweep",
     "compare_rs_pa",
 ]
 
@@ -181,7 +179,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class TuningConfig:
-    """Tuner settings; their defaults are the tuners' keyword defaults."""
+    """Tuner settings: with the spec, the tuners' and the comparison's only
+    input, checked when built."""
 
     alpha_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(0.05, 2.0, 8))
     beta_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(0.5, 2.0, 5))
@@ -491,15 +490,8 @@ class RsTuning:
     note: str = ""
 
 
-def tune_rs(
-    spec: SweepSpec,
-    alpha_grid: tuple[float, ...],
-    beta_grid: tuple[float, ...],
-    *,
-    tune_trials: int = TuningConfig.tune_trials,
-    throughput_cap: float | None = TuningConfig.throughput_cap,
-) -> list[RsTuning]:
-    """Grid-search (alpha, beta) per G point.
+def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
+    """Grid-search (alpha, beta) over ``tuning``'s grids per G point.
 
     Feasible candidates keep mean throughput at or above
     RS_THROUGHPUT_FACTOR * min(G, throughput_cap); among them the pair with
@@ -507,45 +499,45 @@ def tune_rs(
     smaller alpha.  Pairs whose estimated-interference denominator is
     non-positive are rejected up front.
     """
-    require("alpha_grid", alpha_grid)
-    require("beta_grid", beta_grid)
+    cap = tuning.throughput_cap
     return [
         _tune_rs_point(
-            spec, g_index, alpha_grid, beta_grid, tune_trials,
-            RS_THROUGHPUT_FACTOR * (G if throughput_cap is None else min(G, throughput_cap)),
+            spec, g_index, tuning, RS_THROUGHPUT_FACTOR * (G if cap is None else min(G, cap))
         )
         for g_index, G in enumerate(spec.G_grid)
     ]
 
 
-def _rs_candidate_trials(
-    spec: SweepSpec, g_index: int, alpha_grid, beta_grid, tune_trials: int
-):
+def _rs_candidate_trials(spec: SweepSpec, g_index: int, tuning: TuningConfig):
     """The RS tuners' shared work at one grid point: the point, the degree
-    tables of the admissible (alpha, beta) pairs, alpha-major, and each
-    candidate's decoded count and decoded messages' summed rate on each
-    PURPOSE_RS_TUNE frame, shape (candidates, frames).  None when no pair
-    is admissible; InfeasibleOperatingPointError when a table fails."""
+    tables of the admissible (alpha, beta) pairs of ``tuning``'s grids,
+    alpha-major, and each candidate's decoded count and decoded messages'
+    summed rate on each PURPOSE_RS_TUNE frame, shape (candidates,
+    tune_trials).  None when no pair is admissible;
+    InfeasibleOperatingPointError when a table fails."""
     point = make_point(spec, g_index)
     es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
     r_avg = point.cfg.G * point.l_avg
     candidates: list[SchemeConfig] = []
-    for a in alpha_grid:
-        for b in beta_grid:
+    for a in tuning.alpha_grid:
+        for b in tuning.beta_grid:
             try:
                 rs_sinr_target(1, es, point.cfg.N0, a, b, r_avg)
             except TuningParameterError:
                 continue
-            candidates.append(_rs_scheme(spec, a, b))
+            # Rate selection whatever scheme the spec names.
+            candidates.append(
+                SchemeConfig("RS", alpha=a, beta=b, rmax_includes_one=spec.rmax_includes_one)
+            )
     if not candidates:
         return None
     tables = _degree_tables(point, candidates)
-    counts = np.zeros((len(candidates), tune_trials), dtype=np.int64)
-    rate_sums = np.zeros((len(candidates), tune_trials))
+    counts = np.zeros((len(candidates), tuning.tune_trials), dtype=np.int64)
+    rate_sums = np.zeros((len(candidates), tuning.tune_trials))
     # One frame at a time, every candidate on it: memory stays at one frame
     # however many tuning trials there are.
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    for t in range(tune_trials):
+    for t in range(tuning.tune_trials):
         graph = _frame(point, tune_seed, t)
         index = tables.index(graph)
         for i, mask in enumerate(_decoded_sets(point, graph, tables)):
@@ -555,11 +547,11 @@ def _rs_candidate_trials(
 
 
 def _tune_rs_point(
-    spec: SweepSpec, g_index: int, alpha_grid, beta_grid, tune_trials: int, target: float
+    spec: SweepSpec, g_index: int, tuning: TuningConfig, target: float
 ) -> RsTuning:
     G = spec.G_grid[g_index]
     try:
-        trials = _rs_candidate_trials(spec, g_index, alpha_grid, beta_grid, tune_trials)
+        trials = _rs_candidate_trials(spec, g_index, tuning)
     except InfeasibleOperatingPointError as err:
         return RsTuning(G, None, None, False, target=target, note=str(err))
     if trials is None:
@@ -588,38 +580,6 @@ def _tune_rs_point(
     return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
 
 
-def run_tuned_rs_sweep(
-    spec: SweepSpec,
-    alpha_grid: tuple[float, ...],
-    beta_grid: tuple[float, ...],
-    **tuning,
-) -> tuple[list[SweepRecord], list[RsTuning]]:
-    """Tune per grid point (``tuning`` holds tune_rs's keywords), then
-    evaluate the chosen pairs on the sweep's own (unsalted) streams."""
-    tunings = tune_rs(spec, alpha_grid, beta_grid, **tuning)
-    return _tuned_records(spec, tunings, lambda t: _rs_scheme(spec, t.alpha, t.beta)), tunings
-
-
-def _rs_scheme(spec: SweepSpec, alpha: float, beta: float) -> SchemeConfig:
-    """Rate selection with (alpha, beta): the RS tuners tune RS whatever
-    scheme the spec names."""
-    return SchemeConfig("RS", alpha=alpha, beta=beta, rmax_includes_one=spec.rmax_includes_one)
-
-
-def _tuned_records(spec: SweepSpec, tunings, scheme_of) -> list[SweepRecord]:
-    """Evaluate each point's tuned scheme, ``scheme_of(tuning)``, on the
-    sweep's own (unsalted) streams; flag the points whose tuner found none."""
-    records = []
-    for g_index, tuning in enumerate(tunings):
-        if tuning.feasible:
-            rec = _evaluate(spec, g_index, scheme_of(tuning))
-        else:
-            rec = _base_record(spec, g_index, None)
-            rec.note = f"flagged: {tuning.note}"
-        records.append(rec)
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Power-adaptation tuning
 # ---------------------------------------------------------------------------
@@ -638,47 +598,43 @@ class MuTuning:
 
 
 def tune_mu(
-    spec: SweepSpec,
-    g_index: int = 0,
-    *,
-    trials: int = TuningConfig.tune_trials,
-    mu_max: float = TuningConfig.mu_max,
-    resolution: float = TuningConfig.mu_resolution,
-    target_fraction: float = TuningConfig.target_fraction,
-    criterion: str = TuningConfig.mu_criterion,
-    reliability: float = TuningConfig.reliability,
+    spec: SweepSpec, g_index: int, tuning: TuningConfig, criterion: str, target: float
 ) -> MuTuning:
-    """Smallest mu on a grid of the given resolution meeting the criterion.
+    """Smallest mu on the grid 1, 1 + mu_resolution, ... up to ``tuning``'s
+    mu_max whose ``criterion`` measure over tune_trials frames reaches
+    ``target``.
 
-    ``mean_fraction`` (default): mean decoded fraction of the full receiver
-    reaches ``target_fraction``.  ``static_reliability``: a fraction
-    ``reliability`` of frames have every message decodable from the initial
-    state alone, before any cancellation -- a link-budget margin rule,
-    re-derived from the published power-adaptation energy curves, which a
-    receiver relying on SIC cascades does not need but a robust deployment
-    would provision.
+    ``mean_fraction``: mean decoded fraction of the full receiver.
+    ``static_reliability``: fraction of frames with every message decodable
+    from the initial state alone, before any cancellation -- a link-budget
+    margin rule, re-derived from the published power-adaptation energy
+    curves, which a receiver relying on SIC cascades does not need but a
+    robust deployment would provision.
+
+    The criterion and its target are arguments, not ``tuning``'s fields:
+    the tuned sweep passes tuning.mu_criterion with its target_fraction or
+    reliability, while the comparison always bisects on ``mean_fraction``
+    at min_throughput / G, a target that may exceed 1 (no mu reaches it)
+    and so is no valid target_fraction.
 
     Both criteria are non-decreasing in mu on a fixed set of frames (raising
     every energy never breaks a threshold test), so bisection over the grid
     is exact for the tuning streams.
     """
-    require("mu_criterion", criterion)
     spec.scheme_config(mu=1.0)  # raises for a scheme that takes no mu
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
-    n_steps = int(math.ceil((mu_max - 1.0) / resolution))
-    mu_at = lambda k: 1.0 + k * resolution
+    n_steps = int(math.ceil((tuning.mu_max - 1.0) / tuning.mu_resolution))
+    mu_at = lambda k: 1.0 + k * tuning.mu_resolution
     try:
         base = make_point(spec, g_index)
         # Energies rise with mu: the top of the grid is the one to check.
         pa_powers(base.dist.degrees, base.cfg, mu_at(n_steps), base.l_avg, base.cfg.G * base.l_avg)
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
-    frames = [_frame(base, tune_seed, t) for t in range(trials)]
+    frames = [_frame(base, tune_seed, t) for t in range(tuning.tune_trials)]
 
     if criterion == "mean_fraction":
-        target = target_fraction
-
         def measure(mu: float) -> float:
             tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
             total = sum(
@@ -689,8 +645,6 @@ def tune_mu(
             return total / (len(frames) * base.cfg.K)
 
     else:
-        target = reliability
-
         def measure(mu: float) -> float:
             # Fraction of frames whose every message decodes before any
             # cancellation.
@@ -711,7 +665,7 @@ def tune_mu(
     if frac_hi < target:
         return MuTuning(
             G, None, False, decoded_fraction=frac_hi, criterion=criterion,
-            note=f"no mu <= {mu_max} reaches {criterion} target {target}",
+            note=f"no mu <= {tuning.mu_max} reaches {criterion} target {target}",
         )
     lo, hi = 0, n_steps  # measure(lo) < target <= measure(hi)
     frac_at_hi = frac_hi
@@ -727,16 +681,32 @@ def tune_mu(
     )
 
 
-def run_tuned_pa_sweep(
-    spec: SweepSpec, *, tune_trials: int = TuningConfig.tune_trials, **tuning
-) -> tuple[list[SweepRecord], list[MuTuning]]:
-    """Tune mu per grid point (``tune_trials`` frames; ``tuning`` holds
-    tune_mu's other keywords), then evaluate on the sweep's own streams."""
-    tunings = [
-        tune_mu(spec, g_index, trials=tune_trials, **tuning)
-        for g_index in range(len(spec.G_grid))
-    ]
-    return _tuned_records(spec, tunings, lambda t: spec.scheme_config(mu=t.mu)), tunings
+def run_tuned_sweep(
+    spec: SweepSpec, tuning: TuningConfig
+) -> tuple[list[SweepRecord], list[RsTuning] | list[MuTuning]]:
+    """Tune the spec's scheme per grid point -- (alpha, beta) for RS, mu
+    under tuning.mu_criterion for PA -- then evaluate each point's choice on
+    the sweep's own (unsalted) streams; a point whose tuner found none is
+    flagged."""
+    if spec.scheme == "RS":
+        tunings = tune_rs(spec, tuning)
+    else:
+        criterion = tuning.mu_criterion
+        target = tuning.target_fraction if criterion == "mean_fraction" else tuning.reliability
+        tunings = [
+            tune_mu(spec, g_index, tuning, criterion, target)
+            for g_index in range(len(spec.G_grid))
+        ]
+    records = []
+    for g_index, chosen in enumerate(tunings):
+        if chosen.feasible:
+            params = {name: getattr(chosen, name) for name in SCHEME_PARAMETERS[spec.scheme]}
+            rec = _evaluate(spec, g_index, spec.scheme_config(**params))
+        else:
+            rec = _base_record(spec, g_index, None)
+            rec.note = f"flagged: {chosen.note}"
+        records.append(rec)
+    return records, tunings
 
 
 # ---------------------------------------------------------------------------
@@ -760,22 +730,15 @@ class CompareRow:
 
 
 def compare_rs_pa(
-    spec: SweepSpec,
-    es_grid_db: tuple[float, ...],
-    *,
-    alpha_grid: tuple[float, ...],
-    beta_grid: tuple[float, ...],
-    tune_trials: int = TuningConfig.tune_trials,
-    min_throughput: float = CompareConfig.min_throughput,
-    mu_max: float = TuningConfig.mu_max,
-    resolution: float = TuningConfig.mu_resolution,
+    spec: SweepSpec, tuning: TuningConfig, compare: CompareConfig
 ) -> list[CompareRow]:
-    """At fixed G (the spec's single grid point), feed each energy to rate
-    selection and find the highest mean rate keeping throughput at or above
-    ``min_throughput``; hand that rate to power adaptation as its nominal
-    rate and find the least energy reaching the same throughput (tune_mu,
-    bisecting up to ``mu_max`` at ``resolution``); add the baseline's
-    closed-form energy at the same rate.
+    """At fixed G (the spec's single grid point), feed each energy of
+    ``compare``'s grid to rate selection and find the highest mean rate over
+    ``tuning``'s (alpha, beta) grids keeping throughput at or above
+    min_throughput; hand that rate to power adaptation as its nominal rate
+    and find the least energy reaching the same throughput (tune_mu on
+    ``mean_fraction`` at min_throughput / G, whatever tuning.mu_criterion
+    says); add the baseline's closed-form energy at the same rate.
     """
     if len(spec.G_grid) != 1:
         raise ConfigValidationError(["G_grid: the comparison runs at a single G"])
@@ -783,7 +746,7 @@ def compare_rs_pa(
     base = make_point(spec, 0)
     M, l_avg = base.cfg.M, base.l_avg
     rows: list[CompareRow] = []
-    for es_index, es_db in enumerate(es_grid_db):
+    for es_index, es_db in enumerate(compare.es_over_N0_db_grid):
         try:
             es = 10.0 ** (es_db / 10.0) * spec.N0
         except OverflowError:
@@ -804,20 +767,14 @@ def compare_rs_pa(
         rs_spec = replace(point_spec, scheme="RS", tilde_Es_over_N0=tilde_es, hat_R_bits=None)
         note = "no (alpha, beta) reached the throughput floor"
         try:
-            tuning = _tune_rs_for_rate(
-                rs_spec,
-                alpha_grid,
-                beta_grid,
-                tune_trials=tune_trials,
-                min_throughput=min_throughput,
-            )
+            chosen = _tune_rs_for_rate(rs_spec, tuning, compare.min_throughput)
         except InfeasibleOperatingPointError as err:
-            tuning, note = None, f"infeasible: {err}"
+            chosen, note = None, f"infeasible: {err}"
         energy_rs_db = to_db(user_es)
-        if tuning is None:
+        if chosen is None:
             rows.append(CompareRow("RS", es_db, None, energy_rs_db, None, note=note))
             continue
-        scheme, t_mean, mean_rate = tuning
+        scheme, t_mean, mean_rate = chosen
         rows.append(
             CompareRow(
                 "RS", es_db, mean_rate, energy_rs_db, t_mean,
@@ -835,14 +792,7 @@ def compare_rs_pa(
             CompareRow("IRSA", None, mean_rate, to_db(l_avg * hat_es / spec.N0), None)
         )
         pa_spec = replace(point_spec, scheme="PA", hat_R_bits=mean_rate, tilde_Es_over_N0=None)
-        mu_tuning = tune_mu(
-            pa_spec,
-            0,
-            trials=tune_trials,
-            mu_max=mu_max,
-            resolution=resolution,
-            target_fraction=min_throughput / G,
-        )
+        mu_tuning = tune_mu(pa_spec, 0, tuning, "mean_fraction", compare.min_throughput / G)
         if not mu_tuning.feasible:
             rows.append(
                 CompareRow("PA", None, mean_rate, None, None, note=mu_tuning.note)
@@ -871,20 +821,16 @@ def _by_mean_rate(point: SweepPoint, tables: _DegreeTables) -> list[int]:
 
 
 def _tune_rs_for_rate(
-    spec: SweepSpec,
-    alpha_grid: tuple[float, ...],
-    beta_grid: tuple[float, ...],
-    *,
-    tune_trials: int,
-    min_throughput: float,
+    spec: SweepSpec, tuning: TuningConfig, min_throughput: float
 ) -> tuple[SchemeConfig, float, float] | None:
-    """Highest-mean-rate (alpha, beta) with mean T >= min_throughput.
+    """Highest-mean-rate (alpha, beta) of ``tuning``'s grids with mean
+    T >= min_throughput over its tune_trials frames.
 
     The mean selected rate over devices is the analytic expectation over the
     degree distribution; only the throughput constraint needs simulation.
     Returns (scheme, eval T mean, eval mean rate) or None.
     """
-    trials = _rs_candidate_trials(spec, 0, alpha_grid, beta_grid, tune_trials)
+    trials = _rs_candidate_trials(spec, 0, tuning)
     if trials is None:
         return None
     point, tables, counts, _ = trials
@@ -894,7 +840,7 @@ def _tune_rs_for_rate(
     best = next(
         (
             tables.schemes[i] for i in _by_mean_rate(point, tables)
-            if int(counts[i].sum()) / (tune_trials * point.cfg.M) >= min_throughput
+            if int(counts[i].sum()) / (tuning.tune_trials * point.cfg.M) >= min_throughput
         ),
         None,
     )

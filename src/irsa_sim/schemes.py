@@ -155,7 +155,9 @@ def rs_sinr_target(
         raise TuningParameterError(
             f"(beta*r_avg - 1)*Es + N0 = {den!r} <= 0 for beta={beta}, r_avg={r_avg}"
         )
-    return Es / N0 + alpha * (np.asarray(l_i) - 1.0) * Es / den
+    # An overflowing target gives an infinite rate, which build_profile flags.
+    with np.errstate(over="ignore"):
+        return Es / N0 + alpha * (np.asarray(l_i) - 1.0) * Es / den
 
 
 def pa_mean_energy(cfg: ChannelConfig, l_avg: float, r_avg: float) -> float:

@@ -20,9 +20,9 @@ from irsa_sim.distributions import (
 from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
     SweepSpec,
+    TuningConfig,
     run_sweep,
-    run_tuned_pa_sweep,
-    run_tuned_rs_sweep,
+    run_tuned_sweep,
 )
 from irsa_sim.metrics import to_db
 from irsa_sim.schemes import (
@@ -89,8 +89,8 @@ def test_criterion_3_rs_tuned():
     )
     alpha_grid = tuple(float(x) for x in np.geomspace(0.02, 2.0, 12))
     beta_grid = tuple(float(x) for x in np.geomspace(0.5, 4.0, 7))
-    records, tunings = run_tuned_rs_sweep(
-        spec, alpha_grid, beta_grid, tune_trials=50
+    records, tunings = run_tuned_sweep(
+        spec, TuningConfig(alpha_grid=alpha_grid, beta_grid=beta_grid, tune_trials=50)
     )
     by_g = {r.G: r for r in records}
     details = []
@@ -124,8 +124,9 @@ def test_criterion_4_pa_tuned():
     # (every message decodable before any cancellation, with high
     # reliability), not to the 90%-mean rule, which this receiver meets at
     # mu barely above 1; see the mu-tuning criterion options.
-    records, tunings = run_tuned_pa_sweep(
-        spec, tune_trials=300, criterion="static_reliability", reliability=0.99
+    records, tunings = run_tuned_sweep(
+        spec,
+        TuningConfig(tune_trials=300, mu_criterion="static_reliability", reliability=0.99),
     )
     rec = records[0]
     fraction = rec.T_mean / 0.8

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -481,10 +482,14 @@ class TestMainCommands:
         config = {"distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5], "trials": 3, **energy}
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        # The flagged note is the whole report: no numpy warning beside it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert f"note: G={config['G_grid'][0]}: {found}\n" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         row = (tmp_path / f"{command}.csv").read_text().splitlines()[1].split(",")
         assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
 

@@ -11,16 +11,17 @@ from irsa_sim.decoder import decode_frame, success_thresholds
 from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
 from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
+    CompareConfig,
     MetricStats,
     RunningStats,
     SweepSpec,
+    TuningConfig,
     compare_rs_pa,
     make_point,
     mix64,
     run_point,
     run_sweep,
-    run_tuned_pa_sweep,
-    run_tuned_rs_sweep,
+    run_tuned_sweep,
     trial_rng,
     tune_mu,
     tune_rs,
@@ -35,6 +36,10 @@ from irsa_sim.schemes import (
     rs_sinr_target,
 )
 from oracles import rate_rs
+
+
+# The tuning of the tests that need a single (alpha, beta) pair.
+ONE_PAIR = TuningConfig(alpha_grid=(0.2,), beta_grid=(1.0,))
 
 
 def small_rs_spec(**kw):
@@ -192,11 +197,12 @@ class TestRunSweep:
             assert "infeasible" in rec.note and rec.T_mean is None
         assert records[2].note == "" and records[2].T_mean is not None
         rs = dataclasses.replace(spec, scheme="RS", G_grid=(700.0,))
-        assert not tune_rs(rs, (0.5,), (1.0,), tune_trials=2)[0].feasible
+        tuning = TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=2)
+        assert not tune_rs(rs, tuning)[0].feasible
         pa = dataclasses.replace(
             spec, scheme="PA", G_grid=(700.0,), tilde_Es_over_N0=None, hat_R_bits=8.0
         )
-        assert not tune_mu(pa, 0, trials=2).feasible
+        assert not tune_mu(pa, 0, tuning, "mean_fraction", 0.9).feasible
 
     def test_deterministic_under_seed(self):
         a = run_sweep(small_rs_spec(trials=15))[0]
@@ -253,7 +259,7 @@ class TestOneTableRule:
         with pytest.raises(InfeasibleOperatingPointError, match="round to 0 bits"):
             build_profile(np.array([1]), point.cfg, spec.scheme_config(), point.l_avg)
         (record,) = run_sweep(spec)
-        (tuning,) = tune_rs(spec, (1.0,), (1.0,), tune_trials=3)
+        (tuning,) = tune_rs(spec, TuningConfig(alpha_grid=(1.0,), beta_grid=(1.0,), tune_trials=3))
         assert record.note == "" and record.T_mean == G
         assert tuning.feasible and tuning.T_mean == G
 
@@ -264,7 +270,7 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=4, K=30,
             G_grid=(0.3,), trials=20, seed=3, tilde_Es_over_N0=0.004,
         )
-        tunings = tune_rs(spec, (0.0, 0.4), (1.0,), tune_trials=20)
+        tunings = tune_rs(spec, TuningConfig(alpha_grid=(0.0, 0.4), beta_grid=(1.0,), tune_trials=20))
         assert tunings[0].feasible
         assert tunings[0].T_mean >= 0.97 * 0.3
 
@@ -275,7 +281,9 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.05,), trials=5, seed=3, tilde_Es_over_N0=0.0009,
         )
-        tunings = tune_rs(spec, (0.5,), (0.5, 1.0, 2.0), tune_trials=2)
+        tunings = tune_rs(
+            spec, TuningConfig(alpha_grid=(0.5,), beta_grid=(0.5, 1.0, 2.0), tune_trials=2)
+        )
         assert not tunings[0].feasible
         assert "no admissible" in tunings[0].note
 
@@ -284,8 +292,8 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=4, K=30,
             G_grid=(0.4,), trials=25, seed=9, tilde_Es_over_N0=0.004,
         )
-        records, tunings = run_tuned_rs_sweep(
-            spec, (0.0, 0.3, 0.9), (1.0, 1.5), tune_trials=15
+        records, tunings = run_tuned_sweep(
+            spec, TuningConfig(alpha_grid=(0.0, 0.3, 0.9), beta_grid=(1.0, 1.5), tune_trials=15)
         )
         assert tunings[0].feasible
         assert records[0].alpha == tunings[0].alpha
@@ -299,7 +307,9 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=4, K=20,
             G_grid=(0.2,), trials=20, seed=13, tilde_Es_over_N0=0.01,
         )
-        tunings = tune_rs(spec, (0.05, 0.2, 0.5), (1.5,), tune_trials=20)
+        tunings = tune_rs(
+            spec, TuningConfig(alpha_grid=(0.05, 0.2, 0.5), beta_grid=(1.5,), tune_trials=20)
+        )
         assert tunings[0].feasible
         assert tunings[0].alpha == 0.5
 
@@ -310,9 +320,9 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=4, K=30,
             G_grid=(0.6, 1.0), trials=5, seed=3, tilde_Es_over_N0=0.004,
         )
-        grids = ((0.0, 0.4, 1.0, 2.0), (1.0, 2.0))
-        free = tune_rs(spec, *grids, tune_trials=10)
-        capped = tune_rs(spec, *grids, tune_trials=10, throughput_cap=0.5)
+        free = TuningConfig(alpha_grid=(0.0, 0.4, 1.0, 2.0), beta_grid=(1.0, 2.0), tune_trials=10)
+        capped = tune_rs(spec, dataclasses.replace(free, throughput_cap=0.5))
+        free = tune_rs(spec, free)
         factor = harness.RS_THROUGHPUT_FACTOR
         for t, f in zip(capped, free):
             assert t.target == factor * 0.5 < factor * t.G
@@ -328,13 +338,14 @@ class TestTuneRs:
             G_grid=(0.2,), trials=5, seed=13, tilde_Es_over_N0=0.01,
         )
         rs = dataclasses.replace(spec, scheme="RS")
-        grids = ((0.05, 0.5), (1.5,))
-        assert tune_rs(spec, *grids, tune_trials=4) == tune_rs(rs, *grids, tune_trials=4)
-        records, _ = run_tuned_rs_sweep(spec, *grids, tune_trials=4)
+        tuning = TuningConfig(alpha_grid=(0.05, 0.5), beta_grid=(1.5,), tune_trials=4)
+        tunings = tune_rs(spec, tuning)
+        assert tunings == tune_rs(rs, tuning)
+        # The tuned sweep tunes the scheme its spec names: the RS spec's
+        # records carry the pairs chosen on the IRSA spec.
+        records, _ = run_tuned_sweep(rs, tuning)
         assert records[0].alpha is not None
-        assert [dataclasses.replace(r, scheme="RS") for r in records] == (
-            run_tuned_rs_sweep(rs, *grids, tune_trials=4)[0]
-        )
+        assert [(r.alpha, r.beta) for r in records] == [(t.alpha, t.beta) for t in tunings]
 
 
 class TestTuneMu:
@@ -352,7 +363,7 @@ class TestTuneMu:
         bar = hat_es / ((1 - r_avg) * hat_es + point.l_avg)
         mu_star = 1.0 / ((r_avg - 1) * bar + 1.0)
         expected = 1.0 + 0.01 * math.ceil(round((mu_star - 1.0) / 0.01, 9))
-        tuning = tune_mu(spec, 0, trials=10)
+        tuning = tune_mu(spec, 0, TuningConfig(tune_trials=10), "mean_fraction", 0.9)
         assert tuning.feasible
         assert tuning.mu == pytest.approx(expected, abs=1e-9)
 
@@ -391,8 +402,7 @@ class TestTuneMu:
             G_grid=(2.5,), trials=10, seed=4, hat_R_bits=12.0, L_cu=100,
         )
         tuning = tune_mu(
-            spec, 0, trials=10, mu_max=1.02,
-            criterion="static_reliability", reliability=0.95,
+            spec, 0, TuningConfig(tune_trials=10, mu_max=1.02), "static_reliability", 0.95
         )
         assert not tuning.feasible
         assert tuning.mu is None
@@ -405,7 +415,7 @@ class TestTuneMu:
             scheme="PA", dist_name="modified_soliton", dist_Y=4, K=60,
             G_grid=(2.5,), trials=10, seed=4, hat_R_bits=40.0, L_cu=100,
         )
-        tuning = tune_mu(spec, 0, trials=10)
+        tuning = tune_mu(spec, 0, TuningConfig(tune_trials=10), "mean_fraction", 0.9)
         assert not tuning.feasible
         assert tuning.mu is None
 
@@ -415,7 +425,10 @@ class TestTuneMu:
         spec = SweepSpec(
             scheme="PA", dist_name="l3", K=60, G_grid=(0.5,), trials=2, seed=4, hat_R_bits=10.0,
         )
-        tuning = tune_mu(spec, 0, trials=2, mu_max=1e307, resolution=1e300)
+        tuning = tune_mu(
+            spec, 0, TuningConfig(tune_trials=2, mu_max=1e307, mu_resolution=1e300),
+            "mean_fraction", 0.9,
+        )
         assert not tuning.feasible and tuning.mu is None
         assert tuning.note.startswith("mu: the frame energy K*mu*l_i*E_i/N0 overflows")
 
@@ -424,20 +437,37 @@ class TestTuneMu:
             scheme="PA", dist_name="modified_soliton", dist_Y=4, K=40,
             G_grid=(0.8,), trials=40, seed=6, hat_R_bits=10.0, L_cu=100,
         )
-        lo = tune_mu(spec, 0, trials=40, criterion="mean_fraction")
-        hi = tune_mu(spec, 0, trials=40, criterion="static_reliability")
+        tuning = TuningConfig(tune_trials=40)
+        lo = tune_mu(spec, 0, tuning, "mean_fraction", 0.9)
+        hi = tune_mu(spec, 0, tuning, "static_reliability", 0.99)
         assert lo.feasible and hi.feasible
         assert hi.mu >= lo.mu
 
     def test_rejects_unknown_criterion(self):
-        with pytest.raises(ValueError):
-            tune_mu(small_rs_spec(), criterion="vibes")
+        with pytest.raises(ValueError, match="mu_criterion: must be one of"):
+            TuningConfig(mu_criterion="vibes")
+
+    @pytest.mark.parametrize(
+        "settings, found",
+        [
+            ({"mu_resolution": -0.5}, "mu_resolution: must be positive"),
+            ({"throughput_cap": -1.0}, "throughput_cap: must be positive"),
+            ({"tune_trials": 0}, "tune_trials: must be >= 1"),
+            ({"mu_max": 1e308, "mu_resolution": 1e-320}, "mu_resolution: too fine"),
+            ({"alpha_grid": ()}, "alpha_grid: must be non-empty"),
+        ],
+    )
+    def test_settings_are_checked_when_built(self, settings, found):
+        # The tuners read their settings from TuningConfig alone, so no
+        # out-of-range value reaches them.
+        with pytest.raises(ValueError, match=found):
+            TuningConfig(**settings)
 
     def test_rejects_spec_without_power_adaptation(self):
         # mu is not a parameter of rate selection: tuning it is an error,
         # not a silently ignored value.
         with pytest.raises(ValueError, match="mu: not a parameter for RS"):
-            tune_mu(small_rs_spec(), trials=2)
+            tune_mu(small_rs_spec(), 0, TuningConfig(tune_trials=2), "mean_fraction", 0.9)
 
 
 class TestTunedPaSweep:
@@ -446,7 +476,7 @@ class TestTunedPaSweep:
             scheme="PA", dist_name="modified_soliton", dist_Y=4, K=30,
             G_grid=(0.5,), trials=20, seed=3, hat_R_bits=8.0, L_cu=100,
         )
-        records, tunings = run_tuned_pa_sweep(spec, tune_trials=20)
+        records, tunings = run_tuned_sweep(spec, TuningConfig(tune_trials=20))
         assert tunings[0].feasible
         rec = records[0]
         assert rec.mu == tunings[0].mu
@@ -465,8 +495,9 @@ class TestCompare:
         )
         l_avg = avg_degree(modified_soliton(4))
         rows = compare_rs_pa(
-            spec, (-16.0,), alpha_grid=(0.2, 0.6, 1.2), beta_grid=(1.0,),
-            tune_trials=15, min_throughput=0.6,
+            spec,
+            TuningConfig(alpha_grid=(0.2, 0.6, 1.2), beta_grid=(1.0,), tune_trials=15),
+            CompareConfig((-16.0,), min_throughput=0.6),
         )
         schemes = [r.scheme for r in rows]
         assert schemes == ["RS", "IRSA", "PA"]
@@ -486,13 +517,38 @@ class TestCompare:
         # that need that energy instead of raising OverflowError.
         spec = small_rs_spec(G_grid=(0.8,), alpha=None, beta=None)
         scheme = SchemeConfig("RS", alpha=0.2, beta=1.0)
-        monkeypatch.setattr(harness, "_tune_rs_for_rate", lambda *a, **k: (scheme, 0.7, 1e5))
-        rows = compare_rs_pa(spec, (-16.0,), alpha_grid=(0.2,), beta_grid=(1.0,))
+        monkeypatch.setattr(harness, "_tune_rs_for_rate", lambda *a: (scheme, 0.7, 1e5))
+        rows = compare_rs_pa(spec, ONE_PAIR, CompareConfig((-16.0,)))
         assert [(r.scheme, r.rate_bits) for r in rows] == [("RS", 1e5), ("IRSA", 1e5), ("PA", 1e5)]
         assert rows[0].note == "" and rows[0].T_mean == 0.7
         for row in rows[1:]:
             assert row.note.startswith("rate_bits: must be below 51200 bits at L_cu = 100")
             assert row.energy_per_user_db is None and row.T_mean is None
+
+    def pa_rows_at_rate_10(self, monkeypatch, **settings):
+        # Rate selection "reaches" 10 bits at T = 0.7 with G = 0.5: power
+        # adaptation must then decode a fraction 0.7 / 0.5 = 1.4 of messages.
+        spec = SweepSpec(
+            scheme="RS", dist_name="l3", K=60, G_grid=(0.5,), trials=2, seed=3,
+            tilde_Es_over_N0=0.004,
+        )
+        scheme = SchemeConfig("RS", alpha=0.2, beta=1.0)
+        monkeypatch.setattr(harness, "_tune_rs_for_rate", lambda *a: (scheme, 0.7, 10.0))
+        tuning = dataclasses.replace(ONE_PAIR, tune_trials=2, **settings)
+        return compare_rs_pa(spec, tuning, CompareConfig((-16.0,), min_throughput=0.7))
+
+    def test_pa_target_is_the_floor_over_the_load(self, monkeypatch):
+        # The comparison's own target may exceed 1, beyond any target_fraction.
+        rows = self.pa_rows_at_rate_10(monkeypatch)
+        assert [(r.scheme, r.rate_bits) for r in rows] == [("RS", 10.0), ("IRSA", 10.0), ("PA", 10.0)]
+        assert rows[2].note == "no mu <= 10.0 reaches mean_fraction target 1.4"
+        assert rows[2].mu is None and rows[2].T_mean is None
+
+    def test_takes_no_mu_criterion(self, monkeypatch):
+        # The PA side always uses the mean-fraction rule at min_throughput/G,
+        # whatever criterion the tuning names.
+        static = self.pa_rows_at_rate_10(monkeypatch, mu_criterion="static_reliability")
+        assert static == self.pa_rows_at_rate_10(monkeypatch)
 
     def test_throughput_floor_compares_exact_totals(self, monkeypatch):
         # 30 tuning frames decoding 293 of M = 375 slots and 30 decoding 292
@@ -516,7 +572,7 @@ class TestCompare:
 
         monkeypatch.setattr(harness, "_rs_candidate_trials", exact_tie)
         tuning = harness._tune_rs_for_rate(
-            spec, (0.5,), (1.0,), tune_trials=60, min_throughput=0.78
+            spec, TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=60), 0.78
         )
         assert tuning is not None and tuning[0].alpha == 0.5
 
@@ -564,13 +620,7 @@ class TestCompare:
     def test_requires_single_g(self):
         spec = small_rs_spec(G_grid=(0.4, 0.8))
         with pytest.raises(ValueError):
-            compare_rs_pa(spec, (-16.0,), alpha_grid=(0.2,), beta_grid=(1.0,))
-
-    def test_takes_no_mu_criterion(self):
-        # The PA side always uses the mean-fraction rule at min_throughput/G.
-        with pytest.raises(TypeError):
-            compare_rs_pa(small_rs_spec(), (-16.0,), alpha_grid=(0.2,), beta_grid=(1.0,),
-                          criterion="static_reliability")
+            compare_rs_pa(spec, ONE_PAIR, CompareConfig((-16.0,)))
 
 
 class TestPaperAnchors:
@@ -596,8 +646,9 @@ class TestPaperAnchors:
         alpha_grid = (0.8, 1.2, 1.8, 2.6, 3.6, 5.0)
         beta_grid = (0.7071, 1.0, 1.4142)
         rows = compare_rs_pa(
-            spec, (-18.06,), alpha_grid=alpha_grid, beta_grid=beta_grid,
-            tune_trials=30, min_throughput=0.78,
+            spec,
+            TuningConfig(alpha_grid=alpha_grid, beta_grid=beta_grid, tune_trials=30),
+            CompareConfig((-18.06,), min_throughput=0.78),
         )
         rs, irsa, pa = rows
         assert rs.energy_per_user_db == pytest.approx(-12.71, abs=0.05)
@@ -630,14 +681,14 @@ class TestPaperAnchors:
 # ---------------------------------------------------------------------------
 
 
-def sequential_tune_rs_point(spec, g_index, alpha_grid, beta_grid, tune_trials, target):
+def sequential_tune_rs_point(spec, g_index, tuning, target):
     """Reference for harness._tune_rs_point: every candidate decoded by
     decode_frame and measured by trial_metrics, one frame at a time."""
     G = spec.G_grid[g_index]
     base = make_point(spec, g_index)
     candidates = []
-    for a in alpha_grid:
-        for b in beta_grid:
+    for a in tuning.alpha_grid:
+        for b in tuning.beta_grid:
             try:
                 rs_sinr_target(1, base.cfg.M * base.cfg.tilde_Es / base.l_avg,
                                base.cfg.N0, a, b, base.cfg.G * base.l_avg)
@@ -646,7 +697,7 @@ def sequential_tune_rs_point(spec, g_index, alpha_grid, beta_grid, tune_trials, 
             candidates.append(SchemeConfig("RS", alpha=a, beta=b))
     tune_seed = mix64(spec.seed, harness.PURPOSE_RS_TUNE)
     accs = [MetricStats() for _ in candidates]
-    for t in range(tune_trials):
+    for t in range(tuning.tune_trials):
         graph = harness._frame(base, tune_seed, t)
         for scheme, acc in zip(candidates, accs):
             profile, result = frame_outcome(base, graph, scheme)
@@ -690,9 +741,10 @@ class TestTunersMatchSequentialReceiver:
             scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
             G_grid=(0.4, 0.8, 1.1, 2.0), trials=5, seed=seed, tilde_Es_over_N0=0.002,
         )
-        fast = tune_rs(spec, ALPHAS, BETAS, tune_trials=6)
+        tuning = TuningConfig(alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=6)
+        fast = tune_rs(spec, tuning)
         monkeypatch.setattr(harness, "_tune_rs_point", sequential_tune_rs_point)
-        assert tune_rs(spec, ALPHAS, BETAS, tune_trials=6) == fast
+        assert tune_rs(spec, tuning) == fast
         # The throughput floor binds: it rules out the largest alpha.
         assert all(t.feasible and t.alpha < max(ALPHAS) for t in fast)
 
@@ -703,12 +755,12 @@ class TestTunersMatchSequentialReceiver:
             G_grid=(0.5, 1.0, 1.3), trials=5, seed=seed, hat_R_bits=8.0,
         )
         fast = [
-            tune_mu(spec, g, trials=8, target_fraction=0.95, criterion="mean_fraction")
+            tune_mu(spec, g, TuningConfig(tune_trials=8), "mean_fraction", 0.95)
             for g in range(3)
         ]
         monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
         slow = [
-            tune_mu(spec, g, trials=8, target_fraction=0.95, criterion="mean_fraction")
+            tune_mu(spec, g, TuningConfig(tune_trials=8), "mean_fraction", 0.95)
             for g in range(3)
         ]
         assert slow == fast
@@ -723,8 +775,12 @@ class TestTunersMatchSequentialReceiver:
 
         def rows():
             return compare_rs_pa(
-                spec, (-20.0, -16.0, -12.0), alpha_grid=(0.2, 0.6, 1.2, 2.4),
-                beta_grid=(0.7071, 1.0, 1.4142), tune_trials=6, min_throughput=0.7,
+                spec,
+                TuningConfig(
+                    alpha_grid=(0.2, 0.6, 1.2, 2.4), beta_grid=(0.7071, 1.0, 1.4142),
+                    tune_trials=6,
+                ),
+                CompareConfig((-20.0, -16.0, -12.0), min_throughput=0.7),
             )
 
         fast = rows()

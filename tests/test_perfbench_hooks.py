@@ -8,7 +8,7 @@ import importlib
 from pathlib import Path
 
 from irsa_sim import harness
-from irsa_sim.harness import SweepSpec, run_tuned_pa_sweep, run_tuned_rs_sweep
+from irsa_sim.harness import SweepSpec, TuningConfig, run_tuned_sweep
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -70,7 +70,9 @@ def test_tuned_rs_sweep_reaches_hooks(monkeypatch):
         scheme="RS", dist_name="modified_soliton", dist_Y=4, K=20,
         G_grid=(0.4, 0.8), trials=3, seed=2, tilde_Es_over_N0=0.004,
     )
-    _, tunings = run_tuned_rs_sweep(spec, (0.0, 0.3), (1.0,), tune_trials=4)
+    _, tunings = run_tuned_sweep(
+        spec, TuningConfig(alpha_grid=(0.0, 0.3), beta_grid=(1.0,), tune_trials=4)
+    )
     assert counts["tune_rs"] == 1 and counts["tune_mu"] == 0
     assert counts["tune_frames"] == 4 * 2
     assert all(t.feasible for t in tunings)
@@ -83,8 +85,8 @@ def test_tuned_pa_sweep_reaches_hooks(monkeypatch):
         scheme="PA", dist_name="modified_soliton", dist_Y=4, K=20,
         G_grid=(0.4, 0.8), trials=3, seed=2, hat_R_bits=8.0,
     )
-    _, tunings = run_tuned_pa_sweep(
-        spec, tune_trials=5, criterion="static_reliability", reliability=0.9
+    _, tunings = run_tuned_sweep(
+        spec, TuningConfig(tune_trials=5, mu_criterion="static_reliability", reliability=0.9)
     )
     assert counts["tune_mu"] == 2 and counts["tune_rs"] == 0
     assert counts["tune_frames"] == 5 * 2
