@@ -40,15 +40,26 @@ residual state; power adaptation requires the MRC SINR to reach the nominal
 level.  Comparisons carry a 1e-9 relative slack (``TIE_RTOL``), the tie
 convention: a SINR that meets its threshold up to rounding passes.
 
-Phase 2 finds its message without testing every message at every entry.
-Each slot's interference is the exact sum over the messages it still holds,
-and float rounding is monotone, so cancellation never lowers a SINR: a
-message that passes keeps passing.  Phase 2 tests every message with one
-``mrc_sinr`` at its first entry, keeps a min-heap of passing indices, and
-at later entries tests again only the messages that share a slot with a
-decode since its last entry.  Every SINR is added over ascending slots, as
-``mrc_sinr``'s ``bincount`` adds it, so the decisions, the order and the
-outputs are those of a full evaluation at every entry, bit for bit.
+Neither phase repeats a test whose outcome cannot have changed.  Each
+slot's interference is the exact sum over the messages it still holds, and
+float rounding is monotone, so cancellation never lowers a SINR: a message
+that passes keeps passing, and a message's SINR changes only when a
+cancellation touches one of its slots.  A message whose test fails sleeps
+in a stalled registry, with the degree-one slots that wait on it, and a
+cancellation wakes every sleeping message it touches: the one it leaves
+alone in a slot, and every undecoded message of a slot it re-sums.
+
+Phase 1 is a worklist.  Each pass visits, in ascending order, only the
+degree-one slots not known to fail; a slot that becomes degree one, or is
+woken, beyond the scan position joins the current pass, and one at or
+behind it waits for the next, which is when a full scan would reach it.  A
+slot whose message sleeps joins it untested.  Phase 2 tests every message
+with one ``mrc_sinr`` at its first entry, keeps a min-heap of the passing
+indices and puts the others to sleep; a later entry tests only the
+messages woken since the last.  Every SINR is added over ascending slots,
+as ``mrc_sinr``'s ``bincount`` adds it, so a skipped test would have failed
+on the same float, and the decisions, the order and the outputs are those
+of a full scan and a full evaluation at every step, bit for bit.
 
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
@@ -133,21 +144,24 @@ class DecodeResult:
     genie_rate = cached_property(lambda r: r._per_message(r.genie_rates))
 
 
-def mrc_sinr(edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None) -> np.ndarray:
+def mrc_sinr(
+    edge_msg, edge_slot, edge_energy, N0: float, slot_interference=None, minlength: int = 0
+) -> np.ndarray:
     """Every message's MRC-combined SINR by one ``bincount`` over a frame's
     edge arrays: the sum over its slots, in ascending slot order, of its own
     energy over the other messages' interference plus noise.
 
     ``slot_interference`` is the energy still on each slot; by default the
-    whole frame's, before any cancellation.  Every message needs at least
-    one edge.
+    whole frame's, before any cancellation.  The result has one entry per
+    message up to the largest in ``edge_msg``, and at least ``minlength``;
+    a message with no edge gets 0.0.
     """
     if slot_interference is None:
         slot_interference = np.bincount(edge_slot, weights=edge_energy)
     denom = slot_interference[edge_slot] - edge_energy
     np.maximum(denom, 0.0, out=denom)  # a decoded message's slots lack its energy
     denom += N0
-    return np.bincount(edge_msg, weights=edge_energy / denom)
+    return np.bincount(edge_msg, weights=edge_energy / denom, minlength=minlength)
 
 
 def success_thresholds(profile: TransmitProfile) -> np.ndarray:
@@ -160,13 +174,18 @@ def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.
     candidate profiles: ``energies`` and ``thresholds`` (success thresholds,
     see ``success_thresholds``) have one row per candidate.
 
-    Jacobi rounds: each round recomputes the slot interference of the
-    undecoded messages from scratch, takes every undecoded message's MRC
-    SINR and decodes all that reach their threshold, until a round decodes
-    nothing.  Cancellation never lowers another message's SINR, so the
-    result is the unique closure that ``decode_frame`` reaches in its own
-    order (RS and PA schemes).  Candidates are stacked as disjoint copies of
-    the frame, so the working set grows with the batch: callers chunk it.
+    Jacobi rounds over the live edges: each round sums the slot
+    interference of the undecoded messages, takes their MRC SINRs and
+    decodes all that reach their threshold, until a round decodes nothing.
+    A round then drops the edges of the messages it decoded and of every
+    candidate it decoded nothing for.  A decoded edge only added +0.0 to its
+    slot's in-order ``bincount``, and a candidate with no decode would see
+    the same SINRs again, so every value and decision is that of a round
+    over all edges.  Cancellation never lowers another message's SINR, so
+    the result is the unique closure that ``decode_frame`` reaches in its
+    own order (RS and PA schemes).  Candidates are stacked as disjoint
+    copies of the frame, so the working set grows with the batch: callers
+    chunk it.
     """
     n, K = energies.shape
     M = int(edge_slot.max()) + 1
@@ -177,13 +196,16 @@ def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.
     thresholds = thresholds.ravel()
     decoded = np.zeros(n * K, dtype=bool)
     while True:
-        live_energy = np.where(decoded[edge_msg], 0.0, edge_energy)
-        interference = np.bincount(edge_slot, weights=live_energy, minlength=n * M)
-        sinr = mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference)
+        interference = np.bincount(edge_slot, weights=edge_energy, minlength=n * M)
+        sinr = mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference, n * K)
         new = (sinr >= thresholds) & ~decoded
         if not new.any():
             return decoded.reshape(n, K)
         decoded |= new
+        rows = new.reshape(n, K)
+        done = rows | ~rows.any(axis=1, keepdims=True)
+        live = ~done.ravel()[edge_msg]
+        edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
 
 
 def decode_frame(
@@ -268,7 +290,18 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         graph.edge_slot, weights=profile.energies[graph.edge_msg], minlength=M
     ).tolist()
     decoded = [False] * graph.K
-    num_degree_one = int((degree == 1).sum())
+
+    # The stalled registry (see the module docstring): each message whose
+    # last test failed, with the degree-one slots that wait on it; and the
+    # messages woken since phase 2's last entry.
+    asleep: dict[int, list[int]] = {}
+    woken: set[int] = set()
+    # Phase 1's worklist: the slots due in this pass (flagged in ``due``)
+    # and in the next (``later``).  ``wake`` and ``cancel`` queue a slot
+    # beyond the scan position ``pos`` in this pass and one at or behind it
+    # in the next; phase 2 passes -1, so the next pass takes them all.
+    due = bytearray((degree == 1).tobytes())
+    later = bytearray(M)
 
     def sinr_of(msg: int) -> float:
         # MRC over all replicas, added over ascending slots as mrc_sinr's
@@ -279,9 +312,15 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             total += e / (interference[j] - e + N0)
         return total
 
-    def cancel(msg: int) -> None:
-        # Take every replica of msg out of its slots' residual state.
-        nonlocal num_degree_one
+    def wake(msg: int, pos: int) -> None:
+        woken.add(msg)
+        for j in asleep.pop(msg):
+            (due if j > pos else later)[j] = 1
+
+    def cancel(msg: int, pos: int) -> None:
+        # Take every replica of msg out of its slots' residual state, queue
+        # the slots it leaves at degree one and wake every sleeping message
+        # it shares a slot with.
         assert not decoded[msg], f"message {msg} cancelled twice"
         decoded[msg] = True
         for j in message_slots[msg]:
@@ -289,16 +328,21 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             slot_degree[j] = d
             slot_id_sum[j] -= msg
             if d == 1:
-                num_degree_one += 1
-                interference[j] = energies[slot_id_sum[j]]
+                m = slot_id_sum[j]
+                interference[j] = energies[m]
+                (due if j > pos else later)[j] = 1
+                if m in asleep:
+                    wake(m, pos)
             elif d == 0:
-                num_degree_one -= 1
                 interference[j] = 0.0
+                due[j] = 0  # an empty slot needs no visit
             else:
                 total = 0.0
                 for m in slot_messages[j]:
                     if not decoded[m]:
                         total += energies[m]
+                        if m in asleep:
+                            wake(m, pos)
                 interference[j] = total
 
     # Decodes in step order: message, phase, degree-one slot, SINR.
@@ -307,50 +351,54 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     slots: list[int] = []
     sinrs: list[float] = []
 
-    # Phase 2 (see the module docstring): ``passing`` is a min-heap of the
-    # messages that have passed, from its first entry on, decoded ones
-    # dropped when they reach the top; ``order[seen:]`` are the decodes
-    # since the last phase-2 entry.
+    # Phase 2's min-heap of the messages that have passed, from its first
+    # entry on; decoded ones are dropped when they reach the top.
     passing: list[int] | None = None
-    in_heap: set[int] = set()
-    seen = 0
 
     while True:
-        # Phase 1: ascending scans over degree-one slots until a full pass
-        # yields no success.
-        progress = True
-        while progress and num_degree_one > 0:
-            progress = False
-            for j in range(M):
-                if slot_degree[j] != 1:
-                    continue
-                msg = slot_id_sum[j]
-                sinr = sinr_of(msg)
-                if sinr >= thresholds[msg]:
-                    order.append(msg)
-                    phases.append(PHASE_PEELING)
-                    slots.append(j)
-                    sinrs.append(sinr)
-                    cancel(msg)
-                    progress = True
+        # Phase 1: ascending passes over the queued degree-one slots until a
+        # pass queues none for the next.  A slot whose message sleeps joins
+        # it untested: the test would fail again.
+        while (pos := due.find(1)) >= 0:
+            find = due.find
+            while pos >= 0:
+                due[pos] = 0
+                if slot_degree[pos] == 1:
+                    msg = slot_id_sum[pos]
+                    if msg in asleep:
+                        asleep[msg].append(pos)
+                    elif (sinr := sinr_of(msg)) >= thresholds[msg]:
+                        order.append(msg)
+                        phases.append(PHASE_PEELING)
+                        slots.append(pos)
+                        sinrs.append(sinr)
+                        cancel(msg, pos)
+                    else:
+                        asleep[msg] = [pos]
+                pos = find(1, pos + 1)
+            due, later = later, due
         # Phase 2: peel the lowest-index undecoded message that passes
-        # against the residual state and return to phase 1.
+        # against the residual state and return to phase 1.  The first entry
+        # tests every message; a later one only those woken since.
         if passing is None:
             sinr_all = mrc_sinr(
                 graph.edge_msg, graph.edge_slot, profile.energies[graph.edge_msg], N0,
                 np.asarray(interference),
             )
-            passing = np.flatnonzero((sinr_all >= thr_arr) & ~np.asarray(decoded)).tolist()
-            in_heap = set(passing)
+            alive = ~np.asarray(decoded)
+            ok = sinr_all >= thr_arr
+            passing = np.flatnonzero(ok & alive).tolist()
+            for m in np.flatnonzero(alive & ~ok).tolist():
+                asleep.setdefault(m, [])
         else:
-            touched = {
-                m for p in order[seen:] for j in message_slots[p] for m in slot_messages[j]
-            }
-            for m in touched - in_heap:
-                if not decoded[m] and sinr_of(m) >= thresholds[m]:
+            for m in woken:
+                if decoded[m] or m in asleep:
+                    continue
+                if sinr_of(m) >= thresholds[m]:
                     heapq.heappush(passing, m)
-                    in_heap.add(m)
-        seen = len(order)
+                else:
+                    asleep[m] = []
+        woken.clear()
         while passing and decoded[passing[0]]:
             heapq.heappop(passing)
         if not passing:
@@ -360,4 +408,4 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         phases.append(PHASE_RESIDUAL)
         slots.append(-1)
         sinrs.append(sinr_of(msg))
-        cancel(msg)
+        cancel(msg, -1)

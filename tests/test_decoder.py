@@ -23,6 +23,7 @@ from irsa_sim.schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
     SchemeConfig,
+    TransmitProfile,
     TuningParameterError,
     build_profile,
 )
@@ -508,6 +509,38 @@ class TestDecodedClosureOracle:
         assert result.decoded.all()
         assert closure_of(g, [profile], cfg.N0)[0].all()
 
+    def test_candidates_converging_in_different_rounds(self, monkeypatch):
+        # One batch on the chain: a candidate that decodes nothing, one whose
+        # cascade takes four rounds and one that decodes every message in
+        # round one.  Each round runs over the live edges only: the first
+        # round's 48 edges fall to the cascade's 12 once the other two
+        # candidates are done, and to none after its last decodes.
+        g = chain_frame()
+        cfg = uniform_cfg(8, 9, 0.5, l_avg=2.0)
+        scheme = SchemeConfig("RS", alpha=0.5, beta=1.0)
+        cascade = build_profile(g.degrees, cfg, scheme, 2.0)
+        energies = np.stack([cascade.energies] * 3)
+        thresholds = np.stack([
+            np.full(g.K, 1e9), success_thresholds(cascade), np.full(g.K, 1e-3)
+        ])
+        edges = []
+        real = decoder.mrc_sinr
+
+        def spy(edge_msg, *args):
+            edges.append(len(edge_msg))
+            return real(edge_msg, *args)
+
+        monkeypatch.setattr(decoder, "mrc_sinr", spy)
+        batch = decoded_closure(g.edge_msg, g.edge_slot, energies, thresholds, cfg.N0)
+        assert edges == [48, 12, 8, 4, 0]
+        assert batch.sum(axis=1).tolist() == [0, 8, 8]
+        for row in range(3):
+            alone = decoded_closure(
+                g.edge_msg, g.edge_slot, energies[row:row + 1], thresholds[row:row + 1], cfg.N0
+            )
+            assert np.array_equal(alone[0], batch[row]), row
+        assert np.array_equal(batch[1], decode_frame(g, cascade, scheme, cfg).decoded)
+
 
 def _profiles(g, cfg, l_avg, schemes):
     return [build_profile(g.degrees, cfg, s, l_avg) for s in schemes]
@@ -807,6 +840,82 @@ class TestResidualStateMatchesPythonSums:
             assert (PHASE_RESIDUAL, 0) not in left
             residual += (PHASE_RESIDUAL, 1) in left or (PHASE_RESIDUAL, 2) in left
         assert residual >= 50
+
+
+def unit_energy_setup(g, thresholds):
+    """A PA-labelled profile on ``g`` with every energy 1 and the given
+    SINR thresholds, at N0 = 1: each slot's interference is its count of
+    undecoded messages."""
+    profile = TransmitProfile(
+        g.degrees, np.ones(g.K), np.ones(g.K), np.array(thresholds, dtype=float), None, 2.0, 1.0
+    )
+    return g, profile, SchemeConfig("PA", mu=1.0), ChannelConfig(K=g.K, M=g.M, hat_R=10.0)
+
+
+class TestStalledRegistry:
+    """The receiver re-tests a message only after a cancellation touches
+    one of its slots; a message that failed and was not touched would fail
+    again.  Each crafted frame pins a decode order the stateless receiver
+    (``oracle_decode_frame``) gives, and that a receiver waking too little,
+    or waking a slot into the wrong pass, would not."""
+
+    @staticmethod
+    def check(setup, order, phases, slots):
+        result = TestResidualStateMatchesPythonSums.assert_same_result(*setup)
+        assert result.order.tolist() == order
+        assert result.phase[result.order].tolist() == phases
+        assert result.decode_slot[result.order].tolist() == slots
+        g, profile, _, cfg = setup
+        assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
+
+    def test_stalled_slot_waits_for_the_phase_two_decode_that_touches_it(self):
+        # Message 0 sits alone in slot 0 and fails there (SINR 1 + 1/3 <
+        # 1.4).  Phase 2 first decodes 1, whose slots 0 does not share, then
+        # 2, which leaves slot 1 holding 0 and 4: 0 now passes (1 + 1/2) at
+        # slot 0, although none of its slots became degree one.  Messages 3
+        # and 4 never pass.
+        g = FrameGraph(5, [[0, 1], [2, 3], [1, 4], [2, 3, 4], [1]])
+        setup = unit_energy_setup(g, [1.4, 0.9, 0.8, 100.0, 100.0])
+        self.check(setup, order=[1, 2, 0], phases=[2, 2, 1], slots=[-1, -1, 0])
+
+    def test_wake_ahead_joins_the_pass_and_wake_behind_waits(self):
+        # Messages 0 (slot 0) and 1 (slot 4) fail alone in their slots;
+        # phase 2 decodes 3, which leaves 2 alone in slot 1.  Decoding 2
+        # there touches slots 2 and 3, which keep message 4: neither becomes
+        # degree one, but 0 and 1 are woken.  Slot 4 lies beyond the scan
+        # position and decodes 1 in the same pass; slot 0 lies behind it and
+        # waits for the next pass, where it decodes 0 before slot 2 (left
+        # holding 4 alone) decodes 4.  Message 5 never passes.
+        g = FrameGraph(6, [[0, 2], [3, 4], [1, 2, 3], [1, 5], [2, 3], [5]])
+        setup = unit_energy_setup(g, [1.4, 1.4, 1.5, 0.9, 1.45, 100.0])
+        self.check(
+            setup, order=[3, 2, 1, 0, 4], phases=[2, 1, 1, 1, 1], slots=[-1, 1, 4, 0, 2]
+        )
+
+    @pytest.mark.parametrize(
+        "variant, params, G",
+        [("PA", {"mu": 1.0}, 0.8), ("RS", {"alpha": 1.31587, "beta": 2.82843}, 1.3)],
+    )
+    def test_stalling_regimes_at_full_size(self, variant, params, G):
+        # K = 300, modified soliton Y = 10: the two regimes where the
+        # receiver stalls most (about 40 and 77 phase-2 decodes per frame).
+        dist = modified_soliton(10)
+        l_avg = avg_degree(dist)
+        M = int(round(300 / G))
+        if variant == "PA":
+            cfg = ChannelConfig(K=300, M=M, hat_R=10.0)
+        else:
+            cfg = ChannelConfig(K=300, M=M, tilde_Es=9e-4)
+        scheme = SchemeConfig(variant, **params)
+        rng = np.random.default_rng(239)
+        residual = 0
+        for _ in range(3):
+            g = build_frame(300, M, dist, rng)
+            profile = build_profile(g.degrees, cfg, scheme, l_avg)
+            result = TestResidualStateMatchesPythonSums.assert_same_result(g, profile, scheme, cfg)
+            assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
+            residual += int((result.phase == PHASE_RESIDUAL).sum())
+        assert residual >= 60
 
 
 class TestGenieRate:
