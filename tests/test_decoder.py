@@ -870,7 +870,7 @@ class TestStalledRegistry:
 
     def test_stalled_slot_waits_for_the_phase_two_decode_that_touches_it(self):
         # Message 0 sits alone in slot 0 and fails there (SINR 1 + 1/3 <
-        # 1.4).  Phase 2 first decodes 1, whose slots 0 does not share, then
+        # 1.4).  Phase 2 first decodes 1, which shares no slot with 0, then
         # 2, which leaves slot 1 holding 0 and 4: 0 now passes (1 + 1/2) at
         # slot 0, although none of its slots became degree one.  Messages 3
         # and 4 never pass.
