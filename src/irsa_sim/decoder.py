@@ -1,4 +1,5 @@
-"""SIC receivers: integer peeling for the baseline, two-phase MRC for RS/PA.
+"""SIC receivers: integer peeling for the baseline and for statically
+decodable RS/PA frames, two-phase MRC for the other RS/PA frames.
 
 The baseline (IRSA) decodes any message sitting in a degree-one slot
 (single-slot decoding, Liva 2011): its receiver is erasure peeling on
@@ -61,6 +62,22 @@ as ``mrc_sinr``'s ``bincount`` adds it, so a skipped test would have failed
 on the same float, and the decisions, the order and the outputs are those
 of a full scan and a full evaluation at every step, bit for bit.
 
+A frame is statically decodable when every message passes its test
+before any cancellation, which one ``mrc_sinr`` against the initial
+interference shows (``statically_decodable``; the mu tuner's
+``static_reliability`` rule counts such frames).  Since cancellation never
+lowers a SINR, every test the receiver makes on it passes, so its decode
+order is integer erasure peeling: phase 1 runs the worklist on slot degrees
+and id sums alone, and phase 2 decodes the lowest-index undecoded message.
+Only the SINRs need floats, and one vectorised replay gives them all: for
+each edge of a decoded message it adds the energies of the slot's messages
+still undecoded at that step, from 0.0 in ascending message order, by one
+``bincount`` over the pairs of edges sharing a slot, a masked pair adding
++0.0; then one ``bincount`` adds e / (I - e + N0) over ascending slots.
+These are the float operations of the two-phase receiver, so the order,
+phases, slots and SINRs are its own, bit for bit.  Every other RS/PA frame
+takes the two-phase receiver.
+
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
 success test.  The tuners read only which messages decode, and take that
@@ -91,6 +108,7 @@ __all__ = [
     "decoded_closure",
     "mrc_sinr",
     "success_thresholds",
+    "statically_decodable",
     "decode_frame",
 ]
 
@@ -169,6 +187,17 @@ def success_thresholds(profile: TransmitProfile) -> np.ndarray:
     return profile.sinr_thresholds * (1.0 - TIE_RTOL)
 
 
+def statically_decodable(
+    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
+) -> bool:
+    """Whether every message passes its success test before any
+    cancellation: per-message ``energies`` and success ``thresholds`` (see
+    ``success_thresholds``).  Cancellation never lowers an MRC SINR, so on
+    such a frame every test the receiver makes passes."""
+    sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energies[graph.edge_msg], N0)
+    return bool((sinr >= thresholds).all())
+
+
 def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.ndarray:
     """Decoded set of one frame, shape (candidates, K), for a batch of
     candidate profiles: ``energies`` and ``thresholds`` (success thresholds,
@@ -215,17 +244,23 @@ def decode_frame(
     cfg: ChannelConfig,
 ) -> DecodeResult:
     """Run the receiver to its fixed point on one frame: integer peeling for
-    the baseline, the two-phase MRC receiver for RS and PA.  The genie rate
-    takes ``math.log2`` per value: ``np.log2`` need not round alike."""
+    the baseline and for statically decodable RS/PA frames, the two-phase
+    MRC receiver for the other RS/PA frames.  The genie rate takes
+    ``math.log2`` per value: ``np.log2`` need not round alike."""
     if scheme.variant == "IRSA":
         order, slots, sinrs = _peel_irsa(graph, profile.Es, cfg.N0)
         phases = PHASE_PEELING
+    elif statically_decodable(graph, profile.energies, success_thresholds(profile), cfg.N0):
+        order, slots = _peel_static(graph)
+        order = np.array(order, dtype=np.int64)
+        phases = [PHASE_PEELING if j >= 0 else PHASE_RESIDUAL for j in slots]
+        sinrs = _replay_sinrs(graph, profile.energies, order, cfg.N0)
     else:
         order, phases, slots, sinrs = _decode_mrc(graph, profile, cfg.N0)
     sinrs = np.asarray(sinrs, dtype=np.float64)
     capacity = (1.0 + sinrs) if scheme.rmax_includes_one else sinrs
     genie = (0.5 * cfg.L_cu) * np.array(list(map(math.log2, capacity.tolist())))
-    return DecodeResult(graph.K, np.array(order, dtype=np.int64), sinrs, genie, phases, slots)
+    return DecodeResult(graph.K, np.asarray(order, dtype=np.int64), sinrs, genie, phases, slots)
 
 
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
@@ -270,6 +305,83 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     other += N0
     step = np.repeat(np.arange(len(order)), graph.degrees[order])
     return order, slots, np.bincount(step, weights=e / other, minlength=len(order))
+
+
+def _peel_static(graph: FrameGraph):
+    """The two-phase receiver on a statically decodable frame, on slot
+    degrees and id sums alone: every test passes, so phase 1 is erasure
+    peeling over ``_decode_mrc``'s worklist and phase 2 decodes the
+    lowest-index undecoded message.  Returns the decoded messages and their
+    degree-one slots, -1 for a phase-2 decode, in step order."""
+    K = graph.K
+    message_slots = graph.message_slots
+    degree = graph.slot_degrees()
+    slot_degree = degree.tolist()
+    slot_id_sum = graph.slot_id_sums().tolist()
+    decoded = [False] * K
+    due = bytearray((degree == 1).tobytes())
+    later = bytearray(graph.M)
+    order: list[int] = []
+    slots: list[int] = []
+
+    def cancel(msg: int, pos: int) -> None:
+        # _decode_mrc's cancel on the integer state, recording the decode.
+        order.append(msg)
+        slots.append(pos)
+        decoded[msg] = True
+        for j in message_slots[msg]:
+            d = slot_degree[j] - 1
+            slot_degree[j] = d
+            slot_id_sum[j] -= msg
+            if d == 1:
+                (due if j > pos else later)[j] = 1
+            elif d == 0:
+                due[j] = 0
+
+    lowest = 0
+    while True:
+        while (pos := due.find(1)) >= 0:
+            find = due.find
+            while pos >= 0:
+                due[pos] = 0
+                if slot_degree[pos] == 1:
+                    cancel(slot_id_sum[pos], pos)
+                pos = find(1, pos + 1)
+            due, later = later, due
+        while lowest < K and decoded[lowest]:
+            lowest += 1
+        if lowest == K:
+            return order, slots
+        cancel(lowest, -1)
+
+
+def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0: float):
+    """The SINR of every decode of a fully decoded frame, in step order, by
+    ``_decode_mrc``'s float operations.  Each edge's slot interference adds
+    the energies of the slot's messages still undecoded at its message's
+    step, from 0.0 in ascending message order, a decoded one adding +0.0;
+    each SINR adds e / (I - e + N0) over its message's ascending slots."""
+    step = np.empty(graph.K, dtype=np.int64)
+    step[order] = np.arange(graph.K)
+    # The edges by slot, each slot's in ascending message order, and so
+    # each message's in ascending slot order.
+    msg = graph.edge_msg[np.argsort(graph.edge_slot, kind="stable")]
+    e = energies[msg]
+    at = step[msg]
+    # Every edge paired with each edge of its slot, the slot's in order:
+    # edge p's pairs run over its slot's edges, from the slot's first.
+    degree = graph.slot_degrees()
+    width = np.repeat(degree, degree)
+    ends = np.cumsum(width)
+    first = np.repeat(np.cumsum(degree) - degree, degree)
+    other = np.arange(ends[-1]) + np.repeat(first - ends + width, width)
+    still = at[other] >= np.repeat(at, width)
+    edge = np.repeat(np.arange(len(msg)), width)
+    interference = np.bincount(edge, weights=e[other] * still, minlength=len(msg))
+    denom = interference - e
+    denom += N0
+    sinr = np.bincount(msg, weights=e / denom, minlength=graph.K)
+    return sinr[order]
 
 
 def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):

@@ -27,7 +27,7 @@ from .config import (
 from .decoder import (
     decode_frame,
     decoded_closure,
-    mrc_sinr,
+    statically_decodable,
     success_thresholds,
 )
 from .distributions import DegreeDistribution, avg_degree, from_name, parameter_problem
@@ -46,6 +46,7 @@ from .schemes import (
     TransmitProfile,
     TuningParameterError,
     build_profile,
+    es_from_reference,
     hat_es_from_rate,
     pa_powers,
     rs_sinr_target,
@@ -112,7 +113,8 @@ class SweepSpec:
 
     ``dist_Y`` may be the string "M" to re-parameterise the soliton with the
     slot count at every grid point (the distributions' default usage here).
-    M is round(K/G); K stays fixed along the grid.
+    M is round(K/G); K stays fixed along the grid.  A frame keys its edges
+    by message * M + slot in int64, so K*M must stay below 2**63.
     """
 
     scheme: str
@@ -147,8 +149,13 @@ class SweepSpec:
             return "l3"
         return f"{self.dist_name}_Y{self.dist_Y}"
 
-    def slots_for(self, G: float) -> int:
-        return int(round(self.K / G))
+    def slots_for(self, G: float) -> int | None:
+        """M at load G; None where K/G is not finite or K*M reaches 2**63."""
+        M = self.K / G
+        if not math.isfinite(M):
+            return None
+        M = int(round(M))
+        return M if self.K * M < 2**63 else None
 
     def dist_for(self, M: int) -> DegreeDistribution:
         Y = M if self.dist_Y == "M" else self.dist_Y
@@ -299,9 +306,14 @@ class MetricStats:
 
 def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
-    leaves fewer slots than the degree distribution needs."""
+    leaves fewer slots than the degree distribution needs, or more than
+    K*M < 2**63 allows."""
     G = spec.G_grid[g_index]
     M = spec.slots_for(G)
+    if M is None:
+        raise InfeasibleOperatingPointError(
+            f"G={G} gives K/G = {spec.K / G:.3g} slots for K={spec.K}; K*M must stay below 2**63"
+        )
     if M < 1:
         raise InfeasibleOperatingPointError(f"G={G} leaves M={M} slots for K={spec.K}")
     try:
@@ -516,7 +528,7 @@ def _rs_candidate_trials(spec: SweepSpec, g_index: int, tuning: TuningConfig):
     tune_trials).  None when no pair is admissible;
     InfeasibleOperatingPointError when a table fails."""
     point = make_point(spec, g_index)
-    es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
+    es = es_from_reference(point.cfg, point.l_avg)
     r_avg = point.cfg.G * point.l_avg
     candidates: list[SchemeConfig] = []
     for a in tuning.alpha_grid:
@@ -646,16 +658,14 @@ def tune_mu(
 
     else:
         def measure(mu: float) -> float:
-            # Fraction of frames whose every message decodes before any
-            # cancellation.
+            # Fraction of statically decodable frames: every message
+            # decodes before any cancellation.
             tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
             energies, thresholds = tables.energies[0], tables.thresholds[0]
             ok = 0
             for graph in frames:
                 index = tables.index(graph)
-                energy = energies[index][graph.edge_msg]
-                sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energy, base.cfg.N0)
-                ok += bool((sinr >= thresholds[index]).all())
+                ok += statically_decodable(graph, energies[index], thresholds[index], base.cfg.N0)
             return ok / len(frames)
 
     frac_lo = measure(1.0)

@@ -126,11 +126,17 @@ class TransmitProfile:
 
 def es_from_reference(cfg: ChannelConfig, l_avg: float) -> float:
     """Per-replica energy that spends the same total frame energy as the
-    everyone-in-every-slot reference: Es = M * tilde_Es / l_avg."""
+    everyone-in-every-slot reference: Es = M * tilde_Es / l_avg.  Raises
+    InfeasibleOperatingPointError where Es overflows."""
     if cfg.tilde_Es is None:
         raise ValueError("config carries no reference energy tilde_Es")
     require("l_avg", l_avg)
-    return cfg.M * cfg.tilde_Es / l_avg
+    Es = cfg.M * cfg.tilde_Es / l_avg
+    if not math.isfinite(Es):
+        raise InfeasibleOperatingPointError(
+            f"tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = {cfg.M}"
+        )
+    return Es
 
 
 def hat_es_from_rate(hat_R: float, L_cu: int, N0: float) -> float:
@@ -236,10 +242,6 @@ def build_profile(
         profile = pa_powers(degrees, cfg, scheme.mu, l_avg, r_avg)
     else:
         Es = es_from_reference(cfg, l_avg)
-        if not math.isfinite(Es):
-            raise InfeasibleOperatingPointError(
-                f"tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = {cfg.M}"
-            )
         n = len(degrees)
         if scheme.variant == "IRSA":
             x = np.full(n, Es / cfg.N0)

@@ -471,10 +471,16 @@ class TestMainCommands:
             ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1e305,
                       "tuning": {"alpha_grid": [0.01], "beta_grid": [1.0], "tune_trials": 2}},
              "infeasible: the frame energy K*l_i*E_i/N0 overflows"),
+            # The (alpha, beta) admissibility probe meets the infinite energy
+            # before any profile does.
+            ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1.7e308,
+                      "tuning": {"alpha_grid": [0.5], "beta_grid": [1.0], "tune_trials": 2}},
+             "flagged: tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = 120"),
         ],
         ids=["irsa_energy_overflow", "pa_frame_energy_overflow", "pa_energy_underflow",
              "irsa_frame_energy_overflow", "rs_frame_energy_overflow", "rs_rate_overflow",
-             "irsa_c_ref_underflow", "rs_tune_rate_overflow", "rs_tuned_frame_energy_overflow"],
+             "irsa_c_ref_underflow", "rs_tune_rate_overflow", "rs_tuned_frame_energy_overflow",
+             "rs_tune_energy_overflow"],
     )
     def test_energy_out_of_float_range_flags_the_point(
         self, tmp_path, capsys, command, energy, found
@@ -492,6 +498,35 @@ class TestMainCommands:
         assert "Traceback" not in err and "RuntimeWarning" not in err
         row = (tmp_path / f"{command}.csv").read_text().splitlines()[1].split(",")
         assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
+
+    @pytest.mark.parametrize("G", [1e-320, 1e-300, 1e-20])
+    @pytest.mark.parametrize(
+        "command, scheme",
+        [
+            ("sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 0.0009}),
+            ("tune", {"scheme": "RS", "tilde_Es_over_N0": 0.0009,
+                      "tuning": {"alpha_grid": [0.5], "beta_grid": [1.0], "tune_trials": 2}}),
+            ("tune", {"scheme": "PA", "hat_R_bits": 10.0, "tuning": {"tune_trials": 2}}),
+        ],
+        ids=["sweep", "tune_rs", "tune_pa"],
+    )
+    def test_slot_count_out_of_range_flags_the_point(self, tmp_path, capsys, command, scheme, G):
+        # K/G overflows at 1e-320; at 1e-300 and 1e-20 the edge keys
+        # message * M + slot would pass int64.
+        config = dict(scheme, distribution={"name": "l3"}, K=24, G_grid=[G, 0.5], trials=2)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert f"G={G!r} gives K/G = {24 / G:.3g} slots for K=24; K*M must stay below 2**63\n" in err
+        assert "Traceback" not in err
+        header, flagged, kept = (tmp_path / f"{command}.csv").read_text().splitlines()
+        flagged = dict(zip(header.split(","), flagged.split(",")))
+        assert flagged["M"] == "" and flagged["T_mean"] == ""
+        assert kept.split(",")[CSV_HEADER.split(",").index("T_mean")] != ""
 
     @pytest.mark.parametrize(
         "tuning, mu_max",

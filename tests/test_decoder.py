@@ -693,6 +693,11 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
     return out
 
 
+def is_static(g, profile, scheme, cfg):
+    """Whether decode_frame takes the static path on an RS/PA setup."""
+    return decoder.statically_decodable(g, profile.energies, success_thresholds(profile), cfg.N0)
+
+
 RESULT_FIELDS = ("decoded", "decode_step", "phase", "decode_slot", "decode_sinr", "genie_rate")
 
 
@@ -731,7 +736,7 @@ class TestResidualStateMatchesPythonSums:
 
     def test_decode_frame_random_frames(self):
         rng = np.random.default_rng(103)
-        frames = long_decodes = residual = 0
+        frames = long_decodes = residual = static = static_residual = 0
         for frame in range(2400):
             variant = ("IRSA", "RS", "PA")[frame % 3]
             try:
@@ -741,8 +746,15 @@ class TestResidualStateMatchesPythonSums:
             result = self.assert_same_result(*setup)
             frames += 1
             long_decodes += result.decoded_count >= 128
-            residual += bool((result.phase == PHASE_RESIDUAL).any())
+            has_residual = bool((result.phase == PHASE_RESIDUAL).any())
+            residual += has_residual
+            if variant != "IRSA" and is_static(*setup):
+                static += 1
+                static_residual += has_residual
         assert frames >= 2000 and long_decodes >= 200 and residual >= 200
+        # Statically decodable RS/PA frames take the integer peeling and
+        # the SINR replay, some of them through phase 2.
+        assert static >= 400 and static_residual >= 200
 
     def test_decode_frame_independent_of_builtin_sum(self, monkeypatch):
         # CPython 3.12 compensates sum() over floats and 3.11 does not, so a
@@ -916,6 +928,60 @@ class TestStalledRegistry:
             assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
             residual += int((result.phase == PHASE_RESIDUAL).sum())
         assert residual >= 60
+
+
+class TestStaticPeeling:
+    """A statically decodable RS/PA frame, every message passing before any
+    cancellation, decodes by integer peeling and one vectorised SINR
+    replay; every output equals the two-phase receiver's, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_two_phase(setup, monkeypatch):
+        got = decode_frame(*setup)
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "statically_decodable", lambda *args: False)
+            want = decode_frame(*setup)
+        assert got.order.tolist() == want.order.tolist()
+        assert list(got.phases) == list(want.phases)
+        assert list(got.slots) == list(want.slots)
+        assert np.array_equal(got.sinrs, want.sinrs)
+        assert np.array_equal(got.genie_rates, want.genie_rates)
+        return got
+
+    def test_two_cycle_takes_the_lowest_index_in_phase_two(self, monkeypatch):
+        # Every message passes at threshold 0.4 before any cancellation.
+        # Phase 1 decodes 3 (slot 0), 1 (slot 1) and 4 (slot 2, left alone
+        # by 3); messages 0 and 2 share slots 3 and 4, a stopping set.  Phase
+        # 2 takes 0, the lower index, and phase 1 then decodes 2 at slot 3.
+        g = FrameGraph(5, [[3, 4], [1], [3, 4], [0, 2], [2]])
+        setup = unit_energy_setup(g, [0.4] * 5)
+        assert is_static(*setup)
+        TestStalledRegistry.check(
+            setup, order=[3, 1, 4, 0, 2], phases=[1, 1, 1, 2, 1], slots=[0, 1, 2, -1, 3]
+        )
+        self.assert_same_as_two_phase(setup, monkeypatch)
+
+    def test_tuned_pa_points_at_full_size(self, monkeypatch):
+        # The mu the static_reliability rule picks on the tune_pa_l2
+        # benchmark's frames at G 0.5, 0.8 and 1.1: K = 300, modified
+        # soliton Y = 10, hat_R 10.  At G = 1.1 a static frame takes about
+        # 47 phase-2 decodes.
+        dist = modified_soliton(10)
+        l_avg = avg_degree(dist)
+        rng = np.random.default_rng(241)
+        static = residual = 0
+        for G, mu in [(0.5, 1.4), (0.8, 1.51), (1.1, 1.52)]:
+            M = int(round(300 / G))
+            cfg = ChannelConfig(K=300, M=M, hat_R=10.0)
+            scheme = SchemeConfig("PA", mu=mu)
+            for _ in range(6):
+                g = build_frame(300, M, dist, rng)
+                setup = (g, build_profile(g.degrees, cfg, scheme, l_avg), scheme, cfg)
+                result = self.assert_same_as_two_phase(setup, monkeypatch)
+                if is_static(*setup):
+                    static += 1
+                    residual += int((result.phase == PHASE_RESIDUAL).sum())
+        assert static >= 16 and residual >= 100
 
 
 class TestGenieRate:

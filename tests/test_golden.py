@@ -4,8 +4,10 @@ comparison and decode-one traces, byte for byte.
 The IRSA files under ``tests/data`` were written by the receiver as it stood
 before IRSA decoding became integer peeling, the RS and PA sweeps by the
 evaluation path as it stood before sweeps read one degree table per point,
-and the tunes, the comparison and the RS and PA traces by the RS tuners as
-they stood before they shared one candidate evaluation.  A change that
+the tunes, the comparison and the RS and PA traces by the RS tuners as
+they stood before they shared one candidate evaluation, and the static PA
+trace by the two-phase receiver as it stood before statically decodable
+frames took integer peeling.  A change that
 declares new numbers regenerates them with the commands below; any other
 change must leave them as they are:
 
@@ -23,6 +25,8 @@ change must leave them as they are:
         --es-over-n0 0.5 --alpha 0.5 --beta 1.0 > tests/data/irsa_frame.rs.decode-one.tsv
     irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme PA \\
         --hat-r-bits 10 --mu 1.0 > tests/data/irsa_frame.pa.decode-one.tsv
+    irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme PA \\
+        --hat-r-bits 10 --mu 1.5 > tests/data/irsa_frame.pa_static.decode-one.tsv
 """
 
 import json
@@ -84,9 +88,12 @@ def test_irsa_decode_one_trace(capsys):
         ("rs.decode-one", ["--scheme", "RS", "--es-over-n0", "0.5", "--alpha", "0.5",
                            "--beta", "1.0"]),
         ("pa.decode-one", ["--scheme", "PA", "--hat-r-bits", "10", "--mu", "1.0"]),
+        ("pa_static.decode-one", ["--scheme", "PA", "--hat-r-bits", "10", "--mu", "1.5"]),
     ],
-    ids=["RS", "PA"],
+    ids=["RS", "PA", "PA-static"],
 )
 def test_mrc_decode_one_trace(trace, args, capsys):
-    # Both decode in both phases; PA leaves messages undecoded.
+    # RS and PA at mu 1.0 decode in both phases, and PA leaves messages
+    # undecoded.  At mu 1.5 the frame is statically decodable: it decodes
+    # by integer peeling, two messages in phase 2.
     assert_golden_trace(trace, args, capsys)
