@@ -41,7 +41,7 @@ residual state; power adaptation requires the MRC SINR to reach the nominal
 level.  Comparisons carry a 1e-9 relative slack (``TIE_RTOL``), the tie
 convention: a SINR that meets its threshold up to rounding passes.
 
-Neither phase repeats a test whose outcome cannot have changed.  Each
+Neither phase makes a test whose outcome cannot change a decision.  Each
 slot's interference is the exact sum over the messages it still holds, and
 float rounding is monotone, so cancellation never lowers a SINR: a message
 that passes keeps passing, and a message's SINR changes only when a
@@ -56,11 +56,15 @@ woken, beyond the scan position joins the current pass, and one at or
 behind it waits for the next, which is when a full scan would reach it.  A
 slot whose message sleeps joins it untested.  Phase 2 tests every message
 with one ``mrc_sinr`` at its first entry, keeps a min-heap of the passing
-indices and puts the others to sleep; a later entry tests only the
-messages woken since the last.  Every SINR is added over ascending slots,
-as ``mrc_sinr``'s ``bincount`` adds it, so a skipped test would have failed
-on the same float, and the decisions, the order and the outputs are those
-of a full scan and a full evaluation at every step, bit for bit.
+indices and puts the others to sleep.  Woken messages wait in a second
+min-heap, and a later entry tests them in ascending order only while they
+lie below the lowest index known to pass: that message still passes, so a
+woken message above it cannot be the lowest that passes, and waits
+untested for phase 1 or a later entry.  Every SINR is added over ascending
+slots, as ``mrc_sinr``'s ``bincount`` adds it, so a skipped test would have
+failed on the same float or could not have changed the choice, and the
+decisions, the order and the outputs are those of a full scan and a full
+evaluation at every step, bit for bit.
 
 A frame is statically decodable when every message passes its test
 before any cancellation, which one ``mrc_sinr`` against the initial
@@ -80,8 +84,13 @@ takes the two-phase receiver.
 
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
-success test.  The tuners read only which messages decode, and take that
-closure for a batch of candidates at once with ``decoded_closure``.
+success test.  The tuners and the comparison read only which messages
+decode, and take that closure with ``decoded_closure`` over a group of
+frames side by side (``stack_frames``).  The closure is monotone in the
+profile as well: lower thresholds at the same energies, or a larger PA
+margin mu, decode a superset on the same frames.  So a closure may start
+from a set known to lie inside it, such as a dominating candidate's set or
+the frame's set at a smaller mu, and reaches the same set, bit for bit.
 Evaluation keeps the sequential receiver ``decode_frame``: the genie rate
 behind ``eta_max``, the decode steps and the phases depend on the order.
 """
@@ -108,6 +117,7 @@ __all__ = [
     "decoded_closure",
     "mrc_sinr",
     "success_thresholds",
+    "static_passes",
     "statically_decodable",
     "decode_frame",
 ]
@@ -187,21 +197,34 @@ def success_thresholds(profile: TransmitProfile) -> np.ndarray:
     return profile.sinr_thresholds * (1.0 - TIE_RTOL)
 
 
+def static_passes(
+    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
+) -> np.ndarray:
+    """Which messages pass their success test before any cancellation:
+    per-message ``energies`` and success ``thresholds`` (see
+    ``success_thresholds``).  On frames side by side (``stack_frames``) each
+    message's SINR is its own frame's, bit for bit."""
+    sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energies[graph.edge_msg], N0)
+    return sinr >= thresholds
+
+
 def statically_decodable(
     graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
 ) -> bool:
     """Whether every message passes its success test before any
-    cancellation: per-message ``energies`` and success ``thresholds`` (see
-    ``success_thresholds``).  Cancellation never lowers an MRC SINR, so on
-    such a frame every test the receiver makes passes."""
-    sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energies[graph.edge_msg], N0)
-    return bool((sinr >= thresholds).all())
+    cancellation (``static_passes``).  Cancellation never lowers an MRC
+    SINR, so on such a frame every test the receiver makes passes."""
+    return bool(static_passes(graph, energies, thresholds, N0).all())
 
 
-def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.ndarray:
+def decoded_closure(
+    edge_msg, edge_slot, energies, thresholds, N0: float, start=None
+) -> np.ndarray:
     """Decoded set of one frame, shape (candidates, K), for a batch of
     candidate profiles: ``energies`` and ``thresholds`` (success thresholds,
-    see ``success_thresholds``) have one row per candidate.
+    see ``success_thresholds``) have one row per candidate.  The frame may
+    be several frames side by side (``stack_frames``): no slot is shared
+    between them, so each one's set is its own closure.
 
     Jacobi rounds over the live edges: each round sums the slot
     interference of the undecoded messages, takes their MRC SINRs and
@@ -212,18 +235,30 @@ def decoded_closure(edge_msg, edge_slot, energies, thresholds, N0: float) -> np.
     the same SINRs again, so every value and decision is that of a round
     over all edges.  Cancellation never lowers another message's SINR, so
     the result is the unique closure that ``decode_frame`` reaches in its
-    own order (RS and PA schemes).  Candidates are stacked as disjoint
-    copies of the frame, so the working set grows with the batch: callers
-    chunk it.
+    own order (RS and PA schemes).
+
+    ``start``, of the result's shape, marks messages known to decode: it
+    must lie inside the result.  The rounds begin with them cancelled, and
+    since a message that passes keeps passing, they reach the same closure,
+    bit for bit.  A candidate whose thresholds are elementwise at most
+    another's at equal energies decodes a superset of the other's set, so
+    that set is a valid start.  Candidates are stacked as disjoint copies of
+    the frame, so the working set grows with the batch.
     """
     n, K = energies.shape
     M = int(edge_slot.max()) + 1
     edge_energy = energies[:, edge_msg].ravel()
-    copy = np.arange(n)[:, None]
-    edge_msg = (edge_msg + copy * K).ravel()
-    edge_slot = (edge_slot + copy * M).ravel()
+    if n > 1:
+        copy = np.arange(n)[:, None]
+        edge_msg = (edge_msg + copy * K).ravel()
+        edge_slot = (edge_slot + copy * M).ravel()
     thresholds = thresholds.ravel()
-    decoded = np.zeros(n * K, dtype=bool)
+    if start is None:
+        decoded = np.zeros(n * K, dtype=bool)
+    else:
+        decoded = start.ravel().copy()
+        live = ~decoded[edge_msg]
+        edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
     while True:
         interference = np.bincount(edge_slot, weights=edge_energy, minlength=n * M)
         sinr = mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference, n * K)
@@ -404,10 +439,11 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     decoded = [False] * graph.K
 
     # The stalled registry (see the module docstring): each message whose
-    # last test failed, with the degree-one slots that wait on it; and the
-    # messages woken since phase 2's last entry.
+    # last test failed, with the degree-one slots that wait on it; and a
+    # min-heap of the messages woken since phase 2 last tested them, which
+    # may hold a message twice.
     asleep: dict[int, list[int]] = {}
-    woken: set[int] = set()
+    woken: list[int] = []
     # Phase 1's worklist: the slots due in this pass (flagged in ``due``)
     # and in the next (``later``).  ``wake`` and ``cancel`` queue a slot
     # beyond the scan position ``pos`` in this pass and one at or behind it
@@ -425,7 +461,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         return total
 
     def wake(msg: int, pos: int) -> None:
-        woken.add(msg)
+        heapq.heappush(woken, msg)
         for j in asleep.pop(msg):
             (due if j > pos else later)[j] = 1
 
@@ -491,7 +527,9 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             due, later = later, due
         # Phase 2: peel the lowest-index undecoded message that passes
         # against the residual state and return to phase 1.  The first entry
-        # tests every message; a later one only those woken since.
+        # tests every message.  A later one tests, in ascending order, only
+        # the woken messages below the lowest known to pass: one above it
+        # cannot be the lowest that passes, and waits untested.
         if passing is None:
             sinr_all = mrc_sinr(
                 graph.edge_msg, graph.edge_slot, profile.energies[graph.edge_msg], N0,
@@ -502,17 +540,17 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             passing = np.flatnonzero(ok & alive).tolist()
             for m in np.flatnonzero(alive & ~ok).tolist():
                 asleep.setdefault(m, [])
-        else:
-            for m in woken:
-                if decoded[m] or m in asleep:
-                    continue
-                if sinr_of(m) >= thresholds[m]:
-                    heapq.heappush(passing, m)
-                else:
-                    asleep[m] = []
-        woken.clear()
+            woken.clear()
         while passing and decoded[passing[0]]:
             heapq.heappop(passing)
+        while woken and (not passing or woken[0] < passing[0]):
+            m = heapq.heappop(woken)
+            if decoded[m] or m in asleep:
+                continue  # decoded, or tested again by phase 1 and failed
+            if sinr_of(m) >= thresholds[m]:
+                heapq.heappush(passing, m)
+            else:
+                asleep[m] = []
         if not passing:
             return order, phases, slots, sinrs
         msg = heapq.heappop(passing)

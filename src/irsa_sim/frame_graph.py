@@ -22,6 +22,7 @@ from .distributions import DegreeDistribution, sample_degrees
 __all__ = [
     "FrameGraph",
     "build_frame",
+    "stack_frames",
 ]
 
 # A message whose degree exceeds this fraction of the slot count draws its
@@ -188,3 +189,17 @@ def build_frame(
         key[redo] = base[redo] + rng.integers(0, M, size=len(redo))
     return FrameGraph(M, degrees=degrees, edge_slot=sorted_key - base)
 
+
+def stack_frames(graphs: Sequence[FrameGraph]) -> FrameGraph:
+    """Frames of one size side by side as one frame: frame f's messages and
+    slots are numbered after those of the frames before it.  No slot is
+    shared between them, and each keeps its edges in order, so every
+    per-slot or per-message ``bincount`` over the stack gives each frame's
+    own values, bit for bit."""
+    M = graphs[0].M
+    shift = np.repeat(np.arange(len(graphs)) * M, [len(g.edge_slot) for g in graphs])
+    return FrameGraph(
+        M * len(graphs),
+        degrees=np.concatenate([g.degrees for g in graphs]),
+        edge_slot=np.concatenate([g.edge_slot for g in graphs]) + shift,
+    )

@@ -11,6 +11,7 @@ purpose tag, so parameter selection never reuses the evaluation streams.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
@@ -27,11 +28,11 @@ from .config import (
 from .decoder import (
     decode_frame,
     decoded_closure,
-    statically_decodable,
+    static_passes,
     success_thresholds,
 )
 from .distributions import DegreeDistribution, avg_degree, from_name, parameter_problem
-from .frame_graph import FrameGraph, build_frame
+from .frame_graph import FrameGraph, build_frame, stack_frames
 from .metrics import (
     TrialMetrics,
     gamma_irsa_min,
@@ -83,10 +84,10 @@ PURPOSE_MU_TUNE = 2
 # this fraction of the per-point target.
 RS_THROUGHPUT_FACTOR = 0.97
 
-# Candidates the tuners decode together.  decoded_closure stacks one copy of
-# the frame per candidate, so its working set grows with the batch; small
-# batches keep it in cache and off the peak memory.
-CANDIDATE_CHUNK = 8
+# Frames the order-free evaluations decode together, side by side as one
+# frame: decoded_closure's working set grows with the group, so a fixed size
+# keeps it in cache and bounds it however many trials there are.
+FRAME_GROUP = 8
 
 
 def mix64(*parts: int) -> int:
@@ -378,20 +379,71 @@ def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTab
     )
 
 
-def _decoded_sets(point: SweepPoint, graph: FrameGraph, tables: _DegreeTables):
-    """Decoded mask of each of ``tables``' schemes on one frame, by the
-    order-free fixed point ``decoded_closure``, CANDIDATE_CHUNK schemes at a
-    time."""
-    index = tables.index(graph)
-    for start in range(0, len(tables.schemes), CANDIDATE_CHUNK):
-        rows = slice(start, start + CANDIDATE_CHUNK)
-        yield from decoded_closure(
-            graph.edge_msg,
-            graph.edge_slot,
-            tables.energies[rows, index],
-            tables.thresholds[rows, index],
-            point.cfg.N0,
-        )
+@contextmanager
+def _sinr_in_range():
+    """Turn an overflow of an MRC SINR's interference plus noise into
+    InfeasibleOperatingPointError, so that the point is flagged."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise InfeasibleOperatingPointError(
+            "a slot's interference plus the noise N0 overflows in the MRC SINR"
+        ) from None
+
+
+def _decoded_sets(
+    point: SweepPoint, graphs: list[FrameGraph], tables: _DegreeTables, start=None
+) -> np.ndarray:
+    """Decoded mask of each of ``tables``' schemes on each of ``graphs``,
+    shape (schemes, frames, K), by the order-free fixed point
+    ``decoded_closure`` over the frames side by side.  ``start``, of that
+    shape, marks messages known to decode at each scheme.
+
+    The schemes run one at a time, in descending order of their thresholds.
+    Each starts from the set of the scheme visited before it when that one
+    dominates it (``_dominates``), as that set lies inside its own.  Raises
+    InfeasibleOperatingPointError where a slot's interference plus N0
+    overflows."""
+    stack = stack_frames(graphs)
+    index = tables.index(stack)
+    n = len(tables.schemes)
+    sets = np.zeros((n, stack.K), dtype=bool)
+    start = None if start is None else start.reshape(n, stack.K)
+    before = None
+    for i in sorted(range(n), key=lambda i: tables.thresholds[i].tolist(), reverse=True):
+        begin = None if start is None else start[i]
+        if before is not None and _dominates(tables, before, i):
+            begin = sets[before] if begin is None else begin | sets[before]
+        with _sinr_in_range():
+            sets[i] = decoded_closure(
+                stack.edge_msg,
+                stack.edge_slot,
+                tables.energies[i:i + 1, index],
+                tables.thresholds[i:i + 1, index],
+                point.cfg.N0,
+                None if begin is None else begin[None],
+            )[0]
+        before = i
+    return sets.reshape(n, len(graphs), -1)
+
+
+def _dominates(tables: _DegreeTables, a: int, b: int) -> bool:
+    """Whether scheme ``a`` decodes a subset of scheme ``b``'s set on every
+    frame: equal energies and thresholds at least ``b``'s at every degree."""
+    return bool(
+        np.array_equal(tables.energies[a], tables.energies[b])
+        and (tables.thresholds[a] >= tables.thresholds[b]).all()
+    )
+
+
+def _frame_groups(point: SweepPoint, seed: int, trials: int, tables: _DegreeTables):
+    """The frames of trials 0 .. trials - 1 from ``seed``'s streams, in
+    FRAME_GROUP groups: each group's trials, frames and ``_decoded_sets``."""
+    for first in range(0, trials, FRAME_GROUP):
+        group = range(first, min(first + FRAME_GROUP, trials))
+        graphs = [_frame(point, seed, t) for t in group]
+        yield group, graphs, _decoded_sets(point, graphs, tables)
 
 
 def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
@@ -546,15 +598,15 @@ def _rs_candidate_trials(spec: SweepSpec, g_index: int, tuning: TuningConfig):
     tables = _degree_tables(point, candidates)
     counts = np.zeros((len(candidates), tuning.tune_trials), dtype=np.int64)
     rate_sums = np.zeros((len(candidates), tuning.tune_trials))
-    # One frame at a time, every candidate on it: memory stays at one frame
-    # however many tuning trials there are.
+    # One group of frames at a time, every candidate on it: memory stays at
+    # one group however many tuning trials there are.
     tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    for t in range(tuning.tune_trials):
-        graph = _frame(point, tune_seed, t)
-        index = tables.index(graph)
-        for i, mask in enumerate(_decoded_sets(point, graph, tables)):
-            counts[i, t] = mask.sum()
-            rate_sums[i, t] = tables.profiles[i].rates[index][mask].sum()
+    for trials, graphs, sets in _frame_groups(point, tune_seed, tuning.tune_trials, tables):
+        counts[:, trials] = sets.sum(axis=2)
+        index = np.stack([tables.index(graph) for graph in graphs])
+        for i, profile in enumerate(tables.profiles):
+            for t, rates, mask in zip(trials, profile.rates[index], sets[i]):
+                rate_sums[i, t] = rates[mask].sum()
     return point, tables, counts, rate_sums
 
 
@@ -631,7 +683,16 @@ def tune_mu(
 
     Both criteria are non-decreasing in mu on a fixed set of frames (raising
     every energy never breaks a threshold test), so bisection over the grid
-    is exact for the tuning streams.
+    is exact for the tuning streams.  So is each frame's outcome: its
+    decoded set only grows with mu, and a statically decodable frame stays
+    so.  The bisection keeps every frame's outcome at both ends of its
+    bracket and, at each mid, evaluates again only the frames whose decoded
+    count or static verdict differs between the ends: a frame with one
+    outcome at both has it at every mu between.  Each such frame's closure
+    starts from its set at the low end, and a frame static at the low end
+    is not tested again, so every measure and decision is that of a full
+    evaluation.  The frames stay in memory for the whole bisection; the
+    closures take them FRAME_GROUP at a time.
     """
     spec.scheme_config(mu=1.0)  # raises for a scheme that takes no mu
     G = spec.G_grid[g_index]
@@ -645,47 +706,78 @@ def tune_mu(
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
     frames = [_frame(base, tune_seed, t) for t in range(tuning.tune_trials)]
+    K = base.cfg.K
 
+    # A frame's outcome at a mu, given its outcome ``known`` at a lower mu
+    # or None, for the frames ``which``; its value; and the measure.
     if criterion == "mean_fraction":
-        def measure(mu: float) -> float:
+        def outcomes(mu: float, which: np.ndarray, known) -> np.ndarray:
+            # Each frame's decoded set, started from its set at the lower mu.
             tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
-            total = sum(
-                int(mask.sum())
-                for graph in frames
-                for mask in _decoded_sets(base, graph, tables)
-            )
-            return total / (len(frames) * base.cfg.K)
+            sets = np.empty((len(which), K), dtype=bool)
+            for first in range(0, len(which), FRAME_GROUP):
+                group = slice(first, first + FRAME_GROUP)
+                sets[group] = _decoded_sets(
+                    base, [frames[f] for f in which[group]], tables,
+                    None if known is None else known[None, group],
+                )[0]
+            return sets
 
+        value = lambda sets: sets.sum(axis=1)
+        scale = len(frames) * K
     else:
-        def measure(mu: float) -> float:
-            # Fraction of statically decodable frames: every message
-            # decodes before any cancellation.
+        def outcomes(mu: float, which: np.ndarray, known) -> np.ndarray:
+            # Whether each frame is statically decodable: every message
+            # decodes before any cancellation.  A frame that was at the
+            # lower mu still is.
             tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
             energies, thresholds = tables.energies[0], tables.thresholds[0]
-            ok = 0
-            for graph in frames:
-                index = tables.index(graph)
-                ok += statically_decodable(graph, energies[index], thresholds[index], base.cfg.N0)
-            return ok / len(frames)
+            ok = np.zeros(len(which), dtype=bool) if known is None else known.copy()
+            todo = np.flatnonzero(~ok)
+            for first in range(0, len(todo), FRAME_GROUP):
+                group = todo[first:first + FRAME_GROUP]
+                stack = stack_frames([frames[f] for f in which[group]])
+                index = tables.index(stack)
+                with _sinr_in_range():
+                    passes = static_passes(stack, energies[index], thresholds[index], base.cfg.N0)
+                ok[group] = passes.reshape(len(group), K).all(axis=1)
+            return ok
 
-    frac_lo = measure(1.0)
-    if frac_lo >= target:
-        return MuTuning(G, 1.0, True, decoded_fraction=frac_lo, criterion=criterion)
-    frac_hi = measure(mu_at(n_steps))
-    if frac_hi < target:
-        return MuTuning(
-            G, None, False, decoded_fraction=frac_hi, criterion=criterion,
-            note=f"no mu <= {tuning.mu_max} reaches {criterion} target {target}",
-        )
-    lo, hi = 0, n_steps  # measure(lo) < target <= measure(hi)
-    frac_at_hi = frac_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        frac = measure(mu_at(mid))
-        if frac >= target:
-            hi, frac_at_hi = mid, frac
-        else:
-            lo = mid
+        value = lambda ok: ok
+        scale = len(frames)
+
+    def fraction(out: np.ndarray) -> float:
+        return int(value(out).sum()) / scale
+
+    every = np.arange(len(frames))
+    try:
+        out_lo = outcomes(1.0, every, None)
+        frac_lo = fraction(out_lo)
+        if frac_lo >= target:
+            return MuTuning(G, 1.0, True, decoded_fraction=frac_lo, criterion=criterion)
+        out_hi = outcomes(mu_at(n_steps), every, out_lo)
+        frac_hi = fraction(out_hi)
+        if frac_hi < target:
+            return MuTuning(
+                G, None, False, decoded_fraction=frac_hi, criterion=criterion,
+                note=f"no mu <= {tuning.mu_max} reaches {criterion} target {target}",
+            )
+        lo, hi = 0, n_steps  # measure(lo) < target <= measure(hi)
+        frac_at_hi = frac_hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            # A frame with one value at lo and at hi has it at every mu
+            # between: only the others are decoded again.
+            open_ = np.flatnonzero(value(out_lo) != value(out_hi))
+            out_mid = out_lo.copy()
+            out_mid[open_] = outcomes(mu_at(mid), open_, out_lo[open_])
+            frac = fraction(out_mid)
+            if frac >= target:
+                hi, frac_at_hi, out_hi = mid, frac, out_mid
+            else:
+                lo, out_lo = mid, out_mid
+    except InfeasibleOperatingPointError as err:
+        return MuTuning(G, None, False, criterion=criterion, note=str(err))
     return MuTuning(
         G, mu_at(hi), True, decoded_fraction=frac_at_hi, criterion=criterion
     )
@@ -809,18 +901,27 @@ def compare_rs_pa(
             )
             continue
         point = make_point(pa_spec, 0)
-        stats = run_point(point, pa_spec.scheme_config(mu=mu_tuning.mu), spec.trials)
-        rows.append(
-            CompareRow(
-                "PA",
-                None,
-                mean_rate,
-                stats.stats["energy_per_user_db"].mean,
-                stats.stats["T"].mean,
-                mu=mu_tuning.mu,
-            )
-        )
+        t_mean, energy_db = _pa_means(point, pa_spec.scheme_config(mu=mu_tuning.mu), spec.trials)
+        rows.append(CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu))
     return rows
+
+
+def _pa_means(point: SweepPoint, scheme: SchemeConfig, trials: int) -> tuple[float, float]:
+    """Mean T and mean per-device energy in dB of ``scheme`` over the
+    point's own trials: ``run_point``'s T and energy_per_user_db means,
+    with each frame's decoded count from the order-free decoded set, which
+    is all they read of the decode."""
+    tables = _degree_tables(point, [scheme])
+    (table,) = tables.profiles
+    _check_measures(table, point.cfg)
+    # trial_metrics' expressions, added in trial order.
+    per_user = table.degrees * table.energies
+    T, energy = RunningStats(), RunningStats()
+    for _, graphs, (sets,) in _frame_groups(point, point.seed, trials, tables):
+        for graph, mask in zip(graphs, sets):
+            T.add(int(mask.sum()) / point.cfg.M)
+            energy.add(to_db(float(per_user[tables.index(graph)].mean()) / point.cfg.N0))
+    return T.mean, energy.mean
 
 
 def _by_mean_rate(point: SweepPoint, tables: _DegreeTables) -> list[int]:
@@ -862,9 +963,8 @@ def _tune_rs_for_rate(
     rates = best_table.profiles[0].rates
     rate_acc = RunningStats()
     t_acc = RunningStats()
-    for t in range(spec.trials):
-        graph = _frame(point, spec.seed, t)
-        (mask,) = _decoded_sets(point, graph, best_table)
-        rate_acc.add(float(rates[best_table.index(graph)].mean()))
-        t_acc.add(int(mask.sum()) / point.cfg.M)
+    for _, graphs, (sets,) in _frame_groups(point, spec.seed, spec.trials, best_table):
+        for graph, mask in zip(graphs, sets):
+            rate_acc.add(float(rates[best_table.index(graph)].mean()))
+            t_acc.add(int(mask.sum()) / point.cfg.M)
     return best, t_acc.mean, rate_acc.mean

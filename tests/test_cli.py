@@ -476,11 +476,15 @@ class TestMainCommands:
             ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1.7e308,
                       "tuning": {"alpha_grid": [0.5], "beta_grid": [1.0], "tune_trials": 2}},
              "flagged: tilde_Es: the per-replica energy M*tilde_Es/l_avg overflows at M = 120"),
+            # The frame energy stays in range, but a slot's interference
+            # plus N0 does not: the tuners' order-free decode meets it.
+            ("tune", {"scheme": "RS", "K": 24, "N0": 1.7e308, "tilde_Es_over_N0": 0.001},
+             "flagged: a slot's interference plus the noise N0 overflows in the MRC SINR"),
         ],
         ids=["irsa_energy_overflow", "pa_frame_energy_overflow", "pa_energy_underflow",
              "irsa_frame_energy_overflow", "rs_frame_energy_overflow", "rs_rate_overflow",
              "irsa_c_ref_underflow", "rs_tune_rate_overflow", "rs_tuned_frame_energy_overflow",
-             "rs_tune_energy_overflow"],
+             "rs_tune_energy_overflow", "rs_tune_noise_overflow"],
     )
     def test_energy_out_of_float_range_flags_the_point(
         self, tmp_path, capsys, command, energy, found

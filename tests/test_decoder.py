@@ -18,7 +18,7 @@ from irsa_sim.decoder import (
     success_thresholds,
 )
 from irsa_sim.distributions import avg_degree, fixed_l3, ideal_soliton, modified_soliton
-from irsa_sim.frame_graph import FrameGraph, build_frame
+from irsa_sim.frame_graph import FrameGraph, build_frame, stack_frames
 from irsa_sim.schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
@@ -609,6 +609,64 @@ class TestDecodedClosureProperties:
         assert np.array_equal(whole, chunked)
 
 
+class TestStackedFramesAndWarmStarts:
+    """The frame-axis half of the closure's properties: frames side by side
+    close as each does alone, and a start inside the closure changes
+    nothing."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=frame_seeds,
+        variant=st.sampled_from(["RS", "PA"]),
+        frames=st.integers(1, 5),
+        energy=st.floats(0.0, 1.0),
+        step=st.floats(0.0, 1.0),
+        keep=st.floats(0.0, 1.0),
+    )
+    def test_stack_equals_each_frame_and_warm_starts_change_nothing(
+        self, seed, variant, frames, energy, step, keep
+    ):
+        rng = np.random.default_rng(seed)
+        dist = modified_soliton(6)
+        K, M = int(rng.integers(3, 40)), int(rng.integers(6, 40))
+        graphs = [build_frame(K, M, dist, rng) for _ in range(frames)]
+        stack = stack_frames(graphs)
+        # ``low`` has thresholds at least ``high``'s at equal energies (RS)
+        # or a lower mu (PA): either way its set lies inside high's.  The
+        # energies range from noise-bound to interference-bound frames.
+        if variant == "PA":
+            cfg = ChannelConfig(K=K, M=M, L_cu=100, hat_R=2.0 + 10.0 * energy)
+            mus = (1.0 + step / 4, 1.0 + step)
+            schemes = [SchemeConfig("PA", mu=mu) for mu in mus]
+        else:
+            cfg = ChannelConfig(K=K, M=M, L_cu=100, tilde_Es=10.0 ** (3.0 * energy - 3.0))
+            schemes = [
+                SchemeConfig("RS", alpha=3.0 * step + 0.5, beta=1.0),
+                SchemeConfig("RS", alpha=3.0 * step, beta=1.0 + step),
+            ]
+        try:
+            low, high = _profiles(stack, cfg, avg_degree(dist), schemes)
+        except (TuningParameterError, InfeasibleOperatingPointError):
+            return
+        cold = []
+        for profile in (low, high):
+            (whole,) = closure_of(stack, [profile], cfg.N0)
+            alone = [
+                closure_of(graph, [profile.take(np.arange(f * K, (f + 1) * K))], cfg.N0)[0]
+                for f, graph in enumerate(graphs)
+            ]
+            assert np.array_equal(whole, np.concatenate(alone))
+            cold.append(whole)
+        assert np.all(cold[0] <= cold[1])
+        subset = cold[1] & (rng.random(stack.K) < keep)
+        for start in (cold[0], subset, cold[1]):
+            warm = decoded_closure(
+                stack.edge_msg, stack.edge_slot, high.energies[None],
+                success_thresholds(high)[None], cfg.N0, start[None],
+            )
+            assert np.array_equal(warm[0], cold[1])
+
+
 def compensated_sum(values, start=0.0):
     """Neumaier-compensated float sum, as ``sum`` adds floats on CPython
     3.12 and later."""
@@ -903,6 +961,29 @@ class TestStalledRegistry:
         self.check(
             setup, order=[3, 2, 1, 0, 4], phases=[2, 1, 1, 1, 1], slots=[-1, 1, 4, 0, 2]
         )
+
+    def test_woken_message_above_the_lowest_passing_one_waits_untested(self):
+        # Slots: 0 {0, 2, 5}, 1 {0, 3}, 2 {1, 2}, 3 {1, 4}, 4 {3, 4, 5}; no
+        # slot starts at degree one.  Phase 2's first entry finds 0 (SINR
+        # 1/3 + 1/2 >= 0.8) and 1 (1 >= 0.9) passing and decodes 0, which
+        # wakes 2.  At the next entry 1 still passes and lies below 2, so 2
+        # is not tested (it would fail: 1/2 + 1/2 < 1.2).  Decoding 1 leaves
+        # 2 alone in slot 2, where phase 1 decodes it (1/2 + 1 >= 1.2).
+        # Messages 3, 4 and 5 never pass.
+        g = FrameGraph(5, [[0, 1], [2, 3], [0, 2], [1, 4], [3, 4], [0, 4]])
+        setup = unit_energy_setup(g, [0.8, 0.9, 1.2, 100.0, 100.0, 100.0])
+        self.check(setup, order=[0, 1, 2], phases=[2, 2, 1], slots=[-1, -1, 2])
+
+    def test_woken_message_below_the_lowest_passing_one_is_taken(self):
+        # Slots: 0 {0, 1, 5}, 1 {0, 3}, 2 {1, 4}, 3 {2, 4}, 4 {2, 3, 5}.
+        # Phase 2's first entry finds 0 and 2 passing (1/3 + 1/2 >= 0.8) and
+        # 1 failing (1/3 + 1/2 < 0.9), and decodes 0, which wakes 1.  At the
+        # next entry 1 lies below 2, the lowest known to pass: it is tested,
+        # passes (1/2 + 1/2) and is taken before 2.  Messages 3, 4 and 5
+        # never pass.
+        g = FrameGraph(5, [[0, 1], [0, 2], [3, 4], [1, 4], [2, 3], [0, 4]])
+        setup = unit_energy_setup(g, [0.8, 0.9, 0.8, 100.0, 100.0, 100.0])
+        self.check(setup, order=[0, 1, 2], phases=[2, 2, 2], slots=[-1, -1, -1])
 
     @pytest.mark.parametrize(
         "variant, params, G",

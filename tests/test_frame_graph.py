@@ -142,7 +142,7 @@ class TestEdgeArrays:
         tables = _degree_tables(point, [SchemeConfig("RS", alpha=a, beta=1.0) for a in (0.1, 0.5)])
         for _ in range(20):
             g = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
-            list(_decoded_sets(point, g, tables))
+            _decoded_sets(point, [g], tables)
             assert "message_slots" not in vars(g) and "slot_messages" not in vars(g)
             profile = build_profile(g.degrees, point.cfg, scheme, point.l_avg)
             assert decode_frame(g, profile, scheme, point.cfg).decoded_count > 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irsa_sim import harness
-from irsa_sim.decoder import decode_frame, success_thresholds
+from irsa_sim.decoder import decode_frame, statically_decodable, success_thresholds
 from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
 from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
@@ -720,11 +720,43 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
     )
 
 
-def sequential_decoded_sets(point, graph, tables):
-    """Reference for harness._decoded_sets: one decode_frame per scheme, on
-    the profile built for the frame."""
-    for scheme in tables.schemes:
-        yield frame_outcome(point, graph, scheme)[1].decoded
+def sequential_decoded_sets(point, graphs, tables, start=None):
+    """Reference for harness._decoded_sets: one decode_frame per scheme and
+    frame, on the profile built for the frame; ``start`` is not read."""
+    return np.array([
+        [frame_outcome(point, graph, scheme)[1].decoded for graph in graphs]
+        for scheme in tables.schemes
+    ])
+
+
+def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
+    """Reference for harness.tune_mu: the criterion's measure at every mu of
+    the grid in turn, each frame decoded by decode_frame or tested by
+    statically_decodable, until one reaches the target."""
+    base = make_point(spec, g_index)
+    tune_seed = mix64(spec.seed, harness.PURPOSE_MU_TUNE)
+    frames = [harness._frame(base, tune_seed, t) for t in range(tuning.tune_trials)]
+    n_steps = math.ceil((tuning.mu_max - 1.0) / tuning.mu_resolution)
+    for k in range(n_steps + 1):
+        mu = 1.0 + k * tuning.mu_resolution
+        scheme = SchemeConfig("PA", mu=mu)
+        if criterion == "mean_fraction":
+            total = sum(frame_outcome(base, g, scheme)[1].decoded_count for g in frames)
+            frac = total / (len(frames) * base.cfg.K)
+        else:
+            ok = 0
+            for g in frames:
+                profile = build_profile(g.degrees, base.cfg, scheme, base.l_avg)
+                ok += statically_decodable(
+                    g, profile.energies, success_thresholds(profile), base.cfg.N0
+                )
+            frac = ok / len(frames)
+        if frac >= target:
+            return harness.MuTuning(base.G, mu, True, decoded_fraction=frac, criterion=criterion)
+    return harness.MuTuning(
+        base.G, None, False, decoded_fraction=frac, criterion=criterion,
+        note=f"no mu <= {tuning.mu_max} reaches {criterion} target {target}",
+    )
 
 
 ALPHAS = tuple(float(x) for x in np.geomspace(0.02, 2.0, 6))
@@ -765,6 +797,50 @@ class TestTunersMatchSequentialReceiver:
         ]
         assert slow == fast
         assert any(t.feasible and t.mu > 1.0 for t in fast)
+
+    @pytest.mark.parametrize(
+        "criterion, target", [("mean_fraction", 0.985), ("static_reliability", 0.6)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tune_mu_equals_a_linear_scan(self, seed, criterion, target):
+        # The bisection re-decodes only the frames whose outcome differs
+        # between its bracket's ends; a scan decodes every frame at every
+        # mu of the grid.
+        spec = SweepSpec(
+            scheme="PA", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.5, 1.0, 1.3), trials=5, seed=seed, hat_R_bits=8.0,
+        )
+        fast = []
+        for mu_max in (2.0, 1.02):
+            tuning = TuningConfig(tune_trials=10, mu_max=mu_max, mu_resolution=0.02)
+            got = [tune_mu(spec, g, tuning, criterion, target) for g in range(3)]
+            want = [linear_scan_tune_mu(spec, g, tuning, criterion, target) for g in range(3)]
+            assert got == want
+            fast += got
+        assert any(t.feasible and t.mu > 1.0 for t in fast)
+        assert any(not t.feasible for t in fast)
+
+    def test_closures_take_one_frame_group_at_a_time(self, monkeypatch):
+        # However many tuning or evaluation trials, the order-free decode
+        # holds at most FRAME_GROUP frames side by side.
+        group = harness.FRAME_GROUP
+        sizes = []
+        real = harness._decoded_sets
+
+        def spy(point, graphs, tables, start=None):
+            sizes.append(len(graphs))
+            return real(point, graphs, tables, start)
+
+        monkeypatch.setattr(harness, "_decoded_sets", spy)
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=6, K=40,
+            G_grid=(0.8,), trials=2 * group + 1, seed=5, tilde_Es_over_N0=0.002,
+        )
+        tuning = TuningConfig(
+            alpha_grid=(0.2, 1.2), beta_grid=(1.0,), tune_trials=3 * group + 2
+        )
+        compare_rs_pa(spec, tuning, CompareConfig((-16.0,), min_throughput=0.5))
+        assert max(sizes) == group and group + 2 not in sizes and 2 in sizes and 1 in sizes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compare_rs_pa(self, seed, monkeypatch):
