@@ -79,20 +79,23 @@ still undecoded at that step, from 0.0 in ascending message order, by one
 ``bincount`` over the pairs of edges sharing a slot, a masked pair adding
 +0.0; then one ``bincount`` adds e / (I - e + N0) over ascending slots.
 These are the float operations of the two-phase receiver, so the order,
-phases, slots and SINRs are its own, bit for bit.  Every other RS/PA frame
+slots and SINRs are its own, bit for bit.  Every other RS/PA frame
 takes the two-phase receiver.
 
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
 success test.  The tuners and the comparison read only which messages
-decode, and take that closure with ``decoded_closure`` over a group of
-frames side by side (``stack_frames``).  The closure is monotone in the
-profile as well: lower thresholds at the same energies, or a larger PA
-margin mu, decode a superset on the same frames.  So a closure may start
-from a set known to lie inside it, such as a dominating candidate's set or
-the frame's set at a smaller mu, and reaches the same set, bit for bit.
-Evaluation keeps the sequential receiver ``decode_frame``: the genie rate
-behind ``eta_max``, the decode steps and the phases depend on the order.
+decode, and take that closure with ``decoded_closure``, one profile at a
+time, over a group of frames side by side (``stack_frames``).  The closure
+is monotone in the profile as well: lower thresholds at the same energies,
+or a larger PA margin mu, decode a superset on the same frames.  So a
+closure may start from a set known to lie inside it, such as a dominating
+candidate's set or the frame's set at a smaller mu, and reaches the same
+set, bit for bit.  ``decoded_closure`` and ``static_passes`` raise
+InfeasibleOperatingPointError where a slot's interference, or it plus N0,
+overflows: the SINRs would be wrong, and the point is flagged.  Evaluation
+keeps the sequential receiver ``decode_frame``: the genie rate behind
+``eta_max`` and the decode steps depend on the order.
 """
 
 from __future__ import annotations
@@ -101,12 +104,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .frame_graph import FrameGraph
-from .schemes import ChannelConfig, SchemeConfig, TransmitProfile
+from .schemes import ChannelConfig, InfeasibleOperatingPointError, SchemeConfig, TransmitProfile
 
 __all__ = [
     "PHASE_NONE",
@@ -139,21 +141,20 @@ class DecodeResult:
 
     ``order`` lists the decoded messages; ``sinrs`` and ``genie_rates`` hold
     each decode's effective SINR and the maximum rate the message could have
-    sustained given the residual state at its step; ``phases`` holds each
-    decode's phase (one value for every decode of the baseline) and
-    ``slots`` its degree-one slot, -1 for a phase-2 decode.
+    sustained given the residual state at its step; ``slots`` holds each
+    decode's degree-one slot, -1 for a phase-2 decode, and so its phase.
 
     The per-message views (``decoded``, ``decode_step``, ``phase``,
     ``decode_slot``, ``decode_sinr``, ``genie_rate``; undecoded entries -1 /
-    NaN) are built when first read: a sweep reads none of them.
+    NaN, or PHASE_NONE) are built when first read: a sweep reads none of
+    them.
     """
 
     K: int
     order: np.ndarray
     sinrs: np.ndarray
     genie_rates: np.ndarray
-    phases: Sequence[int] | int
-    slots: Sequence[int]
+    slots: list[int]
 
     @property
     def decoded_count(self) -> int:
@@ -166,7 +167,9 @@ class DecodeResult:
 
     decoded = cached_property(lambda r: r._per_message(True, False, bool))
     decode_step = cached_property(lambda r: r._per_message(np.arange(len(r.order)), -1, np.int64))
-    phase = cached_property(lambda r: r._per_message(r.phases, PHASE_NONE, np.int8))
+    phase = cached_property(lambda r: r._per_message(
+        np.where(np.asarray(r.slots) < 0, PHASE_RESIDUAL, PHASE_PEELING), PHASE_NONE, np.int8
+    ))
     decode_slot = cached_property(lambda r: r._per_message(r.slots, -1, np.int64))
     decode_sinr = cached_property(lambda r: r._per_message(r.sinrs))
     genie_rate = cached_property(lambda r: r._per_message(r.genie_rates))
@@ -197,14 +200,35 @@ def success_thresholds(profile: TransmitProfile) -> np.ndarray:
     return profile.sinr_thresholds * (1.0 - TIE_RTOL)
 
 
+def _checked_sinr(edge_msg, edge_slot, edge_energy, N0: float, M: int, K: int):
+    """``mrc_sinr`` over the slot interference of the given edges.  Raises
+    InfeasibleOperatingPointError, so that the point is flagged, where that
+    interference, or it plus N0, overflows: ``np.bincount`` raises no
+    floating-point error, and an infinite sum would zero the SINR term of
+    every message in the slot."""
+    interference = np.bincount(edge_slot, weights=edge_energy, minlength=M)
+    if not np.isfinite(interference).all():
+        raise InfeasibleOperatingPointError("a slot's interference overflows in the MRC SINR")
+    try:
+        with np.errstate(over="raise"):
+            return mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference, K)
+    except FloatingPointError:
+        raise InfeasibleOperatingPointError(
+            "a slot's interference plus the noise N0 overflows in the MRC SINR"
+        ) from None
+
+
 def static_passes(
     graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
 ) -> np.ndarray:
     """Which messages pass their success test before any cancellation:
     per-message ``energies`` and success ``thresholds`` (see
     ``success_thresholds``).  On frames side by side (``stack_frames``) each
-    message's SINR is its own frame's, bit for bit."""
-    sinr = mrc_sinr(graph.edge_msg, graph.edge_slot, energies[graph.edge_msg], N0)
+    message's SINR is its own frame's, bit for bit.  Raises
+    InfeasibleOperatingPointError where a slot's interference, or it plus
+    N0, overflows."""
+    edge_msg = graph.edge_msg
+    sinr = _checked_sinr(edge_msg, graph.edge_slot, energies[edge_msg], N0, graph.M, graph.K)
     return sinr >= thresholds
 
 
@@ -218,58 +242,45 @@ def statically_decodable(
 
 
 def decoded_closure(
-    edge_msg, edge_slot, energies, thresholds, N0: float, start=None
+    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float, start=None
 ) -> np.ndarray:
-    """Decoded set of one frame, shape (candidates, K), for a batch of
-    candidate profiles: ``energies`` and ``thresholds`` (success thresholds,
-    see ``success_thresholds``) have one row per candidate.  The frame may
-    be several frames side by side (``stack_frames``): no slot is shared
-    between them, so each one's set is its own closure.
+    """Decoded set of one frame, a (K,) mask, under one profile's
+    per-message ``energies`` and success ``thresholds`` (see
+    ``success_thresholds``).  The frame may be several frames side by side
+    (``stack_frames``): no slot is shared between them, so each one's set is
+    its own closure.
 
     Jacobi rounds over the live edges: each round sums the slot
     interference of the undecoded messages, takes their MRC SINRs and
-    decodes all that reach their threshold, until a round decodes nothing.
-    A round then drops the edges of the messages it decoded and of every
-    candidate it decoded nothing for.  A decoded edge only added +0.0 to its
-    slot's in-order ``bincount``, and a candidate with no decode would see
-    the same SINRs again, so every value and decision is that of a round
-    over all edges.  Cancellation never lowers another message's SINR, so
-    the result is the unique closure that ``decode_frame`` reaches in its
-    own order (RS and PA schemes).
+    decodes all that reach their threshold, until a round decodes nothing;
+    the next round drops the edges of the messages it decoded.  A decoded
+    edge only added +0.0 to its slot's in-order ``bincount``, so every value
+    and decision is that of a round over all edges.  Cancellation never
+    lowers another message's SINR, so the result is the unique closure that
+    ``decode_frame`` reaches in its own order (RS and PA schemes).  Raises
+    InfeasibleOperatingPointError where a slot's interference, or it plus
+    N0, overflows.
 
-    ``start``, of the result's shape, marks messages known to decode: it
-    must lie inside the result.  The rounds begin with them cancelled, and
-    since a message that passes keeps passing, they reach the same closure,
-    bit for bit.  A candidate whose thresholds are elementwise at most
-    another's at equal energies decodes a superset of the other's set, so
-    that set is a valid start.  Candidates are stacked as disjoint copies of
-    the frame, so the working set grows with the batch.
+    ``start``, a (K,) mask, marks messages known to decode: it must lie
+    inside the result.  The rounds begin with them cancelled, and since a
+    message that passes keeps passing, they reach the same closure, bit for
+    bit.  A profile whose thresholds are elementwise at most another's at
+    equal energies decodes a superset of the other's set, so that set is a
+    valid start.
     """
-    n, K = energies.shape
-    M = int(edge_slot.max()) + 1
-    edge_energy = energies[:, edge_msg].ravel()
-    if n > 1:
-        copy = np.arange(n)[:, None]
-        edge_msg = (edge_msg + copy * K).ravel()
-        edge_slot = (edge_slot + copy * M).ravel()
-    thresholds = thresholds.ravel()
-    if start is None:
-        decoded = np.zeros(n * K, dtype=bool)
-    else:
-        decoded = start.ravel().copy()
-        live = ~decoded[edge_msg]
-        edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
+    edge_msg, edge_slot = graph.edge_msg, graph.edge_slot
+    edge_energy = energies[edge_msg]
+    decoded = np.zeros(graph.K, dtype=bool)
+    new = start
     while True:
-        interference = np.bincount(edge_slot, weights=edge_energy, minlength=n * M)
-        sinr = mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference, n * K)
+        if new is not None:
+            decoded |= new
+            live = ~new[edge_msg]
+            edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
+        sinr = _checked_sinr(edge_msg, edge_slot, edge_energy, N0, graph.M, graph.K)
         new = (sinr >= thresholds) & ~decoded
         if not new.any():
-            return decoded.reshape(n, K)
-        decoded |= new
-        rows = new.reshape(n, K)
-        done = rows | ~rows.any(axis=1, keepdims=True)
-        live = ~done.ravel()[edge_msg]
-        edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
+            return decoded
 
 
 def decode_frame(
@@ -284,18 +295,16 @@ def decode_frame(
     ``math.log2`` per value: ``np.log2`` need not round alike."""
     if scheme.variant == "IRSA":
         order, slots, sinrs = _peel_irsa(graph, profile.Es, cfg.N0)
-        phases = PHASE_PEELING
     elif statically_decodable(graph, profile.energies, success_thresholds(profile), cfg.N0):
         order, slots = _peel_static(graph)
         order = np.array(order, dtype=np.int64)
-        phases = [PHASE_PEELING if j >= 0 else PHASE_RESIDUAL for j in slots]
         sinrs = _replay_sinrs(graph, profile.energies, order, cfg.N0)
     else:
-        order, phases, slots, sinrs = _decode_mrc(graph, profile, cfg.N0)
+        order, slots, sinrs = _decode_mrc(graph, profile, cfg.N0)
     sinrs = np.asarray(sinrs, dtype=np.float64)
     capacity = (1.0 + sinrs) if scheme.rmax_includes_one else sinrs
     genie = (0.5 * cfg.L_cu) * np.array(list(map(math.log2, capacity.tolist())))
-    return DecodeResult(graph.K, np.asarray(order, dtype=np.int64), sinrs, genie, phases, slots)
+    return DecodeResult(graph.K, np.asarray(order, dtype=np.int64), sinrs, genie, slots)
 
 
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
@@ -421,7 +430,8 @@ def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0
 
 def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     """Two-phase MRC receiver (RS and PA).  Returns the decoded messages,
-    their phases, degree-one slots and SINRs, in step order."""
+    their degree-one slots, -1 for a phase-2 decode, and their SINRs, in
+    step order."""
     M = graph.M
     thr_arr = success_thresholds(profile)
     thresholds = thr_arr.tolist()
@@ -493,9 +503,8 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                             wake(m, pos)
                 interference[j] = total
 
-    # Decodes in step order: message, phase, degree-one slot, SINR.
+    # Decodes in step order: message, degree-one slot, SINR.
     order: list[int] = []
-    phases: list[int] = []
     slots: list[int] = []
     sinrs: list[float] = []
 
@@ -517,7 +526,6 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                         asleep[msg].append(pos)
                     elif (sinr := sinr_of(msg)) >= thresholds[msg]:
                         order.append(msg)
-                        phases.append(PHASE_PEELING)
                         slots.append(pos)
                         sinrs.append(sinr)
                         cancel(msg, pos)
@@ -552,10 +560,9 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             else:
                 asleep[m] = []
         if not passing:
-            return order, phases, slots, sinrs
+            return order, slots, sinrs
         msg = heapq.heappop(passing)
         order.append(msg)
-        phases.append(PHASE_RESIDUAL)
         slots.append(-1)
         sinrs.append(sinr_of(msg))
         cancel(msg, -1)

@@ -11,9 +11,8 @@ purpose tag, so parameter selection never reuses the evaluation streams.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -379,19 +378,6 @@ def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTab
     )
 
 
-@contextmanager
-def _sinr_in_range():
-    """Turn an overflow of an MRC SINR's interference plus noise into
-    InfeasibleOperatingPointError, so that the point is flagged."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise InfeasibleOperatingPointError(
-            "a slot's interference plus the noise N0 overflows in the MRC SINR"
-        ) from None
-
-
 def _decoded_sets(
     point: SweepPoint, graphs: list[FrameGraph], tables: _DegreeTables, start=None
 ) -> np.ndarray:
@@ -403,8 +389,8 @@ def _decoded_sets(
     The schemes run one at a time, in descending order of their thresholds.
     Each starts from the set of the scheme visited before it when that one
     dominates it (``_dominates``), as that set lies inside its own.  Raises
-    InfeasibleOperatingPointError where a slot's interference plus N0
-    overflows."""
+    InfeasibleOperatingPointError where a slot's interference, or it plus
+    N0, overflows."""
     stack = stack_frames(graphs)
     index = tables.index(stack)
     n = len(tables.schemes)
@@ -415,15 +401,9 @@ def _decoded_sets(
         begin = None if start is None else start[i]
         if before is not None and _dominates(tables, before, i):
             begin = sets[before] if begin is None else begin | sets[before]
-        with _sinr_in_range():
-            sets[i] = decoded_closure(
-                stack.edge_msg,
-                stack.edge_slot,
-                tables.energies[i:i + 1, index],
-                tables.thresholds[i:i + 1, index],
-                point.cfg.N0,
-                None if begin is None else begin[None],
-            )[0]
+        sets[i] = decoded_closure(
+            stack, tables.energies[i, index], tables.thresholds[i, index], point.cfg.N0, begin
+        )
         before = i
     return sets.reshape(n, len(graphs), -1)
 
@@ -738,8 +718,7 @@ def tune_mu(
                 group = todo[first:first + FRAME_GROUP]
                 stack = stack_frames([frames[f] for f in which[group]])
                 index = tables.index(stack)
-                with _sinr_in_range():
-                    passes = static_passes(stack, energies[index], thresholds[index], base.cfg.N0)
+                passes = static_passes(stack, energies[index], thresholds[index], base.cfg.N0)
                 ok[group] = passes.reshape(len(group), K).all(axis=1)
             return ok
 
@@ -901,27 +880,33 @@ def compare_rs_pa(
             )
             continue
         point = make_point(pa_spec, 0)
-        t_mean, energy_db = _pa_means(point, pa_spec.scheme_config(mu=mu_tuning.mu), spec.trials)
+        tables = _degree_tables(point, [pa_spec.scheme_config(mu=mu_tuning.mu)])
+        (table,) = tables.profiles
+        _check_measures(table, point.cfg)
+        per_user = table.degrees * table.energies
+        t_mean, energy_db = _closure_means(
+            point, tables, spec.trials,
+            lambda index: to_db(float(per_user[index].mean()) / point.cfg.N0),
+        )
         rows.append(CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu))
     return rows
 
 
-def _pa_means(point: SweepPoint, scheme: SchemeConfig, trials: int) -> tuple[float, float]:
-    """Mean T and mean per-device energy in dB of ``scheme`` over the
-    point's own trials: ``run_point``'s T and energy_per_user_db means,
-    with each frame's decoded count from the order-free decoded set, which
-    is all they read of the decode."""
-    tables = _degree_tables(point, [scheme])
-    (table,) = tables.profiles
-    _check_measures(table, point.cfg)
-    # trial_metrics' expressions, added in trial order.
-    per_user = table.degrees * table.energies
-    T, energy = RunningStats(), RunningStats()
+def _closure_means(
+    point: SweepPoint, tables: _DegreeTables, trials: int,
+    frame_value: Callable[[np.ndarray], float],
+) -> tuple[float, float]:
+    """Mean T and mean ``frame_value(index)`` of the one scheme of
+    ``tables`` over the point's own trials, added in trial order as
+    ``run_point`` adds them; ``index`` is the frame's ``tables.index``.
+    Each frame's decoded count comes from the order-free decoded set, which
+    is all T reads of the decode."""
+    T, value = RunningStats(), RunningStats()
     for _, graphs, (sets,) in _frame_groups(point, point.seed, trials, tables):
         for graph, mask in zip(graphs, sets):
             T.add(int(mask.sum()) / point.cfg.M)
-            energy.add(to_db(float(per_user[tables.index(graph)].mean()) / point.cfg.N0))
-    return T.mean, energy.mean
+            value.add(frame_value(tables.index(graph)))
+    return T.mean, value.mean
 
 
 def _by_mean_rate(point: SweepPoint, tables: _DegreeTables) -> list[int]:
@@ -961,10 +946,7 @@ def _tune_rs_for_rate(
     # decoded set serves, with the rates read from the winner's table.
     best_table = _degree_tables(point, [best])
     rates = best_table.profiles[0].rates
-    rate_acc = RunningStats()
-    t_acc = RunningStats()
-    for _, graphs, (sets,) in _frame_groups(point, spec.seed, spec.trials, best_table):
-        for graph, mask in zip(graphs, sets):
-            rate_acc.add(float(rates[best_table.index(graph)].mean()))
-            t_acc.add(int(mask.sum()) / point.cfg.M)
-    return best, t_acc.mean, rate_acc.mean
+    t_mean, mean_rate = _closure_means(
+        point, best_table, spec.trials, lambda index: float(rates[index].mean())
+    )
+    return best, t_mean, mean_rate

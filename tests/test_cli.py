@@ -619,21 +619,31 @@ class TestMainCommands:
     }
 
     @pytest.mark.parametrize(
-        "es_db, found",
+        "es_db, note",
         [
-            (3100.0, "must be finite"),  # 10 ** 310 overflows
-            (3080.0, "must be finite"),  # finite, but l_avg times it is not
-            (-3300.0, "must be positive"),  # underflows to 0
+            # 10 ** 310 overflows.
+            pytest.param(3100.0, "es_over_N0_db: must be finite in linear terms",
+                         id="3100.0-must be finite"),
+            # Finite, but l_avg times it is not.
+            pytest.param(3080.0, "es_over_N0_db: must be finite in linear terms",
+                         id="3080.0-must be finite"),
+            # Underflows to 0.
+            pytest.param(-3300.0, "es_over_N0_db: must be positive in linear terms",
+                         id="-3300.0-must be positive"),
+            # In range, but two messages sharing a slot sum to inf in the RS
+            # tuner's order-free decode, which would zero their SINR terms.
+            pytest.param(3076.0, "infeasible: a slot's interference overflows in the MRC SINR",
+                         id="3076.0-slot interference overflows"),
         ],
     )
-    def test_compare_energy_out_of_float_range_flags_its_row(self, tmp_path, capsys, es_db, found):
+    def test_compare_energy_out_of_float_range_flags_its_row(self, tmp_path, capsys, es_db, note):
         config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [es_db, -16.0], "min_throughput": 0.5})
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         rows = [l.split(",") for l in (tmp_path / "compare.csv").read_text().splitlines()[1:]]
         assert rows[0][:2] == ["RS", f"{es_db:g}"]
-        assert rows[0][-1] == f"es_over_N0_db: {found} in linear terms"
+        assert rows[0][-1] == note
         assert [r[0] for r in rows[1:]] == ["RS", "IRSA", "PA"]
         assert all(r[-1] == "" for r in rows[1:])
         assert "Traceback" not in capsys.readouterr().err

@@ -404,15 +404,9 @@ PA_MUS = (1.0, 1.01, 1.2, 2.5)
 
 
 def closure_of(g, profiles, N0):
-    """decoded_closure over one frame for a list of profiles."""
-    edge_msg, edge_slot = g.edge_msg, g.edge_slot
-    return decoded_closure(
-        edge_msg,
-        edge_slot,
-        np.stack([p.energies for p in profiles]),
-        np.stack([success_thresholds(p) for p in profiles]),
-        N0,
-    )
+    """decoded_closure over one frame for each of a list of profiles, one
+    row per profile."""
+    return np.stack([decoded_closure(g, p.energies, success_thresholds(p), N0) for p in profiles])
 
 
 def random_frame(rng, variant):
@@ -510,19 +504,16 @@ class TestDecodedClosureOracle:
         assert closure_of(g, [profile], cfg.N0)[0].all()
 
     def test_candidates_converging_in_different_rounds(self, monkeypatch):
-        # One batch on the chain: a candidate that decodes nothing, one whose
-        # cascade takes four rounds and one that decodes every message in
-        # round one.  Each round runs over the live edges only: the first
-        # round's 48 edges fall to the cascade's 12 once the other two
-        # candidates are done, and to none after its last decodes.
+        # On the chain: a candidate that decodes nothing, one whose cascade
+        # takes four rounds and one that decodes every message in round one.
+        # Each round runs over the live edges only: the cascade's 16 edges
+        # fall by the four of the two messages each round decodes, to none
+        # after its last decodes.
         g = chain_frame()
         cfg = uniform_cfg(8, 9, 0.5, l_avg=2.0)
         scheme = SchemeConfig("RS", alpha=0.5, beta=1.0)
         cascade = build_profile(g.degrees, cfg, scheme, 2.0)
-        energies = np.stack([cascade.energies] * 3)
-        thresholds = np.stack([
-            np.full(g.K, 1e9), success_thresholds(cascade), np.full(g.K, 1e-3)
-        ])
+        thresholds = [np.full(g.K, 1e9), success_thresholds(cascade), np.full(g.K, 1e-3)]
         edges = []
         real = decoder.mrc_sinr
 
@@ -531,15 +522,26 @@ class TestDecodedClosureOracle:
             return real(edge_msg, *args)
 
         monkeypatch.setattr(decoder, "mrc_sinr", spy)
-        batch = decoded_closure(g.edge_msg, g.edge_slot, energies, thresholds, cfg.N0)
-        assert edges == [48, 12, 8, 4, 0]
-        assert batch.sum(axis=1).tolist() == [0, 8, 8]
-        for row in range(3):
-            alone = decoded_closure(
-                g.edge_msg, g.edge_slot, energies[row:row + 1], thresholds[row:row + 1], cfg.N0
-            )
-            assert np.array_equal(alone[0], batch[row]), row
-        assert np.array_equal(batch[1], decode_frame(g, cascade, scheme, cfg).decoded)
+        rounds, closures = [], []
+        for row in thresholds:
+            edges.clear()
+            closures.append(decoded_closure(g, cascade.energies, row, cfg.N0))
+            rounds.append(list(edges))
+        assert rounds == [[16], [16, 12, 8, 4, 0], [16, 0]]
+        assert [int(c.sum()) for c in closures] == [0, 8, 8]
+        assert np.array_equal(closures[1], decode_frame(g, cascade, scheme, cfg).decoded)
+
+    def test_infinite_slot_interference_is_infeasible(self):
+        # Two messages of 1e308 share slot 1: its interference overflows to
+        # inf, which would zero both SINR terms there, with no warning.
+        g = FrameGraph(3, [[0, 1], [1, 2]])
+        energies = np.full(2, 1e308)
+        thresholds = np.full(2, 1.0)
+        for decode in (decoder.static_passes, decoded_closure):
+            with pytest.raises(InfeasibleOperatingPointError, match="slot's interference overflows"):
+                decode(g, energies, thresholds, 1.0)
+        # In range, the same frame decodes: each message is alone in a slot.
+        assert decoded_closure(g, energies / 4, thresholds, 1.0).all()
 
 
 def _profiles(g, cfg, l_avg, schemes):
@@ -582,31 +584,6 @@ class TestDecodedClosureProperties:
         schemes = [SchemeConfig("RS", alpha=alpha, beta=b) for b in sorted(betas)]
         closure = closure_of(g, _profiles(g, cfg, l_avg, schemes), cfg.N0)
         assert np.all(closure[1:] >= closure[:-1])
-
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(
-        seed=frame_seeds,
-        variant=st.sampled_from(["RS", "PA"]),
-        params=st.lists(
-            st.tuples(st.floats(0.0, 3.0), st.floats(1.0, 4.0)), min_size=1, max_size=12
-        ),
-        cuts=st.lists(st.integers(1, 11), max_size=4),
-    )
-    def test_batch_and_chunking_do_not_matter(self, seed, variant, params, cuts):
-        g, cfg, l_avg = random_frame(np.random.default_rng(seed), variant)
-        if variant == "PA":
-            schemes = [SchemeConfig("PA", mu=x) for _, x in params]
-        else:
-            schemes = [SchemeConfig("RS", alpha=a, beta=b) for a, b in params]
-        profiles = _profiles(g, cfg, l_avg, schemes)
-        whole = closure_of(g, profiles, cfg.N0)
-        alone = np.concatenate([closure_of(g, [p], cfg.N0) for p in profiles])
-        assert np.array_equal(whole, alone)
-        bounds = [0, *sorted({c for c in cuts if c < len(profiles)}), len(profiles)]
-        chunked = np.concatenate(
-            [closure_of(g, profiles[a:b], cfg.N0) for a, b in zip(bounds, bounds[1:])]
-        )
-        assert np.array_equal(whole, chunked)
 
 
 class TestStackedFramesAndWarmStarts:
@@ -660,11 +637,10 @@ class TestStackedFramesAndWarmStarts:
         assert np.all(cold[0] <= cold[1])
         subset = cold[1] & (rng.random(stack.K) < keep)
         for start in (cold[0], subset, cold[1]):
-            warm = decoded_closure(
-                stack.edge_msg, stack.edge_slot, high.energies[None],
-                success_thresholds(high)[None], cfg.N0, start[None],
-            )
-            assert np.array_equal(warm[0], cold[1])
+            given = start.copy()
+            warm = decoded_closure(stack, high.energies, success_thresholds(high), cfg.N0, start)
+            assert np.array_equal(warm, cold[1])
+            assert np.array_equal(start, given)  # the start is read, not written
 
 
 def compensated_sum(values, start=0.0):
@@ -1023,7 +999,7 @@ class TestStaticPeeling:
             patch.setattr(decoder, "statically_decodable", lambda *args: False)
             want = decode_frame(*setup)
         assert got.order.tolist() == want.order.tolist()
-        assert list(got.phases) == list(want.phases)
+        assert np.array_equal(got.phase, want.phase)
         assert list(got.slots) == list(want.slots)
         assert np.array_equal(got.sinrs, want.sinrs)
         assert np.array_equal(got.genie_rates, want.genie_rates)
