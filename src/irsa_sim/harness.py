@@ -85,8 +85,13 @@ RS_THROUGHPUT_FACTOR = 0.97
 
 # Frames the order-free evaluations decode together, side by side as one
 # frame: decoded_closure's working set grows with the group, so a fixed size
-# keeps it in cache and bounds it however many trials there are.
+# keeps it in cache and bounds it however many trials there are.  The tuners
+# hold a point's frames; their closures still take one group at a time.
 FRAME_GROUP = 8
+
+# Relative widening of the RS tuner's bound on a mean efficiency: see
+# _tune_rs_point.
+ETA_BOUND_SLACK = 1e-9
 
 
 def mix64(*parts: int) -> int:
@@ -381,31 +386,17 @@ def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTab
 def _decoded_sets(
     point: SweepPoint, graphs: list[FrameGraph], tables: _DegreeTables, start=None
 ) -> np.ndarray:
-    """Decoded mask of each of ``tables``' schemes on each of ``graphs``,
-    shape (schemes, frames, K), by the order-free fixed point
-    ``decoded_closure`` over the frames side by side.  ``start``, of that
-    shape, marks messages known to decode at each scheme.
-
-    The schemes run one at a time, in descending order of their thresholds.
-    Each starts from the set of the scheme visited before it when that one
-    dominates it (``_dominates``), as that set lies inside its own.  Raises
-    InfeasibleOperatingPointError where a slot's interference, or it plus
-    N0, overflows."""
+    """Decoded mask of the one scheme of ``tables`` on each of ``graphs``,
+    shape (frames, K), by the order-free fixed point ``decoded_closure``
+    over the frames side by side.  ``start``, of that shape, marks messages
+    known to decode.  Raises InfeasibleOperatingPointError where a slot's
+    interference, or it plus N0, overflows."""
     stack = stack_frames(graphs)
     index = tables.index(stack)
-    n = len(tables.schemes)
-    sets = np.zeros((n, stack.K), dtype=bool)
-    start = None if start is None else start.reshape(n, stack.K)
-    before = None
-    for i in sorted(range(n), key=lambda i: tables.thresholds[i].tolist(), reverse=True):
-        begin = None if start is None else start[i]
-        if before is not None and _dominates(tables, before, i):
-            begin = sets[before] if begin is None else begin | sets[before]
-        sets[i] = decoded_closure(
-            stack, tables.energies[i, index], tables.thresholds[i, index], point.cfg.N0, begin
-        )
-        before = i
-    return sets.reshape(n, len(graphs), -1)
+    (energies,), (thresholds,) = tables.energies, tables.thresholds
+    start = None if start is None else start.ravel()
+    decoded = decoded_closure(stack, energies[index], thresholds[index], point.cfg.N0, start)
+    return decoded.reshape(len(graphs), -1)
 
 
 def _dominates(tables: _DegreeTables, a: int, b: int) -> bool:
@@ -415,15 +406,6 @@ def _dominates(tables: _DegreeTables, a: int, b: int) -> bool:
         np.array_equal(tables.energies[a], tables.energies[b])
         and (tables.thresholds[a] >= tables.thresholds[b]).all()
     )
-
-
-def _frame_groups(point: SweepPoint, seed: int, trials: int, tables: _DegreeTables):
-    """The frames of trials 0 .. trials - 1 from ``seed``'s streams, in
-    FRAME_GROUP groups: each group's trials, frames and ``_decoded_sets``."""
-    for first in range(0, trials, FRAME_GROUP):
-        group = range(first, min(first + FRAME_GROUP, trials))
-        graphs = [_frame(point, seed, t) for t in group]
-        yield group, graphs, _decoded_sets(point, graphs, tables)
 
 
 def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
@@ -540,8 +522,9 @@ def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
     Feasible candidates keep mean throughput at or above
     RS_THROUGHPUT_FACTOR * min(G, throughput_cap); among them the pair with
     the highest mean efficiency wins, ties broken by larger throughput, then
-    smaller alpha.  Pairs whose estimated-interference denominator is
-    non-positive are rejected up front.
+    smaller alpha, then the earlier pair in alpha-major order.  Pairs whose
+    estimated-interference denominator is non-positive are rejected up
+    front; of the others, only those that can still win are decoded.
     """
     cap = tuning.throughput_cap
     return [
@@ -552,13 +535,42 @@ def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
     ]
 
 
-def _rs_candidate_trials(spec: SweepSpec, g_index: int, tuning: TuningConfig):
-    """The RS tuners' shared work at one grid point: the point, the degree
-    tables of the admissible (alpha, beta) pairs of ``tuning``'s grids,
-    alpha-major, and each candidate's decoded count and decoded messages'
-    summed rate on each PURPOSE_RS_TUNE frame, shape (candidates,
-    tune_trials).  None when no pair is admissible;
-    InfeasibleOperatingPointError when a table fails."""
+class _RsSearch:
+    """The RS tuners' candidate search at one grid point: ``tables`` of the
+    admissible (alpha, beta) pairs, alpha-major, on the point's
+    PURPOSE_RS_TUNE ``frames``, drawn once and held; ``index`` holds each
+    message's column, shape (tune_trials, K).  The caller orders the visits."""
+
+    def __init__(self, point: SweepPoint, tables: _DegreeTables, seed: int, trials: int):
+        self.point, self.tables = point, tables
+        self.frames = [_frame(point, seed, t) for t in range(trials)]
+        self.index = np.stack([tables.index(graph) for graph in self.frames])
+        self.sets: dict[int, np.ndarray] = {}  # visited candidate -> decoded masks
+
+    def visit(self, i: int) -> np.ndarray:
+        """Candidate i's decoded mask on each frame, by ``decoded_closure``
+        over FRAME_GROUP frames side by side, each closure started from the
+        union of the sets of the visited candidates that dominate i
+        (``_dominates``): it lies inside i's set."""
+        tables = self.tables
+        above = [sets for j, sets in self.sets.items() if _dominates(tables, j, i)]
+        start = np.logical_or.reduce(above).reshape(-1) if above else None
+        index = self.index.reshape(-1)
+        decoded = np.empty(len(index), dtype=bool)
+        for first in range(0, len(self.frames), FRAME_GROUP):
+            group = slice(first * self.point.cfg.K, (first + FRAME_GROUP) * self.point.cfg.K)
+            decoded[group] = decoded_closure(
+                stack_frames(self.frames[first:first + FRAME_GROUP]),
+                tables.energies[i, index[group]], tables.thresholds[i, index[group]],
+                self.point.cfg.N0, None if start is None else start[group],
+            )
+        self.sets[i] = decoded = decoded.reshape(self.index.shape)
+        return decoded
+
+
+def _rs_search(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> _RsSearch | None:
+    """The search over ``tuning``'s grids at one grid point; None when no
+    pair is admissible, InfeasibleOperatingPointError when a table fails."""
     point = make_point(spec, g_index)
     es = es_from_reference(point.cfg, point.l_avg)
     r_avg = point.cfg.G * point.l_avg
@@ -575,52 +587,62 @@ def _rs_candidate_trials(spec: SweepSpec, g_index: int, tuning: TuningConfig):
             )
     if not candidates:
         return None
-    tables = _degree_tables(point, candidates)
-    counts = np.zeros((len(candidates), tuning.tune_trials), dtype=np.int64)
-    rate_sums = np.zeros((len(candidates), tuning.tune_trials))
-    # One group of frames at a time, every candidate on it: memory stays at
-    # one group however many tuning trials there are.
-    tune_seed = mix64(spec.seed, PURPOSE_RS_TUNE)
-    for trials, graphs, sets in _frame_groups(point, tune_seed, tuning.tune_trials, tables):
-        counts[:, trials] = sets.sum(axis=2)
-        index = np.stack([tables.index(graph) for graph in graphs])
-        for i, profile in enumerate(tables.profiles):
-            for t, rates, mask in zip(trials, profile.rates[index], sets[i]):
-                rate_sums[i, t] = rates[mask].sum()
-    return point, tables, counts, rate_sums
+    return _RsSearch(
+        point, _degree_tables(point, candidates), mix64(spec.seed, PURPOSE_RS_TUNE),
+        tuning.tune_trials,
+    )
 
 
 def _tune_rs_point(
     spec: SweepSpec, g_index: int, tuning: TuningConfig, target: float
 ) -> RsTuning:
+    """``tune_rs`` at one grid point, by branch and bound.  A candidate's
+    mean eta is at most its bound, its rate table summed over the tuning
+    frames' degree counts over tune_trials * C_ref, widened by
+    ETA_BOUND_SLACK: the decoded rates are a subset of positive rates, and
+    the slack exceeds the float error of both sums, about
+    (K + tune_trials) * 2**-53 relative.  Visited by descending bound, the
+    search stops at the first bound strictly below the best feasible mean
+    eta so far (a candidate tied with it is still visited).  On equal keys
+    (eta, T, -alpha) the one earlier in alpha-major order is kept, as
+    ``max`` keeps it.  RS energies are common to all candidates, so an
+    interference overflow raises on the first one visited."""
     G = spec.G_grid[g_index]
+    flagged = lambda note: RsTuning(G, None, None, False, target=target, note=note)
     try:
-        trials = _rs_candidate_trials(spec, g_index, tuning)
+        search = _rs_search(spec, g_index, tuning)
+        if search is None:
+            return flagged("no admissible (alpha, beta) in the grids")
+        tables, M = search.tables, search.point.cfg.M
+        # T and eta are trial_metrics' expressions, accumulated in frame
+        # order.  RS spends one common energy, so C_ref depends on the grid
+        # point alone.
+        c_ref = reference_capacity(tables.profiles[0], search.point.cfg)
+        # The bounds divide by C_ref; a NaN one makes them NaN, skipping none.
+        if c_ref == 0:
+            raise InfeasibleOperatingPointError("C_ref = 0 is not positive and finite")
+        counts = np.bincount(search.index.ravel(), minlength=tables.energies.shape[1])
+        scale = (1.0 + ETA_BOUND_SLACK) / (tuning.tune_trials * c_ref)
+        totals = np.stack([p.rates for p in tables.profiles]) @ counts
+        bounds = [total * scale for total in totals.tolist()]
+        best = None  # (eta, T, -alpha, -i) of the best feasible candidate
+        for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
+            if best is not None and bounds[i] < best[0]:
+                break
+            T, eta = RunningStats(), RunningStats()
+            rates = tables.profiles[i].rates[search.index]
+            for mask, frame_rates in zip(search.visit(i), rates):
+                T.add(int(mask.sum()) / M)
+                eta.add(float(frame_rates[mask].sum()) / c_ref)
+            key = (eta.mean, T.mean, -tables.schemes[i].alpha, -i)
+            if T.mean >= target and (best is None or key > best):
+                best = key
     except InfeasibleOperatingPointError as err:
-        return RsTuning(G, None, None, False, target=target, note=str(err))
-    if trials is None:
-        return RsTuning(
-            G, None, None, False, target=target,
-            note="no admissible (alpha, beta) in the grids",
-        )
-    point, tables, counts, rate_sums = trials
-    # T and eta are trial_metrics' expressions, accumulated in frame order.
-    # RS spends one common energy, so C_ref depends on the grid point alone.
-    c_ref = reference_capacity(tables.profiles[0], point.cfg)
-    stats = []
-    for scheme, n, s in zip(tables.schemes, counts.tolist(), rate_sums.tolist()):
-        T, eta = RunningStats(), RunningStats()
-        for count, rate_sum in zip(n, s):
-            T.add(count / point.cfg.M)
-            eta.add(rate_sum / c_ref)
-        stats.append((scheme, T.mean, eta.mean))
-    feasible = [c for c in stats if c[1] >= target]
-    if not feasible:
-        return RsTuning(
-            G, None, None, False, target=target,
-            note=f"no candidate reached mean T >= {target:.4g}",
-        )
-    scheme, T, eta = max(feasible, key=lambda c: (c[2], c[1], -c[0].alpha))
+        return flagged(str(err))
+    if best is None:
+        return flagged(f"no candidate reached mean T >= {target:.4g}")
+    eta, T, _, i = best
+    scheme = tables.schemes[-i]
     return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
 
 
@@ -699,8 +721,8 @@ def tune_mu(
                 group = slice(first, first + FRAME_GROUP)
                 sets[group] = _decoded_sets(
                     base, [frames[f] for f in which[group]], tables,
-                    None if known is None else known[None, group],
-                )[0]
+                    None if known is None else known[group],
+                )
             return sets
 
         value = lambda sets: sets.sum(axis=1)
@@ -902,8 +924,10 @@ def _closure_means(
     Each frame's decoded count comes from the order-free decoded set, which
     is all T reads of the decode."""
     T, value = RunningStats(), RunningStats()
-    for _, graphs, (sets,) in _frame_groups(point, point.seed, trials, tables):
-        for graph, mask in zip(graphs, sets):
+    for first in range(0, trials, FRAME_GROUP):
+        group = range(first, min(first + FRAME_GROUP, trials))
+        graphs = [_frame(point, point.seed, t) for t in group]
+        for graph, mask in zip(graphs, _decoded_sets(point, graphs, tables)):
             T.add(int(mask.sum()) / point.cfg.M)
             value.add(frame_value(tables.index(graph)))
     return T.mean, value.mean
@@ -924,19 +948,21 @@ def _tune_rs_for_rate(
 
     The mean selected rate over devices is the analytic expectation over the
     degree distribution; only the throughput constraint needs simulation.
+    The search visits the candidates by descending mean rate and stops at
+    the first that holds the floor: it wins, so no later one is decoded.
     Returns (scheme, eval T mean, eval mean rate) or None.
     """
-    trials = _rs_candidate_trials(spec, 0, tuning)
-    if trials is None:
+    search = _rs_search(spec, 0, tuning)
+    if search is None:
         return None
-    point, tables, counts, _ = trials
-    # The highest analytic rate that holds the throughput floor wins.  The
-    # floor compares the exact ratio of integer totals: a mean of per-frame
-    # ratios can round below a floor the total meets exactly.
+    point, tables = search.point, search.tables
+    # The floor compares the exact ratio of integer totals: a mean of
+    # per-frame ratios can round below a floor the total meets exactly.
+    slots = tuning.tune_trials * point.cfg.M
     best = next(
         (
             tables.schemes[i] for i in _by_mean_rate(point, tables)
-            if int(counts[i].sum()) / (tuning.tune_trials * point.cfg.M) >= min_throughput
+            if int(search.visit(i).sum()) / slots >= min_throughput
         ),
         None,
     )

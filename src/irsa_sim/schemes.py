@@ -154,12 +154,19 @@ def rs_sinr_target(
     interferers per slot, scaled by alpha.
 
     Accepts scalar or array ``l_i``.  Raises TuningParameterError when the
-    assumed residual denominator is non-positive.
+    assumed residual denominator is non-positive, and
+    InfeasibleOperatingPointError when it overflows: every degree's term
+    would read 0 or NaN.
     """
     den = (beta * r_avg - 1.0) * Es + N0
     if den <= 0:
         raise TuningParameterError(
             f"(beta*r_avg - 1)*Es + N0 = {den!r} <= 0 for beta={beta}, r_avg={r_avg}"
+        )
+    if den == math.inf:
+        raise InfeasibleOperatingPointError(
+            "the RS SINR target's denominator (beta*r_avg - 1)*Es + N0 overflows "
+            f"for beta={beta}, r_avg={r_avg}"
         )
     # An overflowing target gives an infinite rate, which build_profile flags.
     with np.errstate(over="ignore"):

@@ -326,6 +326,26 @@ class TestMainCommands:
             f"per-slot energy of {energy}, which {found}\n"
         )
 
+    @pytest.mark.parametrize(
+        "es_over_n0, found",
+        [
+            ("0.45", "the RS SINR target's denominator (beta*r_avg - 1)*Es + N0 overflows "
+                     "for beta=1.0, r_avg=3.145"),
+            ("0.3", "the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg - 1)*Es + N0) "
+                    "overflows at degree 16"),
+        ],
+        ids=["denominator", "degree_term"],
+    )
+    def test_decode_one_rs_target_overflow_is_named(self, capsys, es_over_n0, found):
+        # Each flag and the per-slot energy are in range, but at N0 = 1e308
+        # the RS target overflows: in its denominator at 0.45, whose degree
+        # terms would read inf/inf, and in the degree-16 term at 0.3.
+        edges = Path(__file__).parent / "data" / "irsa_frame.tsv"
+        args = ["--scheme", "RS", "--es-over-n0", es_over_n0, "--alpha", "0.5",
+                "--beta", "1.0", "--n0", "1e308"]
+        assert main(["decode-one", "--edges", str(edges), *args]) == 2
+        assert capsys.readouterr().err == f"error: {found}\n"
+
     OVERFLOW = (
         "must be below 51200 bits at L_cu = 100 and N0 = 1, "
         "where the energy N0*(2**(2*hat_R/L_cu) - 1) overflows"
@@ -480,11 +500,15 @@ class TestMainCommands:
             # plus N0 does not: the tuners' order-free decode meets it.
             ("tune", {"scheme": "RS", "K": 24, "N0": 1.7e308, "tilde_Es_over_N0": 0.001},
              "flagged: a slot's interference plus the noise N0 overflows in the MRC SINR"),
+            # The tuner divides by C_ref before the evaluation checks it.
+            ("tune", {"scheme": "RS", "tilde_Es_over_N0": 5e-18, "K": 20, "G_grid": [0.01],
+                      "tuning": {"alpha_grid": [0.5], "beta_grid": [4.0], "tune_trials": 2}},
+             "flagged: C_ref = 0 is not positive and finite"),
         ],
         ids=["irsa_energy_overflow", "pa_frame_energy_overflow", "pa_energy_underflow",
              "irsa_frame_energy_overflow", "rs_frame_energy_overflow", "rs_rate_overflow",
              "irsa_c_ref_underflow", "rs_tune_rate_overflow", "rs_tuned_frame_energy_overflow",
-             "rs_tune_energy_overflow", "rs_tune_noise_overflow"],
+             "rs_tune_energy_overflow", "rs_tune_noise_overflow", "rs_tune_c_ref_underflow"],
     )
     def test_energy_out_of_float_range_flags_the_point(
         self, tmp_path, capsys, command, energy, found

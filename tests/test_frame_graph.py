@@ -139,10 +139,12 @@ class TestEdgeArrays:
         point = make_point(spec, 0)
         rng = np.random.default_rng(37)
         scheme = SchemeConfig("IRSA")
-        tables = _degree_tables(point, [SchemeConfig("RS", alpha=a, beta=1.0) for a in (0.1, 0.5)])
+        schemes = [SchemeConfig("RS", alpha=a, beta=1.0) for a in (0.1, 0.5)]
+        tables = [_degree_tables(point, [scheme]) for scheme in schemes]
         for _ in range(20):
             g = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
-            _decoded_sets(point, [g], tables)
+            for one in tables:
+                _decoded_sets(point, [g], one)
             assert "message_slots" not in vars(g) and "slot_messages" not in vars(g)
             profile = build_profile(g.degrees, point.cfg, scheme, point.l_avg)
             assert decode_frame(g, profile, scheme, point.cfg).decoded_count > 0

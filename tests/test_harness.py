@@ -330,6 +330,46 @@ class TestTuneRs:
             assert t.feasible and t.T_mean >= t.target
             assert t.eta_mean >= f.eta_mean
 
+    def test_search_decodes_under_a_quarter_of_the_candidates(self, monkeypatch):
+        # The tune_rs_l2 benchmark's 84 pairs at G = 0.9 on one frame group,
+        # one closure per decoded candidate: the efficiency bound rules out
+        # most of them undecoded, and only those that cannot win.
+        closures, visited = [], []
+        real, visit = harness.decoded_closure, harness._RsSearch.visit
+
+        def spy(*args):
+            closures.append(args[0].K)
+            return real(*args)
+
+        def visit_spy(search, i):
+            visited.append(i)
+            return visit(search, i)
+
+        monkeypatch.setattr(harness, "decoded_closure", spy)
+        monkeypatch.setattr(harness._RsSearch, "visit", visit_spy)
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
+            G_grid=(0.9,), trials=1, seed=3, tilde_Es_over_N0=0.0009,
+        )
+        tuning = TuningConfig(
+            alpha_grid=tuple(np.geomspace(0.02, 2.0, 12).tolist()),
+            beta_grid=tuple(np.geomspace(0.5, 4.0, 7).tolist()),
+            tune_trials=harness.FRAME_GROUP,
+        )
+        (tuned,) = tune_rs(spec, tuning)
+        assert tuned.feasible
+        assert 0 < len(closures) < 84 / 4
+        assert set(closures) == {harness.FRAME_GROUP * 300} and len(visited) == len(closures)
+        # Every candidate left undecoded has an efficiency bound (every
+        # message decoded) below the winner's mean efficiency.
+        search = harness._rs_search(spec, 0, tuning)
+        c_ref = reference_capacity(search.tables.profiles[0], search.point.cfg)
+        skipped = set(range(len(search.tables.schemes))) - set(visited)
+        assert len(skipped) + len(visited) == 84
+        for i in skipped:
+            total = search.tables.profiles[i].rates[search.index].sum()
+            assert total / (tuning.tune_trials * c_ref) < tuned.eta_mean
+
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
         # The RS tuners build RS candidates themselves: an IRSA spec is
         # tuned exactly as the same spec marked RS.
@@ -563,18 +603,47 @@ class TestCompare:
         for count in per_frame:
             acc.add(count / 375)
         assert acc.mean < 0.78 == sum(per_frame) / (60 * 375)
-        shared = harness._rs_candidate_trials
 
-        def exact_tie(*args):
-            point, tables, counts, rate_sums = shared(*args)
-            counts[:] = per_frame
-            return point, tables, counts, rate_sums
+        def exact_tie(search, i):
+            decoded = np.zeros(search.index.shape, dtype=bool)
+            for row, count in zip(decoded, per_frame):
+                row[:count] = True
+            return decoded
 
-        monkeypatch.setattr(harness, "_rs_candidate_trials", exact_tie)
+        monkeypatch.setattr(harness._RsSearch, "visit", exact_tie)
         tuning = harness._tune_rs_for_rate(
             spec, TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=60), 0.78
         )
         assert tuning is not None and tuning[0].alpha == 0.5
+
+    def test_rate_search_stops_at_the_first_feasible_candidate(self, monkeypatch):
+        # The comparison's rate search visits the candidates by descending
+        # mean rate and decodes none after the first that holds the floor.
+        visits = []
+        real = harness._RsSearch.visit
+
+        def spy(search, i):
+            decoded = real(search, i)
+            slots = decoded.shape[0] * search.point.cfg.M
+            visits.append((search, i, int(decoded.sum()) / slots))
+            return decoded
+
+        monkeypatch.setattr(harness._RsSearch, "visit", spy)
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
+            G_grid=(0.8,), trials=2, seed=17, tilde_Es_over_N0=0.0009,
+        )
+        tuning = TuningConfig(
+            alpha_grid=(0.4, 0.8, 1.2, 1.8, 2.6, 3.6, 5.0), beta_grid=(0.7071, 1.0, 1.4142, 2.0),
+            tune_trials=harness.FRAME_GROUP,
+        )
+        chosen = harness._tune_rs_for_rate(spec, tuning, 0.78)
+        search = visits[0][0]
+        order = harness._by_mean_rate(search.point, search.tables)
+        assert 1 < len(visits) < len(order)
+        assert [i for _, i, _ in visits] == order[:len(visits)]
+        assert all(T < 0.78 for *_, T in visits[:-1]) and visits[-1][2] >= 0.78
+        assert chosen[0] == search.tables.schemes[visits[-1][1]]
 
     def test_rate_ranking_matches_rate_rs(self):
         # The comparison ranks candidates by the expectation of their rate
@@ -721,12 +790,17 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
 
 
 def sequential_decoded_sets(point, graphs, tables, start=None):
-    """Reference for harness._decoded_sets: one decode_frame per scheme and
-    frame, on the profile built for the frame; ``start`` is not read."""
-    return np.array([
-        [frame_outcome(point, graph, scheme)[1].decoded for graph in graphs]
-        for scheme in tables.schemes
-    ])
+    """Reference for harness._decoded_sets: one decode_frame per frame, on
+    the profile built for the frame; ``start`` is not read."""
+    (scheme,) = tables.schemes
+    return np.array([frame_outcome(point, graph, scheme)[1].decoded for graph in graphs])
+
+
+def sequential_visit(search, i):
+    """Reference for harness._RsSearch.visit: one decode_frame per held
+    tuning frame, on the profile built for the frame."""
+    scheme = search.tables.schemes[i]
+    return np.array([frame_outcome(search.point, g, scheme)[1].decoded for g in search.frames])
 
 
 def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
@@ -780,6 +854,57 @@ class TestTunersMatchSequentialReceiver:
         # The throughput floor binds: it rules out the largest alpha.
         assert all(t.feasible and t.alpha < max(ALPHAS) for t in fast)
 
+    @pytest.mark.parametrize(
+        "alphas, betas, G_grid, check",
+        [
+            pytest.param((0.0, *ALPHAS), BETAS, (0.4, 0.8, 1.1, 2.0),
+                         lambda got: all(t.feasible for t in got), id="alpha_zero"),
+            # With alpha 0 the target ignores beta: every pair ties exactly,
+            # and the first in alpha-major order wins.
+            pytest.param((0.0,), (2.0, 0.5, 1.0), (0.4, 0.8),
+                         lambda got: all(t.feasible and t.beta == 2.0 for t in got),
+                         id="alpha_zero_ties"),
+            pytest.param(ALPHAS, (0.5, 1.0, 1.0, 4.0), (0.4, 0.8, 1.1),
+                         lambda got: all(t.feasible for t in got), id="repeated_beta"),
+            pytest.param((40.0, 80.0), BETAS, (0.4, 1.1),
+                         lambda got: not any(t.feasible for t in got), id="none_feasible"),
+            # A winner decodes every message: its mean eta is its bound.
+            pytest.param(ALPHAS, BETAS, (0.1, 0.15),
+                         lambda got: any(t.T_mean == pytest.approx(t.G, rel=1e-12) for t in got),
+                         id="low_load"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tune_rs_grids(self, seed, alphas, betas, G_grid, check, monkeypatch):
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=G_grid, trials=5, seed=seed, tilde_Es_over_N0=0.002,
+        )
+        tuning = TuningConfig(alpha_grid=alphas, beta_grid=betas, tune_trials=6)
+        fast = tune_rs(spec, tuning)
+        monkeypatch.setattr(harness, "_tune_rs_point", sequential_tune_rs_point)
+        assert tune_rs(spec, tuning) == fast
+        assert check(fast)
+
+    def test_search_sets_do_not_depend_on_the_visit_order(self):
+        # Each visit starts from the sets of the visited candidates that
+        # dominate it, whatever order the caller chose: forward, backward
+        # or shuffled, over two frame groups, every set is the sequential
+        # receiver's.
+        spec = SweepSpec(
+            scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.8,), trials=1, seed=2, tilde_Es_over_N0=0.002,
+        )
+        tuning = TuningConfig(
+            alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=harness.FRAME_GROUP + 3
+        )
+        n = len(harness._rs_search(spec, 0, tuning).tables.schemes)
+        shuffled = np.random.default_rng(4).permutation(n).tolist()
+        for order in (range(n), range(n - 1, -1, -1), shuffled):
+            search = harness._rs_search(spec, 0, tuning)
+            for i in order:
+                assert np.array_equal(search.visit(i), sequential_visit(search, i))
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tune_mu_mean_fraction(self, seed, monkeypatch):
         spec = SweepSpec(
@@ -825,13 +950,13 @@ class TestTunersMatchSequentialReceiver:
         # holds at most FRAME_GROUP frames side by side.
         group = harness.FRAME_GROUP
         sizes = []
-        real = harness._decoded_sets
+        real = harness.decoded_closure
 
-        def spy(point, graphs, tables, start=None):
-            sizes.append(len(graphs))
-            return real(point, graphs, tables, start)
+        def spy(graph, energies, thresholds, N0, start=None):
+            sizes.append(graph.K // spec.K)
+            return real(graph, energies, thresholds, N0, start)
 
-        monkeypatch.setattr(harness, "_decoded_sets", spy)
+        monkeypatch.setattr(harness, "decoded_closure", spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=6, K=40,
             G_grid=(0.8,), trials=2 * group + 1, seed=5, tilde_Es_over_N0=0.002,
@@ -861,6 +986,7 @@ class TestTunersMatchSequentialReceiver:
 
         fast = rows()
         monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
+        monkeypatch.setattr(harness._RsSearch, "visit", sequential_visit)
         assert rows() == fast
         assert any(r.scheme == "PA" and r.mu is not None for r in fast)
 
