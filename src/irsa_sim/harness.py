@@ -83,10 +83,10 @@ PURPOSE_MU_TUNE = 2
 # this fraction of the per-point target.
 RS_THROUGHPUT_FACTOR = 0.97
 
-# Frames the order-free evaluations decode together, side by side as one
-# frame: decoded_closure's working set grows with the group, so a fixed size
-# keeps it in cache and bounds it however many trials there are.  The tuners
-# hold a point's frames; their closures still take one group at a time.
+# Frames _decoded_sets decodes together, side by side as one frame:
+# decoded_closure's working set grows with the group, so a fixed size keeps
+# it in cache and bounds it however many frames a call takes.  The tuners
+# hold a point's tuning frames; _closure_means draws one group at a time.
 FRAME_GROUP = 8
 
 # Relative widening of the RS tuner's bound on a mean efficiency: see
@@ -192,7 +192,8 @@ class SweepSpec:
 @dataclass(frozen=True)
 class TuningConfig:
     """Tuner settings: with the spec, the tuners' and the comparison's only
-    input, checked when built."""
+    input, checked when built.  The mu grid is 1, 1 + mu_resolution, ...
+    up to the last value not above mu_max, up to float rounding."""
 
     alpha_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(0.05, 2.0, 8))
     beta_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(0.5, 2.0, 5))
@@ -384,19 +385,26 @@ def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTab
 
 
 def _decoded_sets(
-    point: SweepPoint, graphs: list[FrameGraph], tables: _DegreeTables, start=None
+    point: SweepPoint, graphs: list[FrameGraph], tables: _DegreeTables, i: int = 0,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Decoded mask of the one scheme of ``tables`` on each of ``graphs``,
-    shape (frames, K), by the order-free fixed point ``decoded_closure``
-    over the frames side by side.  ``start``, of that shape, marks messages
-    known to decode.  Raises InfeasibleOperatingPointError where a slot's
-    interference, or it plus N0, overflows."""
-    stack = stack_frames(graphs)
-    index = tables.index(stack)
-    (energies,), (thresholds,) = tables.energies, tables.thresholds
-    start = None if start is None else start.ravel()
-    decoded = decoded_closure(stack, energies[index], thresholds[index], point.cfg.N0, start)
-    return decoded.reshape(len(graphs), -1)
+    """Decoded mask of scheme ``i`` of ``tables`` on each of ``graphs``,
+    shape (frames, K): the order-free fixed point ``decoded_closure`` over
+    FRAME_GROUP frames side by side at a time, the one evaluation of
+    candidates on shared frames.  ``start``, of that shape, marks messages
+    known to decode, such as the set of a scheme that ``_dominates`` i.
+    Raises InfeasibleOperatingPointError where a slot's interference, or it
+    plus N0, overflows."""
+    decoded = np.empty((len(graphs), point.cfg.K), dtype=bool)
+    for first in range(0, len(graphs), FRAME_GROUP):
+        group = slice(first, first + FRAME_GROUP)
+        stack = stack_frames(graphs[group])
+        index = tables.index(stack)
+        decoded[group] = decoded_closure(
+            stack, tables.energies[i, index], tables.thresholds[i, index], point.cfg.N0,
+            None if start is None else start[group].ravel(),
+        ).reshape(-1, point.cfg.K)
+    return decoded
 
 
 def _dominates(tables: _DegreeTables, a: int, b: int) -> bool:
@@ -545,26 +553,19 @@ class _RsSearch:
         self.point, self.tables = point, tables
         self.frames = [_frame(point, seed, t) for t in range(trials)]
         self.index = np.stack([tables.index(graph) for graph in self.frames])
-        self.sets: dict[int, np.ndarray] = {}  # visited candidate -> decoded masks
+        self.last: tuple[int, np.ndarray] | None = None  # previous visit, its masks
 
     def visit(self, i: int) -> np.ndarray:
-        """Candidate i's decoded mask on each frame, by ``decoded_closure``
-        over FRAME_GROUP frames side by side, each closure started from the
-        union of the sets of the visited candidates that dominate i
-        (``_dominates``): it lies inside i's set."""
-        tables = self.tables
-        above = [sets for j, sets in self.sets.items() if _dominates(tables, j, i)]
-        start = np.logical_or.reduce(above).reshape(-1) if above else None
-        index = self.index.reshape(-1)
-        decoded = np.empty(len(index), dtype=bool)
-        for first in range(0, len(self.frames), FRAME_GROUP):
-            group = slice(first * self.point.cfg.K, (first + FRAME_GROUP) * self.point.cfg.K)
-            decoded[group] = decoded_closure(
-                stack_frames(self.frames[first:first + FRAME_GROUP]),
-                tables.energies[i, index[group]], tables.thresholds[i, index[group]],
-                self.point.cfg.N0, None if start is None else start[group],
-            )
-        self.sets[i] = decoded = decoded.reshape(self.index.shape)
+        """Candidate i's decoded mask on each frame, by ``_decoded_sets``,
+        started from the previous visit's masks when that candidate
+        ``_dominates`` i, and cold otherwise, so any order gives the same
+        sets.  Both RS tuners' orders walk the SINR targets down, so the
+        previous visit is the dominating one to start from."""
+        start = None
+        if self.last is not None and _dominates(self.tables, self.last[0], i):
+            start = self.last[1]
+        decoded = _decoded_sets(self.point, self.frames, self.tables, i, start)
+        self.last = i, decoded
         return decoded
 
 
@@ -666,9 +667,9 @@ class MuTuning:
 def tune_mu(
     spec: SweepSpec, g_index: int, tuning: TuningConfig, criterion: str, target: float
 ) -> MuTuning:
-    """Smallest mu on the grid 1, 1 + mu_resolution, ... up to ``tuning``'s
-    mu_max whose ``criterion`` measure over tune_trials frames reaches
-    ``target``.
+    """Smallest mu on the grid 1, 1 + mu_resolution, ... not above
+    ``tuning``'s mu_max (up to float rounding) whose ``criterion`` measure
+    over tune_trials frames reaches ``target``.
 
     ``mean_fraction``: mean decoded fraction of the full receiver.
     ``static_reliability``: fraction of frames with every message decodable
@@ -693,14 +694,19 @@ def tune_mu(
     outcome at both has it at every mu between.  Each such frame's closure
     starts from its set at the low end, and a frame static at the low end
     is not tested again, so every measure and decision is that of a full
-    evaluation.  The frames stay in memory for the whole bisection; the
-    closures take them FRAME_GROUP at a time.
+    evaluation.  The frames stay in memory for the whole bisection, and
+    ``_decoded_sets`` takes the open ones FRAME_GROUP at a time.
     """
     spec.scheme_config(mu=1.0)  # raises for a scheme that takes no mu
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
-    n_steps = int(math.ceil((tuning.mu_max - 1.0) / tuning.mu_resolution))
     mu_at = lambda k: 1.0 + k * tuning.mu_resolution
+    # The top of the grid: the largest k with mu_at(k) <= mu_max, where a k
+    # above it by float rounding alone, under 1e-9 of a step, still counts
+    # (1 + 7 * 0.1 > 1.7).
+    n_steps = math.floor((tuning.mu_max - 1.0) / tuning.mu_resolution)
+    if mu_at(n_steps + 1) - tuning.mu_max <= 1e-9 * tuning.mu_resolution:
+        n_steps += 1
     try:
         base = make_point(spec, g_index)
         # Energies rise with mu: the top of the grid is the one to check.
@@ -716,14 +722,7 @@ def tune_mu(
         def outcomes(mu: float, which: np.ndarray, known) -> np.ndarray:
             # Each frame's decoded set, started from its set at the lower mu.
             tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
-            sets = np.empty((len(which), K), dtype=bool)
-            for first in range(0, len(which), FRAME_GROUP):
-                group = slice(first, first + FRAME_GROUP)
-                sets[group] = _decoded_sets(
-                    base, [frames[f] for f in which[group]], tables,
-                    None if known is None else known[group],
-                )
-            return sets
+            return _decoded_sets(base, [frames[f] for f in which], tables, start=known)
 
         value = lambda sets: sets.sum(axis=1)
         scale = len(frames) * K
@@ -907,7 +906,7 @@ def compare_rs_pa(
         _check_measures(table, point.cfg)
         per_user = table.degrees * table.energies
         t_mean, energy_db = _closure_means(
-            point, tables, spec.trials,
+            point, tables, 0, spec.trials,
             lambda index: to_db(float(per_user[index].mean()) / point.cfg.N0),
         )
         rows.append(CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu))
@@ -915,19 +914,20 @@ def compare_rs_pa(
 
 
 def _closure_means(
-    point: SweepPoint, tables: _DegreeTables, trials: int,
+    point: SweepPoint, tables: _DegreeTables, i: int, trials: int,
     frame_value: Callable[[np.ndarray], float],
 ) -> tuple[float, float]:
-    """Mean T and mean ``frame_value(index)`` of the one scheme of
-    ``tables`` over the point's own trials, added in trial order as
-    ``run_point`` adds them; ``index`` is the frame's ``tables.index``.
-    Each frame's decoded count comes from the order-free decoded set, which
-    is all T reads of the decode."""
+    """Mean T and mean ``frame_value(index)`` of scheme ``i`` of ``tables``
+    over the point's own trials, added in trial order as ``run_point`` adds
+    them; ``index`` is the frame's ``tables.index``.  Each frame's decoded
+    count comes from the order-free decoded set, which is all T reads of
+    the decode.  The frames are drawn FRAME_GROUP at a time, so however
+    many trials there are, one group is held."""
     T, value = RunningStats(), RunningStats()
     for first in range(0, trials, FRAME_GROUP):
         group = range(first, min(first + FRAME_GROUP, trials))
         graphs = [_frame(point, point.seed, t) for t in group]
-        for graph, mask in zip(graphs, _decoded_sets(point, graphs, tables)):
+        for graph, mask in zip(graphs, _decoded_sets(point, graphs, tables, i)):
             T.add(int(mask.sum()) / point.cfg.M)
             value.add(frame_value(tables.index(graph)))
     return T.mean, value.mean
@@ -961,7 +961,7 @@ def _tune_rs_for_rate(
     slots = tuning.tune_trials * point.cfg.M
     best = next(
         (
-            tables.schemes[i] for i in _by_mean_rate(point, tables)
+            i for i in _by_mean_rate(point, tables)
             if int(search.visit(i).sum()) / slots >= min_throughput
         ),
         None,
@@ -970,9 +970,8 @@ def _tune_rs_for_rate(
         return None
     # Only the decoded count and the mean rate are read: the order-free
     # decoded set serves, with the rates read from the winner's table.
-    best_table = _degree_tables(point, [best])
-    rates = best_table.profiles[0].rates
+    rates = tables.profiles[best].rates
     t_mean, mean_rate = _closure_means(
-        point, best_table, spec.trials, lambda index: float(rates[index].mean())
+        point, tables, best, spec.trials, lambda index: float(rates[index].mean())
     )
-    return best, t_mean, mean_rate
+    return tables.schemes[best], t_mean, mean_rate

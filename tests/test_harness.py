@@ -1,6 +1,7 @@
 """Sweep orchestration: determinism, aggregation, and the tuners."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -333,13 +334,16 @@ class TestTuneRs:
     def test_search_decodes_under_a_quarter_of_the_candidates(self, monkeypatch):
         # The tune_rs_l2 benchmark's 84 pairs at G = 0.9 on one frame group,
         # one closure per decoded candidate: the efficiency bound rules out
-        # most of them undecoded, and only those that cannot win.
+        # most of them undecoded, and only those that cannot win.  Each
+        # candidate visited is dominated by the one before it, so its
+        # closure starts from that one's set.
         closures, visited = [], []
         real, visit = harness.decoded_closure, harness._RsSearch.visit
 
-        def spy(*args):
-            closures.append(args[0].K)
-            return real(*args)
+        def spy(graph, energies, thresholds, N0, start=None):
+            decoded = real(graph, energies, thresholds, N0, start)
+            closures.append((graph.K, start, decoded))
+            return decoded
 
         def visit_spy(search, i):
             visited.append(i)
@@ -359,7 +363,9 @@ class TestTuneRs:
         (tuned,) = tune_rs(spec, tuning)
         assert tuned.feasible
         assert 0 < len(closures) < 84 / 4
-        assert set(closures) == {harness.FRAME_GROUP * 300} and len(visited) == len(closures)
+        assert {size for size, *_ in closures} == {harness.FRAME_GROUP * 300}
+        assert len(visited) == len(closures)
+        check_warm_chain(closures)
         # Every candidate left undecoded has an efficiency bound (every
         # message decoded) below the winner's mean efficiency.
         search = harness._rs_search(spec, 0, tuning)
@@ -471,6 +477,34 @@ class TestTuneMu:
         )
         assert not tuning.feasible and tuning.mu is None
         assert tuning.note.startswith("mu: the frame energy K*mu*l_i*E_i/N0 overflows")
+
+    @pytest.mark.parametrize(
+        "mu_max, resolution, top",
+        [(1.02, 0.02, 1), (1.3, 0.1, 3), (1.02, 0.01, 2), (1.7, 0.1, 7), (1.005, 0.01, 0)],
+    )
+    def test_mu_grid_stops_at_mu_max(self, mu_max, resolution, top, monkeypatch):
+        # The grid is 1 + k * mu_resolution up to the last value not above
+        # mu_max: rounding (mu_max - 1) / mu_resolution up would try 1.04
+        # for 1.02 / 0.02.  1 + 7 * 0.1 exceeds 1.7 by float rounding alone
+        # and still counts.
+        tried = []
+        real = harness._degree_tables
+
+        def spy(point, schemes):
+            tried.extend(s.mu for s in schemes)
+            return real(point, schemes)
+
+        monkeypatch.setattr(harness, "_degree_tables", spy)
+        spec = SweepSpec(
+            scheme="PA", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.5, 1.0, 1.3), trials=5, seed=0, hat_R_bits=8.0,
+        )
+        tuning = TuningConfig(tune_trials=10, mu_max=mu_max, mu_resolution=resolution)
+        grid = [1.0 + k * resolution for k in range(top + 1)]
+        for criterion, target in (("mean_fraction", 0.985), ("static_reliability", 0.6)):
+            got = [tune_mu(spec, g, tuning, criterion, target) for g in range(3)]
+            assert all(t.mu is None or t.mu in grid for t in got)
+        assert max(tried) == grid[-1] and set(tried) <= set(grid)
 
     def test_static_criterion_needs_more_power(self):
         spec = SweepSpec(
@@ -619,8 +653,10 @@ class TestCompare:
     def test_rate_search_stops_at_the_first_feasible_candidate(self, monkeypatch):
         # The comparison's rate search visits the candidates by descending
         # mean rate and decodes none after the first that holds the floor.
-        visits = []
-        real = harness._RsSearch.visit
+        # Each visit, one closure on one frame group, starts from the set of
+        # the visit before it; the winner's evaluation starts cold.
+        visits, closures = [], []
+        real, real_closure = harness._RsSearch.visit, harness.decoded_closure
 
         def spy(search, i):
             decoded = real(search, i)
@@ -628,7 +664,13 @@ class TestCompare:
             visits.append((search, i, int(decoded.sum()) / slots))
             return decoded
 
+        def closure_spy(graph, energies, thresholds, N0, start=None):
+            decoded = real_closure(graph, energies, thresholds, N0, start)
+            closures.append((graph.K, start, decoded))
+            return decoded
+
         monkeypatch.setattr(harness._RsSearch, "visit", spy)
+        monkeypatch.setattr(harness, "decoded_closure", closure_spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.8,), trials=2, seed=17, tilde_Es_over_N0=0.0009,
@@ -644,6 +686,10 @@ class TestCompare:
         assert [i for _, i, _ in visits] == order[:len(visits)]
         assert all(T < 0.78 for *_, T in visits[:-1]) and visits[-1][2] >= 0.78
         assert chosen[0] == search.tables.schemes[visits[-1][1]]
+        *searched, (size, start, _) = closures
+        assert size == spec.trials * spec.K and start is None
+        assert len(searched) == len(visits)
+        check_warm_chain(searched)
 
     def test_rate_ranking_matches_rate_rs(self):
         # The comparison ranks candidates by the expectation of their rate
@@ -789,10 +835,19 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
     )
 
 
-def sequential_decoded_sets(point, graphs, tables, start=None):
+def check_warm_chain(closures):
+    """A search's (size, start, decoded) closures: the first starts cold and
+    every later one from the set the one before it returned."""
+    (_, first, _), *rest = closures
+    assert first is None
+    for (_, _, before), (_, start, _) in zip(closures, rest):
+        assert start is not None and np.array_equal(start, before)
+
+
+def sequential_decoded_sets(point, graphs, tables, i=0, start=None):
     """Reference for harness._decoded_sets: one decode_frame per frame, on
-    the profile built for the frame; ``start`` is not read."""
-    (scheme,) = tables.schemes
+    the profile of scheme i built for the frame; ``start`` is not read."""
+    scheme = tables.schemes[i]
     return np.array([frame_outcome(point, graph, scheme)[1].decoded for graph in graphs])
 
 
@@ -810,9 +865,11 @@ def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
     base = make_point(spec, g_index)
     tune_seed = mix64(spec.seed, harness.PURPOSE_MU_TUNE)
     frames = [harness._frame(base, tune_seed, t) for t in range(tuning.tune_trials)]
-    n_steps = math.ceil((tuning.mu_max - 1.0) / tuning.mu_resolution)
-    for k in range(n_steps + 1):
-        mu = 1.0 + k * tuning.mu_resolution
+    grid = itertools.takewhile(
+        lambda mu: mu <= tuning.mu_max,
+        (1.0 + k * tuning.mu_resolution for k in itertools.count()),
+    )
+    for mu in grid:
         scheme = SchemeConfig("PA", mu=mu)
         if criterion == "mean_fraction":
             total = sum(frame_outcome(base, g, scheme)[1].decoded_count for g in frames)
