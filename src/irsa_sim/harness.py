@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -83,10 +83,11 @@ PURPOSE_MU_TUNE = 2
 # this fraction of the per-point target.
 RS_THROUGHPUT_FACTOR = 0.97
 
-# Frames _decoded_sets decodes together, side by side as one frame:
-# decoded_closure's working set grows with the group, so a fixed size keeps
-# it in cache and bounds it however many frames a call takes.  The tuners
-# hold a point's tuning frames; _closure_means draws one group at a time.
+# Frames _stacks draws side by side as one frame, the unit the order-free
+# decode takes: decoded_closure's working set grows with the stack, so a
+# fixed size keeps it in cache and bounds it however many frames a point
+# has.  The tuners hold a point's tuning stacks; _closure_means draws one
+# stack at a time.
 FRAME_GROUP = 8
 
 # Relative widening of the RS tuner's bound on a mean efficiency: see
@@ -223,7 +224,9 @@ class CompareConfig:
 @dataclass(frozen=True)
 class SweepPoint:
     """The frame side of one grid point: its load, channel, degree
-    distribution and streams.  The scheme run at it is passed alongside."""
+    distribution and streams.  The scheme run at it is passed alongside;
+    its profile on the distribution's support is ``_table``, read at
+    ``index``."""
 
     g_index: int
     G: float
@@ -231,6 +234,11 @@ class SweepPoint:
     dist: DegreeDistribution
     l_avg: float
     seed: int
+
+    def index(self, graph: FrameGraph) -> np.ndarray:
+        """Each message's place in ``dist.degrees``, the ascending support
+        its degree was drawn from."""
+        return np.searchsorted(self.dist.degrees, graph.degrees)
 
 
 @dataclass
@@ -348,71 +356,58 @@ def _frame(point: SweepPoint, seed: int, trial: int) -> FrameGraph:
     return build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
 
 
-class _DegreeTables(NamedTuple):
-    """Profiles of a grid point's schemes on the degree distribution's
-    support, shared by the sweeps and the tuners, with the energies and
-    success thresholds stacked, shape (schemes, support size).  Every scheme
-    assigns energies, rates and thresholds by degree alone, so a frame's
-    profile is a table read at ``index(graph)``, element for element the
-    profile built on the frame.  A rate that rounds to 0 bits at any degree
-    of the support makes the point infeasible, whichever degrees its frames
-    draw."""
-
-    schemes: list[SchemeConfig]
-    profiles: list[TransmitProfile]
-    energies: np.ndarray
-    thresholds: np.ndarray
-    column: np.ndarray  # column[d]: degree d's place in the support
-
-    def index(self, graph: FrameGraph) -> np.ndarray:
-        """Each message's column in the tables."""
-        return self.column[graph.degrees]
+def _stacks(point: SweepPoint, seed: int, trials: int) -> Iterator[FrameGraph]:
+    """The frames of trials 0 .. trials-1 at the point, drawn from
+    ``seed``'s streams and yielded FRAME_GROUP side by side at a time
+    (``stack_frames``), the last stack holding the rest: the one input of
+    the order-free decode."""
+    for first in range(0, trials, FRAME_GROUP):
+        group = range(first, min(first + FRAME_GROUP, trials))
+        yield stack_frames([_frame(point, seed, t) for t in group])
 
 
-def _degree_tables(point: SweepPoint, schemes: list[SchemeConfig]) -> _DegreeTables:
-    """One profile per scheme and grid point, shared by every frame."""
-    degrees = point.dist.degrees
-    profiles = [build_profile(degrees, point.cfg, s, point.l_avg) for s in schemes]
-    column = np.zeros(point.dist.max_degree + 1, dtype=np.int64)
-    column[degrees] = np.arange(len(degrees))
-    return _DegreeTables(
-        schemes,
-        profiles,
-        np.stack([p.energies for p in profiles]),
-        np.stack([success_thresholds(p) for p in profiles]),
-        column,
-    )
+def _table(point: SweepPoint, scheme: SchemeConfig) -> TransmitProfile:
+    """The scheme's profile on the point's degree support, shared by every
+    frame.  Every scheme assigns energies, rates and thresholds by degree
+    alone, so a frame's profile is this one read at ``point.index(graph)``,
+    element for element the profile built on the frame.  A rate that
+    rounds to 0 bits at any degree of the support makes the point
+    infeasible, whichever degrees its frames draw."""
+    return build_profile(point.dist.degrees, point.cfg, scheme, point.l_avg)
 
 
 def _decoded_sets(
-    point: SweepPoint, graphs: list[FrameGraph], tables: _DegreeTables, i: int = 0,
+    point: SweepPoint, stacks: list[FrameGraph], table: TransmitProfile,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Decoded mask of scheme ``i`` of ``tables`` on each of ``graphs``,
-    shape (frames, K): the order-free fixed point ``decoded_closure`` over
-    FRAME_GROUP frames side by side at a time, the one evaluation of
-    candidates on shared frames.  ``start``, of that shape, marks messages
-    known to decode, such as the set of a scheme that ``_dominates`` i.
+    """Decoded mask of the profile ``table`` on each frame of ``stacks``
+    (from ``_stacks``), shape (frames, K): the order-free fixed point
+    ``decoded_closure`` of each stack, the one evaluation of candidates on
+    shared frames.  ``start``, of that shape, marks messages known to
+    decode, such as the set of a profile that ``_dominates`` this one.
     Raises InfeasibleOperatingPointError where a slot's interference, or it
     plus N0, overflows."""
-    decoded = np.empty((len(graphs), point.cfg.K), dtype=bool)
-    for first in range(0, len(graphs), FRAME_GROUP):
-        group = slice(first, first + FRAME_GROUP)
-        stack = stack_frames(graphs[group])
-        index = tables.index(stack)
-        decoded[group] = decoded_closure(
-            stack, tables.energies[i, index], tables.thresholds[i, index], point.cfg.N0,
-            None if start is None else start[group].ravel(),
-        ).reshape(-1, point.cfg.K)
-    return decoded
+    thresholds = success_thresholds(table)
+    decoded = np.empty(sum(stack.K for stack in stacks), dtype=bool)
+    first = 0
+    for stack in stacks:
+        part = slice(first, first + stack.K)
+        index = point.index(stack)
+        decoded[part] = decoded_closure(
+            stack, table.energies[index], thresholds[index], point.cfg.N0,
+            None if start is None else start.ravel()[part],
+        )
+        first += stack.K
+    return decoded.reshape(-1, point.cfg.K)
 
 
-def _dominates(tables: _DegreeTables, a: int, b: int) -> bool:
-    """Whether scheme ``a`` decodes a subset of scheme ``b``'s set on every
-    frame: equal energies and thresholds at least ``b``'s at every degree."""
+def _dominates(a: TransmitProfile, b: TransmitProfile) -> bool:
+    """Whether profile ``a`` decodes a subset of profile ``b``'s set on
+    every frame: equal energies and thresholds at least ``b``'s at every
+    degree."""
     return bool(
-        np.array_equal(tables.energies[a], tables.energies[b])
-        and (tables.thresholds[a] >= tables.thresholds[b]).all()
+        np.array_equal(a.energies, b.energies)
+        and (success_thresholds(a) >= success_thresholds(b)).all()
     )
 
 
@@ -436,12 +431,11 @@ def _trials(
     drawn from the point's streams, profiled by the scheme's degree table,
     decoded and measured.  Deterministic in (point.seed, point.g_index,
     trial)."""
-    tables = _degree_tables(point, [scheme])
-    (table,) = tables.profiles
+    table = _table(point, scheme)
     _check_measures(table, point.cfg)
     for t in trials:
         graph = _frame(point, point.seed, t)
-        profile = table.take(tables.index(graph))
+        profile = table.take(point.index(graph))
         result = decode_frame(graph, profile, scheme, point.cfg)
         yield trial_metrics(result, profile, point.cfg)
 
@@ -544,15 +538,18 @@ def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
 
 
 class _RsSearch:
-    """The RS tuners' candidate search at one grid point: ``tables`` of the
-    admissible (alpha, beta) pairs, alpha-major, on the point's
-    PURPOSE_RS_TUNE ``frames``, drawn once and held; ``index`` holds each
-    message's column, shape (tune_trials, K).  The caller orders the visits."""
+    """The RS tuners' candidate search at one grid point: the admissible
+    (alpha, beta) ``schemes``, alpha-major, their ``tables`` (``_table``),
+    and the point's PURPOSE_RS_TUNE ``stacks`` (``_stacks``), drawn and
+    stacked once and held; ``index`` holds each message's place in the
+    support, shape (tune_trials, K).  The caller orders the visits."""
 
-    def __init__(self, point: SweepPoint, tables: _DegreeTables, seed: int, trials: int):
-        self.point, self.tables = point, tables
-        self.frames = [_frame(point, seed, t) for t in range(trials)]
-        self.index = np.stack([tables.index(graph) for graph in self.frames])
+    def __init__(self, point: SweepPoint, schemes: list[SchemeConfig], seed: int, trials: int):
+        self.point, self.schemes = point, schemes
+        self.tables = [_table(point, scheme) for scheme in schemes]
+        self.stacks = list(_stacks(point, seed, trials))
+        index = [point.index(stack) for stack in self.stacks]
+        self.index = np.concatenate(index).reshape(trials, point.cfg.K)
         self.last: tuple[int, np.ndarray] | None = None  # previous visit, its masks
 
     def visit(self, i: int) -> np.ndarray:
@@ -562,9 +559,9 @@ class _RsSearch:
         sets.  Both RS tuners' orders walk the SINR targets down, so the
         previous visit is the dominating one to start from."""
         start = None
-        if self.last is not None and _dominates(self.tables, self.last[0], i):
+        if self.last is not None and _dominates(self.tables[self.last[0]], self.tables[i]):
             start = self.last[1]
-        decoded = _decoded_sets(self.point, self.frames, self.tables, i, start)
+        decoded = _decoded_sets(self.point, self.stacks, self.tables[i], start)
         self.last = i, decoded
         return decoded
 
@@ -589,8 +586,7 @@ def _rs_search(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> _RsSearch
     if not candidates:
         return None
     return _RsSearch(
-        point, _degree_tables(point, candidates), mix64(spec.seed, PURPOSE_RS_TUNE),
-        tuning.tune_trials,
+        point, candidates, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials
     )
 
 
@@ -618,24 +614,24 @@ def _tune_rs_point(
         # T and eta are trial_metrics' expressions, accumulated in frame
         # order.  RS spends one common energy, so C_ref depends on the grid
         # point alone.
-        c_ref = reference_capacity(tables.profiles[0], search.point.cfg)
+        c_ref = reference_capacity(tables[0], search.point.cfg)
         # The bounds divide by C_ref; a NaN one makes them NaN, skipping none.
         if c_ref == 0:
             raise InfeasibleOperatingPointError("C_ref = 0 is not positive and finite")
-        counts = np.bincount(search.index.ravel(), minlength=tables.energies.shape[1])
+        counts = np.bincount(search.index.ravel(), minlength=len(search.point.dist.degrees))
         scale = (1.0 + ETA_BOUND_SLACK) / (tuning.tune_trials * c_ref)
-        totals = np.stack([p.rates for p in tables.profiles]) @ counts
+        totals = np.stack([table.rates for table in tables]) @ counts
         bounds = [total * scale for total in totals.tolist()]
         best = None  # (eta, T, -alpha, -i) of the best feasible candidate
         for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
             if best is not None and bounds[i] < best[0]:
                 break
             T, eta = RunningStats(), RunningStats()
-            rates = tables.profiles[i].rates[search.index]
+            rates = tables[i].rates[search.index]
             for mask, frame_rates in zip(search.visit(i), rates):
                 T.add(int(mask.sum()) / M)
                 eta.add(float(frame_rates[mask].sum()) / c_ref)
-            key = (eta.mean, T.mean, -tables.schemes[i].alpha, -i)
+            key = (eta.mean, T.mean, -search.schemes[i].alpha, -i)
             if T.mean >= target and (best is None or key > best):
                 best = key
     except InfeasibleOperatingPointError as err:
@@ -643,7 +639,7 @@ def _tune_rs_point(
     if best is None:
         return flagged(f"no candidate reached mean T >= {target:.4g}")
     eta, T, _, i = best
-    scheme = tables.schemes[-i]
+    scheme = search.schemes[-i]
     return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
 
 
@@ -689,13 +685,13 @@ def tune_mu(
     is exact for the tuning streams.  So is each frame's outcome: its
     decoded set only grows with mu, and a statically decodable frame stays
     so.  The bisection keeps every frame's outcome at both ends of its
-    bracket and, at each mid, evaluates again only the frames whose decoded
-    count or static verdict differs between the ends: a frame with one
-    outcome at both has it at every mu between.  Each such frame's closure
-    starts from its set at the low end, and a frame static at the low end
-    is not tested again, so every measure and decision is that of a full
-    evaluation.  The frames stay in memory for the whole bisection, and
-    ``_decoded_sets`` takes the open ones FRAME_GROUP at a time.
+    bracket and, at each mid, evaluates again only the stacks (``_stacks``)
+    holding a frame whose decoded count or static verdict differs between
+    the ends: a frame with one outcome at both has it at every mu between,
+    so evaluating it again changes nothing.  Each closure starts from the
+    frame's set at the low end, so every measure and decision is that of a
+    full evaluation.  The stacks are drawn once and stay in memory for the
+    whole bisection.
     """
     spec.scheme_config(mu=1.0)  # raises for a scheme that takes no mu
     G = spec.G_grid[g_index]
@@ -713,49 +709,44 @@ def tune_mu(
         pa_powers(base.dist.degrees, base.cfg, mu_at(n_steps), base.l_avg, base.cfg.G * base.l_avg)
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
-    frames = [_frame(base, tune_seed, t) for t in range(tuning.tune_trials)]
-    K = base.cfg.K
+    stacks = list(_stacks(base, tune_seed, tuning.tune_trials))
+    stack_of = np.arange(tuning.tune_trials) // FRAME_GROUP  # each frame's stack
+    K, N0 = base.cfg.K, base.cfg.N0
 
-    # A frame's outcome at a mu, given its outcome ``known`` at a lower mu
-    # or None, for the frames ``which``; its value; and the measure.
+    # The outcome at a mu of each frame of ``which`` stacks, given its
+    # outcome ``known`` at a lower mu or None; its value; and the measure.
     if criterion == "mean_fraction":
-        def outcomes(mu: float, which: np.ndarray, known) -> np.ndarray:
+        def outcomes(mu: float, which: list[FrameGraph], known) -> np.ndarray:
             # Each frame's decoded set, started from its set at the lower mu.
-            tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
-            return _decoded_sets(base, [frames[f] for f in which], tables, start=known)
+            return _decoded_sets(base, which, _table(base, spec.scheme_config(mu=mu)), known)
 
         value = lambda sets: sets.sum(axis=1)
-        scale = len(frames) * K
+        scale = tuning.tune_trials * K
     else:
-        def outcomes(mu: float, which: np.ndarray, known) -> np.ndarray:
+        def outcomes(mu: float, which: list[FrameGraph], known) -> np.ndarray:
             # Whether each frame is statically decodable: every message
-            # decodes before any cancellation.  A frame that was at the
-            # lower mu still is.
-            tables = _degree_tables(base, [spec.scheme_config(mu=mu)])
-            energies, thresholds = tables.energies[0], tables.thresholds[0]
-            ok = np.zeros(len(which), dtype=bool) if known is None else known.copy()
-            todo = np.flatnonzero(~ok)
-            for first in range(0, len(todo), FRAME_GROUP):
-                group = todo[first:first + FRAME_GROUP]
-                stack = stack_frames([frames[f] for f in which[group]])
-                index = tables.index(stack)
-                passes = static_passes(stack, energies[index], thresholds[index], base.cfg.N0)
-                ok[group] = passes.reshape(len(group), K).all(axis=1)
-            return ok
+            # decodes before any cancellation.
+            table = _table(base, spec.scheme_config(mu=mu))
+            thresholds = success_thresholds(table)
+            ok = []
+            for stack in which:
+                index = base.index(stack)
+                passes = static_passes(stack, table.energies[index], thresholds[index], N0)
+                ok.append(passes.reshape(-1, K).all(axis=1))
+            return np.concatenate(ok)
 
         value = lambda ok: ok
-        scale = len(frames)
+        scale = tuning.tune_trials
 
     def fraction(out: np.ndarray) -> float:
         return int(value(out).sum()) / scale
 
-    every = np.arange(len(frames))
     try:
-        out_lo = outcomes(1.0, every, None)
+        out_lo = outcomes(1.0, stacks, None)
         frac_lo = fraction(out_lo)
         if frac_lo >= target:
             return MuTuning(G, 1.0, True, decoded_fraction=frac_lo, criterion=criterion)
-        out_hi = outcomes(mu_at(n_steps), every, out_lo)
+        out_hi = outcomes(mu_at(n_steps), stacks, out_lo)
         frac_hi = fraction(out_hi)
         if frac_hi < target:
             return MuTuning(
@@ -767,10 +758,14 @@ def tune_mu(
         while hi - lo > 1:
             mid = (lo + hi) // 2
             # A frame with one value at lo and at hi has it at every mu
-            # between: only the others are decoded again.
-            open_ = np.flatnonzero(value(out_lo) != value(out_hi))
+            # between: only the stacks holding another are evaluated again.
+            reopen = np.zeros(len(stacks), dtype=bool)
+            reopen[stack_of[value(out_lo) != value(out_hi)]] = True
+            rows = reopen[stack_of]
             out_mid = out_lo.copy()
-            out_mid[open_] = outcomes(mu_at(mid), open_, out_lo[open_])
+            out_mid[rows] = outcomes(
+                mu_at(mid), [stacks[s] for s in np.flatnonzero(reopen)], out_lo[rows]
+            )
             frac = fraction(out_mid)
             if frac >= target:
                 hi, frac_at_hi, out_hi = mid, frac, out_mid
@@ -901,12 +896,11 @@ def compare_rs_pa(
             )
             continue
         point = make_point(pa_spec, 0)
-        tables = _degree_tables(point, [pa_spec.scheme_config(mu=mu_tuning.mu)])
-        (table,) = tables.profiles
+        table = _table(point, pa_spec.scheme_config(mu=mu_tuning.mu))
         _check_measures(table, point.cfg)
         per_user = table.degrees * table.energies
         t_mean, energy_db = _closure_means(
-            point, tables, 0, spec.trials,
+            point, table, spec.trials,
             lambda index: to_db(float(per_user[index].mean()) / point.cfg.N0),
         )
         rows.append(CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu))
@@ -914,29 +908,29 @@ def compare_rs_pa(
 
 
 def _closure_means(
-    point: SweepPoint, tables: _DegreeTables, i: int, trials: int,
+    point: SweepPoint, table: TransmitProfile, trials: int,
     frame_value: Callable[[np.ndarray], float],
 ) -> tuple[float, float]:
-    """Mean T and mean ``frame_value(index)`` of scheme ``i`` of ``tables``
-    over the point's own trials, added in trial order as ``run_point`` adds
-    them; ``index`` is the frame's ``tables.index``.  Each frame's decoded
+    """Mean T and mean ``frame_value(index)`` of the profile ``table`` over
+    the point's own trials, added in trial order as ``run_point`` adds
+    them; ``index`` is the frame's ``point.index``.  Each frame's decoded
     count comes from the order-free decoded set, which is all T reads of
-    the decode.  The frames are drawn FRAME_GROUP at a time, so however
-    many trials there are, one group is held."""
+    the decode.  The stacks of ``_stacks`` are drawn one at a time, so
+    however many trials there are, one is held."""
     T, value = RunningStats(), RunningStats()
-    for first in range(0, trials, FRAME_GROUP):
-        group = range(first, min(first + FRAME_GROUP, trials))
-        graphs = [_frame(point, point.seed, t) for t in group]
-        for graph, mask in zip(graphs, _decoded_sets(point, graphs, tables, i)):
+    for stack in _stacks(point, point.seed, trials):
+        index = point.index(stack).reshape(-1, point.cfg.K)
+        for mask, frame_index in zip(_decoded_sets(point, [stack], table), index):
             T.add(int(mask.sum()) / point.cfg.M)
-            value.add(frame_value(tables.index(graph)))
+            value.add(frame_value(frame_index))
     return T.mean, value.mean
 
 
-def _by_mean_rate(point: SweepPoint, tables: _DegreeTables) -> list[int]:
-    """The candidates of ``tables`` by descending mean rate over devices, the
-    expectation of their rate tables over the degree distribution."""
-    means = [point.dist.probabilities @ profile.rates for profile in tables.profiles]
+def _by_mean_rate(point: SweepPoint, tables: list[TransmitProfile]) -> list[int]:
+    """The candidates' places in ``tables`` by descending mean rate over
+    devices, the expectation of their rate tables over the degree
+    distribution."""
+    means = [point.dist.probabilities @ table.rates for table in tables]
     return sorted(range(len(means)), key=lambda i: -means[i])
 
 
@@ -970,8 +964,8 @@ def _tune_rs_for_rate(
         return None
     # Only the decoded count and the mean rate are read: the order-free
     # decoded set serves, with the rates read from the winner's table.
-    rates = tables.profiles[best].rates
+    rates = tables[best].rates
     t_mean, mean_rate = _closure_means(
-        point, tables, best, spec.trials, lambda index: float(rates[index].mean())
+        point, tables[best], spec.trials, lambda index: float(rates[index].mean())
     )
-    return tables.schemes[best], t_mean, mean_rate
+    return search.schemes[best], t_mean, mean_rate

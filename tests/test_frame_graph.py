@@ -18,7 +18,7 @@ from irsa_sim.distributions import (
     modified_soliton,
 )
 from irsa_sim.frame_graph import FrameGraph, build_frame
-from irsa_sim.harness import SweepSpec, _decoded_sets, _degree_tables, make_point
+from irsa_sim.harness import SweepSpec, _decoded_sets, _table, make_point
 from irsa_sim.schemes import SchemeConfig, build_profile
 
 
@@ -140,7 +140,7 @@ class TestEdgeArrays:
         rng = np.random.default_rng(37)
         scheme = SchemeConfig("IRSA")
         schemes = [SchemeConfig("RS", alpha=a, beta=1.0) for a in (0.1, 0.5)]
-        tables = [_degree_tables(point, [scheme]) for scheme in schemes]
+        tables = [_table(point, scheme) for scheme in schemes]
         for _ in range(20):
             g = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
             for one in tables:

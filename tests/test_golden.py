@@ -5,9 +5,10 @@ The IRSA files under ``tests/data`` were written by the receiver as it stood
 before IRSA decoding became integer peeling, the RS and PA sweeps by the
 evaluation path as it stood before sweeps read one degree table per point,
 the tunes, the comparison and the RS and PA traces by the RS tuners as
-they stood before they shared one candidate evaluation, and the static PA
+they stood before they shared one candidate evaluation, the static PA
 trace by the two-phase receiver as it stood before statically decodable
-frames took integer peeling.  A change that
+frames took integer peeling, and the static PA tune by the mu tuner as it
+stood before it re-opened whole stacks of frames.  A change that
 declares new numbers regenerates them with the commands below; any other
 change must leave them as they are:
 
@@ -16,7 +17,8 @@ change must leave them as they are:
     irsa-sim tune --config tests/data/NAME.json --out OUT
         (OUT/tune.csv -> tests/data/NAME.tune.csv, and the "tunings" block
         of OUT/tune.meta.json, dumped with indent=2 and sorted keys, ->
-        tests/data/NAME.tunings.json, for each tune NAME)
+        tests/data/NAME.tunings.json, for NAME rs_tune_small, pa_tune_small
+        and pa_tune_static_small)
     irsa-sim compare --config tests/data/compare_small.json --out OUT
         (OUT/compare.csv -> tests/data/compare_small.compare.csv)
     irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme IRSA \\
@@ -54,10 +56,11 @@ def test_untuned_sweep_csv(name, tmp_path):
     assert_golden_sweep(name, tmp_path)
 
 
-@pytest.mark.parametrize("name", ["rs_tune_small", "pa_tune_small"])
+@pytest.mark.parametrize("name", ["rs_tune_small", "pa_tune_small", "pa_tune_static_small"])
 def test_tune_csv_and_tunings(name, tmp_path):
     # RS: alpha 0 in the grid and a point flagged for too few slots.  PA:
-    # the mean-fraction rule on a coarse mu grid.
+    # the mean-fraction rule on a coarse mu grid, and the static rule on 19
+    # tuning frames, three stacks of frames side by side, the last partial.
     assert main(["tune", "--config", str(DATA / f"{name}.json"), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "tune.csv").read_bytes() == (DATA / f"{name}.tune.csv").read_bytes()
     tunings = json.loads((tmp_path / "tune.meta.json").read_text())["tunings"]

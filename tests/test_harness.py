@@ -10,7 +10,7 @@ import pytest
 from irsa_sim import harness
 from irsa_sim.decoder import decode_frame, statically_decodable, success_thresholds
 from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
-from irsa_sim.frame_graph import build_frame
+from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.harness import (
     CompareConfig,
     MetricStats,
@@ -333,12 +333,13 @@ class TestTuneRs:
 
     def test_search_decodes_under_a_quarter_of_the_candidates(self, monkeypatch):
         # The tune_rs_l2 benchmark's 84 pairs at G = 0.9 on one frame group,
-        # one closure per decoded candidate: the efficiency bound rules out
-        # most of them undecoded, and only those that cannot win.  Each
-        # candidate visited is dominated by the one before it, so its
-        # closure starts from that one's set.
-        closures, visited = [], []
+        # stacked once, one closure per decoded candidate: the efficiency
+        # bound rules out most of them undecoded, and only those that
+        # cannot win.  Each candidate visited is dominated by the one
+        # before it, so its closure starts from that one's set.
+        closures, visited, stacked = [], [], []
         real, visit = harness.decoded_closure, harness._RsSearch.visit
+        real_stack = harness.stack_frames
 
         def spy(graph, energies, thresholds, N0, start=None):
             decoded = real(graph, energies, thresholds, N0, start)
@@ -349,8 +350,13 @@ class TestTuneRs:
             visited.append(i)
             return visit(search, i)
 
+        def stack_spy(graphs):
+            stacked.append(len(graphs))
+            return real_stack(graphs)
+
         monkeypatch.setattr(harness, "decoded_closure", spy)
         monkeypatch.setattr(harness._RsSearch, "visit", visit_spy)
+        monkeypatch.setattr(harness, "stack_frames", stack_spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.9,), trials=1, seed=3, tilde_Es_over_N0=0.0009,
@@ -365,15 +371,16 @@ class TestTuneRs:
         assert 0 < len(closures) < 84 / 4
         assert {size for size, *_ in closures} == {harness.FRAME_GROUP * 300}
         assert len(visited) == len(closures)
+        assert stacked == [harness.FRAME_GROUP]
         check_warm_chain(closures)
         # Every candidate left undecoded has an efficiency bound (every
         # message decoded) below the winner's mean efficiency.
         search = harness._rs_search(spec, 0, tuning)
-        c_ref = reference_capacity(search.tables.profiles[0], search.point.cfg)
-        skipped = set(range(len(search.tables.schemes))) - set(visited)
+        c_ref = reference_capacity(search.tables[0], search.point.cfg)
+        skipped = set(range(len(search.schemes))) - set(visited)
         assert len(skipped) + len(visited) == 84
         for i in skipped:
-            total = search.tables.profiles[i].rates[search.index].sum()
+            total = search.tables[i].rates[search.index].sum()
             assert total / (tuning.tune_trials * c_ref) < tuned.eta_mean
 
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
@@ -488,13 +495,13 @@ class TestTuneMu:
         # for 1.02 / 0.02.  1 + 7 * 0.1 exceeds 1.7 by float rounding alone
         # and still counts.
         tried = []
-        real = harness._degree_tables
+        real = harness._table
 
-        def spy(point, schemes):
-            tried.extend(s.mu for s in schemes)
-            return real(point, schemes)
+        def spy(point, scheme):
+            tried.append(scheme.mu)
+            return real(point, scheme)
 
-        monkeypatch.setattr(harness, "_degree_tables", spy)
+        monkeypatch.setattr(harness, "_table", spy)
         spec = SweepSpec(
             scheme="PA", dist_name="modified_soliton", dist_Y=6, K=60,
             G_grid=(0.5, 1.0, 1.3), trials=5, seed=0, hat_R_bits=8.0,
@@ -685,7 +692,7 @@ class TestCompare:
         assert 1 < len(visits) < len(order)
         assert [i for _, i, _ in visits] == order[:len(visits)]
         assert all(T < 0.78 for *_, T in visits[:-1]) and visits[-1][2] >= 0.78
-        assert chosen[0] == search.tables.schemes[visits[-1][1]]
+        assert chosen[0] == search.schemes[visits[-1][1]]
         *searched, (size, start, _) = closures
         assert size == spec.trials * spec.K and start is None
         assert len(searched) == len(visits)
@@ -727,7 +734,7 @@ class TestCompare:
                     by_rate_rs.append(mean)
             if not schemes:
                 continue
-            tables = harness._degree_tables(point, schemes)
+            tables = [harness._table(point, scheme) for scheme in schemes]
             want = sorted(range(len(schemes)), key=lambda i: -by_rate_rs[i])
             assert harness._by_mean_rate(point, tables) == want
             points += 1
@@ -844,18 +851,45 @@ def check_warm_chain(closures):
         assert start is not None and np.array_equal(start, before)
 
 
-def sequential_decoded_sets(point, graphs, tables, i=0, start=None):
-    """Reference for harness._decoded_sets: one decode_frame per frame, on
-    the profile of scheme i built for the frame; ``start`` is not read."""
-    scheme = tables.schemes[i]
-    return np.array([frame_outcome(point, graph, scheme)[1].decoded for graph in graphs])
+def split_stacks(point, stacks):
+    """The frames of ``stacks`` (harness._stacks) apart again, in trial
+    order: frame f of a stack holds its messages f*K .. f*K + K-1 and its
+    slots f*M .. f*M + M-1."""
+    K, M = point.cfg.K, point.cfg.M
+    frames = []
+    for stack in stacks:
+        for f in range(stack.K // K):
+            edges = stack.edge_msg // K == f
+            frames.append(FrameGraph(
+                M, degrees=stack.degrees[f * K:(f + 1) * K],
+                edge_slot=stack.edge_slot[edges] - f * M,
+            ))
+    return frames
+
+
+def sequential_decoded_sets(point, stacks, table, start=None):
+    """Reference for harness._decoded_sets: one decode_frame per frame of
+    the stacks, on ``table`` read at the frame's degrees; ``start`` is not
+    read.  decode_frame's decoded set reads only the scheme's variant,
+    told here by the table: only a PA table has no common Es."""
+    if table.Es is None:
+        scheme = SchemeConfig("PA", mu=1.0)
+    else:
+        scheme = SchemeConfig("RS", alpha=1.0, beta=1.0)
+    return np.array([
+        decode_frame(graph, table.take(point.index(graph)), scheme, point.cfg).decoded
+        for graph in split_stacks(point, stacks)
+    ])
 
 
 def sequential_visit(search, i):
     """Reference for harness._RsSearch.visit: one decode_frame per held
     tuning frame, on the profile built for the frame."""
-    scheme = search.tables.schemes[i]
-    return np.array([frame_outcome(search.point, g, scheme)[1].decoded for g in search.frames])
+    scheme = search.schemes[i]
+    return np.array([
+        frame_outcome(search.point, g, scheme)[1].decoded
+        for g in split_stacks(search.point, search.stacks)
+    ])
 
 
 def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
@@ -955,7 +989,7 @@ class TestTunersMatchSequentialReceiver:
         tuning = TuningConfig(
             alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=harness.FRAME_GROUP + 3
         )
-        n = len(harness._rs_search(spec, 0, tuning).tables.schemes)
+        n = len(harness._rs_search(spec, 0, tuning).schemes)
         shuffled = np.random.default_rng(4).permutation(n).tolist()
         for order in (range(n), range(n - 1, -1, -1), shuffled):
             search = harness._rs_search(spec, 0, tuning)
@@ -984,18 +1018,32 @@ class TestTunersMatchSequentialReceiver:
         "criterion, target", [("mean_fraction", 0.985), ("static_reliability", 0.6)]
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_tune_mu_equals_a_linear_scan(self, seed, criterion, target):
-        # The bisection re-decodes only the frames whose outcome differs
-        # between its bracket's ends; a scan decodes every frame at every
-        # mu of the grid.
+    def test_tune_mu_equals_a_linear_scan(self, seed, criterion, target, monkeypatch):
+        # The bisection re-decodes only the stacks holding a frame whose
+        # outcome differs between its bracket's ends; a scan decodes every
+        # frame at every mu of the grid.  The tuning frames are stacked
+        # once: 2*FRAME_GROUP + 3 of them make three stacks, the last one
+        # partial.
+        stacked = []
+        real = harness.stack_frames
+
+        def spy(graphs):
+            stacked.append(len(graphs))
+            return real(graphs)
+
+        monkeypatch.setattr(harness, "stack_frames", spy)
         spec = SweepSpec(
             scheme="PA", dist_name="modified_soliton", dist_Y=6, K=60,
             G_grid=(0.5, 1.0, 1.3), trials=5, seed=seed, hat_R_bits=8.0,
         )
         fast = []
-        for mu_max in (2.0, 1.02):
-            tuning = TuningConfig(tune_trials=10, mu_max=mu_max, mu_resolution=0.02)
-            got = [tune_mu(spec, g, tuning, criterion, target) for g in range(3)]
+        for tune_trials, mu_max in ((10, 2.0), (10, 1.02), (2 * harness.FRAME_GROUP + 3, 2.0)):
+            tuning = TuningConfig(tune_trials=tune_trials, mu_max=mu_max, mu_resolution=0.02)
+            got = []
+            for g in range(3):
+                stacked.clear()
+                got.append(tune_mu(spec, g, tuning, criterion, target))
+                assert len(stacked) == math.ceil(tune_trials / harness.FRAME_GROUP)
             want = [linear_scan_tune_mu(spec, g, tuning, criterion, target) for g in range(3)]
             assert got == want
             fast += got
@@ -1061,15 +1109,15 @@ class TestTunersMatchSequentialReceiver:
             schemes = [SchemeConfig("PA", mu=mu) for mu in (1.0, 1.01, 1.37, 2.5)]
         for g_index in range(2):
             point = make_point(spec, g_index)
-            tables = harness._degree_tables(point, schemes)
+            tables = [harness._table(point, scheme) for scheme in schemes]
             for t in range(5):
                 graph = harness._frame(point, 7, t)
-                index = tables.index(graph)
-                for i, (scheme, table) in enumerate(zip(schemes, tables.profiles)):
+                index = point.index(graph)
+                for scheme, table in zip(schemes, tables):
                     profile = build_profile(graph.degrees, point.cfg, scheme, point.l_avg)
+                    assert np.array_equal(table.degrees[index], graph.degrees)
                     assert np.array_equal(table.energies[index], profile.energies)
                     assert np.array_equal(table.rates[index], profile.rates)
-                    assert np.array_equal(tables.energies[i, index], profile.energies)
                     assert np.array_equal(
-                        tables.thresholds[i, index], success_thresholds(profile)
+                        success_thresholds(table)[index], success_thresholds(profile)
                     )
