@@ -13,10 +13,11 @@ receiver holds a slot's interference as the sum of its undecoded messages'
 energies, added from 0.0 in ascending message order.  Baseline energies are
 uniform, say e, so a slot holding h messages carries S[h] = ((0 + e) + e) +
 ..., h additions, which ``np.add.accumulate`` builds with the same float
-operations.  The peeling records, for each slot of a decoded message in
-ascending slot order, the count h the slot still held when it took the
-message out; each SINR adds e / (S[h] - e + N0) over those slots in that
-order, all decodes at once in one ``bincount``.
+operations.  So e / (S[h] - e + N0), the SINR term of a slot holding h, is
+a table built once per frame, and the peeling sums each SINR as it takes
+the message out: from 0.0, the term of the count each slot still held,
+over ascending slots, as ``mrc_sinr``'s ``bincount`` adds.  An overflowing
+slot raises, as it does in the MRC receiver's static test.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Its residual state is a set of lists local to ``_decode_mrc``: per slot,
@@ -104,6 +105,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -200,22 +202,29 @@ def success_thresholds(profile: TransmitProfile) -> np.ndarray:
     return profile.sinr_thresholds * (1.0 - TIE_RTOL)
 
 
-def _checked_sinr(edge_msg, edge_slot, edge_energy, N0: float, M: int, K: int):
-    """``mrc_sinr`` over the slot interference of the given edges.  Raises
+def _checked(interference: np.ndarray, sinr: Callable[[], np.ndarray]) -> np.ndarray:
+    """``sinr()``, SINR terms over the slot ``interference``.  Raises
     InfeasibleOperatingPointError, so that the point is flagged, where that
     interference, or it plus N0, overflows: ``np.bincount`` raises no
     floating-point error, and an infinite sum would zero the SINR term of
     every message in the slot."""
-    interference = np.bincount(edge_slot, weights=edge_energy, minlength=M)
     if not np.isfinite(interference).all():
         raise InfeasibleOperatingPointError("a slot's interference overflows in the MRC SINR")
     try:
         with np.errstate(over="raise"):
-            return mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference, K)
+            return sinr()
     except FloatingPointError:
         raise InfeasibleOperatingPointError(
             "a slot's interference plus the noise N0 overflows in the MRC SINR"
         ) from None
+
+
+def _checked_sinr(edge_msg, edge_slot, edge_energy, N0: float, M: int, K: int):
+    """``mrc_sinr`` over the given edges' slot interference, ``_checked``."""
+    interference = np.bincount(edge_slot, weights=edge_energy, minlength=M)
+    return _checked(
+        interference, lambda: mrc_sinr(edge_msg, edge_slot, edge_energy, N0, interference, K)
+    )
 
 
 def static_passes(
@@ -310,7 +319,8 @@ def decode_frame(
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     """Baseline receiver: erasure peeling on slot degrees and id sums.
     Returns the decoded messages, their degree-one slots and their SINRs at
-    per-replica energy e (see the module docstring), in step order."""
+    per-replica energy e (see the module docstring), in step order.  Raises
+    InfeasibleOperatingPointError as ``_checked`` does."""
     # Message k's slots are edge_slot[start[k]:end[k]], ascending; slicing
     # the decoded ones costs less than building every message's list.
     flat = graph.edge_slot.tolist()
@@ -320,10 +330,14 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
+    # S[h - 1]: the interference of h messages, added from 0.0; term[h]: a
+    # decode's SINR term over a slot holding h, which is never 0.
+    with np.errstate(over="ignore"):  # an overflow is the finding, not a warning
+        S = np.add.accumulate(np.full(degree.max(initial=0), e))
+    term = [0.0] + _checked(S, lambda: e / (S - e + N0)).tolist()
     order: list[int] = []
     slots: list[int] = []
-    # Per decoded edge, by step and then slot: the count its slot held.
-    held: list[int] = []
+    sinrs: list[float] = []
     # Ascending passes over the slots that still hold a message: an empty
     # slot never holds one again.
     busy = np.flatnonzero(degree).tolist()
@@ -336,19 +350,15 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
             msg = slot_id_sum[j]
             order.append(msg)
             slots.append(j)
+            sinr = 0.0
             for jj in flat[start[msg]:end[msg]]:
-                held.append(slot_degree[jj])
+                sinr += term[slot_degree[jj]]
                 slot_degree[jj] -= 1
                 slot_id_sum[jj] -= msg
+            sinrs.append(sinr)
             progress = True
         busy = [j for j in busy if slot_degree[j]]
-    held = np.array(held, dtype=np.int64)
-    # S[h]: the interference of h messages, added from 0.0.
-    S = np.add.accumulate(np.concatenate(([0.0], np.full(held.max(initial=0), e))))
-    other = S[held] - e
-    other += N0
-    step = np.repeat(np.arange(len(order)), graph.degrees[order])
-    return order, slots, np.bincount(step, weights=e / other, minlength=len(order))
+    return order, slots, sinrs
 
 
 def _peel_static(graph: FrameGraph):

@@ -46,10 +46,7 @@ from .schemes import (
     TransmitProfile,
     TuningParameterError,
     build_profile,
-    es_from_reference,
     hat_es_from_rate,
-    pa_powers,
-    rs_sinr_target,
 )
 
 __all__ = [
@@ -544,9 +541,11 @@ class _RsSearch:
     stacked once and held; ``index`` holds each message's place in the
     support, shape (tune_trials, K).  The caller orders the visits."""
 
-    def __init__(self, point: SweepPoint, schemes: list[SchemeConfig], seed: int, trials: int):
-        self.point, self.schemes = point, schemes
-        self.tables = [_table(point, scheme) for scheme in schemes]
+    def __init__(
+        self, point: SweepPoint, schemes: list[SchemeConfig], tables: list[TransmitProfile],
+        seed: int, trials: int,
+    ):
+        self.point, self.schemes, self.tables = point, schemes, tables
         self.stacks = list(_stacks(point, seed, trials))
         index = [point.index(stack) for stack in self.stacks]
         self.index = np.concatenate(index).reshape(trials, point.cfg.K)
@@ -567,26 +566,26 @@ class _RsSearch:
 
 
 def _rs_search(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> _RsSearch | None:
-    """The search over ``tuning``'s grids at one grid point; None when no
-    pair is admissible, InfeasibleOperatingPointError when a table fails."""
+    """The search over ``tuning``'s grids at one grid point: a pair is
+    admissible when its table (``_table``) raises no TuningParameterError.
+    None when no pair is admissible; InfeasibleOperatingPointError when a
+    table fails, the first in alpha-major order."""
     point = make_point(spec, g_index)
-    es = es_from_reference(point.cfg, point.l_avg)
-    r_avg = point.cfg.G * point.l_avg
-    candidates: list[SchemeConfig] = []
+    schemes: list[SchemeConfig] = []
+    tables: list[TransmitProfile] = []
     for a in tuning.alpha_grid:
         for b in tuning.beta_grid:
+            # Rate selection whatever scheme the spec names.
+            scheme = SchemeConfig("RS", alpha=a, beta=b, rmax_includes_one=spec.rmax_includes_one)
             try:
-                rs_sinr_target(1, es, point.cfg.N0, a, b, r_avg)
+                tables.append(_table(point, scheme))
             except TuningParameterError:
                 continue
-            # Rate selection whatever scheme the spec names.
-            candidates.append(
-                SchemeConfig("RS", alpha=a, beta=b, rmax_includes_one=spec.rmax_includes_one)
-            )
-    if not candidates:
+            schemes.append(scheme)
+    if not schemes:
         return None
     return _RsSearch(
-        point, candidates, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials
+        point, schemes, tables, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials
     )
 
 
@@ -693,7 +692,6 @@ def tune_mu(
     full evaluation.  The stacks are drawn once and stay in memory for the
     whole bisection.
     """
-    spec.scheme_config(mu=1.0)  # raises for a scheme that takes no mu
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
     mu_at = lambda k: 1.0 + k * tuning.mu_resolution
@@ -703,10 +701,12 @@ def tune_mu(
     n_steps = math.floor((tuning.mu_max - 1.0) / tuning.mu_resolution)
     if mu_at(n_steps + 1) - tuning.mu_max <= 1e-9 * tuning.mu_resolution:
         n_steps += 1
+    top = spec.scheme_config(mu=mu_at(n_steps))  # raises for a scheme that takes no mu
     try:
         base = make_point(spec, g_index)
-        # Energies rise with mu: the top of the grid is the one to check.
-        pa_powers(base.dist.degrees, base.cfg, mu_at(n_steps), base.l_avg, base.cfg.G * base.l_avg)
+        # Energies rise with mu: the table at the top of the grid is the one
+        # to check, and a failure there is the point's note.
+        _table(base, top)
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
     stacks = list(_stacks(base, tune_seed, tuning.tune_trials))
@@ -835,7 +835,9 @@ def compare_rs_pa(
     min_throughput; hand that rate to power adaptation as its nominal rate
     and find the least energy reaching the same throughput (tune_mu on
     ``mean_fraction`` at min_throughput / G, whatever tuning.mu_criterion
-    says); add the baseline's closed-form energy at the same rate.
+    says); add the baseline's closed-form energy at the same rate.  An
+    energy whose RS search or PA evaluation is infeasible flags that row
+    and leaves the others as they are.
     """
     if len(spec.G_grid) != 1:
         raise ConfigValidationError(["G_grid: the comparison runs at a single G"])
@@ -895,14 +897,18 @@ def compare_rs_pa(
                 CompareRow("PA", None, mean_rate, None, None, note=mu_tuning.note)
             )
             continue
-        point = make_point(pa_spec, 0)
-        table = _table(point, pa_spec.scheme_config(mu=mu_tuning.mu))
-        _check_measures(table, point.cfg)
-        per_user = table.degrees * table.energies
-        t_mean, energy_db = _closure_means(
-            point, table, spec.trials,
-            lambda index: to_db(float(per_user[index].mean()) / point.cfg.N0),
-        )
+        try:
+            point = make_point(pa_spec, 0)
+            table = _table(point, pa_spec.scheme_config(mu=mu_tuning.mu))
+            _check_measures(table, point.cfg)
+            per_user = table.degrees * table.energies
+            t_mean, energy_db = _closure_means(
+                point, table, spec.trials,
+                lambda index: to_db(float(per_user[index].mean()) / point.cfg.N0),
+            )
+        except InfeasibleOperatingPointError as err:
+            rows.append(CompareRow("PA", None, mean_rate, None, None, note=f"infeasible: {err}"))
+            continue
         rows.append(CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu))
     return rows
 

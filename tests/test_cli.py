@@ -346,6 +346,28 @@ class TestMainCommands:
         assert main(["decode-one", "--edges", str(edges), *args]) == 2
         assert capsys.readouterr().err == f"error: {found}\n"
 
+    @pytest.mark.parametrize(
+        "args, found",
+        [
+            (["--es-over-n0", "2e307"], "a slot's interference overflows in the MRC SINR"),
+            (["--es-over-n0", "0.1", "--n0", "1e308"],
+             "a slot's interference plus the noise N0 overflows in the MRC SINR"),
+        ],
+        ids=["interference", "interference_plus_noise"],
+    )
+    @pytest.mark.parametrize(
+        "scheme", [["IRSA"], ["RS", "--alpha", "0.5", "--beta", "1.0"]], ids=["IRSA", "RS"]
+    )
+    def test_decode_one_slot_overflow_is_named(self, capsys, scheme, args, found):
+        # The per-slot energy is in range, but a crowded slot's sum
+        # overflows, or does once N0 is added: the baseline's peeling flags
+        # it as the MRC receiver's static test does, with no trace written.
+        edges = Path(__file__).parent / "data" / "irsa_frame.tsv"
+        assert main(["decode-one", "--edges", str(edges), "--scheme", *scheme, *args]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {found}\n"
+        assert out.out == ""
+
     OVERFLOW = (
         "must be below 51200 bits at L_cu = 100 and N0 = 1, "
         "where the energy N0*(2**(2*hat_R/L_cu) - 1) overflows"
@@ -688,6 +710,30 @@ class TestMainCommands:
             rows = list(csv.reader(fp))[1:]
         assert [r[:2] for r in rows] == [["RS", "-3000"]]
         assert rows[0][-1].startswith("infeasible: rates round to 0 bits")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_compare_failed_pa_energy_flags_its_row(self, tmp_path, capsys):
+        # At -159 dB the PA profile's reference capacity rounds to 0: that
+        # energy's PA row is flagged, and the -10 dB rows are those of a run
+        # at -10 dB alone.
+        config = {
+            "scheme": "RS", "distribution": {"name": "modified_soliton", "Y": 10}, "K": 40,
+            "G_grid": [0.4], "trials": 6, "seed": 3, "tilde_Es_over_N0": 0.0009,
+            "tuning": {"alpha_grid": [0.0, 0.5], "beta_grid": [1.0], "tune_trials": 6},
+            "compare": {"es_over_N0_db_grid": [-10.0, -159.0], "min_throughput": 0.3},
+        }
+        rows = {}
+        for grid in ([-10.0, -159.0], [-10.0]):
+            config["compare"]["es_over_N0_db_grid"] = grid
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            out = tmp_path / str(len(grid))
+            assert main(["compare", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+            with open(out / "compare.csv", newline="") as fp:
+                rows[len(grid)] = list(csv.reader(fp))[1:]
+        assert rows[2][:3] == rows[1]
+        assert all(r[-1] == "" for r in rows[2][:5])
+        assert [r[0] for r in rows[2][3:]] == ["RS", "IRSA", "PA"]
+        assert rows[2][-1][-1] == "infeasible: C_ref = 0 is not positive and finite"
         assert "Traceback" not in capsys.readouterr().err
 
     def test_compare_note_with_commas_reads_back_as_nine_fields(self, tmp_path):

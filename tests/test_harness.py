@@ -3,11 +3,12 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from irsa_sim import harness
+from irsa_sim import harness, schemes
 from irsa_sim.decoder import decode_frame, statically_decodable, success_thresholds
 from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
 from irsa_sim.frame_graph import FrameGraph, build_frame
@@ -382,6 +383,31 @@ class TestTuneRs:
         for i in skipped:
             total = search.tables[i].rates[search.index].sum()
             assert total / (tuning.tune_trials * c_ref) < tuned.eta_mean
+
+    def test_each_pair_takes_one_sinr_target(self, monkeypatch):
+        # A pair is admissible when its table builds: each (alpha, beta)
+        # pair's RS target is taken once per grid point, admissible or not.
+        # At G = 0.4 the pairs with beta = 0.5 are not admissible.
+        calls = []
+        real = schemes.rs_sinr_target
+
+        def spy(l_i, Es, N0, alpha, beta, r_avg):
+            calls.append((r_avg, alpha, beta))
+            return real(l_i, Es, N0, alpha, beta, r_avg)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("irsa_sim") and hasattr(module, "rs_sinr_target"):
+                monkeypatch.setattr(module, "rs_sinr_target", spy)
+        spec = small_rs_spec(G_grid=(0.4, 0.6), tilde_Es_over_N0=0.2)
+        tuning = TuningConfig(alpha_grid=(0.1, 0.3), beta_grid=(0.5, 1.0, 2.0), tune_trials=4)
+        tunings = tune_rs(spec, tuning)
+        assert all(t.feasible for t in tunings)
+        points = [make_point(spec, g) for g in range(2)]
+        pairs = list(itertools.product(tuning.alpha_grid, tuning.beta_grid))
+        assert sorted(calls) == sorted(
+            (p.cfg.G * p.l_avg, a, b) for p in points for a, b in pairs
+        )
+        assert len(harness._rs_search(spec, 0, tuning).schemes) == len(pairs) - 2
 
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
         # The RS tuners build RS candidates themselves: an IRSA spec is
