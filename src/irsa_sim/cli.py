@@ -42,8 +42,6 @@ from .schemes import (
     SchemeConfig,
     TuningParameterError,
     build_profile,
-    es_from_reference,
-    rs_sinr_target,
 )
 
 __all__ = [
@@ -451,15 +449,6 @@ def _cmd_decode_one(args: argparse.Namespace) -> int:
         rmax_includes_one=not args.rmax_excludes_one,
         **{name: getattr(args, name) for name in takes},
     )
-    if args.scheme == "RS":
-        # The target rises with the degree; build_profile would report its
-        # overflow only as an infinite rate.
-        top, es = int(graph.degrees.max()), es_from_reference(cfg, l_avg)
-        if np.isinf(rs_sinr_target(top, es, args.n0, args.alpha, args.beta, cfg.G * l_avg)):
-            raise InfeasibleOperatingPointError(
-                "the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg - 1)*Es + N0) "
-                f"overflows at degree {top}"
-            )
     profile = build_profile(graph.degrees, cfg, scheme, l_avg)
     result = decode_frame(graph, profile, scheme, cfg)
     print("step\tphase\tmessage\tslot\teffective_sinr\tassigned_rate\tgenie_rate")

@@ -89,12 +89,10 @@ success test.  The tuners and the comparison read only which messages
 decode, and take that closure with ``decoded_closure``, one profile at a
 time, over a group of frames side by side (``stack_frames``).  The closure
 is monotone in the profile as well: lower thresholds at the same energies,
-or a larger PA margin mu, decode a superset on the same frames.  So a
-closure may start from a set known to lie inside it, such as a dominating
-candidate's set or the frame's set at a smaller mu, and reaches the same
-set, bit for bit.  ``decoded_closure`` and ``static_passes`` raise
-InfeasibleOperatingPointError where a slot's interference, or it plus N0,
-overflows: the SINRs would be wrong, and the point is flagged.  Evaluation
+or a larger PA margin mu, decode a superset on the same frames, which the
+mu tuner's bisection relies on.  ``decoded_closure`` and ``static_passes``
+raise InfeasibleOperatingPointError where a slot's interference, or it plus
+N0, overflows: the SINRs would be wrong, and the point is flagged.  Evaluation
 keeps the sequential receiver ``decode_frame``: the genie rate behind
 ``eta_max`` and the decode steps depend on the order.
 """
@@ -251,7 +249,7 @@ def statically_decodable(
 
 
 def decoded_closure(
-    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float, start=None
+    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
 ) -> np.ndarray:
     """Decoded set of one frame, a (K,) mask, under one profile's
     per-message ``energies`` and success ``thresholds`` (see
@@ -269,27 +267,18 @@ def decoded_closure(
     ``decode_frame`` reaches in its own order (RS and PA schemes).  Raises
     InfeasibleOperatingPointError where a slot's interference, or it plus
     N0, overflows.
-
-    ``start``, a (K,) mask, marks messages known to decode: it must lie
-    inside the result.  The rounds begin with them cancelled, and since a
-    message that passes keeps passing, they reach the same closure, bit for
-    bit.  A profile whose thresholds are elementwise at most another's at
-    equal energies decodes a superset of the other's set, so that set is a
-    valid start.
     """
     edge_msg, edge_slot = graph.edge_msg, graph.edge_slot
     edge_energy = energies[edge_msg]
     decoded = np.zeros(graph.K, dtype=bool)
-    new = start
     while True:
-        if new is not None:
-            decoded |= new
-            live = ~new[edge_msg]
-            edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
         sinr = _checked_sinr(edge_msg, edge_slot, edge_energy, N0, graph.M, graph.K)
         new = (sinr >= thresholds) & ~decoded
         if not new.any():
             return decoded
+        decoded |= new
+        live = ~new[edge_msg]
+        edge_msg, edge_slot, edge_energy = edge_msg[live], edge_slot[live], edge_energy[live]
 
 
 def decode_frame(

@@ -87,6 +87,11 @@ RS_THROUGHPUT_FACTOR = 0.97
 # stack at a time.
 FRAME_GROUP = 8
 
+# Most slots a grid point may have: the order-free decode holds FRAME_GROUP
+# frames side by side, so each per-slot array it builds has 8*M values
+# (64 MB of float64 at the bound); the shipped configs stay under 10**4.
+MAX_SLOTS = 10**6
+
 # Relative widening of the RS tuner's bound on a mean efficiency: see
 # _tune_rs_point.
 ETA_BOUND_SLACK = 1e-9
@@ -318,7 +323,7 @@ class MetricStats:
 def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
     leaves fewer slots than the degree distribution needs, or more than
-    K*M < 2**63 allows."""
+    MAX_SLOTS, or than K*M < 2**63 allows."""
     G = spec.G_grid[g_index]
     M = spec.slots_for(G)
     if M is None:
@@ -327,6 +332,10 @@ def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
         )
     if M < 1:
         raise InfeasibleOperatingPointError(f"G={G} leaves M={M} slots for K={spec.K}")
+    if M > MAX_SLOTS:
+        raise InfeasibleOperatingPointError(
+            f"G={G} gives M={M} slots for K={spec.K}, above the bound MAX_SLOTS = {MAX_SLOTS}"
+        )
     try:
         dist = spec.dist_for(M)
     except ValueError as err:
@@ -374,38 +383,21 @@ def _table(point: SweepPoint, scheme: SchemeConfig) -> TransmitProfile:
 
 
 def _decoded_sets(
-    point: SweepPoint, stacks: list[FrameGraph], table: TransmitProfile,
-    start: np.ndarray | None = None,
+    point: SweepPoint, stacks: list[FrameGraph], table: TransmitProfile
 ) -> np.ndarray:
     """Decoded mask of the profile ``table`` on each frame of ``stacks``
     (from ``_stacks``), shape (frames, K): the order-free fixed point
     ``decoded_closure`` of each stack, the one evaluation of candidates on
-    shared frames.  ``start``, of that shape, marks messages known to
-    decode, such as the set of a profile that ``_dominates`` this one.
-    Raises InfeasibleOperatingPointError where a slot's interference, or it
-    plus N0, overflows."""
+    shared frames.  Raises InfeasibleOperatingPointError where a slot's
+    interference, or it plus N0, overflows."""
     thresholds = success_thresholds(table)
-    decoded = np.empty(sum(stack.K for stack in stacks), dtype=bool)
-    first = 0
+    decoded = []
     for stack in stacks:
-        part = slice(first, first + stack.K)
         index = point.index(stack)
-        decoded[part] = decoded_closure(
-            stack, table.energies[index], thresholds[index], point.cfg.N0,
-            None if start is None else start.ravel()[part],
+        decoded.append(
+            decoded_closure(stack, table.energies[index], thresholds[index], point.cfg.N0)
         )
-        first += stack.K
-    return decoded.reshape(-1, point.cfg.K)
-
-
-def _dominates(a: TransmitProfile, b: TransmitProfile) -> bool:
-    """Whether profile ``a`` decodes a subset of profile ``b``'s set on
-    every frame: equal energies and thresholds at least ``b``'s at every
-    degree."""
-    return bool(
-        np.array_equal(a.energies, b.energies)
-        and (success_thresholds(a) >= success_thresholds(b)).all()
-    )
+    return np.concatenate(decoded).reshape(-1, point.cfg.K)
 
 
 def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
@@ -549,20 +541,10 @@ class _RsSearch:
         self.stacks = list(_stacks(point, seed, trials))
         index = [point.index(stack) for stack in self.stacks]
         self.index = np.concatenate(index).reshape(trials, point.cfg.K)
-        self.last: tuple[int, np.ndarray] | None = None  # previous visit, its masks
 
     def visit(self, i: int) -> np.ndarray:
-        """Candidate i's decoded mask on each frame, by ``_decoded_sets``,
-        started from the previous visit's masks when that candidate
-        ``_dominates`` i, and cold otherwise, so any order gives the same
-        sets.  Both RS tuners' orders walk the SINR targets down, so the
-        previous visit is the dominating one to start from."""
-        start = None
-        if self.last is not None and _dominates(self.tables[self.last[0]], self.tables[i]):
-            start = self.last[1]
-        decoded = _decoded_sets(self.point, self.stacks, self.tables[i], start)
-        self.last = i, decoded
-        return decoded
+        """Candidate i's decoded mask on each frame (``_decoded_sets``)."""
+        return _decoded_sets(self.point, self.stacks, self.tables[i])
 
 
 def _rs_search(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> _RsSearch | None:
@@ -687,10 +669,9 @@ def tune_mu(
     bracket and, at each mid, evaluates again only the stacks (``_stacks``)
     holding a frame whose decoded count or static verdict differs between
     the ends: a frame with one outcome at both has it at every mu between,
-    so evaluating it again changes nothing.  Each closure starts from the
-    frame's set at the low end, so every measure and decision is that of a
-    full evaluation.  The stacks are drawn once and stay in memory for the
-    whole bisection.
+    so evaluating it again changes nothing, and every measure and decision
+    is that of a full evaluation.  The stacks are drawn once and stay in
+    memory for the whole bisection.
     """
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
@@ -713,17 +694,16 @@ def tune_mu(
     stack_of = np.arange(tuning.tune_trials) // FRAME_GROUP  # each frame's stack
     K, N0 = base.cfg.K, base.cfg.N0
 
-    # The outcome at a mu of each frame of ``which`` stacks, given its
-    # outcome ``known`` at a lower mu or None; its value; and the measure.
+    # The outcome at a mu of each frame of ``which`` stacks; its value; and
+    # the measure.
     if criterion == "mean_fraction":
-        def outcomes(mu: float, which: list[FrameGraph], known) -> np.ndarray:
-            # Each frame's decoded set, started from its set at the lower mu.
-            return _decoded_sets(base, which, _table(base, spec.scheme_config(mu=mu)), known)
+        def outcomes(mu: float, which: list[FrameGraph]) -> np.ndarray:
+            return _decoded_sets(base, which, _table(base, spec.scheme_config(mu=mu)))
 
         value = lambda sets: sets.sum(axis=1)
         scale = tuning.tune_trials * K
     else:
-        def outcomes(mu: float, which: list[FrameGraph], known) -> np.ndarray:
+        def outcomes(mu: float, which: list[FrameGraph]) -> np.ndarray:
             # Whether each frame is statically decodable: every message
             # decodes before any cancellation.
             table = _table(base, spec.scheme_config(mu=mu))
@@ -742,11 +722,11 @@ def tune_mu(
         return int(value(out).sum()) / scale
 
     try:
-        out_lo = outcomes(1.0, stacks, None)
+        out_lo = outcomes(1.0, stacks)
         frac_lo = fraction(out_lo)
         if frac_lo >= target:
             return MuTuning(G, 1.0, True, decoded_fraction=frac_lo, criterion=criterion)
-        out_hi = outcomes(mu_at(n_steps), stacks, out_lo)
+        out_hi = outcomes(mu_at(n_steps), stacks)
         frac_hi = fraction(out_hi)
         if frac_hi < target:
             return MuTuning(
@@ -763,9 +743,7 @@ def tune_mu(
             reopen[stack_of[value(out_lo) != value(out_hi)]] = True
             rows = reopen[stack_of]
             out_mid = out_lo.copy()
-            out_mid[rows] = outcomes(
-                mu_at(mid), [stacks[s] for s in np.flatnonzero(reopen)], out_lo[rows]
-            )
+            out_mid[rows] = outcomes(mu_at(mid), [stacks[s] for s in np.flatnonzero(reopen)])
             frac = fraction(out_mid)
             if frac >= target:
                 hi, frac_at_hi, out_hi = mid, frac, out_mid

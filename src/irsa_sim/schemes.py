@@ -168,7 +168,7 @@ def rs_sinr_target(
             "the RS SINR target's denominator (beta*r_avg - 1)*Es + N0 overflows "
             f"for beta={beta}, r_avg={r_avg}"
         )
-    # An overflowing target gives an infinite rate, which build_profile flags.
+    # build_profile flags a target that overflows to inf.
     with np.errstate(over="ignore"):
         return Es / N0 + alpha * (np.asarray(l_i) - 1.0) * Es / den
 
@@ -254,6 +254,11 @@ def build_profile(
             x = np.full(n, Es / cfg.N0)
         else:  # RS
             x = rs_sinr_target(degrees, Es, cfg.N0, scheme.alpha, scheme.beta, r_avg)
+            if np.isinf(x).any():  # the target rises with the degree
+                raise InfeasibleOperatingPointError(
+                    "the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg - 1)*Es + N0) "
+                    f"overflows at degree {int(degrees.max())}"
+                )
         rates = 0.5 * cfg.L_cu * np.log2(1.0 + x)
         if not rates.min() > 0:  # 1 + x rounds to 1 below x of about 1e-16
             raise InfeasibleOperatingPointError(

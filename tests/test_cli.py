@@ -504,12 +504,14 @@ class TestMainCommands:
             ("sweep", {"scheme": "RS", "alpha": 0.01, "beta": 1.0, "tilde_Es_over_N0": 1e305},
              "infeasible: the frame energy K*l_i*E_i/N0 overflows"),
             ("sweep", {"scheme": "RS", "alpha": 1.0, "beta": 1.0, "tilde_Es_over_N0": 1e306},
-             "infeasible: rates must be strictly positive and finite"),
+             "infeasible: the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg - 1)*Es + N0) "
+             "overflows at degree 16"),
             ("sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 5e-18, "K": 20, "G_grid": [0.01]},
              "infeasible: C_ref = 0 is not positive and finite"),
             ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1e306,
                       "tuning": {"alpha_grid": [1.0], "beta_grid": [1.0], "tune_trials": 2}},
-             "flagged: rates must be strictly positive and finite"),
+             "flagged: the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg - 1)*Es + N0) "
+             "overflows at degree 16"),
             ("tune", {"scheme": "RS", "tilde_Es_over_N0": 1e305,
                       "tuning": {"alpha_grid": [0.01], "beta_grid": [1.0], "tune_trials": 2}},
              "infeasible: the frame energy K*l_i*E_i/N0 overflows"),
@@ -549,7 +551,17 @@ class TestMainCommands:
         row = (tmp_path / f"{command}.csv").read_text().splitlines()[1].split(",")
         assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
 
-    @pytest.mark.parametrize("G", [1e-320, 1e-300, 1e-20])
+    @pytest.mark.parametrize(
+        "G, note, M",
+        [
+            pytest.param(G, f"G={G!r} gives K/G = {24 / G:.3g} slots for K=24; "
+                         "K*M must stay below 2**63", "", id=repr(G))
+            for G in (1e-320, 1e-300, 1e-20)
+        ] + [
+            pytest.param(1e-9, "G=1e-09 gives M=24000000000 slots for K=24, "
+                         "above the bound MAX_SLOTS = 1000000", "24000000000", id="1e-09"),
+        ],
+    )
     @pytest.mark.parametrize(
         "command, scheme",
         [
@@ -560,9 +572,12 @@ class TestMainCommands:
         ],
         ids=["sweep", "tune_rs", "tune_pa"],
     )
-    def test_slot_count_out_of_range_flags_the_point(self, tmp_path, capsys, command, scheme, G):
+    def test_slot_count_out_of_range_flags_the_point(
+        self, tmp_path, capsys, command, scheme, G, note, M
+    ):
         # K/G overflows at 1e-320; at 1e-300 and 1e-20 the edge keys
-        # message * M + slot would pass int64.
+        # message * M + slot would pass int64.  At 1e-9 they fit, but a
+        # frame group's per-slot arrays would not fit in memory.
         config = dict(scheme, distribution={"name": "l3"}, K=24, G_grid=[G, 0.5], trials=2)
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
@@ -571,11 +586,11 @@ class TestMainCommands:
             assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert f"G={G!r} gives K/G = {24 / G:.3g} slots for K=24; K*M must stay below 2**63\n" in err
+        assert f"{note}\n" in err
         assert "Traceback" not in err
         header, flagged, kept = (tmp_path / f"{command}.csv").read_text().splitlines()
         flagged = dict(zip(header.split(","), flagged.split(",")))
-        assert flagged["M"] == "" and flagged["T_mean"] == ""
+        assert flagged["M"] == M and flagged["T_mean"] == ""
         assert kept.split(",")[CSV_HEADER.split(",").index("T_mean")] != ""
 
     @pytest.mark.parametrize(
@@ -700,6 +715,17 @@ class TestMainCommands:
         cfg_path.write_text(json.dumps(config))
         assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "every comparison point failed" in capsys.readouterr().err
+
+    def test_compare_with_slot_count_above_the_bound_exits_2(self, tmp_path, capsys):
+        config = dict(self.COMPARE, G_grid=[1e-9])
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: G=1e-09 gives M=24000000000 slots for K=24, "
+            "above the bound MAX_SLOTS = 1000000\n"
+        )
+        assert not (tmp_path / "compare.csv").exists()
 
     def test_compare_with_zero_rates_flags_its_row(self, tmp_path, capsys):
         config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [-3000.0], "min_throughput": 0.5})

@@ -586,10 +586,9 @@ class TestDecodedClosureProperties:
         assert np.all(closure[1:] >= closure[:-1])
 
 
-class TestStackedFramesAndWarmStarts:
+class TestStackedFrames:
     """The frame-axis half of the closure's properties: frames side by side
-    close as each does alone, and a start inside the closure changes
-    nothing."""
+    close as each does alone."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -598,10 +597,9 @@ class TestStackedFramesAndWarmStarts:
         frames=st.integers(1, 5),
         energy=st.floats(0.0, 1.0),
         step=st.floats(0.0, 1.0),
-        keep=st.floats(0.0, 1.0),
     )
-    def test_stack_equals_each_frame_and_warm_starts_change_nothing(
-        self, seed, variant, frames, energy, step, keep
+    def test_stack_equals_each_frame_and_low_inside_high(
+        self, seed, variant, frames, energy, step
     ):
         rng = np.random.default_rng(seed)
         dist = modified_soliton(6)
@@ -625,7 +623,7 @@ class TestStackedFramesAndWarmStarts:
             low, high = _profiles(stack, cfg, avg_degree(dist), schemes)
         except (TuningParameterError, InfeasibleOperatingPointError):
             return
-        cold = []
+        sets = []
         for profile in (low, high):
             (whole,) = closure_of(stack, [profile], cfg.N0)
             alone = [
@@ -633,14 +631,8 @@ class TestStackedFramesAndWarmStarts:
                 for f, graph in enumerate(graphs)
             ]
             assert np.array_equal(whole, np.concatenate(alone))
-            cold.append(whole)
-        assert np.all(cold[0] <= cold[1])
-        subset = cold[1] & (rng.random(stack.K) < keep)
-        for start in (cold[0], subset, cold[1]):
-            given = start.copy()
-            warm = decoded_closure(stack, high.energies, success_thresholds(high), cfg.N0, start)
-            assert np.array_equal(warm, cold[1])
-            assert np.array_equal(start, given)  # the start is read, not written
+            sets.append(whole)
+        assert np.all(sets[0] <= sets[1])
 
 
 def compensated_sum(values, start=0.0):

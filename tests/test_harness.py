@@ -336,16 +336,14 @@ class TestTuneRs:
         # The tune_rs_l2 benchmark's 84 pairs at G = 0.9 on one frame group,
         # stacked once, one closure per decoded candidate: the efficiency
         # bound rules out most of them undecoded, and only those that
-        # cannot win.  Each candidate visited is dominated by the one
-        # before it, so its closure starts from that one's set.
+        # cannot win.
         closures, visited, stacked = [], [], []
         real, visit = harness.decoded_closure, harness._RsSearch.visit
         real_stack = harness.stack_frames
 
-        def spy(graph, energies, thresholds, N0, start=None):
-            decoded = real(graph, energies, thresholds, N0, start)
-            closures.append((graph.K, start, decoded))
-            return decoded
+        def spy(graph, energies, thresholds, N0):
+            closures.append(graph.K)
+            return real(graph, energies, thresholds, N0)
 
         def visit_spy(search, i):
             visited.append(i)
@@ -370,10 +368,9 @@ class TestTuneRs:
         (tuned,) = tune_rs(spec, tuning)
         assert tuned.feasible
         assert 0 < len(closures) < 84 / 4
-        assert {size for size, *_ in closures} == {harness.FRAME_GROUP * 300}
+        assert set(closures) == {harness.FRAME_GROUP * 300}
         assert len(visited) == len(closures)
         assert stacked == [harness.FRAME_GROUP]
-        check_warm_chain(closures)
         # Every candidate left undecoded has an efficiency bound (every
         # message decoded) below the winner's mean efficiency.
         search = harness._rs_search(spec, 0, tuning)
@@ -686,8 +683,8 @@ class TestCompare:
     def test_rate_search_stops_at_the_first_feasible_candidate(self, monkeypatch):
         # The comparison's rate search visits the candidates by descending
         # mean rate and decodes none after the first that holds the floor.
-        # Each visit, one closure on one frame group, starts from the set of
-        # the visit before it; the winner's evaluation starts cold.
+        # Each visit is one closure on one frame group, and the winner's
+        # evaluation one more.
         visits, closures = [], []
         real, real_closure = harness._RsSearch.visit, harness.decoded_closure
 
@@ -697,10 +694,9 @@ class TestCompare:
             visits.append((search, i, int(decoded.sum()) / slots))
             return decoded
 
-        def closure_spy(graph, energies, thresholds, N0, start=None):
-            decoded = real_closure(graph, energies, thresholds, N0, start)
-            closures.append((graph.K, start, decoded))
-            return decoded
+        def closure_spy(graph, energies, thresholds, N0):
+            closures.append(graph.K)
+            return real_closure(graph, energies, thresholds, N0)
 
         monkeypatch.setattr(harness._RsSearch, "visit", spy)
         monkeypatch.setattr(harness, "decoded_closure", closure_spy)
@@ -719,10 +715,9 @@ class TestCompare:
         assert [i for _, i, _ in visits] == order[:len(visits)]
         assert all(T < 0.78 for *_, T in visits[:-1]) and visits[-1][2] >= 0.78
         assert chosen[0] == search.schemes[visits[-1][1]]
-        *searched, (size, start, _) = closures
-        assert size == spec.trials * spec.K and start is None
+        *searched, size = closures
+        assert size == spec.trials * spec.K
         assert len(searched) == len(visits)
-        check_warm_chain(searched)
 
     def test_rate_ranking_matches_rate_rs(self):
         # The comparison ranks candidates by the expectation of their rate
@@ -868,15 +863,6 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
     )
 
 
-def check_warm_chain(closures):
-    """A search's (size, start, decoded) closures: the first starts cold and
-    every later one from the set the one before it returned."""
-    (_, first, _), *rest = closures
-    assert first is None
-    for (_, _, before), (_, start, _) in zip(closures, rest):
-        assert start is not None and np.array_equal(start, before)
-
-
 def split_stacks(point, stacks):
     """The frames of ``stacks`` (harness._stacks) apart again, in trial
     order: frame f of a stack holds its messages f*K .. f*K + K-1 and its
@@ -893,10 +879,9 @@ def split_stacks(point, stacks):
     return frames
 
 
-def sequential_decoded_sets(point, stacks, table, start=None):
+def sequential_decoded_sets(point, stacks, table):
     """Reference for harness._decoded_sets: one decode_frame per frame of
-    the stacks, on ``table`` read at the frame's degrees; ``start`` is not
-    read.  decode_frame's decoded set reads only the scheme's variant,
+    the stacks, on ``table`` read at the frame's degrees.  decode_frame's decoded set reads only the scheme's variant,
     told here by the table: only a PA table has no common Es."""
     if table.Es is None:
         scheme = SchemeConfig("PA", mu=1.0)
@@ -1004,10 +989,8 @@ class TestTunersMatchSequentialReceiver:
         assert check(fast)
 
     def test_search_sets_do_not_depend_on_the_visit_order(self):
-        # Each visit starts from the sets of the visited candidates that
-        # dominate it, whatever order the caller chose: forward, backward
-        # or shuffled, over two frame groups, every set is the sequential
-        # receiver's.
+        # Whatever order the caller chose, forward, backward or shuffled,
+        # over two frame groups, every set is the sequential receiver's.
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
             G_grid=(0.8,), trials=1, seed=2, tilde_Es_over_N0=0.002,
@@ -1083,9 +1066,9 @@ class TestTunersMatchSequentialReceiver:
         sizes = []
         real = harness.decoded_closure
 
-        def spy(graph, energies, thresholds, N0, start=None):
+        def spy(graph, energies, thresholds, N0):
             sizes.append(graph.K // spec.K)
-            return real(graph, energies, thresholds, N0, start)
+            return real(graph, energies, thresholds, N0)
 
         monkeypatch.setattr(harness, "decoded_closure", spy)
         spec = SweepSpec(
