@@ -31,7 +31,6 @@ from .decoder import (
 )
 from .metrics import (
     TrialMetrics,
-    c_ref,
     gamma_irsa_min,
     trial_metrics,
 )

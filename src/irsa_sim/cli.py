@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, problem, rate_problem
-from .decoder import PHASE_LABELS, decode_frame
+from .decoder import decode_frame
 from .frame_graph import FrameGraph
 from .harness import (
     CompareConfig,
@@ -57,12 +57,17 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = (
-    "scheme,distribution,K,M,G,trials,seed,alpha,beta,mu,"
-    "T_mean,T_se,eta_mean,eta_se,eta_max_mean,gamma_mean,gamma_se,energy_per_user_db"
+# Each table's columns in order, the attributes of its row type
+# (SweepRecord, CompareRow) that it writes.
+CSV_COLUMNS = (
+    "scheme", "distribution", "K", "M", "G", "trials", "seed", "alpha", "beta", "mu",
+    "T_mean", "T_se", "eta_mean", "eta_se", "eta_max_mean", "gamma_mean", "gamma_se",
+    "energy_per_user_db",
 )
-COMPARE_HEADER = (
-    "scheme,es_over_N0_db,rate_bits,energy_per_user_db,T_mean,alpha,beta,mu,note"
+CSV_HEADER = ",".join(CSV_COLUMNS)
+COMPARE_COLUMNS = (
+    "scheme", "es_over_N0_db", "rate_bits", "energy_per_user_db", "T_mean",
+    "alpha", "beta", "mu", "note",
 )
 
 
@@ -235,14 +240,15 @@ def _cell(value) -> str:
     return text
 
 
-def _write_csv(path: Path | str, header: str, rows: list[list]) -> Path:
-    """``rows`` under ``header``, one CSV line each, LF line endings."""
+def _write_csv(path: Path | str, columns: tuple[str, ...], rows: list) -> Path:
+    """A header line of the ``columns``, then one CSV line per row of
+    ``rows`` holding its attributes of those names; LF line endings."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fp:
-        fp.write(header + "\n")
+        fp.write(",".join(columns) + "\n")
         for row in rows:
-            fp.write(",".join(_cell(v) for v in row) + "\n")
+            fp.write(",".join(_cell(getattr(row, name)) for name in columns) + "\n")
     return path
 
 
@@ -250,23 +256,14 @@ def emit_csv(records: list[SweepRecord], path: Path | str) -> Path:
     """One row per sweep point under the fixed header; byte-stable."""
     if not records:
         raise ValueError("no records to write")
-    return _write_csv(path, CSV_HEADER, [
-        [r.scheme, r.distribution, r.K, r.M, r.G, r.trials, r.seed,
-         r.alpha, r.beta, r.mu, r.T_mean, r.T_se, r.eta_mean, r.eta_se,
-         r.eta_max_mean, r.gamma_mean, r.gamma_se, r.energy_per_user_db]
-        for r in records
-    ])
+    return _write_csv(path, CSV_COLUMNS, records)
 
 
 def emit_compare_csv(rows: list[CompareRow], path: Path | str) -> Path:
     """One row per comparison line under the fixed header; byte-stable."""
     if not rows:
         raise ValueError("no rows to write")
-    return _write_csv(path, COMPARE_HEADER, [
-        [r.scheme, r.es_over_N0_db, r.rate_bits, r.energy_per_user_db,
-         r.T_mean, r.alpha, r.beta, r.mu, r.note]
-        for r in rows
-    ])
+    return _write_csv(path, COMPARE_COLUMNS, rows)
 
 
 _PLOT_METRICS = (
@@ -452,15 +449,14 @@ def _cmd_decode_one(args: argparse.Namespace) -> int:
     profile = build_profile(graph.degrees, cfg, scheme, l_avg)
     result = decode_frame(graph, profile, scheme, cfg)
     print("step\tphase\tmessage\tslot\teffective_sinr\tassigned_rate\tgenie_rate")
-    for msg in result.order.tolist():
-        step = result.decode_step[msg]
-        phase = PHASE_LABELS[int(result.phase[msg])]
-        slot = "" if result.decode_slot[msg] < 0 else str(int(result.decode_slot[msg]))
+    steps = zip(result.order.tolist(), result.slots, result.sinrs.tolist(),
+                result.genie_rates.tolist())
+    for step, (msg, slot, sinr, genie_rate) in enumerate(steps):
+        # A residual-phase decode has no degree-one slot.
+        phase, slot = ("residual", "") if slot < 0 else ("peeling", slot)
         print(
-            f"{step}\t{phase}\t{msg}\t{slot}\t"
-            f"{_fmt(float(result.decode_sinr[msg]))}\t"
-            f"{_fmt(float(profile.rates[msg]))}\t"
-            f"{_fmt(float(result.genie_rate[msg]))}"
+            f"{step}\t{phase}\t{msg}\t{slot}\t{_fmt(sinr)}\t"
+            f"{_fmt(float(profile.rates[msg]))}\t{_fmt(genie_rate)}"
         )
     undecoded = int(graph.K - result.decoded_count)
     print(f"# decoded {result.decoded_count}/{graph.K}, undecoded {undecoded}",

@@ -114,7 +114,6 @@ __all__ = [
     "PHASE_NONE",
     "PHASE_PEELING",
     "PHASE_RESIDUAL",
-    "PHASE_LABELS",
     "DecodeResult",
     "decoded_closure",
     "mrc_sinr",
@@ -127,7 +126,6 @@ __all__ = [
 PHASE_NONE = 0
 PHASE_PEELING = 1
 PHASE_RESIDUAL = 2
-PHASE_LABELS = {PHASE_NONE: "", PHASE_PEELING: "peeling", PHASE_RESIDUAL: "residual"}
 
 # One-sided slack on the success comparison: the tie convention.  A SINR
 # exactly on its threshold, such as a lone degree-one message's Es/N0 under

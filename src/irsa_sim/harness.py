@@ -11,8 +11,8 @@ purpose tag, so parameter selection never reuses the evaluation streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -306,20 +306,6 @@ class RunningStats:
         return math.sqrt(max(self.m2, 0.0) / (self.n - 1) / self.n)
 
 
-_STAT_FIELDS = ("T", "eta", "eta_max", "gamma", "energy_per_user_db")
-
-
-class MetricStats:
-    """RunningStats over the fields of TrialMetrics used in sweep records."""
-
-    def __init__(self) -> None:
-        self.stats = {name: RunningStats() for name in _STAT_FIELDS}
-
-    def add(self, m: TrialMetrics) -> None:
-        for name in _STAT_FIELDS:
-            self.stats[name].add(getattr(m, name))
-
-
 def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
     leaves fewer slots than the degree distribution needs, or more than
@@ -413,27 +399,24 @@ def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
         raise InfeasibleOperatingPointError(f"C_ref = {c:g} is not positive and finite")
 
 
-def _trials(
-    point: SweepPoint, scheme: SchemeConfig, trials: Iterable[int]
-) -> Iterator[TrialMetrics]:
-    """Measures of ``scheme`` on the given trials at the point: each frame
-    drawn from the point's streams, profiled by the scheme's degree table,
-    decoded and measured.  Deterministic in (point.seed, point.g_index,
-    trial)."""
+def run_point(
+    point: SweepPoint, scheme: SchemeConfig, trials: int
+) -> dict[str, RunningStats]:
+    """Statistics of each TrialMetrics field over trials 0 .. trials-1 of
+    ``scheme`` at the point: each frame drawn from the point's streams,
+    profiled by the scheme's degree table, decoded and measured.
+    Deterministic in (point.seed, point.g_index, trial)."""
     table = _table(point, scheme)
     _check_measures(table, point.cfg)
-    for t in trials:
+    stats = {f.name: RunningStats() for f in fields(TrialMetrics)}
+    for t in range(trials):
         graph = _frame(point, point.seed, t)
         profile = table.take(point.index(graph))
         result = decode_frame(graph, profile, scheme, point.cfg)
-        yield trial_metrics(result, profile, point.cfg)
-
-
-def run_point(point: SweepPoint, scheme: SchemeConfig, trials: int) -> MetricStats:
-    acc = MetricStats()
-    for metrics in _trials(point, scheme, range(trials)):
-        acc.add(metrics)
-    return acc
+        metrics = trial_metrics(result, profile, point.cfg)
+        for name, acc in stats.items():
+            acc.add(getattr(metrics, name))
+    return stats
 
 
 def _base_record(spec: SweepSpec, g_index: int, scheme: SchemeConfig | None) -> SweepRecord:
@@ -453,13 +436,14 @@ def _base_record(spec: SweepSpec, g_index: int, scheme: SchemeConfig | None) -> 
     )
 
 
-def _fill_record(rec: SweepRecord, stats: MetricStats, point: SweepPoint) -> SweepRecord:
-    s = stats.stats
-    rec.T_mean, rec.T_se = s["T"].mean, s["T"].se
-    rec.eta_mean, rec.eta_se = s["eta"].mean, s["eta"].se
-    rec.eta_max_mean = s["eta_max"].mean
-    rec.gamma_mean, rec.gamma_se = s["gamma"].mean, s["gamma"].se
-    rec.energy_per_user_db = s["energy_per_user_db"].mean
+def _fill_record(
+    rec: SweepRecord, stats: dict[str, RunningStats], point: SweepPoint
+) -> SweepRecord:
+    rec.T_mean, rec.T_se = stats["T"].mean, stats["T"].se
+    rec.eta_mean, rec.eta_se = stats["eta"].mean, stats["eta"].se
+    rec.eta_max_mean = stats["eta_max"].mean
+    rec.gamma_mean, rec.gamma_se = stats["gamma"].mean, stats["gamma"].se
+    rec.energy_per_user_db = stats["energy_per_user_db"].mean
     rec.l_avg = point.l_avg
     if point.cfg.hat_R is not None:
         hat_es = hat_es_from_rate(point.cfg.hat_R, point.cfg.L_cu, point.cfg.N0)

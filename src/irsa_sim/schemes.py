@@ -114,13 +114,12 @@ class TransmitProfile:
     sinr_thresholds: np.ndarray
     Es: float | None  # uniform per-replica energy; None under power adaptation
     l_avg: float
-    r_avg: float
 
     def take(self, index: np.ndarray) -> TransmitProfile:
         """The profile whose message i is this one's message ``index[i]``."""
         return TransmitProfile(
             self.degrees[index], self.energies[index], self.rates[index],
-            self.sinr_thresholds[index], self.Es, self.l_avg, self.r_avg,
+            self.sinr_thresholds[index], self.Es, self.l_avg,
         )
 
 
@@ -226,7 +225,6 @@ def pa_powers(
         sinr_thresholds=thresholds,
         Es=None,
         l_avg=l_avg,
-        r_avg=r_avg,
     )
 
 
@@ -275,7 +273,6 @@ def build_profile(
             sinr_thresholds=thresholds,
             Es=Es,
             l_avg=l_avg,
-            r_avg=r_avg,
         )
     for field_name in ("energies", "rates", "sinr_thresholds"):
         arr = getattr(profile, field_name)

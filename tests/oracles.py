@@ -59,6 +59,34 @@ def irsa_peeling_oracle(graph: FrameGraph) -> set[int]:
         decoded |= newly
 
 
+def irsa_de_threshold(dist, tol: float = 1e-4) -> float:
+    """Asymptotic load threshold G* of IRSA with the degree distribution
+    ``dist`` (Liva 2011), to within ``tol``: the largest G at which density
+    evolution, p <- lambda(1 - exp(-G * Lambda'(1) * p)) from p = 1, drives
+    the erasure probability p of a device-to-slot edge to 0.  lambda is the
+    edge-perspective degree polynomial, lambda_l = l * Lambda_l / Lambda'(1),
+    taken from the distribution's own atoms; G* is found by bisection."""
+    mean = sum(d * float(p) for d, p in dist.atoms)  # Lambda'(1)
+    edge = [(d, d * float(p) / mean) for d, p in dist.atoms]
+
+    def clears(G: float) -> bool:
+        p = 1.0
+        while p > 1e-12:
+            x = 1.0 - math.exp(-G * mean * p)
+            following = sum(w * x ** (d - 1) for d, w in edge)
+            if following >= p:  # p decreases to a fixed point above 0
+                return False
+            p = following
+        return True
+
+    lo, hi = 0.0, 1.0  # no IRSA distribution clears a load of 1
+    assert not clears(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if clears(mid) else (lo, mid)
+    return lo
+
+
 def rate_rs(
     l_i: float,
     Es: float,

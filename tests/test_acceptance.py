@@ -222,7 +222,7 @@ def test_criterion_7_property_suite():
         g = _random_small_frame(rng, dist)
         energies = rng.uniform(0.05, 2.0, size=g.K)
         thresholds = rng.uniform(0.05, 2.0, size=g.K)
-        profile = TransmitProfile(g.degrees, energies, np.ones(g.K), thresholds, None, l_avg, 1.0)
+        profile = TransmitProfile(g.degrees, energies, np.ones(g.K), thresholds, None, l_avg)
         cfg = ChannelConfig(K=g.K, M=g.M, hat_R=1.0)
         result = decode_frame(g, profile, pa, cfg)
         decoded = np.zeros(g.K, dtype=bool)

@@ -27,7 +27,7 @@ from irsa_sim.schemes import (
     TuningParameterError,
     build_profile,
 )
-from oracles import effective_sinr, irsa_peeling_oracle, oracle_interference
+from oracles import effective_sinr, irsa_de_threshold, irsa_peeling_oracle, oracle_interference
 
 
 def example_graph():
@@ -885,7 +885,7 @@ def unit_energy_setup(g, thresholds):
     SINR thresholds, at N0 = 1: each slot's interference is its count of
     undecoded messages."""
     profile = TransmitProfile(
-        g.degrees, np.ones(g.K), np.ones(g.K), np.array(thresholds, dtype=float), None, 2.0, 1.0
+        g.degrees, np.ones(g.K), np.ones(g.K), np.array(thresholds, dtype=float), None, 2.0
     )
     return g, profile, SchemeConfig("PA", mu=1.0), ChannelConfig(K=g.K, M=g.M, hat_R=10.0)
 
@@ -1125,3 +1125,34 @@ class TestIrsaIntegerPeeling:
         scheme = SchemeConfig("IRSA")
         result = decode_frame(g, build_profile(g.degrees, cfg, scheme, 3.0), scheme, cfg)
         assert result.decoded.all()
+
+
+class TestIrsaDensityEvolution:
+    """The baseline against asymptotic theory: density evolution
+    (irsa_de_threshold) puts IRSA's load threshold G* where a long frame
+    goes from decoding nearly every message to decoding few."""
+
+    @pytest.mark.parametrize(
+        "dist", [fixed_l3(), modified_soliton(10)], ids=["l3", "modified_soliton_Y10"]
+    )
+    def test_threshold(self, dist):
+        K, frames = 3000, 20
+        l_avg = avg_degree(dist)
+        g_star = irsa_de_threshold(dist)
+        rng = np.random.default_rng(0)
+        scheme = SchemeConfig("IRSA")
+
+        def normalised_throughputs(G):
+            M = round(K / G)
+            cfg = uniform_cfg(K, M, 1.0, l_avg=l_avg)
+            out = []
+            for _ in range(frames):
+                g = build_frame(K, M, dist, rng)
+                result = decode_frame(g, build_profile(g.degrees, cfg, scheme, l_avg), scheme, cfg)
+                out.append(result.decoded_count / M / G)
+            return out
+
+        below = normalised_throughputs(0.85 * g_star)
+        assert min(below) >= 0.97, (g_star, below)
+        above = normalised_throughputs(1.1 * g_star)
+        assert np.mean(above) <= 0.35, (g_star, above)

@@ -14,7 +14,6 @@ from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_sol
 from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.harness import (
     CompareConfig,
-    MetricStats,
     RunningStats,
     SweepSpec,
     TuningConfig,
@@ -62,9 +61,21 @@ def frame_outcome(point, graph, scheme):
 
 def run_trial(point, scheme, trial):
     """The measures of one trial of ``scheme`` at the point, as run_point
-    adds them."""
-    (metrics,) = harness._trials(point, scheme, [trial])
-    return metrics
+    adds them: the frame profiled by the scheme's degree table, decoded and
+    measured."""
+    graph = harness._frame(point, point.seed, trial)
+    profile = harness._table(point, scheme).take(point.index(graph))
+    return trial_metrics(decode_frame(graph, profile, scheme, point.cfg), profile, point.cfg)
+
+
+def new_stats():
+    """One RunningStats per TrialMetrics field, as run_point returns."""
+    return {f.name: RunningStats() for f in dataclasses.fields(TrialMetrics)}
+
+
+def add_metrics(stats, metrics):
+    for name, acc in stats.items():
+        acc.add(getattr(metrics, name))
 
 
 def reference_metrics(point, scheme, trial):
@@ -81,8 +92,8 @@ def reference_metrics(point, scheme, trial):
     M = point.cfg.M
     per_user = float((profile.degrees * profile.energies).mean())
     return TrialMetrics(
-        T=int(mask.sum()) / M, S=S, S_max=S_max, C_ref=C, eta=S / C, eta_max=S_max / C,
-        gamma=S / M, gamma_max=S_max / M, energy_per_user_db=to_db(per_user / point.cfg.N0),
+        T=int(mask.sum()) / M, eta=S / C, eta_max=S_max / C, gamma=S / M,
+        energy_per_user_db=to_db(per_user / point.cfg.N0),
     )
 
 
@@ -232,16 +243,17 @@ class TestRunPointMatchesFrameOracle:
         scheme = spec.scheme_config()
         for g_index in range(len(spec.G_grid)):
             point = make_point(spec, g_index)
-            want = MetricStats()
+            want = new_stats()
             for t in range(spec.trials):
-                want.add(reference_metrics(point, scheme, t))
+                add_metrics(want, reference_metrics(point, scheme, t))
             got = run_point(point, scheme, spec.trials)
-            for name, stats in got.stats.items():
-                ref = want.stats[name]
+            assert got.keys() == want.keys()
+            for name, stats in got.items():
+                ref = want[name]
                 assert (stats.n, stats.total, stats.centre, stats.m2) == (
                     ref.n, ref.total, ref.centre, ref.m2
                 ), name
-            partial += 0 < want.stats["T"].mean < point.G
+            partial += 0 < want["T"].mean < point.G
         assert partial  # some point decodes part of its frames
 
 
@@ -839,15 +851,15 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
                 continue
             candidates.append(SchemeConfig("RS", alpha=a, beta=b))
     tune_seed = mix64(spec.seed, harness.PURPOSE_RS_TUNE)
-    accs = [MetricStats() for _ in candidates]
+    accs = [new_stats() for _ in candidates]
     for t in range(tuning.tune_trials):
         graph = harness._frame(base, tune_seed, t)
         for scheme, acc in zip(candidates, accs):
             profile, result = frame_outcome(base, graph, scheme)
-            acc.add(trial_metrics(result, profile, base.cfg))
+            add_metrics(acc, trial_metrics(result, profile, base.cfg))
     feasible = [
-        (scheme, acc.stats) for scheme, acc in zip(candidates, accs)
-        if acc.stats["T"].mean >= target
+        (scheme, acc) for scheme, acc in zip(candidates, accs)
+        if acc["T"].mean >= target
     ]
     if not feasible:
         return harness.RsTuning(

@@ -10,8 +10,8 @@ from irsa_sim.decoder import decode_frame
 from irsa_sim.distributions import avg_degree, fixed_l3, modified_soliton, sample_degrees
 from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.metrics import (
-    c_ref,
     gamma_irsa_min,
+    reference_capacity,
     to_db,
     trial_metrics,
 )
@@ -25,6 +25,12 @@ from irsa_sim.schemes import (
 from oracles import gamma_pa_analytic, jensen_bound_rs, rate_rs
 
 L2_AVG = float(sum(Fraction(1, i) for i in range(1, 10)) + Fraction(3, 5))
+
+
+def c_ref(cfg, l_avg):
+    """C_ref of an IRSA profile at ``l_avg``: the common-energy reference."""
+    profile = build_profile(np.array([1]), cfg, SchemeConfig("IRSA"), l_avg)
+    return reference_capacity(profile, cfg)
 
 
 class TestCRef:
@@ -60,7 +66,7 @@ class TestTrialMetrics:
         scheme = SchemeConfig("IRSA")
         profile = build_profile(g.degrees, cfg, scheme, 2.0)
         m = trial_metrics(decode_frame(g, profile, scheme, cfg), profile, cfg)
-        assert m.T == 0.0 and m.S == 0.0 and m.eta == 0.0 and m.S_max == 0.0
+        assert m.T == 0.0 and m.eta == 0.0 and m.eta_max == 0.0 and m.gamma == 0.0
 
     def test_baseline_efficiency_identity(self):
         # eta = T * log2(1+Es/N0) / log2(1 + K l_avg Es / (M N0)) whenever
@@ -88,7 +94,7 @@ class TestTrialMetrics:
         m = trial_metrics(result, profile, cfg)
         es = cfg.M * cfg.tilde_Es / l_avg
         r_avg = (cfg.K / cfg.M) * l_avg
-        assert m.S == pytest.approx(
+        assert m.gamma * cfg.M == pytest.approx(
             rate_rs(2, es, 1.0, 100, 0.5, 1.0, r_avg), rel=1e-12
         )
 
@@ -99,8 +105,8 @@ class TestTrialMetrics:
                 30, 35, 0.05, SchemeConfig("RS", alpha=0.3, beta=1.0), l_avg, seed=seed
             )
             m = trial_metrics(result, profile, cfg)
-            assert m.gamma == pytest.approx(m.eta * m.C_ref / cfg.M, rel=1e-12)
-            assert m.S_max >= m.S - 1e-9
+            c = reference_capacity(profile, cfg)
+            assert m.gamma == pytest.approx(m.eta * c / cfg.M, rel=1e-12)
             assert m.eta_max >= m.eta - 1e-12
 
     def test_energy_metric_uniform_power(self):
