@@ -40,7 +40,9 @@ returns to phase 1.  The loop ends when no undecoded message passes.  Rate
 selection requires the selected rate to be at most the MRC capacity of the
 residual state; power adaptation requires the MRC SINR to reach the nominal
 level.  Comparisons carry a 1e-9 relative slack (``TIE_RTOL``), the tie
-convention: a SINR that meets its threshold up to rounding passes.
+convention: a SINR that meets its threshold up to rounding passes.  Every
+receiver here takes the scheme's raw SINR thresholds and applies the
+slack itself (``success_thresholds``).
 
 Neither phase makes a test whose outcome cannot change a decision.  Each
 slot's interference is the exact sum over the messages it still holds, and
@@ -69,7 +71,7 @@ evaluation at every step, bit for bit.
 
 A frame is statically decodable when every message passes its test
 before any cancellation, which one ``mrc_sinr`` against the initial
-interference shows (``statically_decodable``; the mu tuner's
+interference shows (``static_passes``; the mu tuner's
 ``static_reliability`` rule counts such frames).  Since cancellation never
 lowers a SINR, every test the receiver makes on it passes, so its decode
 order is integer erasure peeling: phase 1 runs the worklist on slot degrees
@@ -119,7 +121,6 @@ __all__ = [
     "mrc_sinr",
     "success_thresholds",
     "static_passes",
-    "statically_decodable",
     "decode_frame",
 ]
 
@@ -193,9 +194,9 @@ def mrc_sinr(
     return np.bincount(edge_msg, weights=edge_energy / denom, minlength=minlength)
 
 
-def success_thresholds(profile: TransmitProfile) -> np.ndarray:
+def success_thresholds(sinr_thresholds: np.ndarray) -> np.ndarray:
     """SINR each message must reach to decode: its threshold less TIE_RTOL."""
-    return profile.sinr_thresholds * (1.0 - TIE_RTOL)
+    return sinr_thresholds * (1.0 - TIE_RTOL)
 
 
 def _checked(interference: np.ndarray, sinr: Callable[[], np.ndarray]) -> np.ndarray:
@@ -224,34 +225,27 @@ def _checked_sinr(edge_msg, edge_slot, edge_energy, N0: float, M: int, K: int):
 
 
 def static_passes(
-    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
+    graph: FrameGraph, energies: np.ndarray, sinr_thresholds: np.ndarray, N0: float
 ) -> np.ndarray:
-    """Which messages pass their success test before any cancellation:
-    per-message ``energies`` and success ``thresholds`` (see
-    ``success_thresholds``).  On frames side by side (``stack_frames``) each
-    message's SINR is its own frame's, bit for bit.  Raises
-    InfeasibleOperatingPointError where a slot's interference, or it plus
-    N0, overflows."""
+    """Which messages pass their success test (``success_thresholds``)
+    before any cancellation, a (K,) mask, under per-message ``energies``
+    and ``sinr_thresholds``.  A frame all of whose messages pass is
+    statically decodable: cancellation never lowers an MRC SINR, so every
+    test the receiver makes on it passes.  On frames side by side
+    (``stack_frames``) each message's SINR is its own frame's, bit for
+    bit.  Raises InfeasibleOperatingPointError where a slot's interference,
+    or it plus N0, overflows."""
     edge_msg = graph.edge_msg
     sinr = _checked_sinr(edge_msg, graph.edge_slot, energies[edge_msg], N0, graph.M, graph.K)
-    return sinr >= thresholds
-
-
-def statically_decodable(
-    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
-) -> bool:
-    """Whether every message passes its success test before any
-    cancellation (``static_passes``).  Cancellation never lowers an MRC
-    SINR, so on such a frame every test the receiver makes passes."""
-    return bool(static_passes(graph, energies, thresholds, N0).all())
+    return sinr >= success_thresholds(sinr_thresholds)
 
 
 def decoded_closure(
-    graph: FrameGraph, energies: np.ndarray, thresholds: np.ndarray, N0: float
+    graph: FrameGraph, energies: np.ndarray, sinr_thresholds: np.ndarray, N0: float
 ) -> np.ndarray:
     """Decoded set of one frame, a (K,) mask, under one profile's
-    per-message ``energies`` and success ``thresholds`` (see
-    ``success_thresholds``).  The frame may be several frames side by side
+    per-message ``energies`` and ``sinr_thresholds``, each test taken with
+    ``success_thresholds``.  The frame may be several frames side by side
     (``stack_frames``): no slot is shared between them, so each one's set is
     its own closure.
 
@@ -268,6 +262,7 @@ def decoded_closure(
     """
     edge_msg, edge_slot = graph.edge_msg, graph.edge_slot
     edge_energy = energies[edge_msg]
+    thresholds = success_thresholds(sinr_thresholds)
     decoded = np.zeros(graph.K, dtype=bool)
     while True:
         sinr = _checked_sinr(edge_msg, edge_slot, edge_energy, N0, graph.M, graph.K)
@@ -291,7 +286,7 @@ def decode_frame(
     ``math.log2`` per value: ``np.log2`` need not round alike."""
     if scheme.variant == "IRSA":
         order, slots, sinrs = _peel_irsa(graph, profile.Es, cfg.N0)
-    elif statically_decodable(graph, profile.energies, success_thresholds(profile), cfg.N0):
+    elif static_passes(graph, profile.energies, profile.sinr_thresholds, cfg.N0).all():
         order, slots = _peel_static(graph)
         order = np.array(order, dtype=np.int64)
         sinrs = _replay_sinrs(graph, profile.energies, order, cfg.N0)
@@ -430,7 +425,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     their degree-one slots, -1 for a phase-2 decode, and their SINRs, in
     step order."""
     M = graph.M
-    thr_arr = success_thresholds(profile)
+    thr_arr = success_thresholds(profile.sinr_thresholds)
     thresholds = thr_arr.tolist()
     energies = profile.energies.tolist()
     message_slots = graph.message_slots

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,12 +24,7 @@ from .config import (
     rate_problem,
     validate,
 )
-from .decoder import (
-    decode_frame,
-    decoded_closure,
-    static_passes,
-    success_thresholds,
-)
+from .decoder import decode_frame, decoded_closure, static_passes
 from .distributions import DegreeDistribution, avg_degree, from_name, parameter_problem
 from .frame_graph import FrameGraph, build_frame, stack_frames
 from .metrics import (
@@ -83,14 +78,20 @@ RS_THROUGHPUT_FACTOR = 0.97
 # Frames _stacks draws side by side as one frame, the unit the order-free
 # decode takes: decoded_closure's working set grows with the stack, so a
 # fixed size keeps it in cache and bounds it however many frames a point
-# has.  The tuners hold a point's tuning stacks; _closure_means draws one
-# stack at a time.
+# has.  The tuners hold a point's tuning stacks; the comparison's
+# evaluations draw one stack at a time.
 FRAME_GROUP = 8
 
 # Most slots a grid point may have: the order-free decode holds FRAME_GROUP
 # frames side by side, so each per-slot array it builds has 8*M values
 # (64 MB of float64 at the bound); the shipped configs stay under 10**4.
 MAX_SLOTS = 10**6
+
+# Largest soliton parameter Y a grid point may build, for a literal Y and
+# for "Y": "M" alike: resolving the point builds Y exact atoms and sums its
+# mean degree in Fractions, a cost that grows about quadratically in Y
+# (0.2 s at the bound, minutes near MAX_SLOTS).
+MAX_SOLITON_Y = 10**4
 
 # Relative widening of the RS tuner's bound on a mean efficiency: see
 # _tune_rs_point.
@@ -166,7 +167,13 @@ class SweepSpec:
         return M if self.K * M < 2**63 else None
 
     def dist_for(self, M: int) -> DegreeDistribution:
+        """The degree distribution at M slots.  Raises ValueError, before
+        building any atom, where a soliton's Y is above MAX_SOLITON_Y."""
         Y = M if self.dist_Y == "M" else self.dist_Y
+        if Y is not None and Y > MAX_SOLITON_Y:
+            raise ValueError(
+                f"{self.dist_name} Y={Y} is above the bound MAX_SOLITON_Y = {MAX_SOLITON_Y}"
+            )
         return from_name(self.dist_name, Y)
 
     def channel_for(self, M: int) -> ChannelConfig:
@@ -309,7 +316,8 @@ class RunningStats:
 def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
     leaves fewer slots than the degree distribution needs, or more than
-    MAX_SLOTS, or than K*M < 2**63 allows."""
+    MAX_SLOTS, or than K*M < 2**63 allows, or when the soliton's Y is above
+    MAX_SOLITON_Y."""
     G = spec.G_grid[g_index]
     M = spec.slots_for(G)
     if M is None:
@@ -369,21 +377,25 @@ def _table(point: SweepPoint, scheme: SchemeConfig) -> TransmitProfile:
 
 
 def _decoded_sets(
-    point: SweepPoint, stacks: list[FrameGraph], table: TransmitProfile
+    point: SweepPoint, stacks: list[FrameGraph], table: TransmitProfile,
+    test: Callable[..., np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Decoded mask of the profile ``table`` on each frame of ``stacks``
-    (from ``_stacks``), shape (frames, K): the order-free fixed point
-    ``decoded_closure`` of each stack, the one evaluation of candidates on
-    shared frames.  Raises InfeasibleOperatingPointError where a slot's
-    interference, or it plus N0, overflows."""
-    thresholds = success_thresholds(table)
-    decoded = []
+    """The order-free ``test`` of the profile ``table`` on each frame of
+    ``stacks`` (from ``_stacks``), a mask of shape (frames, K): the one
+    evaluation of candidates on shared frames, which every tuner and the
+    comparison use.  ``test`` is ``decoded_closure`` (the default, looked
+    up when called), whose mask is the decoded set, or ``static_passes``,
+    whose mask is the set that passes before any cancellation.  Raises
+    InfeasibleOperatingPointError where a slot's interference, or it plus
+    N0, overflows."""
+    test = test or decoded_closure
+    masks = []
     for stack in stacks:
         index = point.index(stack)
-        decoded.append(
-            decoded_closure(stack, table.energies[index], thresholds[index], point.cfg.N0)
+        masks.append(
+            test(stack, table.energies[index], table.sinr_thresholds[index], point.cfg.N0)
         )
-    return np.concatenate(decoded).reshape(-1, point.cfg.K)
+    return np.concatenate(masks).reshape(-1, point.cfg.K)
 
 
 def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
@@ -510,32 +522,17 @@ def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
     ]
 
 
-class _RsSearch:
-    """The RS tuners' candidate search at one grid point: the admissible
-    (alpha, beta) ``schemes``, alpha-major, their ``tables`` (``_table``),
-    and the point's PURPOSE_RS_TUNE ``stacks`` (``_stacks``), drawn and
-    stacked once and held; ``index`` holds each message's place in the
-    support, shape (tune_trials, K).  The caller orders the visits."""
-
-    def __init__(
-        self, point: SweepPoint, schemes: list[SchemeConfig], tables: list[TransmitProfile],
-        seed: int, trials: int,
-    ):
-        self.point, self.schemes, self.tables = point, schemes, tables
-        self.stacks = list(_stacks(point, seed, trials))
-        index = [point.index(stack) for stack in self.stacks]
-        self.index = np.concatenate(index).reshape(trials, point.cfg.K)
-
-    def visit(self, i: int) -> np.ndarray:
-        """Candidate i's decoded mask on each frame (``_decoded_sets``)."""
-        return _decoded_sets(self.point, self.stacks, self.tables[i])
-
-
-def _rs_search(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> _RsSearch | None:
-    """The search over ``tuning``'s grids at one grid point: a pair is
-    admissible when its table (``_table``) raises no TuningParameterError.
-    None when no pair is admissible; InfeasibleOperatingPointError when a
-    table fails, the first in alpha-major order."""
+def _rs_search(
+    spec: SweepSpec, g_index: int, tuning: TuningConfig
+) -> tuple[SweepPoint, list[SchemeConfig], list[TransmitProfile], list[FrameGraph]] | None:
+    """The RS tuners' candidate search at one grid point: the point, the
+    admissible (alpha, beta) pairs of ``tuning``'s grids, alpha-major, their
+    tables (``_table``), and the point's PURPOSE_RS_TUNE stacks
+    (``_stacks``), drawn and stacked once and held for ``_decoded_sets``;
+    the caller orders the visits.  A pair is admissible when its table
+    raises no TuningParameterError.  None when no pair is admissible;
+    InfeasibleOperatingPointError when a table fails, the first in
+    alpha-major order."""
     point = make_point(spec, g_index)
     schemes: list[SchemeConfig] = []
     tables: list[TransmitProfile] = []
@@ -550,9 +547,8 @@ def _rs_search(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> _RsSearch
             schemes.append(scheme)
     if not schemes:
         return None
-    return _RsSearch(
-        point, schemes, tables, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials
-    )
+    stacks = list(_stacks(point, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials))
+    return point, schemes, tables, stacks
 
 
 def _tune_rs_point(
@@ -567,23 +563,26 @@ def _tune_rs_point(
     search stops at the first bound strictly below the best feasible mean
     eta so far (a candidate tied with it is still visited).  On equal keys
     (eta, T, -alpha) the one earlier in alpha-major order is kept, as
-    ``max`` keeps it.  RS energies are common to all candidates, so an
-    interference overflow raises on the first one visited."""
+    ``max`` keeps it.  A visited candidate's mean T and eta come from
+    ``_closure_means`` over the held stacks.  RS energies are common to all
+    candidates, so an interference overflow raises on the first one
+    visited."""
     G = spec.G_grid[g_index]
     flagged = lambda note: RsTuning(G, None, None, False, target=target, note=note)
     try:
         search = _rs_search(spec, g_index, tuning)
         if search is None:
             return flagged("no admissible (alpha, beta) in the grids")
-        tables, M = search.tables, search.point.cfg.M
-        # T and eta are trial_metrics' expressions, accumulated in frame
-        # order.  RS spends one common energy, so C_ref depends on the grid
-        # point alone.
-        c_ref = reference_capacity(tables[0], search.point.cfg)
+        point, schemes, tables, stacks = search
+        # T and eta are trial_metrics' expressions, added in frame order.
+        # RS spends one common energy, so C_ref depends on the grid point
+        # alone.
+        c_ref = reference_capacity(tables[0], point.cfg)
         # The bounds divide by C_ref; a NaN one makes them NaN, skipping none.
         if c_ref == 0:
             raise InfeasibleOperatingPointError("C_ref = 0 is not positive and finite")
-        counts = np.bincount(search.index.ravel(), minlength=len(search.point.dist.degrees))
+        index = np.concatenate([point.index(stack) for stack in stacks])
+        counts = np.bincount(index, minlength=len(point.dist.degrees))
         scale = (1.0 + ETA_BOUND_SLACK) / (tuning.tune_trials * c_ref)
         totals = np.stack([table.rates for table in tables]) @ counts
         bounds = [total * scale for total in totals.tolist()]
@@ -591,20 +590,20 @@ def _tune_rs_point(
         for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
             if best is not None and bounds[i] < best[0]:
                 break
-            T, eta = RunningStats(), RunningStats()
-            rates = tables[i].rates[search.index]
-            for mask, frame_rates in zip(search.visit(i), rates):
-                T.add(int(mask.sum()) / M)
-                eta.add(float(frame_rates[mask].sum()) / c_ref)
-            key = (eta.mean, T.mean, -search.schemes[i].alpha, -i)
-            if T.mean >= target and (best is None or key > best):
+            rates = tables[i].rates
+            T, eta = _closure_means(
+                point, stacks, tables[i],
+                lambda mask, index: float(rates[index][mask].sum()) / c_ref,
+            )
+            key = (eta, T, -schemes[i].alpha, -i)
+            if T >= target and (best is None or key > best):
                 best = key
     except InfeasibleOperatingPointError as err:
         return flagged(str(err))
     if best is None:
         return flagged(f"no candidate reached mean T >= {target:.4g}")
     eta, T, _, i = best
-    scheme = search.schemes[-i]
+    scheme = schemes[-i]
     return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
 
 
@@ -647,15 +646,16 @@ def tune_mu(
 
     Both criteria are non-decreasing in mu on a fixed set of frames (raising
     every energy never breaks a threshold test), so bisection over the grid
-    is exact for the tuning streams.  So is each frame's outcome: its
-    decoded set only grows with mu, and a statically decodable frame stays
-    so.  The bisection keeps every frame's outcome at both ends of its
-    bracket and, at each mid, evaluates again only the stacks (``_stacks``)
-    holding a frame whose decoded count or static verdict differs between
-    the ends: a frame with one outcome at both has it at every mu between,
-    so evaluating it again changes nothing, and every measure and decision
-    is that of a full evaluation.  The stacks are drawn once and stay in
-    memory for the whole bisection.
+    is exact for the tuning streams.  So is each frame's outcome, read from
+    ``_decoded_sets`` with the criterion's test: its decoded count
+    (``decoded_closure``) only grows with mu, and a statically decodable
+    frame (``static_passes`` true for every message) stays so.  The
+    bisection keeps every frame's outcome at both ends of its bracket and,
+    at each mid, evaluates again only the stacks (``_stacks``) holding a
+    frame whose outcome differs between the ends: a frame with one outcome
+    at both has it at every mu between, so evaluating it again changes
+    nothing, and every measure and decision is that of a full evaluation.
+    The stacks are drawn once and stay in memory for the whole bisection.
     """
     G = spec.G_grid[g_index]
     tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
@@ -676,34 +676,19 @@ def tune_mu(
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
     stacks = list(_stacks(base, tune_seed, tuning.tune_trials))
     stack_of = np.arange(tuning.tune_trials) // FRAME_GROUP  # each frame's stack
-    K, N0 = base.cfg.K, base.cfg.N0
-
-    # The outcome at a mu of each frame of ``which`` stacks; its value; and
-    # the measure.
+    # Each frame's outcome, reduced from its mask, and the measure's scale.
     if criterion == "mean_fraction":
-        def outcomes(mu: float, which: list[FrameGraph]) -> np.ndarray:
-            return _decoded_sets(base, which, _table(base, spec.scheme_config(mu=mu)))
-
-        value = lambda sets: sets.sum(axis=1)
-        scale = tuning.tune_trials * K
+        test, outcome, scale = decoded_closure, np.sum, tuning.tune_trials * base.cfg.K
     else:
-        def outcomes(mu: float, which: list[FrameGraph]) -> np.ndarray:
-            # Whether each frame is statically decodable: every message
-            # decodes before any cancellation.
-            table = _table(base, spec.scheme_config(mu=mu))
-            thresholds = success_thresholds(table)
-            ok = []
-            for stack in which:
-                index = base.index(stack)
-                passes = static_passes(stack, table.energies[index], thresholds[index], N0)
-                ok.append(passes.reshape(-1, K).all(axis=1))
-            return np.concatenate(ok)
+        test, outcome, scale = static_passes, np.all, tuning.tune_trials
 
-        value = lambda ok: ok
-        scale = tuning.tune_trials
+    def outcomes(mu: float, which: list[FrameGraph]) -> np.ndarray:
+        """The outcome at mu of each frame of the ``which`` stacks."""
+        table = _table(base, spec.scheme_config(mu=mu))
+        return outcome(_decoded_sets(base, which, table, test), axis=1)
 
     def fraction(out: np.ndarray) -> float:
-        return int(value(out).sum()) / scale
+        return int(out.sum()) / scale
 
     try:
         out_lo = outcomes(1.0, stacks)
@@ -724,7 +709,7 @@ def tune_mu(
             # A frame with one value at lo and at hi has it at every mu
             # between: only the stacks holding another are evaluated again.
             reopen = np.zeros(len(stacks), dtype=bool)
-            reopen[stack_of[value(out_lo) != value(out_hi)]] = True
+            reopen[stack_of[out_lo != out_hi]] = True
             rows = reopen[stack_of]
             out_mid = out_lo.copy()
             out_mid[rows] = outcomes(mu_at(mid), [stacks[s] for s in np.flatnonzero(reopen)])
@@ -865,8 +850,8 @@ def compare_rs_pa(
             _check_measures(table, point.cfg)
             per_user = table.degrees * table.energies
             t_mean, energy_db = _closure_means(
-                point, table, spec.trials,
-                lambda index: to_db(float(per_user[index].mean()) / point.cfg.N0),
+                point, _stacks(point, point.seed, spec.trials), table,
+                lambda mask, index: to_db(float(per_user[index].mean()) / point.cfg.N0),
             )
         except InfeasibleOperatingPointError as err:
             rows.append(CompareRow("PA", None, mean_rate, None, None, note=f"infeasible: {err}"))
@@ -876,21 +861,21 @@ def compare_rs_pa(
 
 
 def _closure_means(
-    point: SweepPoint, table: TransmitProfile, trials: int,
-    frame_value: Callable[[np.ndarray], float],
+    point: SweepPoint, stacks: Iterable[FrameGraph], table: TransmitProfile,
+    frame_value: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[float, float]:
-    """Mean T and mean ``frame_value(index)`` of the profile ``table`` over
-    the point's own trials, added in trial order as ``run_point`` adds
-    them; ``index`` is the frame's ``point.index``.  Each frame's decoded
-    count comes from the order-free decoded set, which is all T reads of
-    the decode.  The stacks of ``_stacks`` are drawn one at a time, so
-    however many trials there are, one is held."""
+    """Mean T and mean ``frame_value(mask, index)`` of the profile ``table``
+    over the frames of ``stacks`` (from ``_stacks``), added in frame order
+    as ``run_point`` adds them; ``mask`` is the frame's decoded set
+    (``_decoded_sets``), which is all T reads of the decode, and ``index``
+    its ``point.index``.  One stack is decoded at a time, so a lazy
+    ``_stacks`` holds one however many trials there are."""
     T, value = RunningStats(), RunningStats()
-    for stack in _stacks(point, point.seed, trials):
+    for stack in stacks:
         index = point.index(stack).reshape(-1, point.cfg.K)
         for mask, frame_index in zip(_decoded_sets(point, [stack], table), index):
             T.add(int(mask.sum()) / point.cfg.M)
-            value.add(frame_value(frame_index))
+            value.add(frame_value(mask, frame_index))
     return T.mean, value.mean
 
 
@@ -917,14 +902,14 @@ def _tune_rs_for_rate(
     search = _rs_search(spec, 0, tuning)
     if search is None:
         return None
-    point, tables = search.point, search.tables
+    point, schemes, tables, stacks = search
     # The floor compares the exact ratio of integer totals: a mean of
     # per-frame ratios can round below a floor the total meets exactly.
     slots = tuning.tune_trials * point.cfg.M
     best = next(
         (
             i for i in _by_mean_rate(point, tables)
-            if int(search.visit(i).sum()) / slots >= min_throughput
+            if int(_decoded_sets(point, stacks, tables[i]).sum()) / slots >= min_throughput
         ),
         None,
     )
@@ -934,6 +919,7 @@ def _tune_rs_for_rate(
     # decoded set serves, with the rates read from the winner's table.
     rates = tables[best].rates
     t_mean, mean_rate = _closure_means(
-        point, tables[best], spec.trials, lambda index: float(rates[index].mean())
+        point, _stacks(point, point.seed, spec.trials), tables[best],
+        lambda mask, index: float(rates[index].mean()),
     )
-    return search.schemes[best], t_mean, mean_rate
+    return schemes[best], t_mean, mean_rate

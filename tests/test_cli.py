@@ -552,14 +552,18 @@ class TestMainCommands:
         assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
 
     @pytest.mark.parametrize(
-        "G, note, M",
+        "G, note, M, distribution",
         [
             pytest.param(G, f"G={G!r} gives K/G = {24 / G:.3g} slots for K=24; "
-                         "K*M must stay below 2**63", "", id=repr(G))
+                         "K*M must stay below 2**63", "", {"name": "l3"}, id=repr(G))
             for G in (1e-320, 1e-300, 1e-20)
         ] + [
             pytest.param(1e-9, "G=1e-09 gives M=24000000000 slots for K=24, "
-                         "above the bound MAX_SLOTS = 1000000", "24000000000", id="1e-09"),
+                         "above the bound MAX_SLOTS = 1000000", "24000000000", {"name": "l3"},
+                         id="1e-09"),
+            pytest.param(1e-3, "no distribution at M=24000: ideal_soliton Y=24000 is above "
+                         "the bound MAX_SOLITON_Y = 10000", "24000",
+                         {"name": "ideal_soliton", "Y": "M"}, id="soliton_Y_M"),
         ],
     )
     @pytest.mark.parametrize(
@@ -573,12 +577,13 @@ class TestMainCommands:
         ids=["sweep", "tune_rs", "tune_pa"],
     )
     def test_slot_count_out_of_range_flags_the_point(
-        self, tmp_path, capsys, command, scheme, G, note, M
+        self, tmp_path, capsys, command, scheme, G, note, M, distribution
     ):
         # K/G overflows at 1e-320; at 1e-300 and 1e-20 the edge keys
         # message * M + slot would pass int64.  At 1e-9 they fit, but a
-        # frame group's per-slot arrays would not fit in memory.
-        config = dict(scheme, distribution={"name": "l3"}, K=24, G_grid=[G, 0.5], trials=2)
+        # frame group's per-slot arrays would not fit in memory.  At 1e-3
+        # M fits, but a soliton tracking it would take minutes to build.
+        config = dict(scheme, distribution=distribution, K=24, G_grid=[G, 0.5], trials=2)
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
         with warnings.catch_warnings(record=True) as caught:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from irsa_sim import harness, schemes
-from irsa_sim.decoder import decode_frame, statically_decodable, success_thresholds
+from irsa_sim.decoder import decode_frame, static_passes
 from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
 from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.harness import (
@@ -36,7 +36,7 @@ from irsa_sim.schemes import (
     hat_es_from_rate,
     rs_sinr_target,
 )
-from oracles import rate_rs
+from oracles import effective_sinr, oracle_interference, rate_rs
 
 
 # The tuning of the tests that need a single (alpha, beta) pair.
@@ -217,6 +217,30 @@ class TestRunSweep:
         )
         assert not tune_mu(pa, 0, tuning, "mean_fraction", 0.9).feasible
 
+    def test_soliton_past_its_support_bound_is_flagged_unbuilt(self, monkeypatch):
+        # A literal Y and "Y": "M" alike: past MAX_SOLITON_Y the point is
+        # flagged before any atom is built; at the bound it runs.
+        built = []
+        real = harness.from_name
+        monkeypatch.setattr(harness, "from_name", lambda *args: built.append(args) or real(*args))
+        bound = harness.MAX_SOLITON_Y
+        spec = SweepSpec(
+            scheme="IRSA", dist_name="modified_soliton", dist_Y=bound + 1, K=24,
+            G_grid=(0.002,), trials=1, tilde_Es_over_N0=0.01,
+        )
+        tracking = dataclasses.replace(spec, dist_name="ideal_soliton", dist_Y="M")
+        for s, Y in ((spec, bound + 1), (tracking, 12000)):
+            (rec,) = run_sweep(s)
+            assert rec.M == 12000 and rec.T_mean is None
+            assert rec.note == (
+                f"infeasible: no distribution at M=12000: {s.dist_name} Y={Y} is above "
+                f"the bound MAX_SOLITON_Y = {bound}"
+            )
+        assert built == []
+        (rec,) = run_sweep(dataclasses.replace(spec, dist_Y=bound))
+        assert rec.note == "" and rec.T_mean is not None
+        assert built == [("modified_soliton", bound)]
+
     def test_deterministic_under_seed(self):
         a = run_sweep(small_rs_spec(trials=15))[0]
         b = run_sweep(small_rs_spec(trials=15))[0]
@@ -349,25 +373,30 @@ class TestTuneRs:
         # stacked once, one closure per decoded candidate: the efficiency
         # bound rules out most of them undecoded, and only those that
         # cannot win.
-        closures, visited, stacked = [], [], []
-        real, visit = harness.decoded_closure, harness._RsSearch.visit
-        real_stack = harness.stack_frames
+        closures, visited, stacked, searches = [], [], [], []
+        real, real_sets = harness.decoded_closure, harness._decoded_sets
+        real_stack, real_search = harness.stack_frames, harness._rs_search
 
         def spy(graph, energies, thresholds, N0):
             closures.append(graph.K)
             return real(graph, energies, thresholds, N0)
 
-        def visit_spy(search, i):
-            visited.append(i)
-            return visit(search, i)
+        def sets_spy(point, stacks, table, test=None):
+            visited.append(next(i for i, t in enumerate(searches[0][2]) if t is table))
+            return real_sets(point, stacks, table, test)
 
         def stack_spy(graphs):
             stacked.append(len(graphs))
             return real_stack(graphs)
 
+        def search_spy(*args):
+            searches.append(real_search(*args))
+            return searches[-1]
+
         monkeypatch.setattr(harness, "decoded_closure", spy)
-        monkeypatch.setattr(harness._RsSearch, "visit", visit_spy)
+        monkeypatch.setattr(harness, "_decoded_sets", sets_spy)
         monkeypatch.setattr(harness, "stack_frames", stack_spy)
+        monkeypatch.setattr(harness, "_rs_search", search_spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.9,), trials=1, seed=3, tilde_Es_over_N0=0.0009,
@@ -385,12 +414,13 @@ class TestTuneRs:
         assert stacked == [harness.FRAME_GROUP]
         # Every candidate left undecoded has an efficiency bound (every
         # message decoded) below the winner's mean efficiency.
-        search = harness._rs_search(spec, 0, tuning)
-        c_ref = reference_capacity(search.tables[0], search.point.cfg)
-        skipped = set(range(len(search.schemes))) - set(visited)
+        (point, candidates, tables, stacks), = searches
+        index = np.concatenate([point.index(stack) for stack in stacks])
+        c_ref = reference_capacity(tables[0], point.cfg)
+        skipped = set(range(len(candidates))) - set(visited)
         assert len(skipped) + len(visited) == 84
         for i in skipped:
-            total = search.tables[i].rates[search.index].sum()
+            total = tables[i].rates[index].sum()
             assert total / (tuning.tune_trials * c_ref) < tuned.eta_mean
 
     def test_each_pair_takes_one_sinr_target(self, monkeypatch):
@@ -416,7 +446,8 @@ class TestTuneRs:
         assert sorted(calls) == sorted(
             (p.cfg.G * p.l_avg, a, b) for p in points for a, b in pairs
         )
-        assert len(harness._rs_search(spec, 0, tuning).schemes) == len(pairs) - 2
+        _, admissible, _, _ = harness._rs_search(spec, 0, tuning)
+        assert len(admissible) == len(pairs) - 2
 
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
         # The RS tuners build RS candidates themselves: an IRSA spec is
@@ -680,13 +711,14 @@ class TestCompare:
             acc.add(count / 375)
         assert acc.mean < 0.78 == sum(per_frame) / (60 * 375)
 
-        def exact_tie(search, i):
-            decoded = np.zeros(search.index.shape, dtype=bool)
+        def exact_tie(point, stacks, table, test=None):
+            frames = sum(stack.K for stack in stacks) // point.cfg.K
+            decoded = np.zeros((frames, point.cfg.K), dtype=bool)
             for row, count in zip(decoded, per_frame):
                 row[:count] = True
             return decoded
 
-        monkeypatch.setattr(harness._RsSearch, "visit", exact_tie)
+        monkeypatch.setattr(harness, "_decoded_sets", exact_tie)
         tuning = harness._tune_rs_for_rate(
             spec, TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=60), 0.78
         )
@@ -697,21 +729,29 @@ class TestCompare:
         # mean rate and decodes none after the first that holds the floor.
         # Each visit is one closure on one frame group, and the winner's
         # evaluation one more.
-        visits, closures = [], []
-        real, real_closure = harness._RsSearch.visit, harness.decoded_closure
+        visits, closures, searches = [], [], []
+        real, real_closure = harness._decoded_sets, harness.decoded_closure
+        real_search = harness._rs_search
 
-        def spy(search, i):
-            decoded = real(search, i)
-            slots = decoded.shape[0] * search.point.cfg.M
-            visits.append((search, i, int(decoded.sum()) / slots))
+        def spy(point, stacks, table, test=None):
+            decoded = real(point, stacks, table, test)
+            _, _, tables, held = searches[0]
+            if stacks is held:  # a visit of the search, not the evaluation
+                i = next(i for i, t in enumerate(tables) if t is table)
+                visits.append((i, int(decoded.sum()) / (decoded.shape[0] * point.cfg.M)))
             return decoded
 
         def closure_spy(graph, energies, thresholds, N0):
             closures.append(graph.K)
             return real_closure(graph, energies, thresholds, N0)
 
-        monkeypatch.setattr(harness._RsSearch, "visit", spy)
+        def search_spy(*args):
+            searches.append(real_search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(harness, "_decoded_sets", spy)
         monkeypatch.setattr(harness, "decoded_closure", closure_spy)
+        monkeypatch.setattr(harness, "_rs_search", search_spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.8,), trials=2, seed=17, tilde_Es_over_N0=0.0009,
@@ -721,12 +761,12 @@ class TestCompare:
             tune_trials=harness.FRAME_GROUP,
         )
         chosen = harness._tune_rs_for_rate(spec, tuning, 0.78)
-        search = visits[0][0]
-        order = harness._by_mean_rate(search.point, search.tables)
+        (point, candidates, tables, _), = searches
+        order = harness._by_mean_rate(point, tables)
         assert 1 < len(visits) < len(order)
-        assert [i for _, i, _ in visits] == order[:len(visits)]
-        assert all(T < 0.78 for *_, T in visits[:-1]) and visits[-1][2] >= 0.78
-        assert chosen[0] == search.schemes[visits[-1][1]]
+        assert [i for i, _ in visits] == order[:len(visits)]
+        assert all(T < 0.78 for _, T in visits[:-1]) and visits[-1][1] >= 0.78
+        assert chosen[0] == candidates[visits[-1][0]]
         *searched, size = closures
         assert size == spec.trials * spec.K
         assert len(searched) == len(visits)
@@ -891,34 +931,42 @@ def split_stacks(point, stacks):
     return frames
 
 
-def sequential_decoded_sets(point, stacks, table):
-    """Reference for harness._decoded_sets: one decode_frame per frame of
-    the stacks, on ``table`` read at the frame's degrees.  decode_frame's decoded set reads only the scheme's variant,
-    told here by the table: only a PA table has no common Es."""
+def static_oracle(graph, profile, N0):
+    """Which messages pass their success test before any cancellation, by
+    the per-message effective_sinr loop over the whole frame's
+    interference."""
+    interference = oracle_interference(graph, profile.energies, [False] * graph.K)
+    thresholds = profile.sinr_thresholds * (1 - 1e-9)
+    return [
+        effective_sinr(m, graph, interference, profile, N0) >= thresholds[m]
+        for m in range(graph.K)
+    ]
+
+
+def sequential_decoded_sets(point, stacks, table, test=None):
+    """Reference for harness._decoded_sets, one frame of the stacks at a
+    time on ``table`` read at the frame's degrees: decode_frame's decoded
+    set, or with ``test`` static_passes, static_oracle's passing set.
+    decode_frame's decoded set reads only the scheme's variant, told here
+    by the table: only a PA table has no common Es."""
     if table.Es is None:
         scheme = SchemeConfig("PA", mu=1.0)
     else:
         scheme = SchemeConfig("RS", alpha=1.0, beta=1.0)
-    return np.array([
-        decode_frame(graph, table.take(point.index(graph)), scheme, point.cfg).decoded
-        for graph in split_stacks(point, stacks)
-    ])
-
-
-def sequential_visit(search, i):
-    """Reference for harness._RsSearch.visit: one decode_frame per held
-    tuning frame, on the profile built for the frame."""
-    scheme = search.schemes[i]
-    return np.array([
-        frame_outcome(search.point, g, scheme)[1].decoded
-        for g in split_stacks(search.point, search.stacks)
-    ])
+    masks = []
+    for graph in split_stacks(point, stacks):
+        profile = table.take(point.index(graph))
+        if test is static_passes:
+            masks.append(static_oracle(graph, profile, point.cfg.N0))
+        else:
+            masks.append(decode_frame(graph, profile, scheme, point.cfg).decoded)
+    return np.array(masks, dtype=bool)
 
 
 def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
     """Reference for harness.tune_mu: the criterion's measure at every mu of
     the grid in turn, each frame decoded by decode_frame or tested by
-    statically_decodable, until one reaches the target."""
+    static_oracle, until one reaches the target."""
     base = make_point(spec, g_index)
     tune_seed = mix64(spec.seed, harness.PURPOSE_MU_TUNE)
     frames = [harness._frame(base, tune_seed, t) for t in range(tuning.tune_trials)]
@@ -935,9 +983,7 @@ def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
             ok = 0
             for g in frames:
                 profile = build_profile(g.degrees, base.cfg, scheme, base.l_avg)
-                ok += statically_decodable(
-                    g, profile.energies, success_thresholds(profile), base.cfg.N0
-                )
+                ok += all(static_oracle(g, profile, base.cfg.N0))
             frac = ok / len(frames)
         if frac >= target:
             return harness.MuTuning(base.G, mu, True, decoded_fraction=frac, criterion=criterion)
@@ -1010,12 +1056,18 @@ class TestTunersMatchSequentialReceiver:
         tuning = TuningConfig(
             alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=harness.FRAME_GROUP + 3
         )
-        n = len(harness._rs_search(spec, 0, tuning).schemes)
+        point, candidates, tables, stacks = harness._rs_search(spec, 0, tuning)
+        # The reference decodes each frame on the profile built for it.
+        want = [
+            [frame_outcome(point, g, scheme)[1].decoded for g in split_stacks(point, stacks)]
+            for scheme in candidates
+        ]
+        n = len(candidates)
         shuffled = np.random.default_rng(4).permutation(n).tolist()
         for order in (range(n), range(n - 1, -1, -1), shuffled):
-            search = harness._rs_search(spec, 0, tuning)
+            point, _, tables, stacks = harness._rs_search(spec, 0, tuning)
             for i in order:
-                assert np.array_equal(search.visit(i), sequential_visit(search, i))
+                assert np.array_equal(harness._decoded_sets(point, stacks, tables[i]), want[i])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tune_mu_mean_fraction(self, seed, monkeypatch):
@@ -1033,6 +1085,22 @@ class TestTunersMatchSequentialReceiver:
             for g in range(3)
         ]
         assert slow == fast
+        assert any(t.feasible and t.mu > 1.0 for t in fast)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tune_mu_static_reliability(self, seed, monkeypatch):
+        spec = SweepSpec(
+            scheme="PA", dist_name="modified_soliton", dist_Y=6, K=60,
+            G_grid=(0.5, 1.0, 1.3), trials=5, seed=seed, hat_R_bits=8.0,
+        )
+        tuning = TuningConfig(tune_trials=2 * harness.FRAME_GROUP + 3)
+
+        def tunings():
+            return [tune_mu(spec, g, tuning, "static_reliability", 0.6) for g in range(3)]
+
+        fast = tunings()
+        monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
+        assert tunings() == fast
         assert any(t.feasible and t.mu > 1.0 for t in fast)
 
     @pytest.mark.parametrize(
@@ -1074,15 +1142,21 @@ class TestTunersMatchSequentialReceiver:
     def test_closures_take_one_frame_group_at_a_time(self, monkeypatch):
         # However many tuning or evaluation trials, the order-free decode
         # holds at most FRAME_GROUP frames side by side.
+        # The mu tuner's static test is held to it too.
         group = harness.FRAME_GROUP
-        sizes = []
-        real = harness.decoded_closure
+        sizes = {"decoded_closure": [], "static_passes": []}
 
-        def spy(graph, energies, thresholds, N0):
-            sizes.append(graph.K // spec.K)
-            return real(graph, energies, thresholds, N0)
+        def spy_on(name):
+            real = getattr(harness, name)
 
-        monkeypatch.setattr(harness, "decoded_closure", spy)
+            def spy(graph, energies, thresholds, N0):
+                sizes[name].append(graph.K // spec.K)
+                return real(graph, energies, thresholds, N0)
+
+            monkeypatch.setattr(harness, name, spy)
+
+        spy_on("decoded_closure")
+        spy_on("static_passes")
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=6, K=40,
             G_grid=(0.8,), trials=2 * group + 1, seed=5, tilde_Es_over_N0=0.002,
@@ -1091,7 +1165,14 @@ class TestTunersMatchSequentialReceiver:
             alpha_grid=(0.2, 1.2), beta_grid=(1.0,), tune_trials=3 * group + 2
         )
         compare_rs_pa(spec, tuning, CompareConfig((-16.0,), min_throughput=0.5))
-        assert max(sizes) == group and group + 2 not in sizes and 2 in sizes and 1 in sizes
+        closure = sizes["decoded_closure"]
+        assert max(closure) == group and group + 2 not in closure
+        assert 2 in closure and 1 in closure and not sizes["static_passes"]
+        pa_spec = dataclasses.replace(spec, scheme="PA", hat_R_bits=8.0, tilde_Es_over_N0=None)
+        tuned = tune_mu(pa_spec, 0, tuning, "static_reliability", 0.9)
+        static = sizes["static_passes"]
+        assert tuned.feasible and tuned.mu > 1.0
+        assert max(static) == group and group + 2 not in static and 2 in static
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_compare_rs_pa(self, seed, monkeypatch):
@@ -1112,7 +1193,6 @@ class TestTunersMatchSequentialReceiver:
 
         fast = rows()
         monkeypatch.setattr(harness, "_decoded_sets", sequential_decoded_sets)
-        monkeypatch.setattr(harness._RsSearch, "visit", sequential_visit)
         assert rows() == fast
         assert any(r.scheme == "PA" and r.mu is not None for r in fast)
 
@@ -1139,6 +1219,4 @@ class TestTunersMatchSequentialReceiver:
                     assert np.array_equal(table.degrees[index], graph.degrees)
                     assert np.array_equal(table.energies[index], profile.energies)
                     assert np.array_equal(table.rates[index], profile.rates)
-                    assert np.array_equal(
-                        success_thresholds(table)[index], success_thresholds(profile)
-                    )
+                    assert np.array_equal(table.sinr_thresholds[index], profile.sinr_thresholds)
