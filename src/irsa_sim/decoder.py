@@ -92,7 +92,8 @@ decode, and take that closure with ``decoded_closure``, one profile at a
 time, over a group of frames side by side (``stack_frames``).  The closure
 is monotone in the profile as well: lower thresholds at the same energies,
 or a larger PA margin mu, decode a superset on the same frames, which the
-mu tuner's bisection relies on.  ``decoded_closure`` and ``static_passes``
+tuners' one search (``harness._first_reaching``) relies on over the mu
+grid and each chain of RS tables.  ``decoded_closure`` and ``static_passes``
 raise InfeasibleOperatingPointError where a slot's interference, or it plus
 N0, overflows: the SINRs would be wrong, and the point is flagged.  Evaluation
 keeps the sequential receiver ``decode_frame``: the genie rate behind

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +86,12 @@ FRAME_GROUP = 8
 # frames side by side, so each per-slot array it builds has 8*M values
 # (64 MB of float64 at the bound); the shipped configs stay under 10**4.
 MAX_SLOTS = 10**6
+
+# Most edges a grid point's frame may draw, K times the distribution's max
+# degree: a FRAME_GROUP stack's per-edge arrays have up to 8*MAX_EDGES values
+# each (64 MB of int64 at the bound); the shipped configs stay under 10**4.
+# The tuners hold their frames: at most as many edges as one such stack.
+MAX_EDGES = 10**6
 
 # Largest soliton parameter Y a grid point may build, for a literal Y and
 # for "Y": "M" alike: resolving the point builds Y exact atoms and sums its
@@ -316,8 +322,9 @@ class RunningStats:
 def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     """Resolve one grid point.  Raises InfeasibleOperatingPointError when G
     leaves fewer slots than the degree distribution needs, or more than
-    MAX_SLOTS, or than K*M < 2**63 allows, or when the soliton's Y is above
-    MAX_SOLITON_Y."""
+    MAX_SLOTS, or than K*M < 2**63 allows, when the soliton's Y is above
+    MAX_SOLITON_Y, or when a frame could draw more than MAX_EDGES edges;
+    all before any frame is drawn."""
     G = spec.G_grid[g_index]
     M = spec.slots_for(G)
     if M is None:
@@ -337,6 +344,11 @@ def make_point(spec: SweepSpec, g_index: int) -> SweepPoint:
     if dist.max_degree > M:
         raise InfeasibleOperatingPointError(
             f"max degree {dist.max_degree} exceeds M={M} at G={G}"
+        )
+    if spec.K * dist.max_degree > MAX_EDGES:
+        raise InfeasibleOperatingPointError(
+            f"K={spec.K} at max degree {dist.max_degree} draws up to "
+            f"{spec.K * dist.max_degree} edges a frame, above the bound MAX_EDGES = {MAX_EDGES}"
         )
     return SweepPoint(
         g_index=g_index,
@@ -364,6 +376,21 @@ def _stacks(point: SweepPoint, seed: int, trials: int) -> Iterator[FrameGraph]:
     for first in range(0, trials, FRAME_GROUP):
         group = range(first, min(first + FRAME_GROUP, trials))
         yield stack_frames([_frame(point, seed, t) for t in group])
+
+
+def _held_stacks(point: SweepPoint, seed: int, trials: int) -> list[FrameGraph]:
+    """The stacks of ``_stacks``, all held at once, as the tuners hold
+    their tuning frames.  Raises InfeasibleOperatingPointError, before any
+    draw, where they could hold more edges than one FRAME_GROUP stack at
+    MAX_EDGES: trials * K * max degree above FRAME_GROUP * MAX_EDGES."""
+    edges = trials * point.cfg.K * point.dist.max_degree
+    if edges > FRAME_GROUP * MAX_EDGES:
+        raise InfeasibleOperatingPointError(
+            f"tuning.tune_trials = {trials} frames of K={point.cfg.K} at max degree "
+            f"{point.dist.max_degree} hold up to {edges} edges, above the bound "
+            f"FRAME_GROUP * MAX_EDGES = {FRAME_GROUP * MAX_EDGES}"
+        )
+    return list(_stacks(point, seed, trials))
 
 
 def _table(point: SweepPoint, scheme: SchemeConfig) -> TransmitProfile:
@@ -396,6 +423,43 @@ def _decoded_sets(
             test(stack, table.energies[index], table.sinr_thresholds[index], point.cfg.N0)
         )
     return np.concatenate(masks).reshape(-1, point.cfg.K)
+
+
+def _first_reaching(
+    keys: Sequence[int], stacks: list[FrameGraph],
+    outcomes: Callable[[int, list[FrameGraph]], np.ndarray],
+    reaches: Callable[[np.ndarray], bool],
+) -> tuple[int | None, np.ndarray]:
+    """Every tuner's one search: the first of ``keys`` whose outcomes reach
+    the target, with them; None, with the outcomes at the last key, where
+    none does.  ``outcomes(key, which)`` gives one outcome per frame of the
+    ``which`` stacks (``_stacks``); ``reaches`` tells whether the outcomes
+    of every frame of ``stacks`` reach the target.  No frame's outcome may
+    fall along ``keys``, nor ``reaches`` turn false as outcomes rise, so
+    the keys that reach form a tail.  The search evaluates the first key,
+    then the last, then bisects, keeping each frame's outcome at both ends
+    of its bracket; at each mid it evaluates again only the stacks holding
+    a frame whose outcome differs between the ends, since a frame with one
+    outcome at both has it at every key between."""
+    lo, hi = 0, len(keys) - 1
+    out_lo = outcomes(keys[lo], stacks)
+    if reaches(out_lo):
+        return keys[lo], out_lo
+    out_hi = out_lo if hi == lo else outcomes(keys[hi], stacks)
+    if not reaches(out_hi):
+        return None, out_hi
+    stack_of = np.arange(len(out_lo)) // FRAME_GROUP  # each frame's stack
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        reopen = np.zeros(len(stacks), dtype=bool)
+        reopen[stack_of[out_lo != out_hi]] = True
+        out_mid = out_lo.copy()
+        out_mid[reopen[stack_of]] = outcomes(keys[mid], [s for s, r in zip(stacks, reopen) if r])
+        if reaches(out_mid):
+            hi, out_hi = mid, out_mid
+        else:
+            lo, out_lo = mid, out_mid
+    return keys[hi], out_hi
 
 
 def _check_measures(profile: TransmitProfile, cfg: ChannelConfig) -> None:
@@ -506,9 +570,9 @@ class RsTuning:
 def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
     """Grid-search (alpha, beta) over ``tuning``'s grids per G point.
 
-    Feasible candidates keep mean throughput at or above
-    RS_THROUGHPUT_FACTOR * min(G, throughput_cap); among them the pair with
-    the highest mean efficiency wins, ties broken by larger throughput, then
+    Feasible candidates keep throughput at or above RS_THROUGHPUT_FACTOR *
+    min(G, throughput_cap) (``_rs_search``); among them the pair with the
+    highest mean efficiency wins, ties broken by larger throughput, then
     smaller alpha, then the earlier pair in alpha-major order.  Pairs whose
     estimated-interference denominator is non-positive are rejected up
     front; of the others, only those that can still win are decoded.
@@ -522,17 +586,14 @@ def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
     ]
 
 
-def _rs_search(
+def _rs_pairs(
     spec: SweepSpec, g_index: int, tuning: TuningConfig
 ) -> tuple[SweepPoint, list[SchemeConfig], list[TransmitProfile], list[FrameGraph]] | None:
-    """The RS tuners' candidate search at one grid point: the point, the
-    admissible (alpha, beta) pairs of ``tuning``'s grids, alpha-major, their
-    tables (``_table``), and the point's PURPOSE_RS_TUNE stacks
-    (``_stacks``), drawn and stacked once and held for ``_decoded_sets``;
-    the caller orders the visits.  A pair is admissible when its table
-    raises no TuningParameterError.  None when no pair is admissible;
-    InfeasibleOperatingPointError when a table fails, the first in
-    alpha-major order."""
+    """The RS tuners' candidates at one grid point: the point, the
+    admissible (alpha, beta) pairs of ``tuning``'s grids (those whose table
+    raises no TuningParameterError), alpha-major, their tables and the
+    PURPOSE_RS_TUNE stacks (``_held_stacks``); None when no pair is.
+    InfeasibleOperatingPointError when a table fails, the first in order."""
     point = make_point(spec, g_index)
     schemes: list[SchemeConfig] = []
     tables: list[TransmitProfile] = []
@@ -547,33 +608,60 @@ def _rs_search(
             schemes.append(scheme)
     if not schemes:
         return None
-    stacks = list(_stacks(point, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials))
+    stacks = _held_stacks(point, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials)
     return point, schemes, tables, stacks
+
+
+def _rs_search(
+    point: SweepPoint, tables: list[TransmitProfile], stacks: list[FrameGraph], floor: float
+) -> list[int]:
+    """The places in ``tables`` of the pairs whose decoded total over
+    ``stacks`` holds ``floor`` exactly, int(total) / (frames * M) >= floor
+    (a mean of per-frame ratios can round below it), by descending mean
+    rate over devices, ties in alpha-major order.  RS pairs spend one
+    energy, so a table whose thresholds are all at most the previous one's
+    decodes a superset on every frame (``decoder``); the order is cut into
+    chains wherever that fails, and on each chain ``_first_reaching`` finds
+    the feasible tail.  The energies alone decide whether a slot's
+    interference overflows, whichever pair is decoded first."""
+    means = [point.dist.probabilities @ table.rates for table in tables]
+    order = sorted(range(len(tables)), key=lambda i: -means[i])
+    chains = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if np.all(tables[i].sinr_thresholds <= tables[prev].sinr_thresholds):
+            chains[-1].append(i)
+        else:
+            chains.append([i])
+    feasible: list[int] = []
+    for chain in chains:
+        first, _ = _first_reaching(
+            chain, stacks,
+            lambda i, which: _decoded_sets(point, which, tables[i]).sum(axis=1),
+            lambda counts: int(counts.sum()) / (counts.size * point.cfg.M) >= floor,
+        )
+        if first is not None:
+            feasible += chain[chain.index(first):]
+    return feasible
 
 
 def _tune_rs_point(
     spec: SweepSpec, g_index: int, tuning: TuningConfig, target: float
 ) -> RsTuning:
-    """``tune_rs`` at one grid point, by branch and bound.  A candidate's
-    mean eta is at most its bound, its rate table summed over the tuning
-    frames' degree counts over tune_trials * C_ref, widened by
-    ETA_BOUND_SLACK: the decoded rates are a subset of positive rates, and
-    the slack exceeds the float error of both sums, about
-    (K + tune_trials) * 2**-53 relative.  Visited by descending bound, the
-    search stops at the first bound strictly below the best feasible mean
-    eta so far (a candidate tied with it is still visited).  On equal keys
-    (eta, T, -alpha) the one earlier in alpha-major order is kept, as
-    ``max`` keeps it.  A visited candidate's mean T and eta come from
-    ``_closure_means`` over the held stacks.  RS energies are common to all
-    candidates, so an interference overflow raises on the first one
-    visited."""
+    """``tune_rs`` at one grid point: branch and bound over the pairs
+    ``_rs_search`` finds feasible at ``target``.  A pair's mean eta is at
+    most its bound, its rate table summed over the tuning frames' degree
+    counts over tune_trials * C_ref, widened by ETA_BOUND_SLACK beyond the
+    float error of both sums, about (K + tune_trials) * 2**-53 relative.
+    Visited by descending bound (mean T and eta by ``_closure_means``), the
+    search stops at the first bound strictly below the best mean eta; on
+    equal keys (eta, T, -alpha) the earlier pair in alpha-major order wins."""
     G = spec.G_grid[g_index]
     flagged = lambda note: RsTuning(G, None, None, False, target=target, note=note)
     try:
-        search = _rs_search(spec, g_index, tuning)
-        if search is None:
+        pairs = _rs_pairs(spec, g_index, tuning)
+        if pairs is None:
             return flagged("no admissible (alpha, beta) in the grids")
-        point, schemes, tables, stacks = search
+        point, schemes, tables, stacks = pairs
         # T and eta are trial_metrics' expressions, added in frame order.
         # RS spends one common energy, so C_ref depends on the grid point
         # alone.
@@ -581,13 +669,15 @@ def _tune_rs_point(
         # The bounds divide by C_ref; a NaN one makes them NaN, skipping none.
         if c_ref == 0:
             raise InfeasibleOperatingPointError("C_ref = 0 is not positive and finite")
+        feasible = _rs_search(point, tables, stacks, target)
+        if not feasible:
+            return flagged(f"no candidate reached mean T >= {target:.4g}")
         index = np.concatenate([point.index(stack) for stack in stacks])
         counts = np.bincount(index, minlength=len(point.dist.degrees))
         scale = (1.0 + ETA_BOUND_SLACK) / (tuning.tune_trials * c_ref)
-        totals = np.stack([table.rates for table in tables]) @ counts
-        bounds = [total * scale for total in totals.tolist()]
-        best = None  # (eta, T, -alpha, -i) of the best feasible candidate
-        for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
+        bounds = {i: float(tables[i].rates @ counts) * scale for i in feasible}
+        best = None  # (eta, T, -alpha, -i) of the best feasible pair
+        for i in sorted(feasible, key=lambda i: -bounds[i]):
             if best is not None and bounds[i] < best[0]:
                 break
             rates = tables[i].rates
@@ -596,12 +686,10 @@ def _tune_rs_point(
                 lambda mask, index: float(rates[index][mask].sum()) / c_ref,
             )
             key = (eta, T, -schemes[i].alpha, -i)
-            if T >= target and (best is None or key > best):
+            if best is None or key > best:
                 best = key
     except InfeasibleOperatingPointError as err:
         return flagged(str(err))
-    if best is None:
-        return flagged(f"no candidate reached mean T >= {target:.4g}")
     eta, T, _, i = best
     scheme = schemes[-i]
     return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
@@ -640,25 +728,16 @@ def tune_mu(
 
     The criterion and its target are arguments, not ``tuning``'s fields:
     the tuned sweep passes tuning.mu_criterion with its target_fraction or
-    reliability, while the comparison always bisects on ``mean_fraction``
+    reliability, while the comparison always searches on ``mean_fraction``
     at min_throughput / G, a target that may exceed 1 (no mu reaches it)
     and so is no valid target_fraction.
 
-    Both criteria are non-decreasing in mu on a fixed set of frames (raising
-    every energy never breaks a threshold test), so bisection over the grid
-    is exact for the tuning streams.  So is each frame's outcome, read from
-    ``_decoded_sets`` with the criterion's test: its decoded count
-    (``decoded_closure``) only grows with mu, and a statically decodable
-    frame (``static_passes`` true for every message) stays so.  The
-    bisection keeps every frame's outcome at both ends of its bracket and,
-    at each mid, evaluates again only the stacks (``_stacks``) holding a
-    frame whose outcome differs between the ends: a frame with one outcome
-    at both has it at every mu between, so evaluating it again changes
-    nothing, and every measure and decision is that of a full evaluation.
-    The stacks are drawn once and stay in memory for the whole bisection.
+    Raising every energy never breaks a threshold test, so a frame's decoded
+    count (``decoded_closure``) only grows with mu, and a statically
+    decodable frame (``static_passes``) stays so: ``_first_reaching``
+    searches the grid from mu = 1 up over the held tuning stacks.
     """
     G = spec.G_grid[g_index]
-    tune_seed = mix64(spec.seed, PURPOSE_MU_TUNE)
     mu_at = lambda k: 1.0 + k * tuning.mu_resolution
     # The top of the grid: the largest k with mu_at(k) <= mu_max, where a k
     # above it by float rounding alone, under 1e-9 of a step, still counts
@@ -667,62 +746,30 @@ def tune_mu(
     if mu_at(n_steps + 1) - tuning.mu_max <= 1e-9 * tuning.mu_resolution:
         n_steps += 1
     top = spec.scheme_config(mu=mu_at(n_steps))  # raises for a scheme that takes no mu
+    # Each frame's outcome, reduced from its mask, and the measure's scale.
+    if criterion == "mean_fraction":
+        test, outcome, scale = decoded_closure, np.sum, tuning.tune_trials * spec.K
+    else:
+        test, outcome, scale = static_passes, np.all, tuning.tune_trials
     try:
         base = make_point(spec, g_index)
         # Energies rise with mu: the table at the top of the grid is the one
         # to check, and a failure there is the point's note.
         _table(base, top)
+        stacks = _held_stacks(base, mix64(spec.seed, PURPOSE_MU_TUNE), tuning.tune_trials)
+        table = lambda k: _table(base, spec.scheme_config(mu=mu_at(k)))
+        k, out = _first_reaching(
+            range(n_steps + 1), stacks,
+            lambda k, which: outcome(_decoded_sets(base, which, table(k), test), axis=1),
+            lambda out: int(out.sum()) / scale >= target,
+        )
     except InfeasibleOperatingPointError as err:
         return MuTuning(G, None, False, criterion=criterion, note=str(err))
-    stacks = list(_stacks(base, tune_seed, tuning.tune_trials))
-    stack_of = np.arange(tuning.tune_trials) // FRAME_GROUP  # each frame's stack
-    # Each frame's outcome, reduced from its mask, and the measure's scale.
-    if criterion == "mean_fraction":
-        test, outcome, scale = decoded_closure, np.sum, tuning.tune_trials * base.cfg.K
-    else:
-        test, outcome, scale = static_passes, np.all, tuning.tune_trials
-
-    def outcomes(mu: float, which: list[FrameGraph]) -> np.ndarray:
-        """The outcome at mu of each frame of the ``which`` stacks."""
-        table = _table(base, spec.scheme_config(mu=mu))
-        return outcome(_decoded_sets(base, which, table, test), axis=1)
-
-    def fraction(out: np.ndarray) -> float:
-        return int(out.sum()) / scale
-
-    try:
-        out_lo = outcomes(1.0, stacks)
-        frac_lo = fraction(out_lo)
-        if frac_lo >= target:
-            return MuTuning(G, 1.0, True, decoded_fraction=frac_lo, criterion=criterion)
-        out_hi = outcomes(mu_at(n_steps), stacks)
-        frac_hi = fraction(out_hi)
-        if frac_hi < target:
-            return MuTuning(
-                G, None, False, decoded_fraction=frac_hi, criterion=criterion,
-                note=f"no mu <= {tuning.mu_max} reaches {criterion} target {target}",
-            )
-        lo, hi = 0, n_steps  # measure(lo) < target <= measure(hi)
-        frac_at_hi = frac_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            # A frame with one value at lo and at hi has it at every mu
-            # between: only the stacks holding another are evaluated again.
-            reopen = np.zeros(len(stacks), dtype=bool)
-            reopen[stack_of[out_lo != out_hi]] = True
-            rows = reopen[stack_of]
-            out_mid = out_lo.copy()
-            out_mid[rows] = outcomes(mu_at(mid), [stacks[s] for s in np.flatnonzero(reopen)])
-            frac = fraction(out_mid)
-            if frac >= target:
-                hi, frac_at_hi, out_hi = mid, frac, out_mid
-            else:
-                lo, out_lo = mid, out_mid
-    except InfeasibleOperatingPointError as err:
-        return MuTuning(G, None, False, criterion=criterion, note=str(err))
-    return MuTuning(
-        G, mu_at(hi), True, decoded_fraction=frac_at_hi, criterion=criterion
-    )
+    fraction = int(out.sum()) / scale
+    if k is None:
+        note = f"no mu <= {tuning.mu_max} reaches {criterion} target {target}"
+        return MuTuning(G, None, False, decoded_fraction=fraction, criterion=criterion, note=note)
+    return MuTuning(G, mu_at(k), True, decoded_fraction=fraction, criterion=criterion)
 
 
 def run_tuned_sweep(
@@ -879,42 +926,23 @@ def _closure_means(
     return T.mean, value.mean
 
 
-def _by_mean_rate(point: SweepPoint, tables: list[TransmitProfile]) -> list[int]:
-    """The candidates' places in ``tables`` by descending mean rate over
-    devices, the expectation of their rate tables over the degree
-    distribution."""
-    means = [point.dist.probabilities @ table.rates for table in tables]
-    return sorted(range(len(means)), key=lambda i: -means[i])
-
-
 def _tune_rs_for_rate(
     spec: SweepSpec, tuning: TuningConfig, min_throughput: float
 ) -> tuple[SchemeConfig, float, float] | None:
-    """Highest-mean-rate (alpha, beta) of ``tuning``'s grids with mean
-    T >= min_throughput over its tune_trials frames.
-
-    The mean selected rate over devices is the analytic expectation over the
-    degree distribution; only the throughput constraint needs simulation.
-    The search visits the candidates by descending mean rate and stops at
-    the first that holds the floor: it wins, so no later one is decoded.
-    Returns (scheme, eval T mean, eval mean rate) or None.
-    """
-    search = _rs_search(spec, 0, tuning)
-    if search is None:
+    """Highest-mean-rate (alpha, beta) of ``tuning``'s grids whose decoded
+    total over its tune_trials frames holds min_throughput: the first pair
+    ``_rs_search`` finds feasible.  The mean rate over devices is the
+    expectation over the degree distribution; only the throughput floor
+    needs simulation.  Returns (scheme, eval T mean, eval mean rate) or
+    None."""
+    pairs = _rs_pairs(spec, 0, tuning)
+    if pairs is None:
         return None
-    point, schemes, tables, stacks = search
-    # The floor compares the exact ratio of integer totals: a mean of
-    # per-frame ratios can round below a floor the total meets exactly.
-    slots = tuning.tune_trials * point.cfg.M
-    best = next(
-        (
-            i for i in _by_mean_rate(point, tables)
-            if int(_decoded_sets(point, stacks, tables[i]).sum()) / slots >= min_throughput
-        ),
-        None,
-    )
-    if best is None:
+    point, schemes, tables, stacks = pairs
+    feasible = _rs_search(point, tables, stacks, min_throughput)
+    if not feasible:
         return None
+    best = feasible[0]
     # Only the decoded count and the mean rate are read: the order-free
     # decoded set serves, with the rates read from the winner's table.
     rates = tables[best].rates

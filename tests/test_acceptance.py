@@ -19,8 +19,10 @@ from irsa_sim.distributions import (
 )
 from irsa_sim.frame_graph import build_frame
 from irsa_sim.harness import (
+    CompareConfig,
     SweepSpec,
     TuningConfig,
+    compare_rs_pa,
     run_sweep,
     run_tuned_sweep,
 )
@@ -335,3 +337,40 @@ def test_criterion_7_property_suite():
         "criterion 7 (property suite)", not failures,
         "all properties hold" if not failures else "; ".join(failures),
     )
+
+
+def test_criterion_8_rs_and_pa_beat_irsa():
+    # The paper's claim at a finite number of users: at each rate the RS
+    # comparison selects, RS and PA both hold the throughput floor on the
+    # evaluation streams with far less energy per user than IRSA needs at
+    # that rate.  On seeds 101-110 the least evaluation T was 0.7877 and
+    # the least saving 4.42 dB (RS) and 4.53 dB (PA).
+    floor = 0.78
+    spec = SweepSpec(
+        scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300, G_grid=(0.8,),
+        trials=200, seed=8, tilde_Es_over_N0=0.0009,
+    )
+    tuning = TuningConfig(
+        alpha_grid=(0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5, 1.8, 2.6, 3.6, 5.0),
+        beta_grid=(0.7071, 1.0, 1.4142, 2.0),
+        tune_trials=60,
+    )
+    rows = compare_rs_pa(spec, tuning, CompareConfig((-18.06, -14.06, -10.06), floor))
+    details = []
+    ok = [row.scheme for row in rows] == ["RS", "IRSA", "PA"] * 3
+    ok &= not any(row.note for row in rows)
+    for rs, irsa, pa in zip(rows[::3], rows[1::3], rows[2::3]):
+        # IRSA decodes one replica of l_avg at the interference-free energy
+        # of the rate, N0 * (2**(2R/L) - 1).
+        want_irsa = to_db(L2_AVG * (2.0 ** (2.0 * rs.rate_bits / 100) - 1.0))
+        ok &= abs(irsa.energy_per_user_db - want_irsa) <= 1e-9
+        ok &= min(rs.T_mean, pa.T_mean) >= floor - 0.01
+        save_rs = irsa.energy_per_user_db - rs.energy_per_user_db
+        save_pa = irsa.energy_per_user_db - pa.energy_per_user_db
+        ok &= min(save_rs, save_pa) >= 3.0
+        details.append(
+            f"R = {rs.rate_bits:.2f} bits: T_RS = {rs.T_mean:.4f}, T_PA = {pa.T_mean:.4f} "
+            f"(want >= {floor} - 0.01), saving over IRSA RS {save_rs:.2f} dB, "
+            f"PA {save_pa:.2f} dB (want >= 3)"
+        )
+    report("criterion 8 (RS and PA beat IRSA at equal rate)", ok, "; ".join(details))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from irsa_sim import harness
 from irsa_sim.cli import (
     CSV_HEADER,
     ConfigValidationError,
@@ -239,6 +240,16 @@ class TestEmitPlotData:
         names = {p.name for p in written}
         assert not any(n.startswith("eta_max") for n in names)
         assert "no data" in capsys.readouterr().err
+
+
+# The commands whose grid points the range checks flag: (id, command, the
+# scheme's config keys).
+SCHEME_COMMANDS = [
+    ("sweep", "sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 0.0009}),
+    ("tune_rs", "tune", {"scheme": "RS", "tilde_Es_over_N0": 0.0009,
+                         "tuning": {"alpha_grid": [0.5], "beta_grid": [1.0], "tune_trials": 2}}),
+    ("tune_pa", "tune", {"scheme": "PA", "hat_R_bits": 10.0, "tuning": {"tune_trials": 2}}),
+]
 
 
 class TestMainCommands:
@@ -552,51 +563,71 @@ class TestMainCommands:
         assert row[CSV_HEADER.split(",").index("T_mean"):] == [""] * 8
 
     @pytest.mark.parametrize(
-        "G, note, M, distribution",
+        "command, scheme, G, note, M, distribution, overrides, kept",
         [
-            pytest.param(G, f"G={G!r} gives K/G = {24 / G:.3g} slots for K=24; "
-                         "K*M must stay below 2**63", "", {"name": "l3"}, id=repr(G))
-            for G in (1e-320, 1e-300, 1e-20)
+            pytest.param(command, scheme, G, note, M, distribution, {}, True,
+                         id=f"{command_id}-{G_id}")
+            for command_id, command, scheme in SCHEME_COMMANDS
+            for G_id, G, note, M, distribution in [
+                (repr(G), G, f"G={G!r} gives K/G = {24 / G:.3g} slots for K=24; "
+                 "K*M must stay below 2**63", "", {"name": "l3"})
+                for G in (1e-320, 1e-300, 1e-20)
+            ] + [
+                ("1e-09", 1e-9, "G=1e-09 gives M=24000000000 slots for K=24, "
+                 "above the bound MAX_SLOTS = 1000000", "24000000000", {"name": "l3"}),
+                ("soliton_Y_M", 1e-3, "no distribution at M=24000: ideal_soliton Y=24000 is "
+                 "above the bound MAX_SOLITON_Y = 10000", "24000",
+                 {"name": "ideal_soliton", "Y": "M"}),
+            ]
         ] + [
-            pytest.param(1e-9, "G=1e-09 gives M=24000000000 slots for K=24, "
-                         "above the bound MAX_SLOTS = 1000000", "24000000000", {"name": "l3"},
-                         id="1e-09"),
-            pytest.param(1e-3, "no distribution at M=24000: ideal_soliton Y=24000 is above "
-                         "the bound MAX_SOLITON_Y = 10000", "24000",
-                         {"name": "ideal_soliton", "Y": "M"}, id="soliton_Y_M"),
+            # K*M fits in int64 and M in MAX_SLOTS, but a frame's edges do
+            # not fit in memory; no other grid point of this K can run.
+            pytest.param(command, scheme, 1e6, "K=1000000000000 at max degree 16 draws up to "
+                         "16000000000000 edges a frame, above the bound MAX_EDGES = 1000000",
+                         "1000000", {"name": "l3"}, {"K": 10**12}, False,
+                         id=f"{command_id}-K_1e12")
+            for command_id, command, scheme in SCHEME_COMMANDS
+        ] + [
+            # A frame fits, but a tuner's held frames would not.
+            pytest.param(command, scheme, 0.5, "tuning.tune_trials = 100000000 frames of K=24 "
+                         "at max degree 16 hold up to 38400000000 edges, above the bound "
+                         "FRAME_GROUP * MAX_EDGES = 8000000", "48", {"name": "l3"},
+                         {"tuning": {"tune_trials": 10**8}}, False,
+                         id=f"{command_id}-tune_trials_1e8")
+            for command_id, command, scheme in SCHEME_COMMANDS[1:]
         ],
-    )
-    @pytest.mark.parametrize(
-        "command, scheme",
-        [
-            ("sweep", {"scheme": "IRSA", "tilde_Es_over_N0": 0.0009}),
-            ("tune", {"scheme": "RS", "tilde_Es_over_N0": 0.0009,
-                      "tuning": {"alpha_grid": [0.5], "beta_grid": [1.0], "tune_trials": 2}}),
-            ("tune", {"scheme": "PA", "hat_R_bits": 10.0, "tuning": {"tune_trials": 2}}),
-        ],
-        ids=["sweep", "tune_rs", "tune_pa"],
     )
     def test_slot_count_out_of_range_flags_the_point(
-        self, tmp_path, capsys, command, scheme, G, note, M, distribution
+        self, tmp_path, capsys, monkeypatch, command, scheme, G, note, M, distribution,
+        overrides, kept,
     ):
         # K/G overflows at 1e-320; at 1e-300 and 1e-20 the edge keys
         # message * M + slot would pass int64.  At 1e-9 they fit, but a
         # frame group's per-slot arrays would not fit in memory.  At 1e-3
         # M fits, but a soliton tracking it would take minutes to build.
+        # Each bound flags its point before any frame is drawn; where it
+        # flags every point, the command exits 2.
+        drawn = []
+        real = harness.build_frame
+        monkeypatch.setattr(harness, "build_frame", lambda *a: drawn.append(a[0]) or real(*a))
         config = dict(scheme, distribution=distribution, K=24, G_grid=[G, 0.5], trials=2)
+        for key, value in overrides.items():
+            config[key] = {**config[key], **value} if isinstance(value, dict) else value
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+            status = main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert status == (0 if kept else 2)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert f"{note}\n" in err
         assert "Traceback" not in err
-        header, flagged, kept = (tmp_path / f"{command}.csv").read_text().splitlines()
+        header, flagged, second = (tmp_path / f"{command}.csv").read_text().splitlines()
         flagged = dict(zip(header.split(","), flagged.split(",")))
         assert flagged["M"] == M and flagged["T_mean"] == ""
-        assert kept.split(",")[CSV_HEADER.split(",").index("T_mean")] != ""
+        second = dict(zip(header.split(","), second.split(",")))
+        assert (second["T_mean"] != "") == kept == bool(drawn)
 
     @pytest.mark.parametrize(
         "tuning, mu_max",

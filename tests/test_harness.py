@@ -370,32 +370,46 @@ class TestTuneRs:
 
     def test_search_decodes_under_a_quarter_of_the_candidates(self, monkeypatch):
         # The tune_rs_l2 benchmark's 84 pairs at G = 0.9 on one frame group,
-        # stacked once, one closure per decoded candidate: the efficiency
-        # bound rules out most of them undecoded, and only those that
-        # cannot win.
-        closures, visited, stacked, searches = [], [], [], []
+        # stacked once, one closure per decoded pair: the feasibility search
+        # probes at most 2 + ceil(log2 n) pairs of each chain of n, and the
+        # efficiency bound rules out most feasible pairs undecoded, and only
+        # those that cannot win.
+        closures, visited, stacked, pairs, chains, searched = [], [], [], [], [], []
         real, real_sets = harness.decoded_closure, harness._decoded_sets
-        real_stack, real_search = harness.stack_frames, harness._rs_search
+        real_stack, real_pairs = harness.stack_frames, harness._rs_pairs
+        real_search, real_first = harness._rs_search, harness._first_reaching
 
         def spy(graph, energies, thresholds, N0):
             closures.append(graph.K)
             return real(graph, energies, thresholds, N0)
 
         def sets_spy(point, stacks, table, test=None):
-            visited.append(next(i for i, t in enumerate(searches[0][2]) if t is table))
+            visited.append(next(i for i, t in enumerate(pairs[0][2]) if t is table))
             return real_sets(point, stacks, table, test)
 
         def stack_spy(graphs):
             stacked.append(len(graphs))
             return real_stack(graphs)
 
+        def pairs_spy(*args):
+            pairs.append(real_pairs(*args))
+            return pairs[-1]
+
+        def first_spy(keys, stacks, outcomes, reaches):
+            start = len(visited)
+            found = real_first(keys, stacks, outcomes, reaches)
+            chains.append((list(keys), len(visited) - start))
+            return found
+
         def search_spy(*args):
-            searches.append(real_search(*args))
-            return searches[-1]
+            searched.append(real_search(*args))
+            return searched[-1]
 
         monkeypatch.setattr(harness, "decoded_closure", spy)
         monkeypatch.setattr(harness, "_decoded_sets", sets_spy)
         monkeypatch.setattr(harness, "stack_frames", stack_spy)
+        monkeypatch.setattr(harness, "_rs_pairs", pairs_spy)
+        monkeypatch.setattr(harness, "_first_reaching", first_spy)
         monkeypatch.setattr(harness, "_rs_search", search_spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
@@ -412,13 +426,22 @@ class TestTuneRs:
         assert set(closures) == {harness.FRAME_GROUP * 300}
         assert len(visited) == len(closures)
         assert stacked == [harness.FRAME_GROUP]
-        # Every candidate left undecoded has an efficiency bound (every
-        # message decoded) below the winner's mean efficiency.
-        (point, candidates, tables, stacks), = searches
+        (point, candidates, tables, stacks), = pairs
+        (feasible,) = searched
+        assert sorted(key for chain, _ in chains for key in chain) == list(range(84))
+        for chain, probes in chains:
+            assert probes <= 2 + math.ceil(math.log2(len(chain)))
+        # Every feasible pair left undecoded by the branch and bound has an
+        # efficiency bound (every message decoded) below the winner's mean
+        # efficiency.
         index = np.concatenate([point.index(stack) for stack in stacks])
         c_ref = reference_capacity(tables[0], point.cfg)
-        skipped = set(range(len(candidates))) - set(visited)
-        assert len(skipped) + len(visited) == 84
+        probed = sum(probes for _, probes in chains)
+        decoded = set(visited[probed:])
+        skipped = set(feasible) - decoded
+        assert skipped and decoded <= set(feasible)
+        assert any((candidates[i].alpha, candidates[i].beta) == (tuned.alpha, tuned.beta)
+                   for i in decoded)
         for i in skipped:
             total = tables[i].rates[index].sum()
             assert total / (tuning.tune_trials * c_ref) < tuned.eta_mean
@@ -446,7 +469,7 @@ class TestTuneRs:
         assert sorted(calls) == sorted(
             (p.cfg.G * p.l_avg, a, b) for p in points for a, b in pairs
         )
-        _, admissible, _, _ = harness._rs_search(spec, 0, tuning)
+        _, admissible, _, _ = harness._rs_pairs(spec, 0, tuning)
         assert len(admissible) == len(pairs) - 2
 
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
@@ -700,16 +723,21 @@ class TestCompare:
     def test_throughput_floor_compares_exact_totals(self, monkeypatch):
         # 30 tuning frames decoding 293 of M = 375 slots and 30 decoding 292
         # total exactly 0.78 of 60 * 375, while the mean of the per-frame
-        # ratios rounds below 0.78: the floor must hold.
+        # ratios rounds below 0.78: the comparison's floor must hold.  So
+        # must tune_rs's target RS_THROUGHPUT_FACTOR * 0.8 where 30 frames
+        # decode 292 and 30 decode 290.
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.8,), trials=2, seed=1, tilde_Es_over_N0=0.0009,
         )
-        per_frame = [293] * 30 + [292] * 30
-        acc = RunningStats()
-        for count in per_frame:
-            acc.add(count / 375)
-        assert acc.mean < 0.78 == sum(per_frame) / (60 * 375)
+        target = harness.RS_THROUGHPUT_FACTOR * 0.8
+        at_floor, at_target = [293] * 30 + [292] * 30, [292] * 30 + [290] * 30
+        for counts, floor in ((at_floor, 0.78), (at_target, target)):
+            acc = RunningStats()
+            for count in counts:
+                acc.add(count / 375)
+            assert acc.mean < floor == sum(counts) / (60 * 375)
+        per_frame = []
 
         def exact_tie(point, stacks, table, test=None):
             frames = sum(stack.K for stack in stacks) // point.cfg.K
@@ -719,39 +747,46 @@ class TestCompare:
             return decoded
 
         monkeypatch.setattr(harness, "_decoded_sets", exact_tie)
-        tuning = harness._tune_rs_for_rate(
-            spec, TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=60), 0.78
-        )
-        assert tuning is not None and tuning[0].alpha == 0.5
+        tuning = TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=60)
+        per_frame[:] = at_floor
+        chosen = harness._tune_rs_for_rate(spec, tuning, 0.78)
+        assert chosen is not None and chosen[0].alpha == 0.5
+        per_frame[:] = at_target
+        (tuned,) = tune_rs(spec, tuning)
+        assert tuned.feasible and tuned.alpha == 0.5 and tuned.target == target
 
     def test_rate_search_stops_at_the_first_feasible_candidate(self, monkeypatch):
-        # The comparison's rate search visits the candidates by descending
-        # mean rate and decodes none after the first that holds the floor.
-        # Each visit is one closure on one frame group, and the winner's
-        # evaluation one more.
-        visits, closures, searches = [], [], []
+        # The comparison's rate search takes the first pair, by descending
+        # mean rate, that holds the floor, probing at most 2 + ceil(log2 n)
+        # pairs of each chain of n, each probe one closure on one frame
+        # group; the winner's evaluation is one more closure.
+        probes, closures, pairs, chains = [], [], [], []
         real, real_closure = harness._decoded_sets, harness.decoded_closure
-        real_search = harness._rs_search
+        real_pairs, real_first = harness._rs_pairs, harness._first_reaching
 
         def spy(point, stacks, table, test=None):
             decoded = real(point, stacks, table, test)
-            _, _, tables, held = searches[0]
-            if stacks is held:  # a visit of the search, not the evaluation
-                i = next(i for i, t in enumerate(tables) if t is table)
-                visits.append((i, int(decoded.sum()) / (decoded.shape[0] * point.cfg.M)))
+            held = pairs[0][3]
+            if all(any(s is h for h in held) for s in stacks):  # a probe, not the evaluation
+                probes.append(next(i for i, t in enumerate(pairs[0][2]) if t is table))
             return decoded
 
         def closure_spy(graph, energies, thresholds, N0):
             closures.append(graph.K)
             return real_closure(graph, energies, thresholds, N0)
 
-        def search_spy(*args):
-            searches.append(real_search(*args))
-            return searches[-1]
+        def pairs_spy(*args):
+            pairs.append(real_pairs(*args))
+            return pairs[-1]
+
+        def first_spy(keys, stacks, outcomes, reaches):
+            chains.append(list(keys))
+            return real_first(keys, stacks, outcomes, reaches)
 
         monkeypatch.setattr(harness, "_decoded_sets", spy)
         monkeypatch.setattr(harness, "decoded_closure", closure_spy)
-        monkeypatch.setattr(harness, "_rs_search", search_spy)
+        monkeypatch.setattr(harness, "_rs_pairs", pairs_spy)
+        monkeypatch.setattr(harness, "_first_reaching", first_spy)
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.8,), trials=2, seed=17, tilde_Es_over_N0=0.0009,
@@ -761,19 +796,25 @@ class TestCompare:
             tune_trials=harness.FRAME_GROUP,
         )
         chosen = harness._tune_rs_for_rate(spec, tuning, 0.78)
-        (point, candidates, tables, _), = searches
-        order = harness._by_mean_rate(point, tables)
-        assert 1 < len(visits) < len(order)
-        assert [i for i, _ in visits] == order[:len(visits)]
-        assert all(T < 0.78 for _, T in visits[:-1]) and visits[-1][1] >= 0.78
-        assert chosen[0] == candidates[visits[-1][0]]
         *searched, size = closures
         assert size == spec.trials * spec.K
-        assert len(searched) == len(visits)
+        assert len(searched) == len(probes)
+        (point, candidates, tables, stacks), = pairs
+        (chain,) = chains
+        assert sorted(chain) == list(range(len(candidates)))
+        assert 1 < len(probes) <= 2 + math.ceil(math.log2(len(chain)))
+        # Every set the search decoded is the full evaluation's: the pairs
+        # before the winner miss the floor, and the winner holds it.
+        slots = tuning.tune_trials * point.cfg.M
+        holds = [int(real(point, stacks, t).sum()) / slots >= 0.78 for t in tables]
+        first = next(i for i in chain if holds[i])
+        assert chosen[0] == candidates[first] and first in probes
+        assert all(holds[i] for i in chain[chain.index(first):])
 
     def test_rate_ranking_matches_rate_rs(self):
         # The comparison ranks candidates by the expectation of their rate
-        # tables; it orders them as the per-degree rate_rs sums do.
+        # tables; it orders them as the per-degree rate_rs sums do.  At a
+        # floor of 0 every pair is feasible, so the search returns them all.
         rng = np.random.default_rng(11)
         alphas = (0.0, 0.05, 0.3, 0.97, 1.0, 2.5)
         betas = (0.5, 0.7071, 1.0, 2.0)
@@ -809,7 +850,8 @@ class TestCompare:
                 continue
             tables = [harness._table(point, scheme) for scheme in schemes]
             want = sorted(range(len(schemes)), key=lambda i: -by_rate_rs[i])
-            assert harness._by_mean_rate(point, tables) == want
+            stacks = list(harness._stacks(point, 0, 1))
+            assert harness._rs_search(point, tables, stacks, 0.0) == want
             points += 1
 
     def test_requires_single_g(self):
@@ -878,7 +920,9 @@ class TestPaperAnchors:
 
 def sequential_tune_rs_point(spec, g_index, tuning, target):
     """Reference for harness._tune_rs_point: every candidate decoded by
-    decode_frame and measured by trial_metrics, one frame at a time."""
+    decode_frame and measured by trial_metrics, one frame at a time; a
+    candidate is feasible when its decoded total over the tuning frames
+    reaches the target, as an exact ratio of integers."""
     G = spec.G_grid[g_index]
     base = make_point(spec, g_index)
     candidates = []
@@ -892,14 +936,17 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
             candidates.append(SchemeConfig("RS", alpha=a, beta=b))
     tune_seed = mix64(spec.seed, harness.PURPOSE_RS_TUNE)
     accs = [new_stats() for _ in candidates]
+    decoded = [0] * len(candidates)
     for t in range(tuning.tune_trials):
         graph = harness._frame(base, tune_seed, t)
-        for scheme, acc in zip(candidates, accs):
+        for c, (scheme, acc) in enumerate(zip(candidates, accs)):
             profile, result = frame_outcome(base, graph, scheme)
             add_metrics(acc, trial_metrics(result, profile, base.cfg))
+            decoded[c] += result.decoded_count
+    slots = tuning.tune_trials * base.cfg.M
     feasible = [
-        (scheme, acc) for scheme, acc in zip(candidates, accs)
-        if acc["T"].mean >= target
+        (scheme, acc) for scheme, acc, total in zip(candidates, accs, decoded)
+        if total / slots >= target
     ]
     if not feasible:
         return harness.RsTuning(
@@ -913,6 +960,42 @@ def sequential_tune_rs_point(spec, g_index, tuning, target):
         G, scheme.alpha, scheme.beta, True,
         T_mean=stats["T"].mean, eta_mean=stats["eta"].mean, target=target,
     )
+
+
+def linear_scan_tune_rs_for_rate(spec, tuning, min_throughput):
+    """Reference for harness._tune_rs_for_rate: every admissible pair in
+    turn, by descending mean rate (each degree's rate_rs weighted by its
+    probability), ties in alpha-major order, decoded on every tuning frame
+    by sequential_decoded_sets until one holds the floor; its evaluation
+    decodes each frame with decode_frame."""
+    point = make_point(spec, 0)
+    es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
+    r_avg = point.cfg.G * point.l_avg
+    candidates, means = [], []
+    for a in tuning.alpha_grid:
+        for b in tuning.beta_grid:
+            try:
+                rates = [rate_rs(int(d), es, point.cfg.N0, point.cfg.L_cu, a, b, r_avg)
+                         for d in point.dist.degrees]
+            except TuningParameterError:
+                continue
+            candidates.append(SchemeConfig("RS", alpha=a, beta=b))
+            means.append(point.dist.probabilities @ np.array(rates))
+    tune_seed = mix64(spec.seed, harness.PURPOSE_RS_TUNE)
+    stacks = list(harness._stacks(point, tune_seed, tuning.tune_trials))
+    for i in sorted(range(len(candidates)), key=lambda i: -means[i]):
+        table = harness._table(point, candidates[i])
+        total = int(sequential_decoded_sets(point, stacks, table).sum())
+        if total / (tuning.tune_trials * point.cfg.M) < min_throughput:
+            continue
+        T, rate = RunningStats(), RunningStats()
+        for t in range(spec.trials):
+            graph = harness._frame(point, point.seed, t)
+            profile, result = frame_outcome(point, graph, candidates[i])
+            T.add(result.decoded_count / point.cfg.M)
+            rate.add(float(profile.rates.mean()))
+        return candidates[i], T.mean, rate.mean
+    return None
 
 
 def split_stacks(point, stacks):
@@ -996,6 +1079,13 @@ def linear_scan_tune_mu(spec, g_index, tuning, criterion, target):
 ALPHAS = tuple(float(x) for x in np.geomspace(0.02, 2.0, 6))
 BETAS = tuple(float(x) for x in np.geomspace(0.5, 4.0, 4))
 
+# A grid whose RS pairs do not form one chain at G = 0.8 of CROSSING_SPEC:
+# (0.1, 2.0) and (0.30000000000000004, 12.678325125264136) plan one SINR in
+# exact arithmetic, but their float thresholds differ by 2**-55 one way at
+# some degrees and the other way at others.
+CROSSING = ((0.1, 0.30000000000000004), (2.0, 12.678325125264136))
+CROSSING_SPEC = dict(dist_Y=10, K=300, tilde_Es_over_N0=0.0009)
+
 
 class TestTunersMatchSequentialReceiver:
     """Every tuner decision and reported float is bit-identical to the
@@ -1015,40 +1105,45 @@ class TestTunersMatchSequentialReceiver:
         assert all(t.feasible and t.alpha < max(ALPHAS) for t in fast)
 
     @pytest.mark.parametrize(
-        "alphas, betas, G_grid, check",
+        "alphas, betas, G_grid, check, spec_kw",
         [
             pytest.param((0.0, *ALPHAS), BETAS, (0.4, 0.8, 1.1, 2.0),
-                         lambda got: all(t.feasible for t in got), id="alpha_zero"),
+                         lambda got: all(t.feasible for t in got), {}, id="alpha_zero"),
             # With alpha 0 the target ignores beta: every pair ties exactly,
             # and the first in alpha-major order wins.
             pytest.param((0.0,), (2.0, 0.5, 1.0), (0.4, 0.8),
-                         lambda got: all(t.feasible and t.beta == 2.0 for t in got),
+                         lambda got: all(t.feasible and t.beta == 2.0 for t in got), {},
                          id="alpha_zero_ties"),
             pytest.param(ALPHAS, (0.5, 1.0, 1.0, 4.0), (0.4, 0.8, 1.1),
-                         lambda got: all(t.feasible for t in got), id="repeated_beta"),
+                         lambda got: all(t.feasible for t in got), {}, id="repeated_beta"),
             pytest.param((40.0, 80.0), BETAS, (0.4, 1.1),
-                         lambda got: not any(t.feasible for t in got), id="none_feasible"),
+                         lambda got: not any(t.feasible for t in got), {}, id="none_feasible"),
             # A winner decodes every message: its mean eta is its bound.
             pytest.param(ALPHAS, BETAS, (0.1, 0.15),
                          lambda got: any(t.T_mean == pytest.approx(t.G, rel=1e-12) for t in got),
-                         id="low_load"),
+                         {}, id="low_load"),
+            pytest.param(*CROSSING, (0.6, 0.8), lambda got: all(t.feasible for t in got),
+                         CROSSING_SPEC, id="crossing"),
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_tune_rs_grids(self, seed, alphas, betas, G_grid, check, monkeypatch):
-        spec = SweepSpec(
-            scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
-            G_grid=G_grid, trials=5, seed=seed, tilde_Es_over_N0=0.002,
-        )
+    def test_tune_rs_grids(self, seed, alphas, betas, G_grid, check, spec_kw, monkeypatch):
+        spec = SweepSpec(**{
+            **dict(scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
+                   G_grid=G_grid, trials=5, seed=seed, tilde_Es_over_N0=0.002),
+            **spec_kw,
+        })
         tuning = TuningConfig(alpha_grid=alphas, beta_grid=betas, tune_trials=6)
         fast = tune_rs(spec, tuning)
         monkeypatch.setattr(harness, "_tune_rs_point", sequential_tune_rs_point)
         assert tune_rs(spec, tuning) == fast
         assert check(fast)
 
-    def test_search_sets_do_not_depend_on_the_visit_order(self):
+    def test_search_sets_do_not_depend_on_the_visit_order(self, monkeypatch):
         # Whatever order the caller chose, forward, backward or shuffled,
-        # over two frame groups, every set is the sequential receiver's.
+        # over two frame groups, every set is the sequential receiver's; so
+        # is every set the search reads, on all the stacks or on those it
+        # re-opens.
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
             G_grid=(0.8,), trials=1, seed=2, tilde_Es_over_N0=0.002,
@@ -1056,7 +1151,7 @@ class TestTunersMatchSequentialReceiver:
         tuning = TuningConfig(
             alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=harness.FRAME_GROUP + 3
         )
-        point, candidates, tables, stacks = harness._rs_search(spec, 0, tuning)
+        point, candidates, tables, stacks = harness._rs_pairs(spec, 0, tuning)
         # The reference decodes each frame on the profile built for it.
         want = [
             [frame_outcome(point, g, scheme)[1].decoded for g in split_stacks(point, stacks)]
@@ -1065,9 +1160,22 @@ class TestTunersMatchSequentialReceiver:
         n = len(candidates)
         shuffled = np.random.default_rng(4).permutation(n).tolist()
         for order in (range(n), range(n - 1, -1, -1), shuffled):
-            point, _, tables, stacks = harness._rs_search(spec, 0, tuning)
+            point, _, tables, stacks = harness._rs_pairs(spec, 0, tuning)
             for i in order:
                 assert np.array_equal(harness._decoded_sets(point, stacks, tables[i]), want[i])
+        real, probes = harness._decoded_sets, []
+
+        def spy(point, which, table, test=None):
+            scheme = candidates[next(i for i, t in enumerate(tables) if t is table)]
+            want = [frame_outcome(point, g, scheme)[1].decoded for g in split_stacks(point, which)]
+            probes.append(len(which))
+            got = real(point, which, table, test)
+            assert np.array_equal(got, want)
+            return got
+
+        monkeypatch.setattr(harness, "_decoded_sets", spy)
+        assert harness._rs_search(point, tables, stacks, harness.RS_THROUGHPUT_FACTOR * 0.8)
+        assert len(probes) > 2
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tune_mu_mean_fraction(self, seed, monkeypatch):
@@ -1138,6 +1246,41 @@ class TestTunersMatchSequentialReceiver:
             fast += got
         assert any(t.feasible and t.mu > 1.0 for t in fast)
         assert any(not t.feasible for t in fast)
+
+    @pytest.mark.parametrize(
+        "alphas, betas, spec_kw",
+        [
+            pytest.param((0.2, 0.6, 1.2, 2.4), (0.7071, 1.0, 1.4142), {}, id="grid"),
+            pytest.param((0.0, 0.6), (2.0, 0.5, 1.0), {}, id="alpha_zero_ties"),
+            pytest.param(*CROSSING, CROSSING_SPEC, id="crossing"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tune_rs_for_rate_equals_a_linear_scan(self, seed, alphas, betas, spec_kw, monkeypatch):
+        # The rate search probes each chain of pairs by bisection; a scan
+        # decodes every pair by descending mean rate until one holds the
+        # floor.  On the crossing grid the pairs form two chains.
+        chains = []
+        real = harness._first_reaching
+
+        def spy(keys, stacks, outcomes, reaches):
+            chains.append(keys)
+            return real(keys, stacks, outcomes, reaches)
+
+        monkeypatch.setattr(harness, "_first_reaching", spy)
+        spec = SweepSpec(**{
+            **dict(scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
+                   G_grid=(0.8,), trials=4, seed=seed, tilde_Es_over_N0=0.002),
+            **spec_kw,
+        })
+        tuning = TuningConfig(alpha_grid=alphas, beta_grid=betas, tune_trials=10)
+        got = []
+        for floor in (0.5, 0.7, 0.78, 0.85):
+            chains.clear()
+            got.append(harness._tune_rs_for_rate(spec, tuning, floor))
+            assert got[-1] == linear_scan_tune_rs_for_rate(spec, tuning, floor)
+            assert len(chains) == (2 if spec_kw else 1)
+        assert got[0] is not None and got[-1] is None
 
     def test_closures_take_one_frame_group_at_a_time(self, monkeypatch):
         # However many tuning or evaluation trials, the order-free decode
