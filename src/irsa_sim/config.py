@@ -85,10 +85,11 @@ RANGES.update(
 def rate_problem(hat_R, L_cu, N0) -> str | None:
     """What is wrong with the nominal rate ``hat_R`` (bits over ``L_cu``
     channel uses at noise ``N0``), or None: its interference-free energy
-    N0 * (2**(2*hat_R/L_cu) - 1) must be finite.  A value out of its own
-    range is left to that range's check."""
-    if hat_R is None or any(
-        problem(name, value) for name, value in (("hat_R", hat_R), ("L_cu", L_cu), ("N0", N0))
+    N0 * (2**(2*hat_R/L_cu) - 1) must be finite.  A value unset, or out of
+    its own range, is left to that range's check."""
+    if any(
+        value is None or problem(name, value)
+        for name, value in (("hat_R", hat_R), ("L_cu", L_cu), ("N0", N0))
     ):
         return None
     try:
@@ -107,11 +108,17 @@ def rate_problem(hat_R, L_cu, N0) -> str | None:
 def mu_grid_problem(mu_max, mu_resolution) -> str | None:
     """What is wrong with ``mu_resolution`` as the step of the mu grid 1,
     1 + mu_resolution, ... up to ``mu_max``, or None: the step count must be
-    finite.  A ``mu_max`` out of its own range is left to that check."""
-    if problem("mu_max", mu_max) or math.isfinite((mu_max - 1.0) / mu_resolution):
+    below 2**53, so that every step k is an exact float, 1 + k *
+    mu_resolution the grid's k-th value, and k an index the tuner can
+    bisect.  A ``mu_max`` unset, or out of its own range, is left to that
+    check."""
+    if mu_max is None or problem("mu_max", mu_max):
         return None
-    return (f"too fine for mu_max = {mu_max:g}: "
-            "the step count (mu_max - 1) / mu_resolution overflows")
+    steps = (mu_max - 1.0) / mu_resolution
+    if steps < 2**53:
+        return None
+    found = "overflows" if math.isinf(steps) else f"= {steps:.6g} is not below 2**53"
+    return f"too fine for mu_max = {mu_max:g}: the step count (mu_max - 1) / mu_resolution {found}"
 
 
 # Fields whose range depends on other fields of the type that holds them;
@@ -125,9 +132,9 @@ CROSS_CHECKS = {
 
 def problem(name: str, value) -> str | None:
     """What is wrong with ``value`` as the config field ``name``, or None.
-    An unset (None) value passes and numbers must be finite.  A grid (a
-    tuple or list named "<field>_grid") must be non-empty, with entries
-    that pass the checks of <field>."""
+    An unset (None) value passes and numbers, integers too, must be finite
+    as floats.  A grid (a tuple or list named "<field>_grid") must be
+    non-empty, with entries that pass the checks of <field>."""
     if value is None:
         return None
     if isinstance(value, (tuple, list)):
@@ -136,7 +143,7 @@ def problem(name: str, value) -> str | None:
         entry = name.removesuffix("_grid")
         found = next(filter(None, (problem(entry, v) for v in value)), None)
         return found and f"entries {found}"
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         return "must be finite"
     check = RANGES.get(name)
     return check(value) if check else None

@@ -144,10 +144,9 @@ class DecodeResult:
     sustained given the residual state at its step; ``slots`` holds each
     decode's degree-one slot, -1 for a phase-2 decode, and so its phase.
 
-    The per-message views (``decoded``, ``decode_step``, ``phase``,
-    ``decode_slot``, ``decode_sinr``, ``genie_rate``; undecoded entries -1 /
-    NaN, or PHASE_NONE) are built when first read: a sweep reads none of
-    them.
+    The per-message views (``decoded``, ``phase``, ``genie_rate``;
+    undecoded entries False, PHASE_NONE or NaN) are built from these when
+    first read.
     """
 
     K: int
@@ -166,12 +165,9 @@ class DecodeResult:
         return out
 
     decoded = cached_property(lambda r: r._per_message(True, False, bool))
-    decode_step = cached_property(lambda r: r._per_message(np.arange(len(r.order)), -1, np.int64))
     phase = cached_property(lambda r: r._per_message(
         np.where(np.asarray(r.slots) < 0, PHASE_RESIDUAL, PHASE_PEELING), PHASE_NONE, np.int8
     ))
-    decode_slot = cached_property(lambda r: r._per_message(r.slots, -1, np.int64))
-    decode_sinr = cached_property(lambda r: r._per_message(r.sinrs))
     genie_rate = cached_property(lambda r: r._per_message(r.genie_rates))
 
 

@@ -100,7 +100,7 @@ MAX_EDGES = 10**6
 MAX_SOLITON_Y = 10**4
 
 # Relative widening of the RS tuner's bound on a mean efficiency: see
-# _tune_rs_point.
+# tune_rs.
 ETA_BOUND_SLACK = 1e-9
 
 
@@ -512,23 +512,6 @@ def _base_record(spec: SweepSpec, g_index: int, scheme: SchemeConfig | None) -> 
     )
 
 
-def _fill_record(
-    rec: SweepRecord, stats: dict[str, RunningStats], point: SweepPoint
-) -> SweepRecord:
-    rec.T_mean, rec.T_se = stats["T"].mean, stats["T"].se
-    rec.eta_mean, rec.eta_se = stats["eta"].mean, stats["eta"].se
-    rec.eta_max_mean = stats["eta_max"].mean
-    rec.gamma_mean, rec.gamma_se = stats["gamma"].mean, stats["gamma"].se
-    rec.energy_per_user_db = stats["energy_per_user_db"].mean
-    rec.l_avg = point.l_avg
-    if point.cfg.hat_R is not None:
-        hat_es = hat_es_from_rate(point.cfg.hat_R, point.cfg.L_cu, point.cfg.N0)
-        g_irsa, g_min = gamma_irsa_min(hat_es, point.cfg.N0, point.l_avg)
-        rec.gamma_irsa_db = to_db(g_irsa)
-        rec.gamma_min_db = to_db(g_min)
-    return rec
-
-
 def _evaluate(spec: SweepSpec, g_index: int, scheme: SchemeConfig) -> SweepRecord:
     """The record of ``scheme`` at one grid point, on the sweep's own
     streams; an infeasible point is flagged in ``note`` and left empty
@@ -536,10 +519,23 @@ def _evaluate(spec: SweepSpec, g_index: int, scheme: SchemeConfig) -> SweepRecor
     rec = _base_record(spec, g_index, scheme)
     try:
         point = make_point(spec, g_index)
-        return _fill_record(rec, run_point(point, scheme, spec.trials), point)
+        stats = run_point(point, scheme, spec.trials)
     except (TuningParameterError, InfeasibleOperatingPointError) as err:
         rec.note = f"infeasible: {err}"
         return rec
+    rec.T_mean, rec.T_se = stats["T"].mean, stats["T"].se
+    rec.eta_mean, rec.eta_se = stats["eta"].mean, stats["eta"].se
+    rec.eta_max_mean = stats["eta_max"].mean
+    rec.gamma_mean, rec.gamma_se = stats["gamma"].mean, stats["gamma"].se
+    rec.energy_per_user_db = stats["energy_per_user_db"].mean
+    rec.l_avg = point.l_avg
+    # The reference levels of power adaptation's energy, at its nominal rate.
+    if scheme.variant == "PA":
+        hat_es = hat_es_from_rate(point.cfg.hat_R, point.cfg.L_cu, point.cfg.N0)
+        g_irsa, g_min = gamma_irsa_min(hat_es, point.cfg.N0, point.l_avg)
+        rec.gamma_irsa_db = to_db(g_irsa)
+        rec.gamma_min_db = to_db(g_min)
+    return rec
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -565,25 +561,6 @@ class RsTuning:
     eta_mean: float | None = None
     target: float | None = None
     note: str = ""
-
-
-def tune_rs(spec: SweepSpec, tuning: TuningConfig) -> list[RsTuning]:
-    """Grid-search (alpha, beta) over ``tuning``'s grids per G point.
-
-    Feasible candidates keep throughput at or above RS_THROUGHPUT_FACTOR *
-    min(G, throughput_cap) (``_rs_search``); among them the pair with the
-    highest mean efficiency wins, ties broken by larger throughput, then
-    smaller alpha, then the earlier pair in alpha-major order.  Pairs whose
-    estimated-interference denominator is non-positive are rejected up
-    front; of the others, only those that can still win are decoded.
-    """
-    cap = tuning.throughput_cap
-    return [
-        _tune_rs_point(
-            spec, g_index, tuning, RS_THROUGHPUT_FACTOR * (G if cap is None else min(G, cap))
-        )
-        for g_index, G in enumerate(spec.G_grid)
-    ]
 
 
 def _rs_pairs(
@@ -644,18 +621,26 @@ def _rs_search(
     return feasible
 
 
-def _tune_rs_point(
-    spec: SweepSpec, g_index: int, tuning: TuningConfig, target: float
-) -> RsTuning:
-    """``tune_rs`` at one grid point: branch and bound over the pairs
-    ``_rs_search`` finds feasible at ``target``.  A pair's mean eta is at
-    most its bound, its rate table summed over the tuning frames' degree
-    counts over tune_trials * C_ref, widened by ETA_BOUND_SLACK beyond the
-    float error of both sums, about (K + tune_trials) * 2**-53 relative.
-    Visited by descending bound (mean T and eta by ``_closure_means``), the
-    search stops at the first bound strictly below the best mean eta; on
-    equal keys (eta, T, -alpha) the earlier pair in alpha-major order wins."""
+def tune_rs(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> RsTuning:
+    """Grid-search (alpha, beta) over ``tuning``'s grids at one grid point.
+
+    Feasible candidates keep throughput at or above the point's target,
+    RS_THROUGHPUT_FACTOR * min(G, throughput_cap) (``_rs_search``); among
+    them the pair with the highest mean efficiency wins, ties broken by
+    larger throughput, then smaller alpha, then the earlier pair in
+    alpha-major order.  Pairs whose estimated-interference denominator is
+    non-positive are rejected up front (``_rs_pairs``).
+
+    Branch and bound over the feasible pairs: a pair's mean eta is at most
+    its bound, its rate table summed over the tuning frames' degree counts
+    over tune_trials * C_ref, widened by ETA_BOUND_SLACK beyond the float
+    error of both sums, about (K + tune_trials) * 2**-53 relative.  Visited
+    by descending bound (mean T and eta by ``_closure_means``), the search
+    stops at the first bound strictly below the best mean eta, so only the
+    pairs that can still win are decoded."""
     G = spec.G_grid[g_index]
+    cap = tuning.throughput_cap
+    target = RS_THROUGHPUT_FACTOR * (G if cap is None else min(G, cap))
     flagged = lambda note: RsTuning(G, None, None, False, target=target, note=note)
     try:
         pairs = _rs_pairs(spec, g_index, tuning)
@@ -775,21 +760,18 @@ def tune_mu(
 def run_tuned_sweep(
     spec: SweepSpec, tuning: TuningConfig
 ) -> tuple[list[SweepRecord], list[RsTuning] | list[MuTuning]]:
-    """Tune the spec's scheme per grid point -- (alpha, beta) for RS, mu
-    under tuning.mu_criterion for PA -- then evaluate each point's choice on
-    the sweep's own (unsalted) streams; a point whose tuner found none is
+    """One grid point at a time, tune the spec's scheme -- (alpha, beta)
+    for RS, mu under tuning.mu_criterion for PA -- then evaluate the choice
+    on the sweep's own (unsalted) streams; a point whose tuner found none is
     flagged."""
-    if spec.scheme == "RS":
-        tunings = tune_rs(spec, tuning)
-    else:
-        criterion = tuning.mu_criterion
-        target = tuning.target_fraction if criterion == "mean_fraction" else tuning.reliability
-        tunings = [
-            tune_mu(spec, g_index, tuning, criterion, target)
-            for g_index in range(len(spec.G_grid))
-        ]
-    records = []
-    for g_index, chosen in enumerate(tunings):
+    criterion = tuning.mu_criterion
+    target = tuning.target_fraction if criterion == "mean_fraction" else tuning.reliability
+    records, tunings = [], []
+    for g_index in range(len(spec.G_grid)):
+        if spec.scheme == "RS":
+            chosen = tune_rs(spec, g_index, tuning)
+        else:
+            chosen = tune_mu(spec, g_index, tuning, criterion, target)
         if chosen.feasible:
             params = {name: getattr(chosen, name) for name in SCHEME_PARAMETERS[spec.scheme]}
             rec = _evaluate(spec, g_index, spec.scheme_config(**params))
@@ -797,6 +779,7 @@ def run_tuned_sweep(
             rec = _base_record(spec, g_index, None)
             rec.note = f"flagged: {chosen.note}"
         records.append(rec)
+        tunings.append(chosen)
     return records, tunings
 
 
@@ -823,88 +806,81 @@ class CompareRow:
 def compare_rs_pa(
     spec: SweepSpec, tuning: TuningConfig, compare: CompareConfig
 ) -> list[CompareRow]:
-    """At fixed G (the spec's single grid point), feed each energy of
-    ``compare``'s grid to rate selection and find the highest mean rate over
-    ``tuning``'s (alpha, beta) grids keeping throughput at or above
-    min_throughput; hand that rate to power adaptation as its nominal rate
-    and find the least energy reaching the same throughput (tune_mu on
-    ``mean_fraction`` at min_throughput / G, whatever tuning.mu_criterion
-    says); add the baseline's closed-form energy at the same rate.  An
-    energy whose RS search or PA evaluation is infeasible flags that row
-    and leaves the others as they are.
-    """
+    """At fixed G (the spec's single grid point), the rows of each energy
+    of ``compare``'s grid in turn (``_compare_rows``)."""
     if len(spec.G_grid) != 1:
         raise ConfigValidationError(["G_grid: the comparison runs at a single G"])
-    G = spec.G_grid[0]
     base = make_point(spec, 0)
-    M, l_avg = base.cfg.M, base.l_avg
-    rows: list[CompareRow] = []
-    for es_index, es_db in enumerate(compare.es_over_N0_db_grid):
-        try:
-            es = 10.0 ** (es_db / 10.0) * spec.N0
-        except OverflowError:
-            es = math.inf
-        # Feed the energy through the equal-total-energy relation so the
-        # profile machinery sees a consistent reference level.
-        user_es = l_avg * es / spec.N0
-        tilde_es = l_avg * es / (M * spec.N0)
-        # An entry far from 0 dB overflows or underflows in linear terms.
-        if found := problem("tilde_Es", user_es) or problem("tilde_Es", tilde_es):
-            note = f"es_over_N0_db: {found} in linear terms"
-            rows.append(CompareRow("RS", es_db, None, None, None, note=note))
-            continue
-        # Each energy runs on its own streams, with the tuners' parameters.
-        point_spec = replace(
-            spec, seed=mix64(spec.seed, es_index), alpha=None, beta=None, mu=None
-        )
-        rs_spec = replace(point_spec, scheme="RS", tilde_Es_over_N0=tilde_es, hat_R_bits=None)
+    return [
+        row
+        for es_index, es_db in enumerate(compare.es_over_N0_db_grid)
+        for row in _compare_rows(spec, tuning, compare, base, es_index, es_db)
+    ]
+
+
+def _compare_rows(
+    spec: SweepSpec, tuning: TuningConfig, compare: CompareConfig, base: SweepPoint,
+    es_index: int, es_db: float,
+) -> list[CompareRow]:
+    """The comparison at one energy, the ``es_index``-th of the grid: feed
+    it to rate selection and find the highest mean rate over ``tuning``'s
+    (alpha, beta) grids keeping throughput at or above min_throughput; hand
+    that rate to power adaptation as its nominal rate and find the least
+    energy reaching the same throughput (tune_mu on ``mean_fraction`` at
+    min_throughput / G, whatever tuning.mu_criterion says); add the
+    baseline's closed-form energy at the same rate.  An energy the RS search
+    serves no rate at gives its flagged RS row alone; one whose PA tuning or
+    evaluation fails gives a flagged PA row."""
+    try:
+        es = 10.0 ** (es_db / 10.0) * spec.N0
+    except OverflowError:
+        es = math.inf
+    # Feed the energy through the equal-total-energy relation so the
+    # profile machinery sees a consistent reference level.
+    user_es = base.l_avg * es / spec.N0
+    tilde_es = base.l_avg * es / (base.cfg.M * spec.N0)
+    # An entry far from 0 dB overflows or underflows in linear terms.
+    if found := problem("tilde_Es", user_es) or problem("tilde_Es", tilde_es):
+        note = f"es_over_N0_db: {found} in linear terms"
+        return [CompareRow("RS", es_db, None, None, None, note=note)]
+    # Each energy runs on its own streams, with the tuners' parameters.
+    point_spec = replace(spec, seed=mix64(spec.seed, es_index), alpha=None, beta=None, mu=None)
+    rs_spec = replace(point_spec, scheme="RS", tilde_Es_over_N0=tilde_es, hat_R_bits=None)
+    energy_rs_db = to_db(user_es)
+    try:
+        chosen = _tune_rs_for_rate(rs_spec, tuning, compare.min_throughput)
+    except InfeasibleOperatingPointError as err:
+        return [CompareRow("RS", es_db, None, energy_rs_db, None, note=f"infeasible: {err}")]
+    if chosen is None:
         note = "no (alpha, beta) reached the throughput floor"
-        try:
-            chosen = _tune_rs_for_rate(rs_spec, tuning, compare.min_throughput)
-        except InfeasibleOperatingPointError as err:
-            chosen, note = None, f"infeasible: {err}"
-        energy_rs_db = to_db(user_es)
-        if chosen is None:
-            rows.append(CompareRow("RS", es_db, None, energy_rs_db, None, note=note))
-            continue
-        scheme, t_mean, mean_rate = chosen
-        rows.append(
-            CompareRow(
-                "RS", es_db, mean_rate, energy_rs_db, t_mean,
-                alpha=scheme.alpha, beta=scheme.beta,
-            )
+        return [CompareRow("RS", es_db, None, energy_rs_db, None, note=note)]
+    scheme, t_mean, mean_rate = chosen
+    rs = CompareRow(
+        "RS", es_db, mean_rate, energy_rs_db, t_mean, alpha=scheme.alpha, beta=scheme.beta
+    )
+    flagged = lambda s, note: CompareRow(s, None, mean_rate, None, None, note=note)
+    if found := rate_problem(mean_rate, spec.L_cu, spec.N0):
+        return [rs, flagged("IRSA", f"rate_bits: {found}"), flagged("PA", f"rate_bits: {found}")]
+    # Baseline at the same rate: energy from the rate definition, one
+    # useful replica out of l_avg transmitted.
+    hat_es = hat_es_from_rate(mean_rate, spec.L_cu, spec.N0)
+    irsa = CompareRow("IRSA", None, mean_rate, to_db(base.l_avg * hat_es / spec.N0), None)
+    pa_spec = replace(point_spec, scheme="PA", hat_R_bits=mean_rate, tilde_Es_over_N0=None)
+    mu_tuning = tune_mu(pa_spec, 0, tuning, "mean_fraction", compare.min_throughput / base.G)
+    if not mu_tuning.feasible:
+        return [rs, irsa, flagged("PA", mu_tuning.note)]
+    try:
+        point = make_point(pa_spec, 0)
+        table = _table(point, pa_spec.scheme_config(mu=mu_tuning.mu))
+        _check_measures(table, point.cfg)
+        per_user = table.degrees * table.energies
+        t_mean, energy_db = _closure_means(
+            point, _stacks(point, point.seed, spec.trials), table,
+            lambda mask, index: to_db(float(per_user[index].mean()) / point.cfg.N0),
         )
-        if found := rate_problem(mean_rate, spec.L_cu, spec.N0):
-            note = f"rate_bits: {found}"
-            rows += [CompareRow(s, None, mean_rate, None, None, note=note) for s in ("IRSA", "PA")]
-            continue
-        # Baseline at the same rate: energy from the rate definition, one
-        # useful replica out of l_avg transmitted.
-        hat_es = hat_es_from_rate(mean_rate, spec.L_cu, spec.N0)
-        rows.append(
-            CompareRow("IRSA", None, mean_rate, to_db(l_avg * hat_es / spec.N0), None)
-        )
-        pa_spec = replace(point_spec, scheme="PA", hat_R_bits=mean_rate, tilde_Es_over_N0=None)
-        mu_tuning = tune_mu(pa_spec, 0, tuning, "mean_fraction", compare.min_throughput / G)
-        if not mu_tuning.feasible:
-            rows.append(
-                CompareRow("PA", None, mean_rate, None, None, note=mu_tuning.note)
-            )
-            continue
-        try:
-            point = make_point(pa_spec, 0)
-            table = _table(point, pa_spec.scheme_config(mu=mu_tuning.mu))
-            _check_measures(table, point.cfg)
-            per_user = table.degrees * table.energies
-            t_mean, energy_db = _closure_means(
-                point, _stacks(point, point.seed, spec.trials), table,
-                lambda mask, index: to_db(float(per_user[index].mean()) / point.cfg.N0),
-            )
-        except InfeasibleOperatingPointError as err:
-            rows.append(CompareRow("PA", None, mean_rate, None, None, note=f"infeasible: {err}"))
-            continue
-        rows.append(CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu))
-    return rows
+    except InfeasibleOperatingPointError as err:
+        return [rs, irsa, flagged("PA", f"infeasible: {err}")]
+    return [rs, irsa, CompareRow("PA", None, mean_rate, energy_db, t_mean, mu=mu_tuning.mu)]
 
 
 def _closure_means(
@@ -931,10 +907,11 @@ def _tune_rs_for_rate(
 ) -> tuple[SchemeConfig, float, float] | None:
     """Highest-mean-rate (alpha, beta) of ``tuning``'s grids whose decoded
     total over its tune_trials frames holds min_throughput: the first pair
-    ``_rs_search`` finds feasible.  The mean rate over devices is the
-    expectation over the degree distribution; only the throughput floor
-    needs simulation.  Returns (scheme, eval T mean, eval mean rate) or
-    None."""
+    ``_rs_search`` finds feasible.  The search orders the pairs by their
+    mean rate over devices, the expectation over the degree distribution,
+    so only the throughput floor needs simulation; the row reports the
+    winner's mean rate over the evaluation frames.  Returns (scheme, eval T
+    mean, eval mean rate) or None."""
     pairs = _rs_pairs(spec, 0, tuning)
     if pairs is None:
         return None

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -645,6 +648,65 @@ class TestMainCommands:
             "the step count (mu_max - 1) / mu_resolution overflows\n"
         )
         assert not (tmp_path / "tune.csv").exists()
+
+    def test_mu_grid_past_2_53_steps_exits_1(self, tmp_path, capsys):
+        # 1 / 1e-282 steps are finite, but no index holds them.
+        config = {"scheme": "PA", "distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5],
+                  "trials": 2, "hat_R_bits": 10.0,
+                  "tuning": {"mu_max": 2.0, "mu_resolution": 1e-282}}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: tuning.mu_resolution: too fine for mu_max = 2: "
+            "the step count (mu_max - 1) / mu_resolution = 1e+282 is not below 2**53\n"
+        )
+
+    @pytest.mark.parametrize(
+        "change, found",
+        [
+            ({"tuning": {"mu_max": "x"}}, "tuning.mu_max: expected float"),
+            ({"L_cu": "x"}, "L_cu: expected int"),
+            ({"N0": "x"}, "N0: expected float"),
+            ({"L_cu": 2**1024}, "L_cu: must be finite"),
+        ],
+        ids=["mu_max", "L_cu", "N0", "L_cu_past_floats"],
+    )
+    def test_field_another_check_reads_exits_1(self, tmp_path, capsys, change, found):
+        # The nominal rate's range reads L_cu and N0, and the mu grid's
+        # reads mu_max: a mistyped or unbounded one is named, not a crash.
+        config = {"scheme": "PA", "distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5],
+                  "trials": 2, "hat_R_bits": 10.0, **change}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {found}\n"
+
+    def test_commands_import_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs about a megabyte of peak memory, and numpy imports
+        # it on first use of functions such as np.unique; no command path
+        # may.  A fresh interpreter, since this one may hold it already.
+        script = """
+import sys
+from irsa_sim.cli import main
+out, data = sys.argv[1:]
+runs = [("sweep", "irsa_l3_small"), ("tune", "rs_tune_small"), ("tune", "pa_tune_small"),
+        ("tune", "pa_tune_static_small"), ("compare", "compare_small")]
+for command, name in runs:
+    argv = [command, "--config", f"{data}/{name}.json", "--out", f"{out}/{command}_{name}"]
+    assert main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
+"""
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+             str(tmp_path), str(Path(__file__).parent / "data")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_decode_one_trace(self, tmp_path, capsys):
         # The four-message example frame decodes in a known order.

@@ -165,7 +165,7 @@ class TestBaselineDecoding:
         result = decode_frame(g, build_profile(g.degrees, cfg, scheme, 2.25), scheme, cfg)
         assert result.decoded.all()
         assert result.order.tolist() == [1, 2, 3, 0]
-        assert result.decode_slot.tolist() == [1, 3, 0, 2]
+        assert list(result.slots) == [3, 0, 2, 1]
         assert np.all(result.phase == PHASE_PEELING)
 
     def test_private_slots_all_phase_one(self):
@@ -240,20 +240,22 @@ class TestDecodeResultInvariants:
         for _ in range(400):
             g, cfg, scheme, profile = self._random_setup(rng, variant)
             result = decode_frame(g, profile, scheme, cfg)
-            steps = result.decode_step[result.decoded]
-            assert len(set(steps.tolist())) == len(steps)
-            if len(steps):
-                assert sorted(steps.tolist()) == list(range(len(steps)))
+            # Each decoded message takes one step, with one slot, SINR and
+            # genie rate.
+            order = result.order.tolist()
+            assert sorted(order) == np.flatnonzero(result.decoded).tolist()
+            assert len(result.slots) == len(result.sinrs) == len(result.genie_rates) == len(order)
             # Success rule: the genie rate at decode time covers the
             # assigned rate (up to the 1e-9 comparison slack).
-            for m in np.flatnonzero(result.decoded):
-                assert result.genie_rate[m] >= profile.rates[m] * (1 - 1e-9)
-            # Phase-1 decodes carry their slot, phase-2 decodes do not.
-            for m in np.flatnonzero(result.decoded):
+            for m, genie in zip(order, result.genie_rates.tolist()):
+                assert genie >= profile.rates[m] * (1 - 1e-9)
+            # A phase-1 decode carries one of its message's slots, a phase-2
+            # decode -1.
+            for m, slot in zip(order, result.slots):
                 if result.phase[m] == PHASE_PEELING:
-                    assert result.decode_slot[m] >= 0
+                    assert slot in g.message_slots[m]
                 else:
-                    assert result.decode_slot[m] == -1
+                    assert slot == -1
 
     @pytest.mark.parametrize("variant", ["IRSA", "RS", "PA"])
     def test_decode_sinr_is_mrc_sinr_of_exact_residual(self, variant):
@@ -270,12 +272,13 @@ class TestDecodeResultInvariants:
                 continue
             result = decode_frame(g, profile, scheme, cfg)
             edge_energy = profile.energies[g.edge_msg]
-            for msg in result.order.tolist():
-                earlier = result.decoded & (result.decode_step < result.decode_step[msg])
+            earlier = np.zeros(g.K, dtype=bool)
+            for msg, got in zip(result.order.tolist(), result.sinrs.tolist()):
                 weights = np.where(earlier[g.edge_msg], 0.0, edge_energy)
                 residual = np.bincount(g.edge_slot, weights=weights, minlength=g.M)
                 sinr = mrc_sinr(g.edge_msg, g.edge_slot, edge_energy, cfg.N0, residual)
-                assert sinr[msg] == result.decode_sinr[msg]
+                assert sinr[msg] == got
+                earlier[msg] = True
                 checked += 1
         assert checked >= 1000
 
@@ -332,7 +335,7 @@ class TestDecodeResultInvariants:
         a = decode_frame(g, profile, scheme, cfg)
         b = decode_frame(g, profile, scheme, cfg)
         assert np.array_equal(a.decoded, b.decoded)
-        assert np.array_equal(a.decode_step, b.decode_step)
+        assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.genie_rate, b.genie_rate, equal_nan=True)
 
 
@@ -702,21 +705,21 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
         decode(msg, PHASE_RESIDUAL, -1, sinr_of(msg))
 
     out = SimpleNamespace(
+        order=[], slots=[], sinrs=[], genie_rates=[],
         decoded=np.zeros(K, dtype=bool),
-        decode_step=np.full(K, -1, dtype=np.int64),
         phase=np.zeros(K, dtype=np.int8),
-        decode_slot=np.full(K, -1, dtype=np.int64),
-        decode_sinr=np.full(K, np.nan),
         genie_rate=np.full(K, np.nan),
     )
-    for step, (msg, phase, slot, sinr) in enumerate(steps):
-        out.decoded[msg] = True
-        out.decode_step[msg] = step
-        out.phase[msg] = phase
-        out.decode_slot[msg] = slot
-        out.decode_sinr[msg] = sinr
+    for msg, phase, slot, sinr in steps:
         capacity = (1.0 + sinr) if scheme.rmax_includes_one else sinr
-        out.genie_rate[msg] = 0.5 * cfg.L_cu * math.log2(capacity)
+        genie = 0.5 * cfg.L_cu * math.log2(capacity)
+        out.order.append(msg)
+        out.slots.append(slot)
+        out.sinrs.append(sinr)
+        out.genie_rates.append(genie)
+        out.decoded[msg] = True
+        out.phase[msg] = phase
+        out.genie_rate[msg] = genie
     return out
 
 
@@ -725,7 +728,7 @@ def is_static(g, profile, scheme, cfg):
     return bool(decoder.static_passes(g, profile.energies, profile.sinr_thresholds, cfg.N0).all())
 
 
-RESULT_FIELDS = ("decoded", "decode_step", "phase", "decode_slot", "decode_sinr", "genie_rate")
+RESULT_FIELDS = ("order", "slots", "sinrs", "genie_rates", "decoded", "phase", "genie_rate")
 
 
 class TestResidualStateMatchesPythonSums:
@@ -903,7 +906,7 @@ class TestStalledRegistry:
         result = TestResidualStateMatchesPythonSums.assert_same_result(*setup)
         assert result.order.tolist() == order
         assert result.phase[result.order].tolist() == phases
-        assert result.decode_slot[result.order].tolist() == slots
+        assert list(result.slots) == slots
         g, profile, _, cfg = setup
         assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
 
@@ -1104,9 +1107,9 @@ class TestIrsaIntegerPeeling:
     def test_crafted_frames(self):
         rng = np.random.default_rng(227)
         single = self.check(FrameGraph(1, [[0]]), rng, 1.0)
-        assert single.decoded.all() and single.decode_slot.tolist() == [0]
+        assert single.decoded.all() and list(single.slots) == [0]
         stuck = self.check(FrameGraph(3, [[0, 1], [0, 1], [1, 2], [1, 2]]), rng, 2.0)
-        assert not stuck.decoded.any() and np.isnan(stuck.decode_sinr).all()
+        assert not stuck.decoded.any() and len(stuck.sinrs) == 0
         # One slot shared by several messages: nothing decodes.
         for K in (2, 5):
             assert not self.check(FrameGraph(1, [[0]] * K), rng, 1.0).decoded.any()

@@ -53,6 +53,11 @@ def small_rs_spec(**kw):
     return SweepSpec(**base)
 
 
+def tune_rs_grid(spec, tuning):
+    """tune_rs at every grid point of the spec, in order."""
+    return [tune_rs(spec, g_index, tuning) for g_index in range(len(spec.G_grid))]
+
+
 def frame_outcome(point, graph, scheme):
     """The profile built on the frame's own degrees, and its decode."""
     profile = build_profile(graph.degrees, point.cfg, scheme, point.l_avg)
@@ -211,7 +216,7 @@ class TestRunSweep:
         assert records[2].note == "" and records[2].T_mean is not None
         rs = dataclasses.replace(spec, scheme="RS", G_grid=(700.0,))
         tuning = TuningConfig(alpha_grid=(0.5,), beta_grid=(1.0,), tune_trials=2)
-        assert not tune_rs(rs, tuning)[0].feasible
+        assert not tune_rs(rs, 0, tuning).feasible
         pa = dataclasses.replace(
             spec, scheme="PA", G_grid=(700.0,), tilde_Es_over_N0=None, hat_R_bits=8.0
         )
@@ -297,7 +302,7 @@ class TestOneTableRule:
         with pytest.raises(InfeasibleOperatingPointError, match="round to 0 bits"):
             build_profile(np.array([1]), point.cfg, spec.scheme_config(), point.l_avg)
         (record,) = run_sweep(spec)
-        (tuning,) = tune_rs(spec, TuningConfig(alpha_grid=(1.0,), beta_grid=(1.0,), tune_trials=3))
+        tuning = tune_rs(spec, 0, TuningConfig(alpha_grid=(1.0,), beta_grid=(1.0,), tune_trials=3))
         assert record.note == "" and record.T_mean == G
         assert tuning.feasible and tuning.T_mean == G
 
@@ -308,9 +313,10 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=4, K=30,
             G_grid=(0.3,), trials=20, seed=3, tilde_Es_over_N0=0.004,
         )
-        tunings = tune_rs(spec, TuningConfig(alpha_grid=(0.0, 0.4), beta_grid=(1.0,), tune_trials=20))
-        assert tunings[0].feasible
-        assert tunings[0].T_mean >= 0.97 * 0.3
+        tuning = TuningConfig(alpha_grid=(0.0, 0.4), beta_grid=(1.0,), tune_trials=20)
+        tuned = tune_rs(spec, 0, tuning)
+        assert tuned.feasible
+        assert tuned.T_mean >= 0.97 * 0.3
 
     def test_rejects_grid_without_admissible_pairs(self):
         # At very low load the interference estimate needs beta*r_avg*Es
@@ -319,11 +325,11 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=10, K=300,
             G_grid=(0.05,), trials=5, seed=3, tilde_Es_over_N0=0.0009,
         )
-        tunings = tune_rs(
-            spec, TuningConfig(alpha_grid=(0.5,), beta_grid=(0.5, 1.0, 2.0), tune_trials=2)
+        tuned = tune_rs(
+            spec, 0, TuningConfig(alpha_grid=(0.5,), beta_grid=(0.5, 1.0, 2.0), tune_trials=2)
         )
-        assert not tunings[0].feasible
-        assert "no admissible" in tunings[0].note
+        assert not tuned.feasible
+        assert "no admissible" in tuned.note
 
     def test_tuned_sweep_carries_parameters(self):
         spec = SweepSpec(
@@ -345,11 +351,11 @@ class TestTuneRs:
             scheme="RS", dist_name="modified_soliton", dist_Y=4, K=20,
             G_grid=(0.2,), trials=20, seed=13, tilde_Es_over_N0=0.01,
         )
-        tunings = tune_rs(
-            spec, TuningConfig(alpha_grid=(0.05, 0.2, 0.5), beta_grid=(1.5,), tune_trials=20)
+        tuned = tune_rs(
+            spec, 0, TuningConfig(alpha_grid=(0.05, 0.2, 0.5), beta_grid=(1.5,), tune_trials=20)
         )
-        assert tunings[0].feasible
-        assert tunings[0].alpha == 0.5
+        assert tuned.feasible
+        assert tuned.alpha == 0.5
 
     def test_throughput_cap_binds_below_the_load(self):
         # The cap lowers the throughput target below 0.97*G, so the feasible
@@ -359,8 +365,8 @@ class TestTuneRs:
             G_grid=(0.6, 1.0), trials=5, seed=3, tilde_Es_over_N0=0.004,
         )
         free = TuningConfig(alpha_grid=(0.0, 0.4, 1.0, 2.0), beta_grid=(1.0, 2.0), tune_trials=10)
-        capped = tune_rs(spec, dataclasses.replace(free, throughput_cap=0.5))
-        free = tune_rs(spec, free)
+        capped = tune_rs_grid(spec, dataclasses.replace(free, throughput_cap=0.5))
+        free = tune_rs_grid(spec, free)
         factor = harness.RS_THROUGHPUT_FACTOR
         for t, f in zip(capped, free):
             assert t.target == factor * 0.5 < factor * t.G
@@ -420,7 +426,7 @@ class TestTuneRs:
             beta_grid=tuple(np.geomspace(0.5, 4.0, 7).tolist()),
             tune_trials=harness.FRAME_GROUP,
         )
-        (tuned,) = tune_rs(spec, tuning)
+        tuned = tune_rs(spec, 0, tuning)
         assert tuned.feasible
         assert 0 < len(closures) < 84 / 4
         assert set(closures) == {harness.FRAME_GROUP * 300}
@@ -462,7 +468,7 @@ class TestTuneRs:
                 monkeypatch.setattr(module, "rs_sinr_target", spy)
         spec = small_rs_spec(G_grid=(0.4, 0.6), tilde_Es_over_N0=0.2)
         tuning = TuningConfig(alpha_grid=(0.1, 0.3), beta_grid=(0.5, 1.0, 2.0), tune_trials=4)
-        tunings = tune_rs(spec, tuning)
+        tunings = tune_rs_grid(spec, tuning)
         assert all(t.feasible for t in tunings)
         points = [make_point(spec, g) for g in range(2)]
         pairs = list(itertools.product(tuning.alpha_grid, tuning.beta_grid))
@@ -481,8 +487,8 @@ class TestTuneRs:
         )
         rs = dataclasses.replace(spec, scheme="RS")
         tuning = TuningConfig(alpha_grid=(0.05, 0.5), beta_grid=(1.5,), tune_trials=4)
-        tunings = tune_rs(spec, tuning)
-        assert tunings == tune_rs(rs, tuning)
+        tunings = tune_rs_grid(spec, tuning)
+        assert tunings == tune_rs_grid(rs, tuning)
         # The tuned sweep tunes the scheme its spec names: the RS spec's
         # records carry the pairs chosen on the IRSA spec.
         records, _ = run_tuned_sweep(rs, tuning)
@@ -752,7 +758,7 @@ class TestCompare:
         chosen = harness._tune_rs_for_rate(spec, tuning, 0.78)
         assert chosen is not None and chosen[0].alpha == 0.5
         per_frame[:] = at_target
-        (tuned,) = tune_rs(spec, tuning)
+        tuned = tune_rs(spec, 0, tuning)
         assert tuned.feasible and tuned.alpha == 0.5 and tuned.target == target
 
     def test_rate_search_stops_at_the_first_feasible_candidate(self, monkeypatch):
@@ -918,12 +924,14 @@ class TestPaperAnchors:
 # ---------------------------------------------------------------------------
 
 
-def sequential_tune_rs_point(spec, g_index, tuning, target):
-    """Reference for harness._tune_rs_point: every candidate decoded by
+def sequential_tune_rs(spec, g_index, tuning):
+    """Reference for harness.tune_rs: every candidate decoded by
     decode_frame and measured by trial_metrics, one frame at a time; a
     candidate is feasible when its decoded total over the tuning frames
-    reaches the target, as an exact ratio of integers."""
+    reaches the point's target, as an exact ratio of integers."""
     G = spec.G_grid[g_index]
+    cap = tuning.throughput_cap
+    target = harness.RS_THROUGHPUT_FACTOR * (G if cap is None else min(G, cap))
     base = make_point(spec, g_index)
     candidates = []
     for a in tuning.alpha_grid:
@@ -1092,15 +1100,14 @@ class TestTunersMatchSequentialReceiver:
     per-candidate decode_frame loop."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_tune_rs(self, seed, monkeypatch):
+    def test_tune_rs(self, seed):
         spec = SweepSpec(
             scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
             G_grid=(0.4, 0.8, 1.1, 2.0), trials=5, seed=seed, tilde_Es_over_N0=0.002,
         )
         tuning = TuningConfig(alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=6)
-        fast = tune_rs(spec, tuning)
-        monkeypatch.setattr(harness, "_tune_rs_point", sequential_tune_rs_point)
-        assert tune_rs(spec, tuning) == fast
+        fast = tune_rs_grid(spec, tuning)
+        assert fast == [sequential_tune_rs(spec, g, tuning) for g in range(len(spec.G_grid))]
         # The throughput floor binds: it rules out the largest alpha.
         assert all(t.feasible and t.alpha < max(ALPHAS) for t in fast)
 
@@ -1127,16 +1134,15 @@ class TestTunersMatchSequentialReceiver:
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_tune_rs_grids(self, seed, alphas, betas, G_grid, check, spec_kw, monkeypatch):
+    def test_tune_rs_grids(self, seed, alphas, betas, G_grid, check, spec_kw):
         spec = SweepSpec(**{
             **dict(scheme="RS", dist_name="modified_soliton", dist_Y=6, K=60,
                    G_grid=G_grid, trials=5, seed=seed, tilde_Es_over_N0=0.002),
             **spec_kw,
         })
         tuning = TuningConfig(alpha_grid=alphas, beta_grid=betas, tune_trials=6)
-        fast = tune_rs(spec, tuning)
-        monkeypatch.setattr(harness, "_tune_rs_point", sequential_tune_rs_point)
-        assert tune_rs(spec, tuning) == fast
+        fast = tune_rs_grid(spec, tuning)
+        assert fast == [sequential_tune_rs(spec, g, tuning) for g in range(len(spec.G_grid))]
         assert check(fast)
 
     def test_search_sets_do_not_depend_on_the_visit_order(self, monkeypatch):

@@ -73,7 +73,7 @@ def test_tuned_rs_sweep_reaches_hooks(monkeypatch):
     _, tunings = run_tuned_sweep(
         spec, TuningConfig(alpha_grid=(0.0, 0.3), beta_grid=(1.0,), tune_trials=4)
     )
-    assert counts["tune_rs"] == 1 and counts["tune_mu"] == 0
+    assert counts["tune_rs"] == 2 and counts["tune_mu"] == 0
     assert counts["tune_frames"] == 4 * 2
     assert all(t.feasible for t in tunings)
     assert counts["frames"] == 4 * 2 + 3 * 2
