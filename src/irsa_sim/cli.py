@@ -5,9 +5,10 @@ missing keys from the dataclass defaults; the config types check their own
 ranges (``config.RANGES``), and every problem is reported with its key path,
 not just the first.  A flag takes the range of the field it sets: out of
 range, it exits 1 with ``config error: --flag: problem``.  Outputs are CSV
-(one row per sweep point, fixed 6-significant-digit formatting, LF line
-endings) plus an optional set of two-column per-series files for plotting,
-and a JSON sidecar recording the resolved spec and any tuned parameters.
+(one row per sweep point or comparison line, fixed 6-significant-digit
+formatting, LF line endings) plus an optional two-column file per metric
+for plotting, and a JSON sidecar recording the resolved spec and any tuned
+parameters.
 
 Exit codes: 0 success, 1 validation error, 2 runtime infeasibility.
 """
@@ -20,8 +21,6 @@ import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import SCHEME_PARAMETERS, SCHEMES, ConfigValidationError, problem, rate_problem
 from .decoder import decode_frame
@@ -52,13 +51,12 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "emit_csv",
-    "emit_compare_csv",
     "emit_plot_data",
     "main",
 ]
 
-# Each table's columns in order, the attributes of its row type
-# (SweepRecord, CompareRow) that it writes.
+# Each table's columns in order, the attributes of its row type that it
+# writes; emit_csv picks them by the type of the rows.
 CSV_COLUMNS = (
     "scheme", "distribution", "K", "M", "G", "trials", "seed", "alpha", "beta", "mu",
     "T_mean", "T_se", "eta_mean", "eta_se", "eta_max_mean", "gamma_mean", "gamma_se",
@@ -69,6 +67,7 @@ COMPARE_COLUMNS = (
     "scheme", "es_over_N0_db", "rate_bits", "energy_per_user_db", "T_mean",
     "alpha", "beta", "mu", "note",
 )
+_COLUMNS = {SweepRecord: CSV_COLUMNS, CompareRow: COMPARE_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -218,15 +217,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def _fmt(value) -> str:
-    if value is None:
+    """A cell's text: empty for None and NaN (an undefined statistic), 6
+    significant digits for a float, ``str`` for anything else."""
+    if value is None or value != value:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
-        if value != value:  # NaN marks an undefined statistic
-            return ""
         return format(value, ".6g")
     return str(value)
 
@@ -240,9 +235,12 @@ def _cell(value) -> str:
     return text
 
 
-def _write_csv(path: Path | str, columns: tuple[str, ...], rows: list) -> Path:
-    """A header line of the ``columns``, then one CSV line per row of
-    ``rows`` holding its attributes of those names; LF line endings."""
+def emit_csv(rows: list[SweepRecord] | list[CompareRow], path: Path | str) -> Path:
+    """A header line of the row type's columns, then one line per row
+    holding its attributes of those names; LF line endings, byte-stable."""
+    if not rows:
+        raise ValueError("no rows to write")
+    columns = _COLUMNS[type(rows[0])]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fp:
@@ -250,20 +248,6 @@ def _write_csv(path: Path | str, columns: tuple[str, ...], rows: list) -> Path:
         for row in rows:
             fp.write(",".join(_cell(getattr(row, name)) for name in columns) + "\n")
     return path
-
-
-def emit_csv(records: list[SweepRecord], path: Path | str) -> Path:
-    """One row per sweep point under the fixed header; byte-stable."""
-    if not records:
-        raise ValueError("no records to write")
-    return _write_csv(path, CSV_COLUMNS, records)
-
-
-def emit_compare_csv(rows: list[CompareRow], path: Path | str) -> Path:
-    """One row per comparison line under the fixed header; byte-stable."""
-    if not rows:
-        raise ValueError("no rows to write")
-    return _write_csv(path, COMPARE_COLUMNS, rows)
 
 
 _PLOT_METRICS = (
@@ -276,43 +260,33 @@ _PLOT_METRICS = (
 
 
 def emit_plot_data(records: list[SweepRecord], outdir: Path | str) -> list[Path]:
-    """One two-column (G, value) file per series per metric; for power
-    adaptation the energy metric also gets the two constant reference
-    series (baseline level and interference-free floor)."""
+    """One two-column (G, value) file per metric for the run's one series,
+    named by the scheme and distribution that every record of a sweep or
+    tune carries; for power adaptation the energy metric also gets the two
+    constant reference series (baseline level and interference-free
+    floor).  A point without the value is left out, and a series without
+    any point is skipped with a warning."""
     if not records:
         raise ValueError("no records to write")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    series_keys = sorted({(r.scheme, r.distribution) for r in records})
+    scheme, dist = records[0].scheme, records[0].distribution
+    series = [(f"{metric}__{scheme}__{dist}.dat", attr) for metric, attr in _PLOT_METRICS]
+    if scheme == "PA":
+        series += [
+            (f"energy_per_user_db__IRSA_reference__{dist}.dat", "gamma_irsa_db"),
+            (f"energy_per_user_db__min_reference__{dist}.dat", "gamma_min_db"),
+        ]
     written: list[Path] = []
-
-    def write_series(name: str, points: list[tuple[float, float]]) -> None:
+    for name, attr in series:
+        points = [(r.G, value) for r in records if (value := getattr(r, attr)) is not None]
         if not points:
             print(f"warning: no data for {name}, skipping", file=sys.stderr)
-            return
+            continue
         path = outdir / name
         with open(path, "w", newline="\n") as fp:
-            for g, v in points:
-                fp.write(f"{_fmt(g)}\t{_fmt(v)}\n")
+            fp.writelines(f"{_fmt(g)}\t{_fmt(v)}\n" for g, v in points)
         written.append(path)
-
-    for metric, attr in _PLOT_METRICS:
-        for scheme, dist in series_keys:
-            points = [
-                (r.G, getattr(r, attr))
-                for r in records
-                if r.scheme == scheme and r.distribution == dist
-                and getattr(r, attr) is not None
-            ]
-            write_series(f"{metric}__{scheme}__{dist}.dat", points)
-    for scheme, dist in series_keys:
-        if scheme != "PA":
-            continue
-        sub = [r for r in records if r.scheme == scheme and r.distribution == dist]
-        irsa_ref = [(r.G, r.gamma_irsa_db) for r in sub if r.gamma_irsa_db is not None]
-        min_ref = [(r.G, r.gamma_min_db) for r in sub if r.gamma_min_db is not None]
-        write_series(f"energy_per_user_db__IRSA_reference__{dist}.dat", irsa_ref)
-        write_series(f"energy_per_user_db__min_reference__{dist}.dat", min_ref)
     return written
 
 
@@ -356,7 +330,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _finish_sweep(config: ExperimentConfig, records, tunings, stem: str) -> int:
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = emit_csv(records, outdir / f"{stem}.csv")
     _write_sidecar(outdir / f"{stem}.meta.json", config, records, tunings)
     if config.emit_plot_data:
@@ -399,9 +372,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     rows = compare_rs_pa(config.spec, config.tuning, config.compare)
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = emit_compare_csv(rows, outdir / "compare.csv")
+    path = emit_csv(rows, Path(config.out) / "compare.csv")
     print(f"wrote {path}")
     if all(r.note for r in rows):
         print("error: every comparison point failed", file=sys.stderr)

@@ -23,6 +23,12 @@ SCHEME_PARAMETERS = {"IRSA": (), "RS": ("alpha", "beta"), "PA": ("mu",)}
 SCHEMES = tuple(SCHEME_PARAMETERS)
 MU_CRITERIA = ("mean_fraction", "static_reliability")
 
+# Most slots a frame may have, the top of M's range: the tuners' order-free
+# decode holds harness.FRAME_GROUP frames side by side, so each per-slot
+# array it builds has 8*M values (64 MB of float64 at the bound); the
+# shipped configs stay under 10**4.
+MAX_SLOTS = 10**6
+
 
 class ConfigValidationError(ValueError):
     """Carries every validation problem found, each as "field: problem"."""
@@ -40,6 +46,10 @@ def _positive(v) -> str | None:
     return None if v > 0 else "must be positive"
 
 
+def _slot_count(v) -> str | None:
+    return _at_least(1)(v) or (None if v <= MAX_SLOTS else f"must be <= MAX_SLOTS = {MAX_SLOTS}")
+
+
 def _fraction(v) -> str | None:
     return None if 0 < v <= 1 else "must be in (0, 1]"
 
@@ -50,7 +60,7 @@ def _one_of(choices):
 
 RANGES = {
     "K": _at_least(1),
-    "M": _at_least(1),
+    "M": _slot_count,
     "L_cu": _at_least(1),
     "N0": _positive,
     "tilde_Es": _positive,

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import problem
 from .distributions import DegreeDistribution, sample_degrees
 
 __all__ = [
@@ -130,12 +131,13 @@ def _checked_edges(
     M: int, K: int, edge_msg: np.ndarray, edge_slot: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Degrees and ``edge_slot`` of K messages' edges given in any order.
-    Raises ValueError naming the first message with no slot, a repeated slot
-    or a slot outside [0, M)."""
+    Raises ValueError on a slot count M out of its range, before any
+    M-sized array, or naming the first message with no slot, a repeated
+    slot or a slot outside [0, M)."""
     if K < 1:
         raise ValueError("frame needs at least one message")
-    if M < 1:
-        raise ValueError("frame needs at least one slot")
+    if found := problem("M", M):
+        raise ValueError(f"slot count M = {M}: {found}")
     order = np.lexsort((edge_slot, edge_msg))
     edge_msg, edge_slot = edge_msg[order], edge_slot[order]
     degrees = np.bincount(edge_msg, minlength=K)

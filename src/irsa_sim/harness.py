@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import (
+    MAX_SLOTS,
     SCHEME_PARAMETERS,
     SCHEMES,
     ConfigValidationError,
@@ -81,11 +82,6 @@ RS_THROUGHPUT_FACTOR = 0.97
 # has.  The tuners hold a point's tuning stacks; the comparison's
 # evaluations draw one stack at a time.
 FRAME_GROUP = 8
-
-# Most slots a grid point may have: the order-free decode holds FRAME_GROUP
-# frames side by side, so each per-slot array it builds has 8*M values
-# (64 MB of float64 at the bound); the shipped configs stay under 10**4.
-MAX_SLOTS = 10**6
 
 # Most edges a grid point's frame may draw, K times the distribution's max
 # degree: a FRAME_GROUP stack's per-edge arrays have up to 8*MAX_EDGES values

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -205,20 +206,56 @@ class TestEmitCsv:
         assert a == b
 
 
+# A run of each kind with plot data, (command, config).  G = 1e-9 leaves
+# more than MAX_SLOTS slots, so that point is flagged with empty cells.
+PLOT_RUNS = {
+    "irsa_sweep": ("sweep", dict(
+        MINIMAL_SWEEP, K=24, trials=5, G_grid=[0.8, 1e-9, 0.4],
+        distribution={"name": "modified_soliton", "Y": 4},
+    )),
+    "pa_tune": ("tune", {
+        "scheme": "PA", "distribution": {"name": "modified_soliton", "Y": 4}, "K": 24,
+        "G_grid": [0.8, 1e-9, 0.4], "trials": 5, "L_cu": 50, "hat_R_bits": 6.0,
+        "tuning": {"tune_trials": 4},
+    }),
+}
+
+
+def run_with_plot_data(tmp_path, run_id):
+    """The CSV rows and the sidecar of a PLOT_RUNS run with plot data."""
+    command, config = PLOT_RUNS[run_id]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(config, emit_plot_data=True)))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{command}.csv", newline="") as fp:
+        rows = list(csv.DictReader(fp))
+    return rows, json.loads((tmp_path / f"{command}.meta.json").read_text())
+
+
 class TestEmitPlotData:
-    def test_series_files_per_scheme_distribution(self, tmp_path):
-        records = []
-        for scheme in ("RS", "IRSA"):
-            for dist in ("ideal_soliton_YM", "modified_soliton_Y10", "l3"):
-                for g in (0.4, 0.8):
-                    records.append(
-                        make_record(scheme=scheme, distribution=dist, G=g)
-                    )
-        written = emit_plot_data(records, tmp_path)
-        t_files = [p for p in written if p.name.startswith("T__")]
-        assert len(t_files) == 6
-        body = (tmp_path / "T__RS__l3.dat").read_text()
-        assert body == "0.4\t0.5\n0.8\t0.5\n"
+    @pytest.mark.parametrize("run_id", PLOT_RUNS)
+    def test_run_series_match_csv_columns(self, tmp_path, run_id):
+        rows, _ = run_with_plot_data(tmp_path, run_id)
+        assert [row["T_mean"] == "" for row in rows] == [False, True, False]
+        series = {"T": "T_mean", "eta": "eta_mean", "eta_max": "eta_max_mean",
+                  "gamma": "gamma_mean", "energy_per_user_db": "energy_per_user_db"}
+        for metric, column in series.items():
+            name = f"{metric}__{rows[0]['scheme']}__{rows[0]['distribution']}.dat"
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines == [f"{row['G']}\t{row[column]}" for row in rows if row[column]], name
+
+    def test_pa_reference_series_from_the_sidecar(self, tmp_path):
+        rows, meta = run_with_plot_data(tmp_path, "pa_tune")
+        config = PLOT_RUNS["pa_tune"][1]
+        hat_es = 2.0 ** (2.0 * config["hat_R_bits"] / config["L_cu"]) - 1.0  # hat_Es/N0
+        points = [p for p in meta["points"] if p["l_avg"] is not None]
+        assert len(points) == 2
+        for name, level in (("IRSA_reference", lambda p: p["l_avg"] * hat_es),
+                            ("min_reference", lambda p: hat_es)):
+            path = tmp_path / f"energy_per_user_db__{name}__{rows[0]['distribution']}.dat"
+            got = [[float(x) for x in line.split("\t")] for line in path.read_text().splitlines()]
+            expected = [[p["G"], 10.0 * math.log10(level(p))] for p in points]
+            assert got == [pytest.approx(e, rel=1e-5) for e in expected], name
 
     def test_pa_energy_reference_series(self, tmp_path):
         records = [
@@ -752,8 +789,11 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
             ("0\t5\n", "3", "slot index out of range"),
             ("", None, "edge list is empty"),
             ("0\t1\n1 2\n", None, "line 2: expected two tab-separated integers"),
+            # M defaults to the largest slot index plus one.
+            ("0\t100000000000\n", None,
+             "slot count M = 100000000001: must be <= MAX_SLOTS = 1000000\n"),
         ],
-        ids=["non_dense", "slot_out_of_range", "empty", "malformed_line"],
+        ids=["non_dense", "slot_out_of_range", "empty", "malformed_line", "slot_past_the_bound"],
     )
     def test_decode_one_bad_edge_list(self, tmp_path, capsys, content, slots, reason):
         edges = tmp_path / "frame.tsv"
@@ -765,6 +805,26 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
         err = capsys.readouterr().err
         assert err.startswith(f"error: --edges {edges}: ")
         assert reason in err
+
+    def test_decode_one_slots_past_the_bound_exits_1_before_reading_edges(self, tmp_path, capsys):
+        # The edge list does not exist: the flag is checked before it is opened.
+        argv = ["decode-one", "--edges", str(tmp_path / "absent.tsv"), "--scheme", "IRSA",
+                "--es-over-n0", "0.5", "--slots", "100000000000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: --slots: must be <= MAX_SLOTS = 1000000\n"
+
+    @pytest.mark.parametrize(
+        "content, slots", [("0\t0\n", ["--slots", "1000000"]), ("0\t999999\n", [])],
+        ids=["flag", "edge_list"],
+    )
+    def test_decode_one_at_the_slot_bound(self, tmp_path, capsys, content, slots):
+        edges = tmp_path / "frame.tsv"
+        edges.write_text(content)
+        argv = ["decode-one", "--edges", str(edges), "--scheme", "IRSA", "--es-over-n0", "0.5"]
+        assert main(argv + slots) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2
+        assert err == "# decoded 1/1, undecoded 0\n"
 
     COMPARE = {
         "scheme": "RS",

@@ -6,7 +6,8 @@ The draws stay small without leaving a range.  K is at most 24, or 10**12,
 which the bounds on M and on a frame's edges flag before any draw.  trials
 is at most 2: it has no bound, and every trial runs.  tune_trials is at
 most 2, or 10**8, which the bound on a tuner's held frames flags.  Every
-grid has at most 3 entries.
+grid has at most 3 entries.  decode-one's --slots takes M's whole range, up
+to MAX_SLOTS.
 """
 
 import csv
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsa_sim.cli import main
-from irsa_sim.config import MU_CRITERIA, SCHEMES
+from irsa_sim.config import MAX_SLOTS, MU_CRITERIA, SCHEMES
 from irsa_sim.distributions import DIST_NAMES
 from irsa_sim.harness import MAX_SOLITON_Y
 
@@ -119,10 +120,9 @@ def assert_rows_match_header(path):
         assert all(len(row) == len(header) for row in rows), path
 
 
-def decode_one_argv(config):
+def decode_one_argv(config, slots):
     """decode-one on the shipped frame, with the config's scheme, channel
-    and parameters as flags.  --slots keeps its default: nothing bounds the
-    memory a larger slot count asks for."""
+    and parameters as flags, and ``slots`` as --slots unless None."""
     flags = {
         "--l-cu": config["L_cu"], "--n0": config["N0"],
         "--es-over-n0": config["tilde_Es_over_N0"], "--hat-r-bits": config["hat_R_bits"],
@@ -130,18 +130,24 @@ def decode_one_argv(config):
     }
     argv = ["decode-one", "--edges", str(EDGES), "--scheme", config["scheme"]]
     argv += [str(part) for flag, value in flags.items() for part in (flag, repr(value))]
+    argv += [] if slots is None else ["--slots", str(slots)]
     return argv + ([] if config["rmax_includes_one"] else ["--rmax-excludes-one"])
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(config=configs())
+# decode-one's --slots over M's range, else its default: the shipped
+# frame's largest slot index plus one.
+@given(config=configs(), slots=st.none() | st.integers(1, MAX_SLOTS))
+# M's extremes.
+@example(config=TYPICAL, slots=1)
+@example(config=TYPICAL, slots=MAX_SLOTS)
 # A nominal rate whose energy rounds to 0: no reference level for IRSA.
-@example(config=dict(TYPICAL, scheme="IRSA", hat_R_bits=5e-324))
+@example(config=dict(TYPICAL, scheme="IRSA", hat_R_bits=5e-324), slots=None)
 # A mu grid of more steps than an index holds.
-@example(config=dict(TYPICAL, tuning=dict(TYPICAL["tuning"], mu_resolution=1e-282)))
+@example(config=dict(TYPICAL, tuning=dict(TYPICAL["tuning"], mu_resolution=1e-282)), slots=None)
 # An integer past the float range.
-@example(config=dict(TYPICAL, L_cu=2**1024))
-def test_every_command_exits_cleanly_over_the_ranges(config):
+@example(config=dict(TYPICAL, L_cu=2**1024), slots=None)
+def test_every_command_exits_cleanly_over_the_ranges(config, slots):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # The comparison runs at a single G; the first of the grid.
@@ -151,4 +157,4 @@ def test_every_command_exits_cleanly_over_the_ranges(config):
             path.write_text(json.dumps(doc))
             run([command, "--config", str(path), "--out", str(tmp / command)])
             assert_rows_match_header(tmp / command / f"{command}.csv")
-    run(decode_one_argv(config))
+    run(decode_one_argv(config, slots))
