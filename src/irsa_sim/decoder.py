@@ -21,15 +21,19 @@ slot raises, as it does in the MRC receiver's static test.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Its residual state is a set of lists local to ``_decode_mrc``: per slot,
-the count of undecoded messages, the sum of their indices and the sum of
-their energies per channel use.  A slot of degree one holds the message its
-id sum names (the count/id-sum pair of an invertible Bloom lookup table),
-so the receiver never lists a slot's messages to find it.  Cancelling a
-message re-sums every slot it touches: a slot left empty holds 0.0, one
-left with a single message that message's energy, and any other is added
-over its per-slot list from 0.0 in ascending message order.  So the
-interference is the value a ``bincount`` over the undecoded edges gives,
-with no drift.
+the count of undecoded messages and the sum of their indices, and under PA
+the sum of their energies per channel use.  A slot of degree one holds the
+message its id sum names (the count/id-sum pair of an invertible Bloom
+lookup table), so the receiver never lists a slot's messages to find it.
+Under PA, cancelling a message re-sums every slot it touches: a slot left
+empty holds 0.0, one left with a single message that message's energy, and
+any other is added over its per-slot list from 0.0 in ascending message
+order.  So the interference is the value a ``bincount`` over the undecoded
+edges gives, with no drift.  Under RS every replica carries the one energy
+Es (``TransmitProfile.Es``), so a slot holding h messages carries S[h],
+the value that re-sum would give, and a SINR adds the baseline's table
+entries over ascending slots: the state is the slot degrees and id sums
+alone, integers with no float to keep.
 
 Phase 1 repeatedly scans degree-one slots in ascending order and attempts
 the unique undecoded message in each, which the slot's id sum names; a
@@ -51,23 +55,30 @@ that passes keeps passing, and a message's SINR changes only when a
 cancellation touches one of its slots.  A message whose test fails sleeps
 in a stalled registry, with the degree-one slots that wait on it, and a
 cancellation wakes every sleeping message it touches: the one it leaves
-alone in a slot, and every undecoded message of a slot it re-sums.
+alone in a slot, and every sleeping message of a slot it leaves holding two
+or more.  PA's re-sum finds those among the slot's messages.  Under RS a
+message that goes to sleep appends itself to a list of each of its slots,
+and such a cancellation wakes every listed message still asleep and clears
+the list.  Every message asleep in a slot went to sleep after the slot's
+list was last cleared, so the lists wake the same set; a wake only pushes
+onto a heap and sets flags, so the order of the wakes changes nothing.
 
 Phase 1 is a worklist.  Each pass visits, in ascending order, only the
 degree-one slots not known to fail; a slot that becomes degree one, or is
 woken, beyond the scan position joins the current pass, and one at or
 behind it waits for the next, which is when a full scan would reach it.  A
 slot whose message sleeps joins it untested.  Phase 2 tests every message
-with one ``mrc_sinr`` at its first entry, keeps a min-heap of the passing
-indices and puts the others to sleep.  Woken messages wait in a second
-min-heap, and a later entry tests them in ascending order only while they
-lie below the lowest index known to pass: that message still passes, so a
-woken message above it cannot be the lowest that passes, and waits
-untested for phase 1 or a later entry.  Every SINR is added over ascending
-slots, as ``mrc_sinr``'s ``bincount`` adds it, so a skipped test would have
-failed on the same float or could not have changed the choice, and the
-decisions, the order and the outputs are those of a full scan and a full
-evaluation at every step, bit for bit.
+with one ``bincount`` at its first entry (``mrc_sinr``'s, or under RS one
+over the table's terms), keeps a min-heap of the passing indices and puts
+the others to sleep.  Woken messages wait in a second min-heap, and a later
+entry tests them in ascending order only while they lie below the lowest
+index known to pass: that message still passes, so a woken message above it
+cannot be the lowest that passes, and waits untested for phase 1 or a later
+entry.  Every SINR is added over ascending slots, as ``mrc_sinr``'s
+``bincount`` adds it, so a skipped test would have failed on the same float
+or could not have changed the choice, and the decisions, the order and the
+outputs are those of a full scan and a full evaluation at every step, bit
+for bit.
 
 A frame is statically decodable when every message passes its test
 before any cancellation, which one ``mrc_sinr`` against the initial
@@ -295,6 +306,18 @@ def decode_frame(
     return DecodeResult(graph.K, np.asarray(order, dtype=np.int64), sinrs, genie, slots)
 
 
+def _uniform_terms(degree: np.ndarray, e: float, N0: float) -> np.ndarray:
+    """term[h], the SINR term of a message at per-replica energy e over a
+    slot holding h undecoded messages, for h up to the largest of the slot
+    ``degree``s: e / (S[h] - e + N0), where S[h] adds e h times from 0.0
+    (see the module docstring); term[0] = 0.0.  Raises
+    InfeasibleOperatingPointError as ``_checked`` does."""
+    # S[h - 1]: the interference of h messages, added from 0.0.
+    with np.errstate(over="ignore"):  # an overflow is the finding, not a warning
+        S = np.add.accumulate(np.full(degree.max(initial=0), e))
+    return np.concatenate(([0.0], _checked(S, lambda: e / (S - e + N0))))
+
+
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     """Baseline receiver: erasure peeling on slot degrees and id sums.
     Returns the decoded messages, their degree-one slots and their SINRs at
@@ -309,11 +332,7 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
-    # S[h - 1]: the interference of h messages, added from 0.0; term[h]: a
-    # decode's SINR term over a slot holding h, which is never 0.
-    with np.errstate(over="ignore"):  # an overflow is the finding, not a warning
-        S = np.add.accumulate(np.full(degree.max(initial=0), e))
-    term = [0.0] + _checked(S, lambda: e / (S - e + N0)).tolist()
+    term = _uniform_terms(degree, e, N0).tolist()
     order: list[int] = []
     slots: list[int] = []
     sinrs: list[float] = []
@@ -420,21 +439,16 @@ def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0
 def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     """Two-phase MRC receiver (RS and PA).  Returns the decoded messages,
     their degree-one slots, -1 for a phase-2 decode, and their SINRs, in
-    step order."""
+    step order.  With one per-replica energy (``profile.Es`` set, RS) its
+    state is integers alone (see the module docstring)."""
     M = graph.M
     thr_arr = success_thresholds(profile.sinr_thresholds)
     thresholds = thr_arr.tolist()
-    energies = profile.energies.tolist()
     message_slots = graph.message_slots
-    slot_messages = graph.slot_messages
-    # The residual state (see the module docstring).  bincount adds a
-    # slot's energies in edge order: ascending messages.
+    # The residual state (see the module docstring).
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
-    interference = np.bincount(
-        graph.edge_slot, weights=profile.energies[graph.edge_msg], minlength=M
-    ).tolist()
     decoded = [False] * graph.K
 
     # The stalled registry (see the module docstring): each message whose
@@ -450,47 +464,114 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     due = bytearray((degree == 1).tobytes())
     later = bytearray(M)
 
-    def sinr_of(msg: int) -> float:
-        # MRC over all replicas, added over ascending slots as mrc_sinr's
-        # bincount adds them; Python's sum() may compensate, so no sum().
-        e = energies[msg]
-        total = 0.0
-        for j in message_slots[msg]:
-            total += e / (interference[j] - e + N0)
-        return total
-
     def wake(msg: int, pos: int) -> None:
         heapq.heappush(woken, msg)
         for j in asleep.pop(msg):
             (due if j > pos else later)[j] = 1
 
-    def cancel(msg: int, pos: int) -> None:
-        # Take every replica of msg out of its slots' residual state, queue
-        # the slots it leaves at degree one and wake every sleeping message
-        # it shares a slot with.
-        assert not decoded[msg], f"message {msg} cancelled twice"
-        decoded[msg] = True
-        for j in message_slots[msg]:
-            d = slot_degree[j] - 1
-            slot_degree[j] = d
-            slot_id_sum[j] -= msg
-            if d == 1:
-                m = slot_id_sum[j]
-                interference[j] = energies[m]
-                (due if j > pos else later)[j] = 1
-                if m in asleep:
-                    wake(m, pos)
-            elif d == 0:
-                interference[j] = 0.0
-                due[j] = 0  # an empty slot needs no visit
-            else:
-                total = 0.0
-                for m in slot_messages[j]:
-                    if not decoded[m]:
-                        total += energies[m]
+    if profile.Es is not None:
+        # One energy per replica (RS): a slot holding h messages interferes
+        # S[h], so term[h] is a SINR term and the state is integers alone.
+        term_arr = _uniform_terms(degree, profile.Es, N0)
+        term = term_arr.tolist()
+        # Each slot's sleepers: every message that went to sleep since the
+        # slot's last cancellation left it holding two or more, and so
+        # every sleeping message of the slot.
+        sleepers: list[list[int]] = [[] for _ in range(M)]
+
+        def sinr_of(msg: int) -> float:
+            # Added over ascending slots as mrc_sinr's bincount adds them;
+            # Python's sum() may compensate, so no sum().
+            total = 0.0
+            for j in message_slots[msg]:
+                total += term[slot_degree[j]]
+            return total
+
+        def enlist(msg: int) -> None:
+            # msg goes to sleep: list it in each of its slots.
+            for j in message_slots[msg]:
+                sleepers[j].append(msg)
+
+        def cancel(msg: int, pos: int) -> None:
+            # Take every replica of msg out of its slots' degrees and id
+            # sums, queue the slots it leaves at degree one and wake every
+            # sleeping message it shares a slot with.
+            assert not decoded[msg], f"message {msg} cancelled twice"
+            decoded[msg] = True
+            for j in message_slots[msg]:
+                d = slot_degree[j] - 1
+                slot_degree[j] = d
+                slot_id_sum[j] -= msg
+                if d == 1:
+                    m = slot_id_sum[j]
+                    (due if j > pos else later)[j] = 1
+                    if m in asleep:
+                        wake(m, pos)
+                elif d == 0:
+                    due[j] = 0  # an empty slot needs no visit
+                elif listed := sleepers[j]:
+                    for m in listed:
                         if m in asleep:
                             wake(m, pos)
-                interference[j] = total
+                    listed.clear()
+
+        def residual_sinrs() -> np.ndarray:
+            # mrc_sinr's terms at every undecoded message's edges.
+            held = np.array(slot_degree)[graph.edge_slot]
+            return np.bincount(graph.edge_msg, weights=term_arr[held])
+    else:
+        # Per-message energies (PA): each slot's interference, added in
+        # edge order, ascending messages, as bincount adds it.
+        energies = profile.energies.tolist()
+        slot_messages = graph.slot_messages
+        interference = np.bincount(
+            graph.edge_slot, weights=profile.energies[graph.edge_msg], minlength=M
+        ).tolist()
+        # A re-sum walks the slot's messages and finds its sleepers there.
+        enlist = None
+
+        def sinr_of(msg: int) -> float:
+            # MRC over all replicas, added over ascending slots as mrc_sinr's
+            # bincount adds them; Python's sum() may compensate, so no sum().
+            e = energies[msg]
+            total = 0.0
+            for j in message_slots[msg]:
+                total += e / (interference[j] - e + N0)
+            return total
+
+        def cancel(msg: int, pos: int) -> None:
+            # Take every replica of msg out of its slots' residual state,
+            # queue the slots it leaves at degree one and wake every
+            # sleeping message it shares a slot with.
+            assert not decoded[msg], f"message {msg} cancelled twice"
+            decoded[msg] = True
+            for j in message_slots[msg]:
+                d = slot_degree[j] - 1
+                slot_degree[j] = d
+                slot_id_sum[j] -= msg
+                if d == 1:
+                    m = slot_id_sum[j]
+                    interference[j] = energies[m]
+                    (due if j > pos else later)[j] = 1
+                    if m in asleep:
+                        wake(m, pos)
+                elif d == 0:
+                    interference[j] = 0.0
+                    due[j] = 0  # an empty slot needs no visit
+                else:
+                    total = 0.0
+                    for m in slot_messages[j]:
+                        if not decoded[m]:
+                            total += energies[m]
+                            if m in asleep:
+                                wake(m, pos)
+                    interference[j] = total
+
+        def residual_sinrs() -> np.ndarray:
+            return mrc_sinr(
+                graph.edge_msg, graph.edge_slot, profile.energies[graph.edge_msg], N0,
+                np.asarray(interference),
+            )
 
     # Decodes in step order: message, degree-one slot, SINR.
     order: list[int] = []
@@ -520,6 +601,8 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                         cancel(msg, pos)
                     else:
                         asleep[msg] = [pos]
+                        if enlist:
+                            enlist(msg)
                 pos = find(1, pos + 1)
             due, later = later, due
         # Phase 2: peel the lowest-index undecoded message that passes
@@ -528,15 +611,14 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         # the woken messages below the lowest known to pass: one above it
         # cannot be the lowest that passes, and waits untested.
         if passing is None:
-            sinr_all = mrc_sinr(
-                graph.edge_msg, graph.edge_slot, profile.energies[graph.edge_msg], N0,
-                np.asarray(interference),
-            )
             alive = ~np.asarray(decoded)
-            ok = sinr_all >= thr_arr
+            ok = residual_sinrs() >= thr_arr
             passing = np.flatnonzero(ok & alive).tolist()
             for m in np.flatnonzero(alive & ~ok).tolist():
-                asleep.setdefault(m, [])
+                if m not in asleep:
+                    asleep[m] = []
+                    if enlist:
+                        enlist(m)
             woken.clear()
         while passing and decoded[passing[0]]:
             heapq.heappop(passing)
@@ -548,6 +630,8 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                 heapq.heappush(passing, m)
             else:
                 asleep[m] = []
+                if enlist:
+                    enlist(m)
         if not passing:
             return order, slots, sinrs
         msg = heapq.heappop(passing)

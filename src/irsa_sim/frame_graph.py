@@ -6,8 +6,8 @@ decoder's inner loop.  A frame holds its adjacency once, as CSR edge arrays
 (``edge_msg``, ``edge_slot``): every per-slot or per-message sum is one
 ``np.bincount`` over them.  The per-message and per-slot lists that the
 sequential decoder's scalar loops read are built from the arrays on first
-use; a decode of the baseline never builds the per-slot lists, and the
-tuners' order-free decoder builds neither.
+use; a decode of the baseline or of rate selection never builds the
+per-slot lists, and the tuners' order-free decoder builds neither.
 """
 
 from __future__ import annotations

@@ -884,14 +884,25 @@ class TestResidualStateMatchesPythonSums:
         assert residual >= 50
 
 
-def unit_energy_setup(g, thresholds):
-    """A PA-labelled profile on ``g`` with every energy 1 and the given
-    SINR thresholds, at N0 = 1: each slot's interference is its count of
-    undecoded messages."""
+def unit_energy_setup(g, thresholds, Es=None):
+    """A profile on ``g`` with every energy 1 and the given SINR thresholds,
+    at N0 = 1: each slot's interference is its count of undecoded messages.
+    With ``Es`` None it is PA-labelled and the receiver keeps its float
+    state; with ``Es`` = 1.0 it is RS-labelled and the receiver keeps slot
+    degrees alone, each term 1/h over a slot holding h."""
     profile = TransmitProfile(
-        g.degrees, np.ones(g.K), np.ones(g.K), np.array(thresholds, dtype=float), None, 2.0
+        g.degrees, np.ones(g.K), np.ones(g.K), np.array(thresholds, dtype=float), Es, 2.0
     )
-    return g, profile, SchemeConfig("PA", mu=1.0), ChannelConfig(K=g.K, M=g.M, hat_R=10.0)
+    if Es is None:
+        return g, profile, SchemeConfig("PA", mu=1.0), ChannelConfig(K=g.K, M=g.M, hat_R=10.0)
+    scheme = SchemeConfig("RS", alpha=1.0, beta=1.0)
+    return g, profile, scheme, ChannelConfig(K=g.K, M=g.M, tilde_Es=2.0 * Es / g.M)
+
+
+def unit_energy_setups(g, thresholds):
+    """``unit_energy_setup`` on both receiver states: PA-labelled, then
+    RS-labelled."""
+    return [unit_energy_setup(g, thresholds), unit_energy_setup(g, thresholds, Es=1.0)]
 
 
 class TestStalledRegistry:
@@ -899,16 +910,18 @@ class TestStalledRegistry:
     one of its slots; a message that failed and was not touched would fail
     again.  Each crafted frame pins a decode order the stateless receiver
     (``oracle_decode_frame``) gives, and that a receiver waking too little,
-    or waking a slot into the wrong pass, would not."""
+    or waking a slot into the wrong pass, would not, on both the float state
+    (PA) and the integer state with per-slot sleeper lists (RS)."""
 
     @staticmethod
-    def check(setup, order, phases, slots):
-        result = TestResidualStateMatchesPythonSums.assert_same_result(*setup)
-        assert result.order.tolist() == order
-        assert result.phase[result.order].tolist() == phases
-        assert list(result.slots) == slots
-        g, profile, _, cfg = setup
-        assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
+    def check(g, thresholds, order, phases, slots):
+        for setup in unit_energy_setups(g, thresholds):
+            result = TestResidualStateMatchesPythonSums.assert_same_result(*setup)
+            assert result.order.tolist() == order
+            assert result.phase[result.order].tolist() == phases
+            assert list(result.slots) == slots
+            _, profile, _, cfg = setup
+            assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
 
     def test_stalled_slot_waits_for_the_phase_two_decode_that_touches_it(self):
         # Message 0 sits alone in slot 0 and fails there (SINR 1 + 1/3 <
@@ -917,8 +930,9 @@ class TestStalledRegistry:
         # slot 0, although none of its slots became degree one.  Messages 3
         # and 4 never pass.
         g = FrameGraph(5, [[0, 1], [2, 3], [1, 4], [2, 3, 4], [1]])
-        setup = unit_energy_setup(g, [1.4, 0.9, 0.8, 100.0, 100.0])
-        self.check(setup, order=[1, 2, 0], phases=[2, 2, 1], slots=[-1, -1, 0])
+        self.check(
+            g, [1.4, 0.9, 0.8, 100.0, 100.0], order=[1, 2, 0], phases=[2, 2, 1], slots=[-1, -1, 0]
+        )
 
     def test_wake_ahead_joins_the_pass_and_wake_behind_waits(self):
         # Messages 0 (slot 0) and 1 (slot 4) fail alone in their slots;
@@ -929,9 +943,9 @@ class TestStalledRegistry:
         # waits for the next pass, where it decodes 0 before slot 2 (left
         # holding 4 alone) decodes 4.  Message 5 never passes.
         g = FrameGraph(6, [[0, 2], [3, 4], [1, 2, 3], [1, 5], [2, 3], [5]])
-        setup = unit_energy_setup(g, [1.4, 1.4, 1.5, 0.9, 1.45, 100.0])
         self.check(
-            setup, order=[3, 2, 1, 0, 4], phases=[2, 1, 1, 1, 1], slots=[-1, 1, 4, 0, 2]
+            g, [1.4, 1.4, 1.5, 0.9, 1.45, 100.0],
+            order=[3, 2, 1, 0, 4], phases=[2, 1, 1, 1, 1], slots=[-1, 1, 4, 0, 2],
         )
 
     def test_woken_message_above_the_lowest_passing_one_waits_untested(self):
@@ -943,8 +957,10 @@ class TestStalledRegistry:
         # 2 alone in slot 2, where phase 1 decodes it (1/2 + 1 >= 1.2).
         # Messages 3, 4 and 5 never pass.
         g = FrameGraph(5, [[0, 1], [2, 3], [0, 2], [1, 4], [3, 4], [0, 4]])
-        setup = unit_energy_setup(g, [0.8, 0.9, 1.2, 100.0, 100.0, 100.0])
-        self.check(setup, order=[0, 1, 2], phases=[2, 2, 1], slots=[-1, -1, 2])
+        self.check(
+            g, [0.8, 0.9, 1.2, 100.0, 100.0, 100.0],
+            order=[0, 1, 2], phases=[2, 2, 1], slots=[-1, -1, 2],
+        )
 
     def test_woken_message_below_the_lowest_passing_one_is_taken(self):
         # Slots: 0 {0, 1, 5}, 1 {0, 3}, 2 {1, 4}, 3 {2, 4}, 4 {2, 3, 5}.
@@ -954,8 +970,10 @@ class TestStalledRegistry:
         # passes (1/2 + 1/2) and is taken before 2.  Messages 3, 4 and 5
         # never pass.
         g = FrameGraph(5, [[0, 1], [0, 2], [3, 4], [1, 4], [2, 3], [0, 4]])
-        setup = unit_energy_setup(g, [0.8, 0.9, 0.8, 100.0, 100.0, 100.0])
-        self.check(setup, order=[0, 1, 2], phases=[2, 2, 2], slots=[-1, -1, -1])
+        self.check(
+            g, [0.8, 0.9, 0.8, 100.0, 100.0, 100.0],
+            order=[0, 1, 2], phases=[2, 2, 2], slots=[-1, -1, -1],
+        )
 
     @pytest.mark.parametrize(
         "variant, params, G",
@@ -979,6 +997,63 @@ class TestStalledRegistry:
             profile = build_profile(g.degrees, cfg, scheme, l_avg)
             result = TestResidualStateMatchesPythonSums.assert_same_result(g, profile, scheme, cfg)
             assert np.array_equal(closure_of(g, [profile], cfg.N0)[0], result.decoded)
+            residual += int((result.phase == PHASE_RESIDUAL).sum())
+        assert residual >= 60
+
+
+class TestRsIntegerState:
+    """Under one per-replica energy (RS) the two-phase receiver keeps slot
+    degrees and id sums alone, and wakes sleepers from per-slot lists; every
+    output equals the stateless receiver's (oracle_decode_frame) bit for
+    bit."""
+
+    def test_ideal_soliton_tracking_slot_count(self):
+        # "Y": "M": degrees up to M, so a message that fails sleeps in tens
+        # of slots, and a slot holds tens of messages.
+        rng = np.random.default_rng(251)
+        two_phase = residual = widest = busiest = 0
+        for _ in range(120):
+            M = int(rng.integers(5, 80))
+            K = int(rng.integers(1, 2 * M))
+            dist = ideal_soliton(M)
+            g = build_frame(K, M, dist, rng)
+            cfg = ChannelConfig(
+                K=K, M=M, L_cu=int(rng.integers(1, 200)), N0=float(rng.uniform(0.2, 3.0)),
+                tilde_Es=float(rng.uniform(1e-4, 0.05)),
+            )
+            scheme = SchemeConfig(
+                "RS", alpha=float(rng.choice(RS_ALPHA_GRID)), beta=float(rng.choice(RS_BETA_GRID))
+            )
+            profile = build_profile(g.degrees, cfg, scheme, avg_degree(dist))
+            setup = (g, profile, scheme, cfg)
+            result = TestResidualStateMatchesPythonSums.assert_same_result(*setup)
+            if is_static(*setup):
+                continue
+            two_phase += 1
+            residual += int((result.phase == PHASE_RESIDUAL).sum())
+            # An undecoded message failed phase 2's first test and slept.
+            widest = max(widest, int(g.degrees[~result.decoded].max(initial=0)))
+            read = g.slot_degrees()[g.edge_slot[result.decoded[g.edge_msg]]]
+            busiest = max(busiest, int(read.max(initial=0)))
+        assert two_phase >= 60 and residual >= 500 and widest >= 40 and busiest >= 15
+
+    def test_never_builds_the_slot_lists(self, monkeypatch):
+        def forbidden(graph):
+            raise AssertionError("RS decode read FrameGraph.slot_messages")
+
+        monkeypatch.setattr(FrameGraph, "slot_messages", property(forbidden))
+        # The tune_rs_l2 point where the receiver stalls most (see
+        # TestStalledRegistry.test_stalling_regimes_at_full_size).
+        dist = modified_soliton(10)
+        cfg = ChannelConfig(K=300, M=231, tilde_Es=9e-4)
+        scheme = SchemeConfig("RS", alpha=1.31587, beta=2.82843)
+        rng = np.random.default_rng(257)
+        residual = 0
+        for _ in range(3):
+            g = build_frame(300, 231, dist, rng)
+            setup = (g, build_profile(g.degrees, cfg, scheme, avg_degree(dist)), scheme, cfg)
+            assert not is_static(*setup)
+            result = decode_frame(*setup)
             residual += int((result.phase == PHASE_RESIDUAL).sum())
         assert residual >= 60
 
@@ -1007,12 +1082,12 @@ class TestStaticPeeling:
         # by 3); messages 0 and 2 share slots 3 and 4, a stopping set.  Phase
         # 2 takes 0, the lower index, and phase 1 then decodes 2 at slot 3.
         g = FrameGraph(5, [[3, 4], [1], [3, 4], [0, 2], [2]])
-        setup = unit_energy_setup(g, [0.4] * 5)
-        assert is_static(*setup)
         TestStalledRegistry.check(
-            setup, order=[3, 1, 4, 0, 2], phases=[1, 1, 1, 2, 1], slots=[0, 1, 2, -1, 3]
+            g, [0.4] * 5, order=[3, 1, 4, 0, 2], phases=[1, 1, 1, 2, 1], slots=[0, 1, 2, -1, 3]
         )
-        self.assert_same_as_two_phase(setup, monkeypatch)
+        for setup in unit_energy_setups(g, [0.4] * 5):
+            assert is_static(*setup)
+            self.assert_same_as_two_phase(setup, monkeypatch)
 
     def test_tuned_pa_points_at_full_size(self, monkeypatch):
         # The mu the static_reliability rule picks on the tune_pa_l2
