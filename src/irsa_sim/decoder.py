@@ -14,10 +14,14 @@ energies, added from 0.0 in ascending message order.  Baseline energies are
 uniform, say e, so a slot holding h messages carries S[h] = ((0 + e) + e) +
 ..., h additions, which ``np.add.accumulate`` builds with the same float
 operations.  So e / (S[h] - e + N0), the SINR term of a slot holding h, is
-a table built once per frame, and the peeling sums each SINR as it takes
-the message out: from 0.0, the term of the count each slot still held,
-over ascending slots, as ``mrc_sinr``'s ``bincount`` adds.  An overflowing
-slot raises, as it does in the MRC receiver's static test.
+a table, and the peeling sums each SINR as it takes the message out: from
+0.0, the term of the count each slot still held, over ascending slots, as
+``mrc_sinr``'s ``bincount`` adds.  One table, built up to K entries,
+serves every frame of K messages at the same e and N0
+(``_uniform_terms``), and the RS receiver below as well: ``add.accumulate``
+sums in order, so its first h sums are the ones a table built for a frame
+whose slots hold up to h messages holds.  A frame raises where its own
+busiest slot overflows, as it does in the MRC receiver's static test.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Its residual state is a set of lists local to ``_decode_mrc``: per slot,
@@ -58,10 +62,13 @@ cancellation wakes every sleeping message it touches: the one it leaves
 alone in a slot, and every sleeping message of a slot it leaves holding two
 or more.  PA's re-sum finds those among the slot's messages.  Under RS a
 message that goes to sleep appends itself to a list of each of its slots,
-and such a cancellation wakes every listed message still asleep and clears
-the list.  Every message asleep in a slot went to sleep after the slot's
-list was last cleared, so the lists wake the same set; a wake only pushes
-onto a heap and sets flags, so the order of the wakes changes nothing.
+and such a cancellation takes the slot's list out and wakes every listed
+message still asleep.  A slot has a list only from the first sleep there
+since the last one was taken out, so a frame makes lists only where
+messages sleep.  Every message asleep in a slot went to sleep after the
+slot's list was last taken out, so the lists wake the same set; a wake
+only pushes onto a heap and sets flags, so the order of the wakes changes
+nothing.
 
 Phase 1 is a worklist.  Each pass visits, in ascending order, only the
 degree-one slots not known to fail; a slot that becomes degree one, or is
@@ -116,7 +123,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -139,6 +146,10 @@ __all__ = [
 PHASE_NONE = 0
 PHASE_PEELING = 1
 PHASE_RESIDUAL = 2
+
+# The two overflows the MRC SINR is checked for (``_checked``).
+INTERFERENCE_OVERFLOWS = "a slot's interference overflows in the MRC SINR"
+NOISE_OVERFLOWS = "a slot's interference plus the noise N0 overflows in the MRC SINR"
 
 # One-sided slack on the success comparison: the tie convention.  A SINR
 # exactly on its threshold, such as a lone degree-one message's Es/N0 under
@@ -214,14 +225,12 @@ def _checked(interference: np.ndarray, sinr: Callable[[], np.ndarray]) -> np.nda
     floating-point error, and an infinite sum would zero the SINR term of
     every message in the slot."""
     if not np.isfinite(interference).all():
-        raise InfeasibleOperatingPointError("a slot's interference overflows in the MRC SINR")
+        raise InfeasibleOperatingPointError(INTERFERENCE_OVERFLOWS)
     try:
         with np.errstate(over="raise"):
             return sinr()
     except FloatingPointError:
-        raise InfeasibleOperatingPointError(
-            "a slot's interference plus the noise N0 overflows in the MRC SINR"
-        ) from None
+        raise InfeasibleOperatingPointError(NOISE_OVERFLOWS) from None
 
 
 def _checked_sinr(edge_msg, edge_slot, edge_energy, N0: float, M: int, K: int):
@@ -306,16 +315,36 @@ def decode_frame(
     return DecodeResult(graph.K, np.asarray(order, dtype=np.int64), sinrs, genie, slots)
 
 
-def _uniform_terms(degree: np.ndarray, e: float, N0: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _uniform_table(e: float, N0: float, K: int):
     """term[h], the SINR term of a message at per-replica energy e over a
-    slot holding h undecoded messages, for h up to the largest of the slot
-    ``degree``s: e / (S[h] - e + N0), where S[h] adds e h times from 0.0
-    (see the module docstring); term[0] = 0.0.  Raises
-    InfeasibleOperatingPointError as ``_checked`` does."""
-    # S[h - 1]: the interference of h messages, added from 0.0.
+    slot holding h undecoded messages, for h up to K: e / (S[h] - e + N0),
+    where S[h] adds e h times from 0.0 (see the module docstring); term[0] =
+    0.0.  Each message's slots are distinct, so no slot holds more than K.
+    Returns the table as an array and a list, and the least h whose S[h],
+    and whose S[h] - e + N0 or term, overflows (K + 1 where none does)."""
     with np.errstate(over="ignore"):  # an overflow is the finding, not a warning
-        S = np.add.accumulate(np.full(degree.max(initial=0), e))
-    return np.concatenate(([0.0], _checked(S, lambda: e / (S - e + N0))))
+        S = np.add.accumulate(np.full(K, e))
+        den = S - e + N0
+        term = np.concatenate(([0.0], e / den))
+    term.flags.writeable = False
+    first = lambda bad: 1 + int(np.argmax(bad)) if bad.any() else K + 1
+    return term, term.tolist(), first(np.isinf(S)), first(np.isinf(den) | np.isinf(term[1:]))
+
+
+def _uniform_terms(degree: np.ndarray, e: float, N0: float, K: int):
+    """The term table at (e, N0) for frames of K messages (``_uniform_table``),
+    built once and shared by every such frame, as an array and a list.
+    Raises InfeasibleOperatingPointError as ``_checked`` does over the sums
+    of up to the largest of the slot ``degree``s: a frame raises where its
+    own busiest slot overflows."""
+    term, values, sum_overflow, term_overflow = _uniform_table(e, N0, K)
+    h = int(degree.max(initial=0))
+    if h >= sum_overflow:
+        raise InfeasibleOperatingPointError(INTERFERENCE_OVERFLOWS)
+    if h >= term_overflow:
+        raise InfeasibleOperatingPointError(NOISE_OVERFLOWS)
+    return term, values
 
 
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
@@ -332,7 +361,7 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
-    term = _uniform_terms(degree, e, N0).tolist()
+    _, term = _uniform_terms(degree, e, N0, graph.K)
     order: list[int] = []
     slots: list[int] = []
     sinrs: list[float] = []
@@ -449,7 +478,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
-    decoded = [False] * graph.K
+    decoded = bytearray(graph.K)
 
     # The stalled registry (see the module docstring): each message whose
     # last test failed, with the degree-one slots that wait on it; and a
@@ -472,12 +501,12 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     if profile.Es is not None:
         # One energy per replica (RS): a slot holding h messages interferes
         # S[h], so term[h] is a SINR term and the state is integers alone.
-        term_arr = _uniform_terms(degree, profile.Es, N0)
-        term = term_arr.tolist()
+        term_arr, term = _uniform_terms(degree, profile.Es, N0, graph.K)
         # Each slot's sleepers: every message that went to sleep since the
         # slot's last cancellation left it holding two or more, and so
-        # every sleeping message of the slot.
-        sleepers: list[list[int]] = [[] for _ in range(M)]
+        # every sleeping message of the slot.  A slot gets a list when a
+        # message first sleeps there, and a wake takes it out.
+        sleepers: list[list[int] | None] = [None] * M
 
         def sinr_of(msg: int) -> float:
             # Added over ascending slots as mrc_sinr's bincount adds them;
@@ -490,14 +519,17 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         def enlist(msg: int) -> None:
             # msg goes to sleep: list it in each of its slots.
             for j in message_slots[msg]:
-                sleepers[j].append(msg)
+                if (listed := sleepers[j]) is None:
+                    sleepers[j] = [msg]
+                else:
+                    listed.append(msg)
 
         def cancel(msg: int, pos: int) -> None:
             # Take every replica of msg out of its slots' degrees and id
             # sums, queue the slots it leaves at degree one and wake every
             # sleeping message it shares a slot with.
             assert not decoded[msg], f"message {msg} cancelled twice"
-            decoded[msg] = True
+            decoded[msg] = 1
             for j in message_slots[msg]:
                 d = slot_degree[j] - 1
                 slot_degree[j] = d
@@ -510,10 +542,10 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                 elif d == 0:
                     due[j] = 0  # an empty slot needs no visit
                 elif listed := sleepers[j]:
+                    sleepers[j] = None
                     for m in listed:
                         if m in asleep:
                             wake(m, pos)
-                    listed.clear()
 
         def residual_sinrs() -> np.ndarray:
             # mrc_sinr's terms at every undecoded message's edges.
@@ -544,7 +576,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             # queue the slots it leaves at degree one and wake every
             # sleeping message it shares a slot with.
             assert not decoded[msg], f"message {msg} cancelled twice"
-            decoded[msg] = True
+            decoded[msg] = 1
             for j in message_slots[msg]:
                 d = slot_degree[j] - 1
                 slot_degree[j] = d
@@ -611,7 +643,7 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         # the woken messages below the lowest known to pass: one above it
         # cannot be the lowest that passes, and waits untested.
         if passing is None:
-            alive = ~np.asarray(decoded)
+            alive = ~np.frombuffer(decoded, dtype=bool)
             ok = residual_sinrs() >= thr_arr
             passing = np.flatnonzero(ok & alive).tolist()
             for m in np.flatnonzero(alive & ~ok).tolist():

@@ -174,8 +174,8 @@ def build_frame(
     # key = message * M + slot: sorting the keys sorts by (message, slot).
     base = np.repeat(np.arange(K, dtype=np.int64) * M, degrees)
     key = base + rng.integers(0, M, size=len(base))
-    wide = np.flatnonzero(degrees > WIDE_FRACTION * M)
-    if len(wide):
+    if dist.max_degree > WIDE_FRACTION * M:
+        wide = np.flatnonzero(degrees > WIDE_FRACTION * M)
         ends = np.cumsum(degrees)
         for k, end, d in zip(wide.tolist(), ends[wide].tolist(), degrees[wide].tolist()):
             key[end - d:end] = k * M + rng.permutation(M)[:d]

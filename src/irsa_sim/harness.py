@@ -38,11 +38,13 @@ from .metrics import (
 from .schemes import (
     ChannelConfig,
     InfeasibleOperatingPointError,
+    RsGrid,
     SchemeConfig,
     TransmitProfile,
     TuningParameterError,
     build_profile,
     hat_es_from_rate,
+    rs_grid,
 )
 
 __all__ = [
@@ -561,55 +563,51 @@ class RsTuning:
 
 def _rs_pairs(
     spec: SweepSpec, g_index: int, tuning: TuningConfig
-) -> tuple[SweepPoint, list[SchemeConfig], list[TransmitProfile], list[FrameGraph]] | None:
-    """The RS tuners' candidates at one grid point: the point, the
-    admissible (alpha, beta) pairs of ``tuning``'s grids (those whose table
-    raises no TuningParameterError), alpha-major, their tables and the
-    PURPOSE_RS_TUNE stacks (``_held_stacks``); None when no pair is.
-    InfeasibleOperatingPointError when a table fails, the first in order."""
+) -> tuple[SweepPoint, RsGrid, list[FrameGraph]] | None:
+    """The RS tuners' candidates at one grid point: the point, the rate
+    selection table of ``tuning``'s grids on its degree support (``rs_grid``:
+    one row per admissible pair, alpha-major) and the PURPOSE_RS_TUNE stacks
+    (``_held_stacks``); None when no pair is admissible.
+    InfeasibleOperatingPointError when a pair's row fails, the first in
+    order."""
     point = make_point(spec, g_index)
-    schemes: list[SchemeConfig] = []
-    tables: list[TransmitProfile] = []
-    for a in tuning.alpha_grid:
-        for b in tuning.beta_grid:
-            # Rate selection whatever scheme the spec names.
-            scheme = SchemeConfig("RS", alpha=a, beta=b, rmax_includes_one=spec.rmax_includes_one)
-            try:
-                tables.append(_table(point, scheme))
-            except TuningParameterError:
-                continue
-            schemes.append(scheme)
-    if not schemes:
+    try:
+        # Rate selection whatever scheme the spec names.
+        grid = rs_grid(
+            point.dist.degrees, point.cfg, tuning.alpha_grid, tuning.beta_grid, point.l_avg,
+            spec.rmax_includes_one,
+        )
+    except TuningParameterError:
         return None
     stacks = _held_stacks(point, mix64(spec.seed, PURPOSE_RS_TUNE), tuning.tune_trials)
-    return point, schemes, tables, stacks
+    return point, grid, stacks
 
 
 def _rs_search(
-    point: SweepPoint, tables: list[TransmitProfile], stacks: list[FrameGraph], floor: float
+    point: SweepPoint, grid: RsGrid, stacks: list[FrameGraph], floor: float
 ) -> list[int]:
-    """The places in ``tables`` of the pairs whose decoded total over
-    ``stacks`` holds ``floor`` exactly, int(total) / (frames * M) >= floor
-    (a mean of per-frame ratios can round below it), by descending mean
-    rate over devices, ties in alpha-major order.  RS pairs spend one
-    energy, so a table whose thresholds are all at most the previous one's
-    decodes a superset on every frame (``decoder``); the order is cut into
-    chains wherever that fails, and on each chain ``_first_reaching`` finds
-    the feasible tail.  The energies alone decide whether a slot's
-    interference overflows, whichever pair is decoded first."""
-    means = [point.dist.probabilities @ table.rates for table in tables]
-    order = sorted(range(len(tables)), key=lambda i: -means[i])
-    chains = [[order[0]]]
-    for prev, i in zip(order, order[1:]):
-        if np.all(tables[i].sinr_thresholds <= tables[prev].sinr_thresholds):
-            chains[-1].append(i)
-        else:
-            chains.append([i])
+    """The rows of ``grid`` whose decoded total over ``stacks`` holds
+    ``floor`` exactly, int(total) / (frames * M) >= floor (a mean of
+    per-frame ratios can round below it), by descending mean rate over
+    devices, ties in alpha-major order.  RS pairs spend one energy, so a row
+    whose thresholds are all at most the previous one's decodes a superset
+    on every frame (``decoder``); the order is cut into chains wherever that
+    fails, and on each chain ``_first_reaching`` finds the feasible tail.
+    The energies alone decide whether a slot's interference overflows,
+    whichever pair is decoded first."""
+    # One dot product per row: a matrix product sums a row in an order that
+    # depends on its place in the matrix, so equal rows could get unequal
+    # means and lose the alpha-major tie rule.
+    means = np.array([point.dist.probabilities @ rates for rates in grid.rates])
+    order = np.argsort(-means, kind="stable")
+    thresholds = grid.sinr_thresholds[order]
+    dominated = (thresholds[1:] <= thresholds[:-1]).all(axis=1)
     feasible: list[int] = []
-    for chain in chains:
+    for chain in np.split(order, np.flatnonzero(~dominated) + 1):
+        chain = chain.tolist()
         first, _ = _first_reaching(
             chain, stacks,
-            lambda i, which: _decoded_sets(point, which, tables[i]).sum(axis=1),
+            lambda i, which: _decoded_sets(point, which, grid.profile(i)).sum(axis=1),
             lambda counts: int(counts.sum()) / (counts.size * point.cfg.M) >= floor,
         )
         if first is not None:
@@ -642,38 +640,39 @@ def tune_rs(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> RsTuning:
         pairs = _rs_pairs(spec, g_index, tuning)
         if pairs is None:
             return flagged("no admissible (alpha, beta) in the grids")
-        point, schemes, tables, stacks = pairs
+        point, grid, stacks = pairs
         # T and eta are trial_metrics' expressions, added in frame order.
         # RS spends one common energy, so C_ref depends on the grid point
         # alone.
-        c_ref = reference_capacity(tables[0], point.cfg)
+        c_ref = reference_capacity(grid.profile(0), point.cfg)
         # The bounds divide by C_ref; a NaN one makes them NaN, skipping none.
         if c_ref == 0:
             raise InfeasibleOperatingPointError("C_ref = 0 is not positive and finite")
-        feasible = _rs_search(point, tables, stacks, target)
+        feasible = _rs_search(point, grid, stacks, target)
         if not feasible:
             return flagged(f"no candidate reached mean T >= {target:.4g}")
         index = np.concatenate([point.index(stack) for stack in stacks])
         counts = np.bincount(index, minlength=len(point.dist.degrees))
         scale = (1.0 + ETA_BOUND_SLACK) / (tuning.tune_trials * c_ref)
-        bounds = {i: float(tables[i].rates @ counts) * scale for i in feasible}
+        # One dot product per row, as _rs_search takes its means.
+        bounds = {i: float(grid.rates[i] @ counts) * scale for i in feasible}
         best = None  # (eta, T, -alpha, -i) of the best feasible pair
         for i in sorted(feasible, key=lambda i: -bounds[i]):
             if best is not None and bounds[i] < best[0]:
                 break
-            rates = tables[i].rates
+            rates = grid.rates[i]
             T, eta = _closure_means(
-                point, stacks, tables[i],
+                point, stacks, grid.profile(i),
                 lambda mask, index: float(rates[index][mask].sum()) / c_ref,
             )
-            key = (eta, T, -schemes[i].alpha, -i)
+            key = (eta, T, -grid.pairs[i][0], -i)
             if best is None or key > best:
                 best = key
     except InfeasibleOperatingPointError as err:
         return flagged(str(err))
     eta, T, _, i = best
-    scheme = schemes[-i]
-    return RsTuning(G, scheme.alpha, scheme.beta, True, T_mean=T, eta_mean=eta, target=target)
+    alpha, beta = grid.pairs[-i]
+    return RsTuning(G, alpha, beta, True, T_mean=T, eta_mean=eta, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -911,16 +910,18 @@ def _tune_rs_for_rate(
     pairs = _rs_pairs(spec, 0, tuning)
     if pairs is None:
         return None
-    point, schemes, tables, stacks = pairs
-    feasible = _rs_search(point, tables, stacks, min_throughput)
+    point, grid, stacks = pairs
+    feasible = _rs_search(point, grid, stacks, min_throughput)
     if not feasible:
         return None
     best = feasible[0]
     # Only the decoded count and the mean rate are read: the order-free
-    # decoded set serves, with the rates read from the winner's table.
-    rates = tables[best].rates
+    # decoded set serves, with the rates read from the winner's row.
+    rates = grid.rates[best]
     t_mean, mean_rate = _closure_means(
-        point, _stacks(point, point.seed, spec.trials), tables[best],
+        point, _stacks(point, point.seed, spec.trials), grid.profile(best),
         lambda mask, index: float(rates[index].mean()),
     )
-    return schemes[best], t_mean, mean_rate
+    alpha, beta = grid.pairs[best]
+    scheme = SchemeConfig("RS", alpha=alpha, beta=beta, rmax_includes_one=spec.rmax_includes_one)
+    return scheme, t_mean, mean_rate

@@ -6,6 +6,11 @@ code rate from its own repetition degree; the power-adaptation variant fixes
 a common rate and scales each device's transmit energy down with its degree.
 
 Rates are Gaussian-approximation thresholds in bits (log base 2 throughout).
+
+Rate selection has one copy of its rule, ``rs_grid``: one broadcast over
+(alpha, beta) pairs gives each admissible pair's row of rates and thresholds
+on a list of degrees.  The RS tuners take a grid point's whole table from
+one call, and ``build_profile`` calls it on a scheme's one pair.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ __all__ = [
     "ChannelConfig",
     "SchemeConfig",
     "TransmitProfile",
+    "RsGrid",
     "TuningParameterError",
     "InfeasibleOperatingPointError",
     "es_from_reference",
     "hat_es_from_rate",
-    "rs_sinr_target",
+    "rs_grid",
     "pa_mean_energy",
     "pa_powers",
     "build_profile",
@@ -145,31 +151,122 @@ def hat_es_from_rate(hat_R: float, L_cu: int, N0: float) -> float:
     return N0 * (2.0 ** (2.0 * hat_R / L_cu) - 1.0)
 
 
-def rs_sinr_target(
-    l_i, Es: float, N0: float, alpha: float, beta: float, r_avg: float
-):
-    """Estimated effective SINR a degree-l device plans for: its own slot at
-    noise only plus (l-1) MRC terms against an assumed load of beta*r_avg
-    interferers per slot, scaled by alpha.
+@dataclass(frozen=True)
+class RsGrid:
+    """Rate selection over the admissible (alpha, beta) pairs of two grids,
+    alpha-major: row i of ``rates`` and ``sinr_thresholds`` is the profile
+    of ``pairs[i]`` on ``degrees``, every replica at the one energy Es.
+    ``profile(i)`` is that row as the profile ``build_profile`` gives."""
 
-    Accepts scalar or array ``l_i``.  Raises TuningParameterError when the
-    assumed residual denominator is non-positive, and
-    InfeasibleOperatingPointError when it overflows: every degree's term
-    would read 0 or NaN.
-    """
-    den = (beta * r_avg - 1.0) * Es + N0
-    if den <= 0:
+    pairs: list[tuple[float, float]]
+    degrees: np.ndarray
+    energies: np.ndarray
+    rates: np.ndarray
+    sinr_thresholds: np.ndarray
+    Es: float
+    l_avg: float
+
+    def profile(self, i: int) -> TransmitProfile:
+        return TransmitProfile(
+            self.degrees, self.energies, self.rates[i], self.sinr_thresholds[i], self.Es,
+            self.l_avg,
+        )
+
+
+def _profile_checks(
+    energies: np.ndarray, rates: np.ndarray, thresholds: np.ndarray, snr: float | None
+) -> list[tuple[np.ndarray, str]]:
+    """``build_profile``'s checks on profiles given as (rows x degrees)
+    arrays, each a per-row failure mask and its message, in the order a
+    row's first failure is named: rates rounding to 0 bits where every
+    replica carries one energy at Es/N0 = ``snr`` (None under power
+    adaptation), then each field strictly positive and finite."""
+    checks = []
+    if snr is not None:  # 1 + x rounds to 1 below x of about 1e-16
+        checks.append((~(rates.min(axis=1) > 0), f"rates round to 0 bits at Es/N0 = {snr:.3g}"))
+    for name, arr in (("energies", energies), ("rates", rates), ("sinr_thresholds", thresholds)):
+        fails = ~(np.isfinite(arr) & (arr > 0)).all(axis=1)
+        checks.append((fails, f"{name} must be strictly positive and finite"))
+    return checks
+
+
+def _first_failure(checks: list[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
+    """The first row that fails one of ``checks`` (``_profile_checks``) and
+    the message of the first check it fails; None where every row passes."""
+    failed = np.array([fails for fails, _ in checks])
+    if not failed.any():
+        return None
+    i = int(np.flatnonzero(failed.any(axis=0))[0])
+    return i, checks[int(np.argmax(failed[:, i]))][1]
+
+
+def rs_grid(
+    degrees: np.ndarray,
+    cfg: ChannelConfig,
+    alpha_grid: Sequence[float],
+    beta_grid: Sequence[float],
+    l_avg: float,
+    rmax_includes_one: bool = True,
+) -> RsGrid:
+    """The rate-selection rule, one broadcast over the (alpha, beta) pairs
+    of the grids, alpha-major.  A degree-l device plans for the estimated
+    effective SINR x = Es/N0 + alpha*(l-1)*Es/den, den = (beta*r_avg - 1)*Es
+    + N0: its own slot at noise only plus (l-1) MRC terms against an assumed
+    load of beta*r_avg interferers per slot, scaled by alpha, with r_avg =
+    G * l_avg.  Its rate is (L/2) log2(1 + x), and its SINR threshold x, or
+    1 + x without the "1 +" in the capacity (``rmax_includes_one`` False).
+
+    A pair is admissible where den > 0.  Raises TuningParameterError,
+    naming the first pair's den, where none is; and
+    InfeasibleOperatingPointError where the per-replica energy overflows
+    (``es_from_reference``), or else at the first admissible pair whose
+    den overflows, whose target overflows at some degree, whose rates round
+    to 0 bits, or whose energies, rates or thresholds are not positive and
+    finite: the first of these it fails names it."""
+    degrees = np.asarray(degrees, dtype=np.int64)
+    Es = es_from_reference(cfg, l_avg)
+    N0 = cfg.N0
+    r_avg = cfg.G * l_avg
+    pairs = [(a, b) for a in alpha_grid for b in beta_grid]
+    alpha = np.array([a for a, _ in pairs], dtype=np.float64)[:, None]
+    beta = np.array([b for _, b in pairs], dtype=np.float64)
+    # Every overflow or invalid value is a finding, checked below.
+    with np.errstate(all="ignore"):
+        den = (beta * r_avg - 1.0) * Es + N0
+        x = Es / N0 + alpha * (degrees - 1.0) * Es / den[:, None]
+        rates = 0.5 * cfg.L_cu * np.log2(1.0 + x)
+        # Success test is rate <= (L/2)log2(1 + sinr)  <=>  sinr >= x;
+        # without the "1 +" the equivalent threshold is 1 + x.  Either way
+        # no log roundtrip.
+        thresholds = x if rmax_includes_one else 1.0 + x
+    admissible = ~(den <= 0)
+    if not admissible.any():
         raise TuningParameterError(
-            f"(beta*r_avg - 1)*Es + N0 = {den!r} <= 0 for beta={beta}, r_avg={r_avg}"
+            f"(beta*r_avg - 1)*Es + N0 = {float(den[0])!r} <= 0 "
+            f"for beta={pairs[0][1]}, r_avg={r_avg}"
         )
-    if den == math.inf:
-        raise InfeasibleOperatingPointError(
-            "the RS SINR target's denominator (beta*r_avg - 1)*Es + N0 overflows "
-            f"for beta={beta}, r_avg={r_avg}"
-        )
-    # build_profile flags a target that overflows to inf.
-    with np.errstate(over="ignore"):
-        return Es / N0 + alpha * (np.asarray(l_i) - 1.0) * Es / den
+    # Each pair's checks, in the order the first it fails is named; a
+    # message names the pair's beta.
+    checks = [
+        (den == math.inf, "the RS SINR target's denominator (beta*r_avg - 1)*Es + N0 "
+                          f"overflows for beta={{beta}}, r_avg={r_avg}"),
+        # The target rises with the degree.
+        (np.isinf(x).any(axis=1), "the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg "
+                                  f"- 1)*Es + N0) overflows at degree {degrees.max(initial=0)}"),
+        *_profile_checks(np.broadcast_to(Es, rates.shape), rates, thresholds, Es / N0),
+    ]
+    if found := _first_failure([(fails & admissible, message) for fails, message in checks]):
+        i, message = found
+        raise InfeasibleOperatingPointError(message.format(beta=pairs[i][1]))
+    return RsGrid(
+        pairs=[pair for pair, ok in zip(pairs, admissible.tolist()) if ok],
+        degrees=degrees,
+        energies=np.full(len(degrees), Es),
+        rates=rates[admissible],
+        sinr_thresholds=thresholds[admissible],
+        Es=Es,
+        l_avg=l_avg,
+    )
 
 
 def pa_mean_energy(cfg: ChannelConfig, l_avg: float, r_avg: float) -> float:
@@ -239,45 +336,35 @@ def build_profile(
     ``l_avg`` is the analytic mean of the degree distribution; devices plan
     against r_avg = (K/M) * l_avg rather than the realised graph, which they
     cannot observe.  Raises InfeasibleOperatingPointError unless every
-    energy, rate and threshold is positive and finite.
+    energy, rate and threshold is positive and finite.  Rate selection is
+    ``rs_grid`` on the scheme's one pair, so its profile is element for
+    element the tuners' row of that pair; it raises TuningParameterError
+    where that pair is not admissible.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
-    r_avg = cfg.G * l_avg
+    if scheme.variant == "RS":
+        grid = rs_grid(
+            degrees, cfg, (scheme.alpha,), (scheme.beta,), l_avg, scheme.rmax_includes_one
+        )
+        return grid.profile(0)
     if scheme.variant == "PA":
-        profile = pa_powers(degrees, cfg, scheme.mu, l_avg, r_avg)
+        profile = pa_powers(degrees, cfg, scheme.mu, l_avg, cfg.G * l_avg)
     else:
         Es = es_from_reference(cfg, l_avg)
         n = len(degrees)
-        if scheme.variant == "IRSA":
-            x = np.full(n, Es / cfg.N0)
-        else:  # RS
-            x = rs_sinr_target(degrees, Es, cfg.N0, scheme.alpha, scheme.beta, r_avg)
-            if np.isinf(x).any():  # the target rises with the degree
-                raise InfeasibleOperatingPointError(
-                    "the RS SINR target Es/N0 + alpha*(l - 1)*Es/((beta*r_avg - 1)*Es + N0) "
-                    f"overflows at degree {int(degrees.max())}"
-                )
-        rates = 0.5 * cfg.L_cu * np.log2(1.0 + x)
-        if not rates.min() > 0:  # 1 + x rounds to 1 below x of about 1e-16
-            raise InfeasibleOperatingPointError(
-                f"rates round to 0 bits at Es/N0 = {Es / cfg.N0:.3g}"
-            )
-        # Success test is rate <= (L/2)log2(1 + sinr)  <=>  sinr >= x; without
-        # the "1 +" the equivalent threshold is 1 + x.  Either way no log
-        # roundtrip.
+        x = np.full(n, Es / cfg.N0)
+        # As under rate selection (``rs_grid``).
         thresholds = x if scheme.rmax_includes_one else 1.0 + x
         profile = TransmitProfile(
             degrees=degrees,
             energies=np.full(n, Es),
-            rates=rates,
+            rates=0.5 * cfg.L_cu * np.log2(1.0 + x),
             sinr_thresholds=thresholds,
             Es=Es,
             l_avg=l_avg,
         )
-    for field_name in ("energies", "rates", "sinr_thresholds"):
-        arr = getattr(profile, field_name)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise InfeasibleOperatingPointError(
-                f"{field_name} must be strictly positive and finite"
-            )
+    snr = None if profile.Es is None else profile.Es / cfg.N0
+    rows = (profile.energies[None], profile.rates[None], profile.sinr_thresholds[None])
+    if found := _first_failure(_profile_checks(*rows, snr)):
+        raise InfeasibleOperatingPointError(found[1])
     return profile

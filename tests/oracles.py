@@ -5,7 +5,11 @@ import math
 from typing import Sequence
 
 from irsa_sim.frame_graph import FrameGraph
-from irsa_sim.schemes import InfeasibleOperatingPointError, TransmitProfile, rs_sinr_target
+from irsa_sim.schemes import (
+    InfeasibleOperatingPointError,
+    TransmitProfile,
+    TuningParameterError,
+)
 
 
 def oracle_interference(graph: FrameGraph, energies, decoded) -> list[float]:
@@ -96,10 +100,15 @@ def rate_rs(
     beta: float,
     r_avg: float,
 ) -> float:
-    """Selected rate of a degree-l device, in bits: the scalar form of the
-    rate-selection rows of ``build_profile``."""
-    x = rs_sinr_target(l_i, Es, N0, alpha, beta, r_avg)
-    return 0.5 * L_cu * math.log2(1.0 + float(x))
+    """Selected rate of a degree-l device, in bits, written out on Python
+    floats apart from the package's ``rs_grid``: the device plans for Es/N0
+    + alpha*(l-1)*Es/den against den = (beta*r_avg - 1)*Es + N0, by the
+    same float operations.  Raises TuningParameterError where den <= 0."""
+    den = (beta * r_avg - 1.0) * Es + N0
+    if den <= 0:
+        raise TuningParameterError(f"den = {den!r} <= 0")
+    x = Es / N0 + alpha * (l_i - 1.0) * Es / den
+    return 0.5 * L_cu * math.log2(1.0 + x)
 
 
 def jensen_bound_rs(

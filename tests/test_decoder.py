@@ -1,6 +1,8 @@
 """Two-phase SIC receiver: fixed points, scan order, and oracles."""
 
 import math
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -1057,6 +1059,39 @@ class TestRsIntegerState:
             residual += int((result.phase == PHASE_RESIDUAL).sum())
         assert residual >= 60
 
+    def test_sleepers_wake_and_sleep_again(self):
+        # G = 1.3 frames where messages sleep, are woken from their slots'
+        # lists and sleep again, each time in a slot whose list the wake
+        # took out: hundreds of times a frame.  Each sleep and wake is a
+        # call of the receiver's ``enlist`` and ``wake``, counted by a
+        # profile hook; every output is the stateless receiver's.
+        dist = modified_soliton(10)
+        cfg = ChannelConfig(K=300, M=231, tilde_Es=9e-4)
+        scheme = SchemeConfig("RS", alpha=1.31587, beta=2.82843)
+        rng = np.random.default_rng(263)
+        calls, slept = Counter(), Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in ("enlist", "wake"):
+                calls[frame.f_code.co_name] += 1
+                if frame.f_code.co_name == "enlist":
+                    msg = frame.f_locals["msg"]
+                    calls["again"] += slept[msg] > 0
+                    slept[msg] += 1
+
+        for _ in range(3):
+            g = build_frame(300, 231, dist, rng)
+            setup = (g, build_profile(g.degrees, cfg, scheme, avg_degree(dist)), scheme, cfg)
+            assert not is_static(*setup)
+            slept.clear()
+            sys.setprofile(count)
+            try:
+                decode_frame(*setup)
+            finally:
+                sys.setprofile(None)
+            TestResidualStateMatchesPythonSums.assert_same_result(*setup)
+        assert calls["wake"] >= 600 and calls["again"] >= 300, calls
+
 
 class TestStaticPeeling:
     """A statically decodable RS/PA frame, every message passing before any
@@ -1132,6 +1167,89 @@ class TestGenieRate:
         profile = build_profile(g.degrees, cfg, scheme, 3.0)
         result = decode_frame(g, profile, scheme, cfg)
         assert result.genie_rate[0] == pytest.approx(50 * math.log2(es), rel=1e-12)
+
+
+def fresh_terms(h, e, N0):
+    """The term table of one frame whose slots hold up to h messages, built
+    for that frame alone: e / (S - e + N0) over the sums S of 1 .. h
+    replicas of energy e, added from 0.0, checked as ``_checked`` checks
+    slot interference; term[0] = 0.0."""
+    with np.errstate(over="ignore"):
+        S = np.add.accumulate(np.full(h, e))
+    return np.concatenate(([0.0], decoder._checked(S, lambda: e / (S - e + N0))))
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the message of the InfeasibleOperatingPointError it
+    raises."""
+    try:
+        return f(*args)
+    except InfeasibleOperatingPointError as err:
+        return str(err)
+
+
+class TestUniformTerms:
+    """One term table per (energy, N0, K) serves every frame: reused across
+    frames whose slots hold different most messages, in any order, it gives
+    the entries and the overflow flag a table built for each frame alone
+    gives."""
+
+    # (e, N0): no overflow; the sums overflow from 11 messages on; the noise
+    # term S - e + N0 from 11 on; e / N0 itself at one message; the sums
+    # from 3 on.
+    CASES = [(0.004, 1.0), (1.7e307, 1.0), (1e306, 1.7e308), (1e300, 1e-10), (7e307, 1e308)]
+
+    def test_reused_table_entries_and_flags(self):
+        rng = np.random.default_rng(269)
+        flags = Counter()
+        for e, N0 in self.CASES:
+            for K in (0, 1, 2, 17, 200):
+                for h in rng.permutation(K + 1).tolist():
+                    degree = rng.permutation(np.append(rng.integers(0, h + 1, size=5), h))
+                    want = outcome(fresh_terms, h, e, N0)
+                    got = outcome(decoder._uniform_terms, degree, e, N0, K)
+                    if isinstance(want, str):
+                        assert got == want
+                        flags[want] += 1
+                    else:
+                        array, values = got
+                        assert len(array) == len(values) == K + 1
+                        assert array[:h + 1].tobytes() == want.tobytes()
+                        assert values[:h + 1] == want.tolist()
+        assert flags[decoder.INTERFERENCE_OVERFLOWS] >= 20
+        assert flags[decoder.NOISE_OVERFLOWS] >= 40
+
+    def test_reused_table_decodes_as_a_fresh_one(self, monkeypatch):
+        # Baseline frames at energies where the busiest slots overflow: a
+        # frame decodes, or is flagged, alike whichever frames the table
+        # served before it, and alike with a table built for it alone.
+        rng = np.random.default_rng(271)
+        frames = [build_frame(60, int(rng.integers(20, 120)), fixed_l3(), rng) for _ in range(30)]
+        scheme = SchemeConfig("IRSA")
+        flagged = Counter()
+        for e, N0 in self.CASES:
+            def decode(g):
+                # The receiver reads the energy from the profile alone.
+                cfg = ChannelConfig(K=g.K, M=g.M, N0=N0, tilde_Es=1.0)
+                profile = TransmitProfile(
+                    g.degrees, np.full(g.K, e), np.ones(g.K), np.ones(g.K), e, 3.0
+                )
+                result = outcome(decode_frame, g, profile, scheme, cfg)
+                return result if isinstance(result, str) else result.sinrs.tobytes()
+
+            with monkeypatch.context() as patch:
+                def alone(degree, e, N0, K):
+                    terms = fresh_terms(int(degree.max(initial=0)), e, N0)
+                    return terms, terms.tolist()
+
+                patch.setattr(decoder, "_uniform_terms", alone)
+                fresh = [decode(g) for g in frames]
+            for i in rng.permutation(len(frames)).tolist():
+                assert decode(frames[i]) == fresh[i]
+            flagged.update(isinstance(f, str) for f in fresh)
+        # Slots hold up to 5 .. 17 messages: some frames are flagged at
+        # (1.7e307, 1) and (1e306, 1.7e308), and others decode.
+        assert flagged[True] >= 80 and flagged[False] >= 50, flagged
 
 
 class TestIrsaIntegerPeeling:

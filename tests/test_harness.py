@@ -34,7 +34,6 @@ from irsa_sim.schemes import (
     TuningParameterError,
     build_profile,
     hat_es_from_rate,
-    rs_sinr_target,
 )
 from oracles import effective_sinr, oracle_interference, rate_rs
 
@@ -51,6 +50,20 @@ def small_rs_spec(**kw):
     )
     base.update(kw)
     return SweepSpec(**base)
+
+
+def spy_rows(monkeypatch):
+    """Record the row of every profile an RsGrid hands out: a dict from
+    the profile's id, while it lives, to its row."""
+    rows, real = {}, schemes.RsGrid.profile
+
+    def profile(grid, i):
+        out = real(grid, i)
+        rows[id(out)] = i
+        return out
+
+    monkeypatch.setattr(schemes.RsGrid, "profile", profile)
+    return rows
 
 
 def tune_rs_grid(spec, tuning):
@@ -384,13 +397,14 @@ class TestTuneRs:
         real, real_sets = harness.decoded_closure, harness._decoded_sets
         real_stack, real_pairs = harness.stack_frames, harness._rs_pairs
         real_search, real_first = harness._rs_search, harness._first_reaching
+        rows = spy_rows(monkeypatch)
 
         def spy(graph, energies, thresholds, N0):
             closures.append(graph.K)
             return real(graph, energies, thresholds, N0)
 
         def sets_spy(point, stacks, table, test=None):
-            visited.append(next(i for i, t in enumerate(pairs[0][2]) if t is table))
+            visited.append(rows[id(table)])
             return real_sets(point, stacks, table, test)
 
         def stack_spy(graphs):
@@ -432,7 +446,7 @@ class TestTuneRs:
         assert set(closures) == {harness.FRAME_GROUP * 300}
         assert len(visited) == len(closures)
         assert stacked == [harness.FRAME_GROUP]
-        (point, candidates, tables, stacks), = pairs
+        (point, grid, stacks), = pairs
         (feasible,) = searched
         assert sorted(key for chain, _ in chains for key in chain) == list(range(84))
         for chain, probes in chains:
@@ -441,42 +455,44 @@ class TestTuneRs:
         # efficiency bound (every message decoded) below the winner's mean
         # efficiency.
         index = np.concatenate([point.index(stack) for stack in stacks])
-        c_ref = reference_capacity(tables[0], point.cfg)
+        c_ref = reference_capacity(grid.profile(0), point.cfg)
         probed = sum(probes for _, probes in chains)
         decoded = set(visited[probed:])
         skipped = set(feasible) - decoded
         assert skipped and decoded <= set(feasible)
-        assert any((candidates[i].alpha, candidates[i].beta) == (tuned.alpha, tuned.beta)
-                   for i in decoded)
+        assert any(grid.pairs[i] == (tuned.alpha, tuned.beta) for i in decoded)
         for i in skipped:
-            total = tables[i].rates[index].sum()
+            total = grid.rates[i][index].sum()
             assert total / (tuning.tune_trials * c_ref) < tuned.eta_mean
 
     def test_each_pair_takes_one_sinr_target(self, monkeypatch):
-        # A pair is admissible when its table builds: each (alpha, beta)
-        # pair's RS target is taken once per grid point, admissible or not.
-        # At G = 0.4 the pairs with beta = 0.5 are not admissible.
+        # Each (alpha, beta) pair's RS target is taken once per grid point,
+        # admissible or not: one table over both grids, and no single-pair
+        # profile.  At G = 0.4 the pairs with beta = 0.5 are not admissible:
+        # the table has no row for them.
         calls = []
-        real = schemes.rs_sinr_target
+        real = schemes.rs_grid
 
-        def spy(l_i, Es, N0, alpha, beta, r_avg):
-            calls.append((r_avg, alpha, beta))
-            return real(l_i, Es, N0, alpha, beta, r_avg)
+        def spy(degrees, cfg, alpha_grid, beta_grid, l_avg, *rest):
+            calls.append((cfg.G * l_avg, tuple(alpha_grid), tuple(beta_grid)))
+            return real(degrees, cfg, alpha_grid, beta_grid, l_avg, *rest)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("irsa_sim") and hasattr(module, "rs_sinr_target"):
-                monkeypatch.setattr(module, "rs_sinr_target", spy)
+            if name.startswith("irsa_sim") and hasattr(module, "rs_grid"):
+                monkeypatch.setattr(module, "rs_grid", spy)
         spec = small_rs_spec(G_grid=(0.4, 0.6), tilde_Es_over_N0=0.2)
         tuning = TuningConfig(alpha_grid=(0.1, 0.3), beta_grid=(0.5, 1.0, 2.0), tune_trials=4)
         tunings = tune_rs_grid(spec, tuning)
         assert all(t.feasible for t in tunings)
         points = [make_point(spec, g) for g in range(2)]
-        pairs = list(itertools.product(tuning.alpha_grid, tuning.beta_grid))
         assert sorted(calls) == sorted(
-            (p.cfg.G * p.l_avg, a, b) for p in points for a, b in pairs
+            (p.cfg.G * p.l_avg, tuning.alpha_grid, tuning.beta_grid) for p in points
         )
-        _, admissible, _, _ = harness._rs_pairs(spec, 0, tuning)
-        assert len(admissible) == len(pairs) - 2
+        pairs = list(itertools.product(tuning.alpha_grid, tuning.beta_grid))
+        point, grid, _ = harness._rs_pairs(spec, 0, tuning)
+        assert grid.pairs == [(a, b) for a, b in pairs if b != 0.5]
+        shape = (len(pairs) - 2, len(point.dist.degrees))
+        assert grid.rates.shape == grid.sinr_thresholds.shape == shape
 
     def test_tunes_rate_selection_whatever_the_spec_scheme(self):
         # The RS tuners build RS candidates themselves: an IRSA spec is
@@ -769,12 +785,13 @@ class TestCompare:
         probes, closures, pairs, chains = [], [], [], []
         real, real_closure = harness._decoded_sets, harness.decoded_closure
         real_pairs, real_first = harness._rs_pairs, harness._first_reaching
+        rows = spy_rows(monkeypatch)
 
         def spy(point, stacks, table, test=None):
             decoded = real(point, stacks, table, test)
-            held = pairs[0][3]
+            held = pairs[0][2]
             if all(any(s is h for h in held) for s in stacks):  # a probe, not the evaluation
-                probes.append(next(i for i, t in enumerate(pairs[0][2]) if t is table))
+                probes.append(rows[id(table)])
             return decoded
 
         def closure_spy(graph, energies, thresholds, N0):
@@ -805,16 +822,20 @@ class TestCompare:
         *searched, size = closures
         assert size == spec.trials * spec.K
         assert len(searched) == len(probes)
-        (point, candidates, tables, stacks), = pairs
+        (point, grid, stacks), = pairs
         (chain,) = chains
-        assert sorted(chain) == list(range(len(candidates)))
+        assert sorted(chain) == list(range(len(grid.pairs)))
         assert 1 < len(probes) <= 2 + math.ceil(math.log2(len(chain)))
         # Every set the search decoded is the full evaluation's: the pairs
         # before the winner miss the floor, and the winner holds it.
         slots = tuning.tune_trials * point.cfg.M
-        holds = [int(real(point, stacks, t).sum()) / slots >= 0.78 for t in tables]
+        holds = [
+            int(real(point, stacks, grid.profile(i)).sum()) / slots >= 0.78
+            for i in range(len(grid.pairs))
+        ]
         first = next(i for i in chain if holds[i])
-        assert chosen[0] == candidates[first] and first in probes
+        alpha, beta = grid.pairs[first]
+        assert chosen[0] == SchemeConfig("RS", alpha=alpha, beta=beta) and first in probes
         assert all(holds[i] for i in chain[chain.index(first):])
 
     def test_rate_ranking_matches_rate_rs(self):
@@ -840,7 +861,7 @@ class TestCompare:
             point = make_point(spec, 0)
             es = point.cfg.M * point.cfg.tilde_Es / point.l_avg
             r_avg = point.cfg.G * point.l_avg
-            schemes, by_rate_rs = [], []
+            by_rate_rs = []
             for a in alphas:
                 for b in betas:
                     try:
@@ -850,14 +871,13 @@ class TestCompare:
                         )
                     except TuningParameterError:
                         continue
-                    schemes.append(SchemeConfig("RS", alpha=a, beta=b))
                     by_rate_rs.append(mean)
-            if not schemes:
+            if not by_rate_rs:
                 continue
-            tables = [harness._table(point, scheme) for scheme in schemes]
-            want = sorted(range(len(schemes)), key=lambda i: -by_rate_rs[i])
+            grid = schemes.rs_grid(point.dist.degrees, point.cfg, alphas, betas, point.l_avg)
+            want = sorted(range(len(by_rate_rs)), key=lambda i: -by_rate_rs[i])
             stacks = list(harness._stacks(point, 0, 1))
-            assert harness._rs_search(point, tables, stacks, 0.0) == want
+            assert harness._rs_search(point, grid, stacks, 0.0) == want
             points += 1
 
     def test_requires_single_g(self):
@@ -937,8 +957,8 @@ def sequential_tune_rs(spec, g_index, tuning):
     for a in tuning.alpha_grid:
         for b in tuning.beta_grid:
             try:
-                rs_sinr_target(1, base.cfg.M * base.cfg.tilde_Es / base.l_avg,
-                               base.cfg.N0, a, b, base.cfg.G * base.l_avg)
+                rate_rs(1, base.cfg.M * base.cfg.tilde_Es / base.l_avg,
+                        base.cfg.N0, base.cfg.L_cu, a, b, base.cfg.G * base.l_avg)
             except TuningParameterError:
                 continue
             candidates.append(SchemeConfig("RS", alpha=a, beta=b))
@@ -1157,7 +1177,8 @@ class TestTunersMatchSequentialReceiver:
         tuning = TuningConfig(
             alpha_grid=ALPHAS, beta_grid=BETAS, tune_trials=harness.FRAME_GROUP + 3
         )
-        point, candidates, tables, stacks = harness._rs_pairs(spec, 0, tuning)
+        point, grid, stacks = harness._rs_pairs(spec, 0, tuning)
+        candidates = [SchemeConfig("RS", alpha=a, beta=b) for a, b in grid.pairs]
         # The reference decodes each frame on the profile built for it.
         want = [
             [frame_outcome(point, g, scheme)[1].decoded for g in split_stacks(point, stacks)]
@@ -1166,13 +1187,15 @@ class TestTunersMatchSequentialReceiver:
         n = len(candidates)
         shuffled = np.random.default_rng(4).permutation(n).tolist()
         for order in (range(n), range(n - 1, -1, -1), shuffled):
-            point, _, tables, stacks = harness._rs_pairs(spec, 0, tuning)
+            point, grid, stacks = harness._rs_pairs(spec, 0, tuning)
             for i in order:
-                assert np.array_equal(harness._decoded_sets(point, stacks, tables[i]), want[i])
+                got = harness._decoded_sets(point, stacks, grid.profile(i))
+                assert np.array_equal(got, want[i])
         real, probes = harness._decoded_sets, []
+        rows = spy_rows(monkeypatch)
 
         def spy(point, which, table, test=None):
-            scheme = candidates[next(i for i, t in enumerate(tables) if t is table)]
+            scheme = candidates[rows[id(table)]]
             want = [frame_outcome(point, g, scheme)[1].decoded for g in split_stacks(point, which)]
             probes.append(len(which))
             got = real(point, which, table, test)
@@ -1180,7 +1203,7 @@ class TestTunersMatchSequentialReceiver:
             return got
 
         monkeypatch.setattr(harness, "_decoded_sets", spy)
-        assert harness._rs_search(point, tables, stacks, harness.RS_THROUGHPUT_FACTOR * 0.8)
+        assert harness._rs_search(point, grid, stacks, harness.RS_THROUGHPUT_FACTOR * 0.8)
         assert len(probes) > 2
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])

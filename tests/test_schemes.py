@@ -1,6 +1,9 @@
 """Rate and energy assignment formulas for the three schemes."""
 
+import itertools
 import math
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from irsa_sim.schemes import (
     hat_es_from_rate,
     pa_mean_energy,
     pa_powers,
+    rs_grid,
 )
 from oracles import rate_irsa, rate_rs
 
@@ -94,30 +98,45 @@ class TestHatEsFromRate:
             hat_es_from_rate(0.0, 100, 1.0)
 
 
+def package_rate_rs(l_i, Es, N0, L_cu, alpha, beta, r_avg):
+    """``oracles.rate_rs`` through the package: the rate ``build_profile``
+    assigns a degree-l device at one (alpha, beta) pair, one device over
+    one slot with l_avg = r_avg, so that the device plans against G * l_avg
+    = r_avg and M * tilde_Es / l_avg = Es (up to rounding)."""
+    cfg = ChannelConfig(K=1, M=1, L_cu=L_cu, N0=N0, tilde_Es=Es * r_avg)
+    scheme = SchemeConfig("RS", alpha=alpha, beta=beta)
+    return float(build_profile(np.array([l_i]), cfg, scheme, r_avg).rates[0])
+
+
 class TestRateRs:
+    """The rate-selection rule, both as the package's ``build_profile``
+    assigns it and as the test oracle writes it out."""
+
+    RATES = (package_rate_rs, rate_rs)
+
     def test_degree_one_is_baseline(self):
-        for alpha in (0.1, 0.7, 2.0):
-            assert rate_rs(1, 0.2, 1.0, 100, alpha, 1.2, 2.5) == pytest.approx(
+        for rate, alpha in itertools.product(self.RATES, (0.1, 0.7, 2.0)):
+            assert rate(1, 0.2, 1.0, 100, alpha, 1.2, 2.5) == pytest.approx(
                 rate_irsa(0.2, 1.0, 100), rel=1e-12
             )
 
     def test_alpha_zero_is_baseline(self):
-        for l in (1, 2, 5, 9):
-            assert rate_rs(l, 0.2, 1.0, 100, 0.0, 1.2, 2.5) == pytest.approx(
+        for rate, l in itertools.product(self.RATES, (1, 2, 5, 9)):
+            assert rate(l, 0.2, 1.0, 100, 0.0, 1.2, 2.5) == pytest.approx(
                 rate_irsa(0.2, 1.0, 100), rel=1e-12
             )
 
     def test_worked_example(self):
         # l=3, alpha=1, beta=1, r_avg=2, Es/N0=0.1: 50*log2(1 + 0.1 + 0.2/1.1).
         expected = 50 * math.log2(1 + 0.1 + 0.2 / 1.1)
-        assert rate_rs(3, 0.1, 1.0, 100, 1.0, 1.0, 2.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        for rate in self.RATES:
+            assert rate(3, 0.1, 1.0, 100, 1.0, 1.0, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_denominator(self):
         # (beta*r_avg - 1)*Es + N0 <= 0
-        with pytest.raises(TuningParameterError):
-            rate_rs(3, 2.0, 1.0, 100, 1.0, 0.1, 1.0)
+        for rate in self.RATES:
+            with pytest.raises(TuningParameterError):
+                rate(3, 2.0, 1.0, 100, 1.0, 0.1, 1.0)
 
     def test_strictly_increasing_in_degree(self):
         rng = np.random.default_rng(8)
@@ -128,8 +147,12 @@ class TestRateRs:
             r_avg = float(rng.uniform(1.0, 6.0))
             if (beta * r_avg - 1) * es + 1.0 <= 0:
                 continue
-            rates = [rate_rs(l, es, 1.0, 100, alpha, beta, r_avg) for l in range(1, 8)]
-            assert all(b > a for a, b in zip(rates, rates[1:]))
+            # The package's rows, one table for the seven degrees.
+            cfg = ChannelConfig(K=1, M=1, L_cu=100, tilde_Es=es * r_avg)
+            grid = rs_grid(np.arange(1, 8), cfg, (alpha,), (beta,), r_avg)
+            oracle = [rate_rs(l, es, 1.0, 100, alpha, beta, r_avg) for l in range(1, 8)]
+            for rates in (grid.rates[0].tolist(), oracle):
+                assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
 class TestPaPowers:
@@ -268,3 +291,100 @@ class TestBuildProfile:
         assert np.all(profile.rates == 10.0)
         assert profile.Es is None
         assert np.all(profile.sinr_thresholds == pytest.approx(2 ** 0.2 - 1, rel=1e-12))
+
+
+def single_pair(degrees, cfg, alpha, beta, l_avg, rmax_includes_one):
+    """build_profile of one RS pair, or the error it raises."""
+    scheme = SchemeConfig("RS", alpha=alpha, beta=beta, rmax_includes_one=rmax_includes_one)
+    try:
+        return build_profile(degrees, cfg, scheme, l_avg)
+    except (TuningParameterError, InfeasibleOperatingPointError) as err:
+        return err
+
+
+class TestRsGrid:
+    """The rate-selection rule has one copy: every row of the broadcast
+    table over an (alpha, beta) grid is the single-pair profile element for
+    element, the table keeps exactly the admissible pairs, and a failing
+    grid raises the error build_profile raises for its first failing
+    admissible pair, with no RuntimeWarning."""
+
+    # Grids of every kind: the tune_rs_l2 benchmark's, integer entries,
+    # repeated entries (equal rows), and entries far from 1, where pairs are
+    # inadmissible or a denominator or degree term overflows.
+    GRIDS = [
+        (tuple(np.geomspace(0.02, 2.0, 12).tolist()), tuple(np.geomspace(0.5, 4.0, 7).tolist())),
+        ((0, 1, 2), (1, 3)),
+        ((0.0, 0.0, 0.3), (0.5, 1.0, 1.0)),
+        ((0.5, 1.0), (0.01, 0.1, 1.0, 2.0)),
+        ((0.5, 1e308), (0.01, 1.0, 1e300)),
+        ((0.0, 0.5, 1.5e307), (0.2, 1.5e307, 2.0)),
+    ]
+    FAILURES = ("per-replica", "denominator", "at degree", "round to 0")
+    TILDE_ES = (1e-320, 1e-300, 1e-16, 1e-4, 0.01, 1.0, 1e300, 1e308)
+
+    def test_rows_and_errors_equal_single_pair_profiles(self):
+        rng = np.random.default_rng(83)
+        seen = Counter()
+        for _ in range(600):
+            K = int(rng.integers(1, 500))
+            M = int(rng.integers(1, 500))
+            degrees = np.unique(rng.integers(1, 30, size=int(rng.integers(1, 8))))
+            l_avg = float(rng.uniform(1.0, 10.0))
+            tilde = float(rng.choice(self.TILDE_ES)) * float(rng.uniform(0.5, 2.0))
+            if not math.isfinite(tilde) or tilde <= 0:
+                continue
+            cfg = ChannelConfig(
+                K=K, M=M, L_cu=int(rng.integers(1, 200)),
+                N0=float(rng.choice((1.0, 1e-300, 1e300, 0.37))), tilde_Es=tilde,
+            )
+            alphas, betas = self.GRIDS[rng.integers(len(self.GRIDS))]
+            rmax_includes_one = bool(rng.integers(2))
+            singles = [
+                single_pair(degrees, cfg, a, b, l_avg, rmax_includes_one)
+                for a, b in itertools.product(alphas, betas)
+            ]
+            kept = [s for s in singles if not isinstance(s, TuningParameterError)]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    grid = rs_grid(degrees, cfg, alphas, betas, l_avg, rmax_includes_one)
+            except TuningParameterError as err:
+                assert not kept and str(err) == str(singles[0])
+                seen["none admissible"] += 1
+                continue
+            except InfeasibleOperatingPointError as err:
+                first = next(s for s in kept if isinstance(s, Exception))
+                assert type(first) is InfeasibleOperatingPointError and str(err) == str(first)
+                seen[next(w for w in self.FAILURES if w in str(err))] += 1
+                continue
+            assert not any(isinstance(s, Exception) for s in kept)
+            assert grid.pairs == [
+                pair for pair, s in zip(itertools.product(alphas, betas), singles)
+                if not isinstance(s, TuningParameterError)
+            ]
+            assert grid.rates.shape == grid.sinr_thresholds.shape == (len(kept), len(degrees))
+            for i, want in enumerate(kept):
+                got = grid.profile(i)
+                for name in ("degrees", "energies", "rates", "sinr_thresholds"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert (got.Es, got.l_avg) == (want.Es, want.l_avg)
+            seen["rows"] += 1
+            seen["with inadmissible pairs"] += len(kept) < len(singles)
+        # Every outcome: tables with and without inadmissible pairs, none
+        # admissible, and each failure build_profile names: the energy, the
+        # denominator, a degree term and rates rounding to 0.
+        assert seen["rows"] >= 100 and seen["with inadmissible pairs"] >= 20
+        assert seen["none admissible"] >= 5
+        for word in self.FAILURES:
+            assert seen[word] >= 5, seen
+
+    def test_a_rate_of_zero_bits_at_one_degree_fails_the_pair(self):
+        # Es/N0 = 1e-16: degree 1 rounds to 0 bits, while alpha = 1e300
+        # lifts degree 2 far above; the pair fails, as a single pair and in
+        # a grid whose first admissible pair it is.
+        cfg = ChannelConfig(K=10, M=10, tilde_Es=3e-17)
+        for alphas, betas in (((1e300,), (1.0,)), ((1e300, 0.5), (0.01, 1.0))):
+            with pytest.raises(InfeasibleOperatingPointError, match="rates round to 0 bits"):
+                rs_grid(np.array([1, 2]), cfg, alphas, betas, 3.0)
