@@ -595,10 +595,7 @@ def _rs_search(
     fails, and on each chain ``_first_reaching`` finds the feasible tail.
     The energies alone decide whether a slot's interference overflows,
     whichever pair is decoded first."""
-    # One dot product per row: a matrix product sums a row in an order that
-    # depends on its place in the matrix, so equal rows could get unequal
-    # means and lose the alpha-major tie rule.
-    means = np.array([point.dist.probabilities @ rates for rates in grid.rates])
+    means = np.array([math.fsum(point.dist.probabilities * rates) for rates in grid.rates])
     order = np.argsort(-means, kind="stable")
     thresholds = grid.sinr_thresholds[order]
     dominated = (thresholds[1:] <= thresholds[:-1]).all(axis=1)
@@ -654,8 +651,7 @@ def tune_rs(spec: SweepSpec, g_index: int, tuning: TuningConfig) -> RsTuning:
         index = np.concatenate([point.index(stack) for stack in stacks])
         counts = np.bincount(index, minlength=len(point.dist.degrees))
         scale = (1.0 + ETA_BOUND_SLACK) / (tuning.tune_trials * c_ref)
-        # One dot product per row, as _rs_search takes its means.
-        bounds = {i: float(grid.rates[i] @ counts) * scale for i in feasible}
+        bounds = {i: math.fsum(grid.rates[i] * counts) * scale for i in feasible}
         best = None  # (eta, T, -alpha, -i) of the best feasible pair
         for i in sorted(feasible, key=lambda i: -bounds[i]):
             if best is not None and bounds[i] < best[0]:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -27,6 +28,13 @@ from irsa_sim.harness import SweepRecord, run_sweep
 
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+DATA = Path(__file__).parent / "data"
+FRAME = DATA / "irsa_frame.tsv"
+
+# A child interpreter's environment: the package's source first on its path.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(Path(harness.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))
+))
 
 MINIMAL_SWEEP = {
     "scheme": "IRSA",
@@ -42,6 +50,35 @@ def write_edges(path, graph):
     reads."""
     pairs = zip(graph.edge_msg.tolist(), graph.edge_slot.tolist())
     path.write_text("".join(f"{k}\t{j}\n" for k, j in pairs))
+
+
+def run_config(out, command, config, *flags):
+    """``main``'s exit code for ``command`` on ``config``, written as JSON
+    into ``out`` (made if absent), with ``--out out`` and ``flags``.  The run
+    raises no RuntimeWarning."""
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path), "--out", str(out), *flags])
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
+def run_child(args, address_space=None, timeout=60):
+    """``python -W error::RuntimeWarning *args`` in a fresh interpreter with
+    the package on its path, its address space limited to ``address_space``
+    bytes if given (in the child alone); the finished process."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args], env=CHILD_ENV,
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=None if address_space is None else limit,
+    )
 
 
 def make_record(**kw):
@@ -224,9 +261,7 @@ PLOT_RUNS = {
 def run_with_plot_data(tmp_path, run_id):
     """The CSV rows and the sidecar of a PLOT_RUNS run with plot data."""
     command, config = PLOT_RUNS[run_id]
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(dict(config, emit_plot_data=True)))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert run_config(tmp_path, command, dict(config, emit_plot_data=True)) == 0
     with open(tmp_path / f"{command}.csv", newline="") as fp:
         rows = list(csv.DictReader(fp))
     return rows, json.loads((tmp_path / f"{command}.meta.json").read_text())
@@ -296,10 +331,7 @@ class TestMainCommands:
     def test_sweep_end_to_end(self, tmp_path):
         config = dict(MINIMAL_SWEEP, K=24, trials=5, emit_plot_data=True,
                       distribution={"name": "modified_soliton", "Y": 4})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
-        assert code == 0
+        assert run_config(tmp_path, "sweep", config) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert (tmp_path / "sweep.meta.json").exists()
@@ -308,10 +340,7 @@ class TestMainCommands:
     def test_flag_overrides_config(self, tmp_path):
         config = dict(MINIMAL_SWEEP, K=24, trials=5,
                       distribution={"name": "modified_soliton", "Y": 4})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
-              "--trials", "2", "--seed", "9"])
+        run_config(tmp_path, "sweep", config, "--trials", "2", "--seed", "9")
         row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
         header = CSV_HEADER.split(",")
         assert row[header.index("trials")] == "2"
@@ -324,10 +353,7 @@ class TestMainCommands:
     def test_invalid_flag_override_is_a_config_error(
         self, tmp_path, capsys, flag, value, problem
     ):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(dict(MINIMAL_SWEEP, K=24, trials=2)))
-        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
-                     flag, value])
+        code = run_config(tmp_path, "sweep", dict(MINIMAL_SWEEP, K=24, trials=2), flag, value)
         assert code == 1
         assert capsys.readouterr().err == f"config error: {flag}: {problem}\n"
         assert not (tmp_path / "sweep.csv").exists()
@@ -391,10 +417,9 @@ class TestMainCommands:
         # Each flag and the per-slot energy are in range, but at N0 = 1e308
         # the RS target overflows: in its denominator at 0.45, whose degree
         # terms would read inf/inf, and in the degree-16 term at 0.3.
-        edges = Path(__file__).parent / "data" / "irsa_frame.tsv"
         args = ["--scheme", "RS", "--es-over-n0", es_over_n0, "--alpha", "0.5",
                 "--beta", "1.0", "--n0", "1e308"]
-        assert main(["decode-one", "--edges", str(edges), *args]) == 2
+        assert main(["decode-one", "--edges", str(FRAME), *args]) == 2
         assert capsys.readouterr().err == f"error: {found}\n"
 
     @pytest.mark.parametrize(
@@ -413,8 +438,7 @@ class TestMainCommands:
         # The per-slot energy is in range, but a crowded slot's sum
         # overflows, or does once N0 is added: the baseline's peeling flags
         # it as the MRC receiver's static test does, with no trace written.
-        edges = Path(__file__).parent / "data" / "irsa_frame.tsv"
-        assert main(["decode-one", "--edges", str(edges), "--scheme", *scheme, *args]) == 2
+        assert main(["decode-one", "--edges", str(FRAME), "--scheme", *scheme, *args]) == 2
         out = capsys.readouterr()
         assert out.err == f"error: {found}\n"
         assert out.out == ""
@@ -428,9 +452,7 @@ class TestMainCommands:
         config = dict(MINIMAL_SWEEP, scheme="PA", K=24, G_grid=[0.5], trials=2, mu=1.5,
                       distribution={"name": "l3"}, hat_R_bits=100000.0)
         del config["tilde_Es_over_N0"]
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert run_config(tmp_path, "sweep", config) == 1
         assert capsys.readouterr().err == f"config error: hat_R_bits: {self.OVERFLOW}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -439,9 +461,7 @@ class TestMainCommands:
         config = dict(MINIMAL_SWEEP, scheme="PA", K=24, G_grid=[0.1], trials=2, mu=1.5,
                       distribution={"name": "l3"}, hat_R_bits=5000.0)
         del config["tilde_Es_over_N0"]
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert run_config(tmp_path, "sweep", config) == 0
         header, row = (tmp_path / "sweep.csv").read_text().splitlines()
         values = dict(zip(header.split(","), row.split(",")))
         assert values["T_mean"] == "0" and float(values["energy_per_user_db"]) > 0
@@ -472,24 +492,19 @@ class TestMainCommands:
         ids=["G_grid_nan", "G_grid_inf", "tilde_Es_over_N0_inf", "N0_inf"],
     )
     def test_non_finite_config_exits_1(self, tmp_path, capsys, key, value, message):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(dict(MINIMAL_SWEEP, K=24, trials=2, **{key: value})))
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        config = dict(MINIMAL_SWEEP, K=24, trials=2, **{key: value})
+        assert run_config(tmp_path, "sweep", config) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps({"scheme": "IRSA"}))
-        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert run_config(tmp_path, "sweep", {"scheme": "IRSA"}) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_rs_sweep_requires_parameters(self, tmp_path, capsys):
         config = dict(MINIMAL_SWEEP, scheme="RS", K=24,
                       distribution={"name": "modified_soliton", "Y": 4})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert run_config(tmp_path, "sweep", config) == 1
         assert "alpha and beta" in capsys.readouterr().err
 
     def test_tune_pa_end_to_end(self, tmp_path):
@@ -502,9 +517,7 @@ class TestMainCommands:
             "hat_R_bits": 8.0,
             "tuning": {"tune_trials": 10},
         }
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert run_config(tmp_path, "tune", config) == 0
         meta = json.loads((tmp_path / "tune.meta.json").read_text())
         assert meta["tunings"][0]["feasible"]
         row = (tmp_path / "tune.csv").read_text().splitlines()[1].split(",")
@@ -514,9 +527,7 @@ class TestMainCommands:
         # G=700 leaves M=0 slots for the M-tracking soliton.
         config = dict(MINIMAL_SWEEP, G_grid=[700],
                       distribution={"name": "ideal_soliton", "Y": "M"})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert run_config(tmp_path, "sweep", config) == 2
         err = capsys.readouterr().err
         assert "note: G=700: infeasible" in err
         assert "every sweep point failed" in err
@@ -534,9 +545,7 @@ class TestMainCommands:
         # 0.5 * L_cu * log2(1 + Es/N0) rounds to 0 bits at this energy.
         config = dict(scheme, distribution={"name": "l3"}, K=20, G_grid=[0.5], trials=4,
                       tilde_Es_over_N0=1e-300)
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert run_config(tmp_path, command, config) == 2
         err = capsys.readouterr().err
         assert f"note: G=0.5: {flag}: rates round to 0 bits" in err
         assert "Traceback" not in err
@@ -589,13 +598,8 @@ class TestMainCommands:
         self, tmp_path, capsys, command, energy, found
     ):
         config = {"distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5], "trials": 3, **energy}
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
         # The flagged note is the whole report: no numpy warning beside it.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert run_config(tmp_path, command, config) == 2
         err = capsys.readouterr().err
         assert f"note: G={config['G_grid'][0]}: {found}\n" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
@@ -653,13 +657,7 @@ class TestMainCommands:
         config = dict(scheme, distribution=distribution, K=24, G_grid=[G, 0.5], trials=2)
         for key, value in overrides.items():
             config[key] = {**config[key], **value} if isinstance(value, dict) else value
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            status = main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
-        assert status == (0 if kept else 2)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert run_config(tmp_path, command, config) == (0 if kept else 2)
         err = capsys.readouterr().err
         assert f"{note}\n" in err
         assert "Traceback" not in err
@@ -677,9 +675,7 @@ class TestMainCommands:
     def test_mu_grid_overflow_exits_1(self, tmp_path, capsys, tuning, mu_max):
         config = {"scheme": "PA", "distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5],
                   "trials": 2, "hat_R_bits": 10.0, "tuning": tuning}
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert run_config(tmp_path, "tune", config) == 1
         assert capsys.readouterr().err == (
             f"config error: tuning.mu_resolution: too fine for mu_max = {mu_max}: "
             "the step count (mu_max - 1) / mu_resolution overflows\n"
@@ -691,9 +687,7 @@ class TestMainCommands:
         config = {"scheme": "PA", "distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5],
                   "trials": 2, "hat_R_bits": 10.0,
                   "tuning": {"mu_max": 2.0, "mu_resolution": 1e-282}}
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert run_config(tmp_path, "tune", config) == 1
         assert capsys.readouterr().err == (
             "config error: tuning.mu_resolution: too fine for mu_max = 2: "
             "the step count (mu_max - 1) / mu_resolution = 1e+282 is not below 2**53\n"
@@ -714,9 +708,7 @@ class TestMainCommands:
         # reads mu_max: a mistyped or unbounded one is named, not a crash.
         config = {"scheme": "PA", "distribution": {"name": "l3"}, "K": 60, "G_grid": [0.5],
                   "trials": 2, "hat_R_bits": 10.0, **change}
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert run_config(tmp_path, "tune", config) == 1
         assert capsys.readouterr().err == f"config error: {found}\n"
 
     def test_commands_import_no_numpy_ma(self, tmp_path):
@@ -734,16 +726,56 @@ for command, name in runs:
     assert main(argv) == 0, argv
 assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
 """
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        ))
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", script,
-             str(tmp_path), str(Path(__file__).parent / "data")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = run_child(["-c", script, str(tmp_path), str(DATA)], timeout=300)
         assert done.returncode == 0, done.stderr
+
+    # A frame, a tuner's held frames, and decode-one's slot count by flag and
+    # by edge list, each past its memory bound: (arguments, exit code, the
+    # point's note or decode-one's stderr), {tmp} the test's directory.
+    MEMORY_BOUNDS = {
+        "edge_bound": (["sweep", "--config", "{tmp}/edge_bound.json", "--out", "{tmp}"], 2,
+                       "infeasible: K=1000000000 at max degree 16 draws up to 16000000000 "
+                       "edges a frame, above the bound MAX_EDGES = 1000000"),
+        "held_bound": (["tune", "--config", "{tmp}/held_bound.json", "--out", "{tmp}"], 2,
+                       "flagged: tuning.tune_trials = 100000000 frames of K=300 at max degree "
+                       "10 hold up to 300000000000 edges, above the bound "
+                       "FRAME_GROUP * MAX_EDGES = 8000000"),
+        "slots_flag": (["decode-one", "--edges", str(FRAME), "--slots", "100000000000"], 1,
+                       "config error: --slots: must be <= MAX_SLOTS = 1000000\n"),
+        "slots_edges": (["decode-one", "--edges", "{tmp}/far_slot.tsv"], 1,
+                        "error: --edges {tmp}/far_slot.tsv: slot count M = 100000000001: "
+                        "must be <= MAX_SLOTS = 1000000\n"),
+    }
+
+    @pytest.mark.parametrize("case", MEMORY_BOUNDS)
+    def test_past_a_memory_bound_in_2_gb_of_address_space(self, tmp_path, case):
+        # Each bound holds before anything of the size it bounds is made:
+        # the sweep and the tune flag their one point and exit 2, decode-one
+        # exits 1 with no output.
+        (tmp_path / "edge_bound.json").write_text(json.dumps({
+            "scheme": "IRSA", "distribution": {"name": "l3"}, "K": 1000000000,
+            "G_grid": [1000], "trials": 2, "tilde_Es_over_N0": 0.0009,
+        }))
+        (tmp_path / "held_bound.json").write_text(json.dumps({
+            "scheme": "PA", "distribution": {"name": "modified_soliton", "Y": 10}, "K": 300,
+            "G_grid": [0.8], "trials": 2, "hat_R_bits": 10,
+            "tuning": {"tune_trials": 100000000, "mu_criterion": "static_reliability"},
+        }))
+        (tmp_path / "far_slot.tsv").write_text("0\t100000000000\n")
+        argv, code, expected = self.MEMORY_BOUNDS[case]
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        command = argv[0]
+        if command == "decode-one":
+            argv += ["--scheme", "IRSA", "--es-over-n0", "0.5"]
+        done = run_child(["-m", "irsa_sim.cli", *argv], address_space=2_000_000 * 1024)
+        assert done.returncode == code, done.stderr
+        if command == "decode-one":
+            assert (done.stdout, done.stderr) == ("", expected.format(tmp=tmp_path))
+            return
+        with open(tmp_path / f"{command}.csv", newline="") as fp:
+            (row,) = csv.DictReader(fp)
+        (point,) = json.loads((tmp_path / f"{command}.meta.json").read_text())["points"]
+        assert not row["T_mean"] and point["note"] == expected, (row, point)
 
     def test_decode_one_trace(self, tmp_path, capsys):
         # The four-message example frame decodes in a known order.
@@ -857,9 +889,7 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
     )
     def test_compare_energy_out_of_float_range_flags_its_row(self, tmp_path, capsys, es_db, note):
         config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [es_db, -16.0], "min_throughput": 0.5})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert run_config(tmp_path, "compare", config) == 0
         rows = [l.split(",") for l in (tmp_path / "compare.csv").read_text().splitlines()[1:]]
         assert rows[0][:2] == ["RS", f"{es_db:g}"]
         assert rows[0][-1] == note
@@ -869,16 +899,12 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
 
     def test_compare_with_every_energy_flagged_exits_2(self, tmp_path, capsys):
         config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [3100.0]})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert run_config(tmp_path, "compare", config) == 2
         assert "every comparison point failed" in capsys.readouterr().err
 
     def test_compare_with_slot_count_above_the_bound_exits_2(self, tmp_path, capsys):
         config = dict(self.COMPARE, G_grid=[1e-9])
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert run_config(tmp_path, "compare", config) == 2
         assert capsys.readouterr().err == (
             "error: G=1e-09 gives M=24000000000 slots for K=24, "
             "above the bound MAX_SLOTS = 1000000\n"
@@ -887,9 +913,7 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
 
     def test_compare_with_zero_rates_flags_its_row(self, tmp_path, capsys):
         config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [-3000.0], "min_throughput": 0.5})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert run_config(tmp_path, "compare", config) == 2
         with open(tmp_path / "compare.csv", newline="") as fp:
             rows = list(csv.reader(fp))[1:]
         assert [r[:2] for r in rows] == [["RS", "-3000"]]
@@ -909,9 +933,8 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
         rows = {}
         for grid in ([-10.0, -159.0], [-10.0]):
             config["compare"]["es_over_N0_db_grid"] = grid
-            (tmp_path / "c.json").write_text(json.dumps(config))
             out = tmp_path / str(len(grid))
-            assert main(["compare", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+            assert run_config(out, "compare", config) == 0
             with open(out / "compare.csv", newline="") as fp:
                 rows[len(grid)] = list(csv.reader(fp))[1:]
         assert rows[2][:3] == rows[1]
@@ -921,20 +944,87 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
         assert "Traceback" not in capsys.readouterr().err
 
     def test_compare_note_with_commas_reads_back_as_nine_fields(self, tmp_path):
-        # At 3070 dB the PA energy balance fails with a note full of commas.
+        # At 3070 dB the PA energy balance fails with a note full of commas,
+        # and the RS row, whose slot sums stay finite (at 3076 dB they do
+        # not), is kept.
         config = dict(self.COMPARE, compare={"es_over_N0_db_grid": [3070.0], "min_throughput": 0.5})
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert run_config(tmp_path, "compare", config) == 0
         with open(tmp_path / "compare.csv", newline="") as fp:
             rows = list(csv.reader(fp))
         assert all(len(r) == 9 for r in rows)
         assert rows[-1][0] == "PA" and "," in rows[-1][-1]
+        assert rows[1][0] == "RS" and rows[1][2] and not rows[1][-1], rows[1]
 
     def test_compare_end_to_end(self, tmp_path):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(self.COMPARE))
-        assert main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert run_config(tmp_path, "compare", self.COMPARE) == 0
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert lines[0].startswith("scheme,es_over_N0_db")
         assert [l.split(",")[0] for l in lines[1:]] == ["RS", "IRSA", "PA"]
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            pytest.param(
+                {"compare_l2": "compare", "rs_tune_l2": "tune", "pa_tune_l2": "tune"}
+                .get(path.stem, "sweep"),
+                json.loads(path.read_text()), ["--trials", "2"], id=path.stem,
+            )
+            for path in CONFIGS
+        ] + [
+            # Slots drawn for degrees up to M, down to M = 12.
+            pytest.param("sweep", {
+                "scheme": "IRSA", "distribution": {"name": "ideal_soliton", "Y": "M"}, "K": 60,
+                "G_grid": [0.5, 1.0, 5.0], "trials": 20, "tilde_Es_over_N0": 0.01,
+            }, [], id="ideal_soliton_Y_M"),
+        ],
+    )
+    def test_runs_with_no_flagged_row(self, tmp_path, command, config, flags):
+        assert run_config(tmp_path, command, config, *flags) == 0
+        with open(tmp_path / f"{command}.csv", newline="") as fp:
+            header, *rows = csv.reader(fp)
+        if command == "compare":
+            assert all(len(row) == 9 for row in [header, *rows])
+            flagged = [row for row in rows if row[-1]]
+        else:
+            flagged = [row for row in rows if not row[header.index("T_mean")]]
+        assert rows and not flagged, flagged
+
+    def test_rs_tune_names_the_first_failing_pair(self, tmp_path, capsys):
+        # Alpha-major pairs: (0.5, 0.1) is not admissible, (0.5, 1.0) is,
+        # (0.5, 1e308) overflows its denominator and (1e308, 1.0) a degree
+        # term after it.  Every point is flagged, so the run exits 2.
+        config = {
+            "scheme": "RS", "distribution": {"name": "modified_soliton", "Y": 4}, "K": 24,
+            "G_grid": [0.8, 1.2], "trials": 2, "seed": 1, "tilde_Es_over_N0": 1.0,
+            "tuning": {"alpha_grid": [0.5, 1e308], "beta_grid": [0.1, 1.0, 1e308],
+                       "tune_trials": 4},
+        }
+        assert run_config(tmp_path, "tune", config) == 2
+        with open(tmp_path / "tune.csv", newline="") as fp:
+            rows = list(csv.DictReader(fp))
+        meta = json.loads((tmp_path / "tune.meta.json").read_text())
+        notes = [
+            "the RS SINR target's denominator (beta*r_avg - 1)*Es + N0 overflows "
+            f"for beta=1e+308, r_avg={r_avg}"
+            for r_avg in ("2.066666666666667", "3.1")
+        ]
+        assert len(rows) == 2 and not any(row["T_mean"] for row in rows), rows
+        assert [p["note"] for p in meta["points"]] == [f"flagged: {n}" for n in notes]
+        assert [t["note"] for t in meta["tunings"]] == notes
+
+    def test_pa_tune_on_a_mu_grid_of_no_whole_step_count_stays_below_mu_max(self, tmp_path):
+        # (1.02 - 1) / 0.02 is 1.0000000000000009 in floats: rounding it up
+        # would try mu = 1.04.
+        config = {
+            "scheme": "PA", "distribution": {"name": "modified_soliton", "Y": 6}, "K": 60,
+            "G_grid": [0.5, 1.0, 1.3], "trials": 5, "seed": 0, "hat_R_bits": 8,
+            "tuning": {"tune_trials": 10, "mu_criterion": "mean_fraction",
+                       "target_fraction": 0.985, "mu_max": 1.02, "mu_resolution": 0.02},
+        }
+        assert run_config(tmp_path, "tune", config) == 0
+        with open(tmp_path / "tune.csv", newline="") as fp:
+            rows = list(csv.DictReader(fp))
+        tunings = json.loads((tmp_path / "tune.meta.json").read_text())["tunings"]
+        mus = [float(row["mu"]) for row in rows if row["mu"]]
+        mus += [t["mu"] for t in tunings if t["mu"] is not None]
+        assert rows and tunings and all(mu <= 1.02 for mu in mus), (rows, tunings)

@@ -10,7 +10,9 @@ trace by the two-phase receiver as it stood before statically decodable
 frames took integer peeling, and the static PA tune by the mu tuner as it
 stood before it re-opened whole stacks of frames.  A change that
 declares new numbers regenerates them with the commands below; any other
-change must leave them as they are:
+change must leave them as they are.  CI runs the same commands through
+the installed entry point and compares each output with ``cmp``; a new
+golden goes into its golden step as well:
 
     irsa-sim sweep --config tests/data/NAME.json --out OUT
         (OUT/sweep.csv -> tests/data/NAME.sweep.csv, for each sweep NAME)

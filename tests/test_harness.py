@@ -1008,7 +1008,7 @@ def linear_scan_tune_rs_for_rate(spec, tuning, min_throughput):
             except TuningParameterError:
                 continue
             candidates.append(SchemeConfig("RS", alpha=a, beta=b))
-            means.append(point.dist.probabilities @ np.array(rates))
+            means.append(math.fsum(point.dist.probabilities * np.array(rates)))
     tune_seed = mix64(spec.seed, harness.PURPOSE_RS_TUNE)
     stacks = list(harness._stacks(point, tune_seed, tuning.tune_trials))
     for i in sorted(range(len(candidates)), key=lambda i: -means[i]):
