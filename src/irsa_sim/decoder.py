@@ -1,5 +1,5 @@
 """SIC receivers: integer peeling for the baseline and for statically
-decodable RS/PA frames, two-phase MRC for the other RS/PA frames.
+decodable PA frames, two-phase MRC for RS and the other PA frames.
 
 The baseline (IRSA) decodes any message sitting in a degree-one slot
 (single-slot decoding, Liva 2011): its receiver is erasure peeling on
@@ -20,8 +20,7 @@ a table, and the peeling sums each SINR as it takes the message out: from
 serves every frame of K messages at the same e and N0
 (``_uniform_terms``), and the RS receiver below as well: ``add.accumulate``
 sums in order, so its first h sums are the ones a table built for a frame
-whose slots hold up to h messages holds.  A frame raises where its own
-busiest slot overflows, as it does in the MRC receiver's static test.
+whose slots hold up to h messages holds.
 
 Rate selection (RS) and power adaptation (PA) use the two-phase receiver.
 Its residual state is a set of lists local to ``_decode_mrc``: per slot,
@@ -87,21 +86,18 @@ or could not have changed the choice, and the decisions, the order and the
 outputs are those of a full scan and a full evaluation at every step, bit
 for bit.
 
-A frame is statically decodable when every message passes its test
-before any cancellation, which one ``mrc_sinr`` against the initial
-interference shows (``static_passes``; the mu tuner's
-``static_reliability`` rule counts such frames).  Since cancellation never
-lowers a SINR, every test the receiver makes on it passes, so its decode
-order is integer erasure peeling: phase 1 runs the worklist on slot degrees
-and id sums alone, and phase 2 decodes the lowest-index undecoded message.
-Only the SINRs need floats, and one vectorised replay gives them all: for
-each edge of a decoded message it adds the energies of the slot's messages
-still undecoded at that step, from 0.0 in ascending message order, by one
-``bincount`` over the pairs of edges sharing a slot, a masked pair adding
-+0.0; then one ``bincount`` adds e / (I - e + N0) over ascending slots.
-These are the float operations of the two-phase receiver, so the order,
-slots and SINRs are its own, bit for bit.  Every other RS/PA frame
-takes the two-phase receiver.
+A PA frame is statically decodable when every message passes its test
+before any cancellation (``static_passes``, one ``mrc_sinr`` over the
+initial interference, which the mu tuner's ``static_reliability`` rule
+counts).  Cancellation never lowers a SINR, so its decode order is integer
+erasure peeling: phase 1 runs the worklist on slot degrees and id sums
+alone, and phase 2 decodes the lowest-index undecoded message.  One
+vectorised replay gives the SINRs: each edge of a decoded message adds the
+energies of its slot's messages still undecoded at that step, from 0.0 in
+ascending message order, by one ``bincount`` over the pairs of edges
+sharing a slot (a masked pair adds +0.0), and one ``bincount`` adds
+e / (I - e + N0) over ascending slots: the two-phase receiver's float
+operations, bit for bit.  RS, already integer, takes no static test.
 
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
@@ -298,12 +294,13 @@ def decode_frame(
     cfg: ChannelConfig,
 ) -> DecodeResult:
     """Run the receiver to its fixed point on one frame: integer peeling for
-    the baseline and for statically decodable RS/PA frames, the two-phase
-    MRC receiver for the other RS/PA frames.  The genie rate takes
-    ``math.log2`` per value: ``np.log2`` need not round alike."""
+    IRSA and statically decodable PA frames, else two-phase MRC.  The genie
+    rate takes ``math.log2`` per value: ``np.log2`` need not round alike."""
     if scheme.variant == "IRSA":
         order, slots, sinrs = _peel_irsa(graph, profile.Es, cfg.N0)
-    elif static_passes(graph, profile.energies, profile.sinr_thresholds, cfg.N0).all():
+    elif profile.Es is None and static_passes(
+        graph, profile.energies, profile.sinr_thresholds, cfg.N0
+    ).all():
         order, slots = _peel_static(graph)
         order = np.array(order, dtype=np.int64)
         sinrs = _replay_sinrs(graph, profile.energies, order, cfg.N0)
@@ -389,7 +386,7 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
 
 
 def _peel_static(graph: FrameGraph):
-    """The two-phase receiver on a statically decodable frame, on slot
+    """The two-phase receiver on a statically decodable PA frame, on slot
     degrees and id sums alone: every test passes, so phase 1 is erasure
     peeling over ``_decode_mrc``'s worklist and phase 2 decodes the
     lowest-index undecoded message.  Returns the decoded messages and their

@@ -23,6 +23,7 @@ from .config import (
     ConfigValidationError,
     problem,
     rate_problem,
+    require,
     validate,
 )
 from .decoder import decode_frame, decoded_closure, static_passes
@@ -713,6 +714,7 @@ def tune_mu(
     decodable frame (``static_passes``) stays so: ``_first_reaching``
     searches the grid from mu = 1 up over the held tuning stacks.
     """
+    require("mu_criterion", criterion)
     G = spec.G_grid[g_index]
     mu_at = lambda k: 1.0 + k * tuning.mu_resolution
     # The top of the grid: the largest k with mu_at(k) <= mu_max, where a k

@@ -436,8 +436,9 @@ class TestMainCommands:
     )
     def test_decode_one_slot_overflow_is_named(self, capsys, scheme, args, found):
         # The per-slot energy is in range, but a crowded slot's sum
-        # overflows, or does once N0 is added: the baseline's peeling flags
-        # it as the MRC receiver's static test does, with no trace written.
+        # overflows, or does once N0 is added: the baseline's peeling and
+        # the RS receiver flag it from their term table, with no trace
+        # written.
         assert main(["decode-one", "--edges", str(FRAME), "--scheme", *scheme, *args]) == 2
         out = capsys.readouterr()
         assert out.err == f"error: {found}\n"

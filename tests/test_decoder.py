@@ -726,7 +726,8 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
 
 
 def is_static(g, profile, scheme, cfg):
-    """Whether decode_frame takes the static path on an RS/PA setup."""
+    """Whether an RS/PA setup is statically decodable; decode_frame takes
+    the static path on such a PA setup alone."""
     return bool(decoder.static_passes(g, profile.energies, profile.sinr_thresholds, cfg.N0).all())
 
 
@@ -769,6 +770,7 @@ class TestResidualStateMatchesPythonSums:
     def test_decode_frame_random_frames(self):
         rng = np.random.default_rng(103)
         frames = long_decodes = residual = static = static_residual = 0
+        pa_static = pa_static_residual = 0
         for frame in range(2400):
             variant = ("IRSA", "RS", "PA")[frame % 3]
             try:
@@ -783,10 +785,15 @@ class TestResidualStateMatchesPythonSums:
             if variant != "IRSA" and is_static(*setup):
                 static += 1
                 static_residual += has_residual
+                if variant == "PA":
+                    pa_static += 1
+                    pa_static_residual += has_residual
         assert frames >= 2000 and long_decodes >= 200 and residual >= 200
-        # Statically decodable RS/PA frames take the integer peeling and
-        # the SINR replay, some of them through phase 2.
+        # Statically decodable frames, some decoded through phase 2.  The
+        # PA ones take the integer peeling and the SINR replay, the RS ones
+        # the two-phase receiver.
         assert static >= 400 and static_residual >= 200
+        assert pa_static >= 250 and pa_static_residual >= 120
 
     def test_decode_frame_independent_of_builtin_sum(self, monkeypatch):
         # CPython 3.12 compensates sum() over floats and 3.11 does not, so a
@@ -1092,9 +1099,43 @@ class TestRsIntegerState:
             TestResidualStateMatchesPythonSums.assert_same_result(*setup)
         assert calls["wake"] >= 600 and calls["again"] >= 300, calls
 
+    def test_static_frames_take_the_two_phase_receiver(self, monkeypatch):
+        # An RS frame every message of which passes before any cancellation
+        # still takes the two-phase receiver: decode_frame neither runs the
+        # static test nor peels on the static path, which a spy on each
+        # counts.  A static PA frame takes both, so the spies see calls.
+        rng = np.random.default_rng(277)
+        g = FrameGraph(5, [[3, 4], [1], [3, 4], [0, 2], [2]])
+        setups = [unit_energy_setup(g, [0.4] * 5, Es=1.0)]
+        for _ in range(150):
+            try:
+                setups.append(TestResidualStateMatchesPythonSums.random_setup(rng, "RS"))
+            except (TuningParameterError, InfeasibleOperatingPointError):
+                continue
+        setups = [setup for setup in setups if is_static(*setup)]
+        assert len(setups) >= 40
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(decoder, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(decoder, name, counted)
+
+        spy("static_passes")
+        spy("_peel_static")
+        for setup in setups:
+            TestResidualStateMatchesPythonSums.assert_same_result(*setup)
+        assert not calls, calls
+        decode_frame(*unit_energy_setup(g, [0.4] * 5))
+        assert calls == {"static_passes": 1, "_peel_static": 1}
+
 
 class TestStaticPeeling:
-    """A statically decodable RS/PA frame, every message passing before any
+    """A statically decodable PA frame, every message passing before any
     cancellation, decodes by integer peeling and one vectorised SINR
     replay; every output equals the two-phase receiver's, bit for bit."""
 
@@ -1120,9 +1161,9 @@ class TestStaticPeeling:
         TestStalledRegistry.check(
             g, [0.4] * 5, order=[3, 1, 4, 0, 2], phases=[1, 1, 1, 2, 1], slots=[0, 1, 2, -1, 3]
         )
-        for setup in unit_energy_setups(g, [0.4] * 5):
-            assert is_static(*setup)
-            self.assert_same_as_two_phase(setup, monkeypatch)
+        setup = unit_energy_setup(g, [0.4] * 5)
+        assert is_static(*setup)
+        self.assert_same_as_two_phase(setup, monkeypatch)
 
     def test_tuned_pa_points_at_full_size(self, monkeypatch):
         # The mu the static_reliability rule picks on the tune_pa_l2

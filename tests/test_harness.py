@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from irsa_sim import harness, schemes
+from irsa_sim.config import ConfigValidationError
 from irsa_sim.decoder import decode_frame, static_passes
 from irsa_sim.distributions import avg_degree, fixed_l3, from_name, modified_soliton
 from irsa_sim.frame_graph import FrameGraph, build_frame
@@ -638,6 +639,17 @@ class TestTuneMu:
     def test_rejects_unknown_criterion(self):
         with pytest.raises(ValueError, match="mu_criterion: must be one of"):
             TuningConfig(mu_criterion="vibes")
+
+    def test_rejects_unknown_criterion_argument(self, monkeypatch):
+        # The criterion is an argument, not a TuningConfig field, so the
+        # tuner checks it itself, before it draws a frame.
+        monkeypatch.setattr(harness, "build_frame", None)
+        spec = SweepSpec(
+            scheme="PA", dist_name="modified_soliton", dist_Y=4, K=20,
+            G_grid=(0.5,), trials=1, seed=0, hat_R_bits=8.0,
+        )
+        with pytest.raises(ConfigValidationError, match="mu_criterion: must be one of"):
+            tune_mu(spec, 0, TuningConfig(tune_trials=4), "vibes", 0.9)
 
     @pytest.mark.parametrize(
         "settings, found",
