@@ -312,7 +312,10 @@ def _write_sidecar(path: Path, config: ExperimentConfig, records, tunings=None) 
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigValidationError([f"--config {args.config}: not UTF-8 text: {err}"]) from None
     # Flag precedence: flags > file > defaults.  Flags pass the checks of the
     # keys they replace.
     errors = _flag_problems(args)
@@ -325,6 +328,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = {key: getattr(args, key) for key in ("trials", "seed")}
     spec = replace(config.spec, **{k: v for k, v in flags.items() if v is not None})
     out = config.out if getattr(args, "out", None) is None else args.out
+    if Path(out).exists() and not Path(out).is_dir():  # found before the run, not after
+        raise FileExistsError(f"output directory {out} exists and is not a directory")
     return replace(config, spec=spec, out=out)
 
 
@@ -485,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         for problem in err.errors:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (TuningParameterError, InfeasibleOperatingPointError) as err:

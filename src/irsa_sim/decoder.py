@@ -90,14 +90,22 @@ A PA frame is statically decodable when every message passes its test
 before any cancellation (``static_passes``, one ``mrc_sinr`` over the
 initial interference, which the mu tuner's ``static_reliability`` rule
 counts).  Cancellation never lowers a SINR, so its decode order is integer
-erasure peeling: phase 1 runs the worklist on slot degrees and id sums
-alone, and phase 2 decodes the lowest-index undecoded message.  One
-vectorised replay gives the SINRs: each edge of a decoded message adds the
-energies of its slot's messages still undecoded at that step, from 0.0 in
-ascending message order, by one ``bincount`` over the pairs of edges
-sharing a slot (a masked pair adds +0.0), and one ``bincount`` adds
-e / (I - e + N0) over ascending slots: the two-phase receiver's float
-operations, bit for bit.  RS, already integer, takes no static test.
+erasure peeling (``_peel_static``): the slot degrees are a ``bytearray``,
+and phase 1 finds each pass's next degree-one slot with
+``find(1, pos + 1)``.  Degrees only fall, and a slot at degree one keeps it
+until its message decodes, so that scan finds the worklist's slots, in its
+order.  Phase 2 decodes the lowest-index undecoded message, the next zero
+of a decoded-flag ``bytearray``.  The peel reads each decoded message's
+slots as a slice of ``edge_slot``, as ``_peel_irsa`` does, and builds no
+per-message or per-slot list.  A frame whose busiest slot holds more than
+255 messages, too many for a byte, takes the two-phase receiver, whose
+outputs are the same.  One vectorised replay gives the SINRs: each edge of
+a decoded message adds the energies of its slot's messages still undecoded
+at that step, from 0.0 in ascending message order, by one ``bincount``
+over the pairs of edges sharing a slot (a masked pair adds +0.0), and one
+``bincount`` adds e / (I - e + N0) over ascending slots: the two-phase
+receiver's float operations, bit for bit.  RS, already integer, takes no
+static test.
 
 For RS and PA the decoded set does not depend on the order: cancellation
 never lowers another message's MRC SINR, so it is the unique closure of the
@@ -298,10 +306,12 @@ def decode_frame(
     rate takes ``math.log2`` per value: ``np.log2`` need not round alike."""
     if scheme.variant == "IRSA":
         order, slots, sinrs = _peel_irsa(graph, profile.Es, cfg.N0)
-    elif profile.Es is None and static_passes(
-        graph, profile.energies, profile.sinr_thresholds, cfg.N0
-    ).all():
-        order, slots = _peel_static(graph)
+    elif (
+        profile.Es is None
+        and static_passes(graph, profile.energies, profile.sinr_thresholds, cfg.N0).all()
+        and (degree := graph.slot_degrees()).max() <= 255  # _peel_static's bytes
+    ):
+        order, slots = _peel_static(graph, degree)
         order = np.array(order, dtype=np.int64)
         sinrs = _replay_sinrs(graph, profile.energies, order, cfg.N0)
     else:
@@ -344,17 +354,21 @@ def _uniform_terms(degree: np.ndarray, e: float, N0: float, K: int):
     return term, values
 
 
+def _message_spans(graph: FrameGraph):
+    """``edge_slot`` as a list, and each message's start and end in it:
+    message k's slots, ascending, are ``flat[start[k]:end[k]]``.  A peel
+    slices the messages it decodes, which costs less than building every
+    message's list (``FrameGraph.message_slots``)."""
+    end = np.cumsum(graph.degrees)
+    return graph.edge_slot.tolist(), (end - graph.degrees).tolist(), end.tolist()
+
+
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     """Baseline receiver: erasure peeling on slot degrees and id sums.
     Returns the decoded messages, their degree-one slots and their SINRs at
     per-replica energy e (see the module docstring), in step order.  Raises
     InfeasibleOperatingPointError as ``_checked`` does."""
-    # Message k's slots are edge_slot[start[k]:end[k]], ascending; slicing
-    # the decoded ones costs less than building every message's list.
-    flat = graph.edge_slot.tolist()
-    end = np.cumsum(graph.degrees)
-    start = (end - graph.degrees).tolist()
-    end = end.tolist()
+    flat, start, end = _message_spans(graph)
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
@@ -385,52 +399,38 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     return order, slots, sinrs
 
 
-def _peel_static(graph: FrameGraph):
+def _peel_static(graph: FrameGraph, degree: np.ndarray):
     """The two-phase receiver on a statically decodable PA frame, on slot
     degrees and id sums alone: every test passes, so phase 1 is erasure
-    peeling over ``_decode_mrc``'s worklist and phase 2 decodes the
-    lowest-index undecoded message.  Returns the decoded messages and their
-    degree-one slots, -1 for a phase-2 decode, in step order."""
-    K = graph.K
-    message_slots = graph.message_slots
-    degree = graph.slot_degrees()
-    slot_degree = degree.tolist()
+    peeling and phase 2 decodes the lowest-index undecoded message.  The
+    slot ``degree``s, each at most 255, become a ``bytearray`` that phase 1
+    scans with ``find(1, pos + 1)``: a slot that reaches degree one beyond
+    the scan position joins this pass, one at or behind it the next, the
+    worklist's order.  Returns the decoded messages and their degree-one
+    slots, -1 for a phase-2 decode, in step order."""
+    flat, start, end = _message_spans(graph)
+    slot_degree = bytearray(degree.astype(np.uint8).tobytes())
     slot_id_sum = graph.slot_id_sums().tolist()
-    decoded = [False] * K
-    due = bytearray((degree == 1).tobytes())
-    later = bytearray(graph.M)
+    decoded = bytearray(graph.K)
+    find = slot_degree.find
     order: list[int] = []
     slots: list[int] = []
-
-    def cancel(msg: int, pos: int) -> None:
-        # _decode_mrc's cancel on the integer state, recording the decode.
+    pos = lowest = -1
+    while True:
+        # Phase 1: the next degree-one slot beyond pos, else the first of
+        # the next pass; phase 2 when a pass would find none.
+        if (pos := find(1, pos + 1)) < 0 and (pos := find(1)) < 0:
+            if (lowest := decoded.find(0, lowest + 1)) < 0:
+                return order, slots
+            msg = lowest
+        else:
+            msg = slot_id_sum[pos]
         order.append(msg)
         slots.append(pos)
-        decoded[msg] = True
-        for j in message_slots[msg]:
-            d = slot_degree[j] - 1
-            slot_degree[j] = d
+        decoded[msg] = 1
+        for j in flat[start[msg]:end[msg]]:
+            slot_degree[j] -= 1
             slot_id_sum[j] -= msg
-            if d == 1:
-                (due if j > pos else later)[j] = 1
-            elif d == 0:
-                due[j] = 0
-
-    lowest = 0
-    while True:
-        while (pos := due.find(1)) >= 0:
-            find = due.find
-            while pos >= 0:
-                due[pos] = 0
-                if slot_degree[pos] == 1:
-                    cancel(slot_id_sum[pos], pos)
-                pos = find(1, pos + 1)
-            due, later = later, due
-        while lowest < K and decoded[lowest]:
-            lowest += 1
-        if lowest == K:
-            return order, slots
-        cancel(lowest, -1)
 
 
 def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0: float):
@@ -443,7 +443,7 @@ def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0
     step[order] = np.arange(graph.K)
     # The edges by slot, each slot's in ascending message order, and so
     # each message's in ascending slot order.
-    msg = graph.edge_msg[np.argsort(graph.edge_slot, kind="stable")]
+    msg = graph.edge_msg[graph.slot_order()]
     e = energies[msg]
     at = step[msg]
     # Every edge paired with each edge of its slot, the slot's in order:

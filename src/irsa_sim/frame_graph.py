@@ -5,9 +5,10 @@ Messages are the variable nodes and slots the check nodes.  Indices are
 decoder's inner loop.  A frame holds its adjacency once, as CSR edge arrays
 (``edge_msg``, ``edge_slot``): every per-slot or per-message sum is one
 ``np.bincount`` over them.  The per-message and per-slot lists that the
-sequential decoder's scalar loops read are built from the arrays on first
-use; a decode of the baseline or of rate selection never builds the
-per-slot lists, and the tuners' order-free decoder builds neither.
+two-phase receiver's scalar loops read are built from the arrays on first
+use (rate selection builds the per-message lists, power adaptation both);
+the peeling receivers slice ``edge_slot``, and neither they nor the tuners'
+order-free decoder build a list.
 """
 
 from __future__ import annotations
@@ -82,9 +83,16 @@ class FrameGraph:
     @cached_property
     def slot_messages(self) -> list[list[int]]:
         """Each slot's messages, ascending; built on first use."""
-        msgs = self.edge_msg[np.argsort(self.edge_slot, kind="stable")].tolist()
+        msgs = self.edge_msg[self.slot_order()].tolist()
         ends = np.cumsum(self.slot_degrees()).tolist()
         return [msgs[a:b] for a, b in zip([0, *ends], ends)]
+
+    def slot_order(self) -> np.ndarray:
+        """The edges slot by slot, each slot's in ascending message order: a
+        stable argsort of ``edge_slot``, as uint16 (sorted by radix, into
+        the same permutation) where every slot index fits."""
+        key = self.edge_slot.astype(np.uint16) if self.M <= 1 << 16 else self.edge_slot
+        return np.argsort(key, kind="stable")
 
     def slot_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_slot, minlength=self.M)

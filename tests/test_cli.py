@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from irsa_sim import harness
+from irsa_sim import cli, harness
 from irsa_sim.cli import (
     CSV_HEADER,
     ConfigValidationError,
@@ -858,6 +858,35 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 2
         assert err == "# decoded 1/1, undecoded 0\n"
+
+    def test_config_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_decode_one_edges_that_are_a_directory_exit_1(self, tmp_path, capsys):
+        argv = ["decode-one", "--edges", str(tmp_path), "--scheme", "IRSA", "--es-over-n0", "0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(MINIMAL_SWEEP).encode("utf-16"))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --config {path}: not UTF-8 text: ")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_out_that_is_a_file_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(MINIMAL_SWEEP))
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("the sweep ran"))
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output directory {out} exists and is not a directory\n"
+        )
+        assert out.read_text() == ""
 
     COMPARE = {
         "scheme": "RS",

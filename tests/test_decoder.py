@@ -1187,6 +1187,60 @@ class TestStaticPeeling:
                     residual += int((result.phase == PHASE_RESIDUAL).sum())
         assert static >= 16 and residual >= 100
 
+    def test_static_decode_builds_no_slot_list(self):
+        g = FrameGraph(5, [[3, 4], [1], [3, 4], [0, 2], [2]])
+        setup = unit_energy_setup(g, [0.4] * 5)
+        assert is_static(*setup)
+        assert (decode_frame(*setup).phase == PHASE_RESIDUAL).any()
+        assert "message_slots" not in g.__dict__
+        assert "slot_messages" not in g.__dict__
+
+    @pytest.mark.parametrize("K, peels", [(255, 1), (256, 0)])
+    def test_frames_busier_than_a_byte_take_the_two_phase_receiver(self, monkeypatch, K, peels):
+        # Every message sits in slot 0, and messages 2i and 2i + 1 share
+        # slot i + 1 (an odd K leaves the last alone there): each SINR is
+        # 1/K + 1/2 or more before any cancellation, so the frame is static,
+        # and phase 2 opens every pair.  The static peel keeps a slot's
+        # degree in a byte, so a slot of 256 messages goes to the two-phase
+        # receiver.
+        g = FrameGraph(K // 2 + 2, [[0, k // 2 + 1] for k in range(K)])
+        setup = unit_energy_setup(g, [0.4] * K)
+        assert is_static(*setup)
+        real, calls = decoder._peel_static, []
+        monkeypatch.setattr(decoder, "_peel_static", lambda *args: calls.append(1) or real(*args))
+        got = TestResidualStateMatchesPythonSums.assert_same_result(*setup)
+        assert len(calls) == peels
+        assert (got.phase == PHASE_RESIDUAL).sum() == K // 2
+
+    @pytest.mark.parametrize("M", [2**16, 2**16 + 1])
+    def test_slot_order_past_16_bits(self, monkeypatch, M):
+        # The slot order sorts slot indices as 16-bit keys only where they
+        # fit: at M = 2**16 + 1, slot 2**16 would sort as slot 0.  The order,
+        # the per-slot lists and the static path's SINRs equal those of the
+        # stable sort of the int64 indices.
+        rng = np.random.default_rng(59)
+        pool = [0, 1, 2, 5, M - 3, M - 2, M - 1]
+        lists = [[0, M - 1], [5, M - 1], [0, 5]] + [
+            rng.choice(pool, 2, replace=False).tolist() for _ in range(30)
+        ]
+
+        def decode():
+            g = FrameGraph(M, lists)
+            return g, decode_frame(*unit_energy_setup(g, [0.1] * len(lists)))
+
+        g, got = decode()
+        int64_order = np.argsort(g.edge_slot, kind="stable")
+        assert np.array_equal(g.slot_order(), int64_order)
+        assert g.slot_messages == [
+            [k for k, slots in enumerate(lists) if j in slots] for j in range(M)
+        ]
+        assert "message_slots" not in g.__dict__  # the static path ran
+        monkeypatch.setattr(FrameGraph, "slot_order", lambda g: int64_order)
+        _, want = decode()
+        assert (got.phase == PHASE_RESIDUAL).any()
+        for name in RESULT_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
 
 class TestGenieRate:
     def test_genie_rate_formula(self):
