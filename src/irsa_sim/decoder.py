@@ -30,8 +30,9 @@ message its id sum names (the count/id-sum pair of an invertible Bloom
 lookup table), so the receiver never lists a slot's messages to find it.
 Under PA, cancelling a message re-sums every slot it touches: a slot left
 empty holds 0.0, one left with a single message that message's energy, and
-any other is added over its per-slot list from 0.0 in ascending message
-order.  So the interference is the value a ``bincount`` over the undecoded
+any other is added over the slot's messages from 0.0 in ascending message
+order, read from the edge arrays in slot order (``FrameGraph.slot_order``).
+So the interference is the value a ``bincount`` over the undecoded
 edges gives, with no drift.  Under RS every replica carries the one energy
 Es (``TransmitProfile.Es``), so a slot holding h messages carries S[h],
 the value that re-sum would give, and a SINR adds the baseline's table
@@ -69,22 +70,24 @@ slot's list was last taken out, so the lists wake the same set; a wake
 only pushes onto a heap and sets flags, so the order of the wakes changes
 nothing.
 
-Phase 1 is a worklist.  Each pass visits, in ascending order, only the
-degree-one slots not known to fail; a slot that becomes degree one, or is
-woken, beyond the scan position joins the current pass, and one at or
-behind it waits for the next, which is when a full scan would reach it.  A
-slot whose message sleeps joins it untested.  Phase 2 tests every message
-with one ``bincount`` at its first entry (``mrc_sinr``'s, or under RS one
-over the table's terms), keeps a min-heap of the passing indices and puts
-the others to sleep.  Woken messages wait in a second min-heap, and a later
-entry tests them in ascending order only while they lie below the lowest
-index known to pass: that message still passes, so a woken message above it
-cannot be the lowest that passes, and waits untested for phase 1 or a later
-entry.  Every SINR is added over ascending slots, as ``mrc_sinr``'s
-``bincount`` adds it, so a skipped test would have failed on the same float
-or could not have changed the choice, and the decisions, the order and the
-outputs are those of a full scan and a full evaluation at every step, bit
-for bit.
+Phase 1 is a worklist: the degree-one slots not known to fail, flagged in
+one ``bytearray``.  A pass takes them in ascending order with
+``find(1, pos + 1)`` and wraps to ``find(1)`` for the next, as
+``_peel_static`` does: a slot that becomes degree one, or is woken, beyond
+the scan position joins the current pass, and one at or behind it waits
+for the next, which is when a full scan would reach it.  A slot whose
+message sleeps joins it untested.  Phase 2 tests every message with one
+``bincount`` at its first entry (``mrc_sinr``'s, or under RS one over the
+table's terms), keeps a min-heap of the passing indices and puts the
+others to sleep.  Woken messages wait in a second min-heap, and every
+further entry tests them in ascending order only while they lie below the
+lowest index known to pass: that message still passes, so a woken message
+above it cannot be the lowest that passes, and waits untested for phase 1
+or a further entry.  Every SINR is added over ascending slots, as
+``mrc_sinr``'s ``bincount`` adds it, so a skipped test would have failed on
+the same float or could not have changed the choice, and the decisions, the
+order and the outputs are those of a full scan and a full evaluation at
+every step, bit for bit.
 
 A PA frame is statically decodable when every message passes its test
 before any cancellation (``static_passes``, one ``mrc_sinr`` over the
@@ -313,7 +316,7 @@ def decode_frame(
     ):
         order, slots = _peel_static(graph, degree)
         order = np.array(order, dtype=np.int64)
-        sinrs = _replay_sinrs(graph, profile.energies, order, cfg.N0)
+        sinrs = _replay_sinrs(graph, degree, profile.energies, order, cfg.N0)
     else:
         order, slots, sinrs = _decode_mrc(graph, profile, cfg.N0)
     sinrs = np.asarray(sinrs, dtype=np.float64)
@@ -354,13 +357,15 @@ def _uniform_terms(degree: np.ndarray, e: float, N0: float, K: int):
     return term, values
 
 
-def _message_spans(graph: FrameGraph):
-    """``edge_slot`` as a list, and each message's start and end in it:
-    message k's slots, ascending, are ``flat[start[k]:end[k]]``.  A peel
-    slices the messages it decodes, which costs less than building every
-    message's list (``FrameGraph.message_slots``)."""
-    end = np.cumsum(graph.degrees)
-    return graph.edge_slot.tolist(), (end - graph.degrees).tolist(), end.tolist()
+def _spans(flat: np.ndarray, counts: np.ndarray):
+    """``flat`` as a list, and where each of its runs of ``counts`` entries
+    starts and ends in it: run i is ``flat[start[i]:end[i]]``.  The peels
+    slice ``edge_slot`` by the message degrees, each decoded message's
+    slots, which costs less than building every message's list
+    (``FrameGraph.message_slots``); PA's re-sums slice the edges' messages
+    in slot order by the slot degrees."""
+    end = np.cumsum(counts)
+    return flat.tolist(), (end - counts).tolist(), end.tolist()
 
 
 def _peel_irsa(graph: FrameGraph, e: float, N0: float):
@@ -368,7 +373,7 @@ def _peel_irsa(graph: FrameGraph, e: float, N0: float):
     Returns the decoded messages, their degree-one slots and their SINRs at
     per-replica energy e (see the module docstring), in step order.  Raises
     InfeasibleOperatingPointError as ``_checked`` does."""
-    flat, start, end = _message_spans(graph)
+    flat, start, end = _spans(graph.edge_slot, graph.degrees)
     degree = graph.slot_degrees()
     slot_degree = degree.tolist()
     slot_id_sum = graph.slot_id_sums().tolist()
@@ -408,7 +413,7 @@ def _peel_static(graph: FrameGraph, degree: np.ndarray):
     the scan position joins this pass, one at or behind it the next, the
     worklist's order.  Returns the decoded messages and their degree-one
     slots, -1 for a phase-2 decode, in step order."""
-    flat, start, end = _message_spans(graph)
+    flat, start, end = _spans(graph.edge_slot, graph.degrees)
     slot_degree = bytearray(degree.astype(np.uint8).tobytes())
     slot_id_sum = graph.slot_id_sums().tolist()
     decoded = bytearray(graph.K)
@@ -433,12 +438,15 @@ def _peel_static(graph: FrameGraph, degree: np.ndarray):
             slot_id_sum[j] -= msg
 
 
-def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0: float):
-    """The SINR of every decode of a fully decoded frame, in step order, by
-    ``_decode_mrc``'s float operations.  Each edge's slot interference adds
-    the energies of the slot's messages still undecoded at its message's
-    step, from 0.0 in ascending message order, a decoded one adding +0.0;
-    each SINR adds e / (I - e + N0) over its message's ascending slots."""
+def _replay_sinrs(
+    graph: FrameGraph, degree: np.ndarray, energies: np.ndarray, order: np.ndarray, N0: float
+):
+    """The SINR of every decode of a fully decoded frame with slot
+    ``degree``s, in step order, by ``_decode_mrc``'s float operations.
+    Each edge's slot interference adds the energies of the slot's messages
+    still undecoded at its message's step, from 0.0 in ascending message
+    order, a decoded one adding +0.0; each SINR adds e / (I - e + N0) over
+    its message's ascending slots."""
     step = np.empty(graph.K, dtype=np.int64)
     step[order] = np.arange(graph.K)
     # The edges by slot, each slot's in ascending message order, and so
@@ -448,7 +456,6 @@ def _replay_sinrs(graph: FrameGraph, energies: np.ndarray, order: np.ndarray, N0
     at = step[msg]
     # Every edge paired with each edge of its slot, the slot's in order:
     # edge p's pairs run over its slot's edges, from the slot's first.
-    degree = graph.slot_degrees()
     width = np.repeat(degree, degree)
     ends = np.cumsum(width)
     first = np.repeat(np.cumsum(degree) - degree, degree)
@@ -483,17 +490,16 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     # may hold a message twice.
     asleep: dict[int, list[int]] = {}
     woken: list[int] = []
-    # Phase 1's worklist: the slots due in this pass (flagged in ``due``)
-    # and in the next (``later``).  ``wake`` and ``cancel`` queue a slot
-    # beyond the scan position ``pos`` in this pass and one at or behind it
-    # in the next; phase 2 passes -1, so the next pass takes them all.
+    # Phase 1's worklist: the flagged slots, each at degree one.  The scan
+    # position decides which pass takes a queued slot (see the module
+    # docstring), so ``wake`` and ``cancel`` only flag it.
     due = bytearray((degree == 1).tobytes())
-    later = bytearray(M)
+    find = due.find
 
-    def wake(msg: int, pos: int) -> None:
+    def wake(msg: int) -> None:
         heapq.heappush(woken, msg)
         for j in asleep.pop(msg):
-            (due if j > pos else later)[j] = 1
+            due[j] = 1
 
     if profile.Es is not None:
         # One energy per replica (RS): a slot holding h messages interferes
@@ -513,15 +519,17 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                 total += term[slot_degree[j]]
             return total
 
-        def enlist(msg: int) -> None:
-            # msg goes to sleep: list it in each of its slots.
+        def sleep(msg: int, waiting: list[int]) -> None:
+            # msg's test failed: register it with the slots ``waiting`` on
+            # it and list it in each of its slots.
+            asleep[msg] = waiting
             for j in message_slots[msg]:
                 if (listed := sleepers[j]) is None:
                     sleepers[j] = [msg]
                 else:
                     listed.append(msg)
 
-        def cancel(msg: int, pos: int) -> None:
+        def cancel(msg: int) -> None:
             # Take every replica of msg out of its slots' degrees and id
             # sums, queue the slots it leaves at degree one and wake every
             # sleeping message it shares a slot with.
@@ -533,16 +541,16 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                 slot_id_sum[j] -= msg
                 if d == 1:
                     m = slot_id_sum[j]
-                    (due if j > pos else later)[j] = 1
+                    due[j] = 1
                     if m in asleep:
-                        wake(m, pos)
+                        wake(m)
                 elif d == 0:
                     due[j] = 0  # an empty slot needs no visit
                 elif listed := sleepers[j]:
                     sleepers[j] = None
                     for m in listed:
                         if m in asleep:
-                            wake(m, pos)
+                            wake(m)
 
         def residual_sinrs() -> np.ndarray:
             # mrc_sinr's terms at every undecoded message's edges.
@@ -552,12 +560,12 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
         # Per-message energies (PA): each slot's interference, added in
         # edge order, ascending messages, as bincount adds it.
         energies = profile.energies.tolist()
-        slot_messages = graph.slot_messages
         interference = np.bincount(
             graph.edge_slot, weights=profile.energies[graph.edge_msg], minlength=M
         ).tolist()
-        # A re-sum walks the slot's messages and finds its sleepers there.
-        enlist = None
+        # Slot j's messages, ascending, are members[start[j]:end[j]].  A
+        # re-sum walks them and finds its sleepers there.
+        members, start, end = _spans(graph.edge_msg[graph.slot_order()], degree)
 
         def sinr_of(msg: int) -> float:
             # MRC over all replicas, added over ascending slots as mrc_sinr's
@@ -568,7 +576,10 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                 total += e / (interference[j] - e + N0)
             return total
 
-        def cancel(msg: int, pos: int) -> None:
+        def sleep(msg: int, waiting: list[int]) -> None:
+            asleep[msg] = waiting
+
+        def cancel(msg: int) -> None:
             # Take every replica of msg out of its slots' residual state,
             # queue the slots it leaves at degree one and wake every
             # sleeping message it shares a slot with.
@@ -581,19 +592,19 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
                 if d == 1:
                     m = slot_id_sum[j]
                     interference[j] = energies[m]
-                    (due if j > pos else later)[j] = 1
+                    due[j] = 1
                     if m in asleep:
-                        wake(m, pos)
+                        wake(m)
                 elif d == 0:
                     interference[j] = 0.0
                     due[j] = 0  # an empty slot needs no visit
                 else:
                     total = 0.0
-                    for m in slot_messages[j]:
+                    for m in members[start[j]:end[j]]:
                         if not decoded[m]:
                             total += energies[m]
                             if m in asleep:
-                                wake(m, pos)
+                                wake(m)
                     interference[j] = total
 
         def residual_sinrs() -> np.ndarray:
@@ -611,43 +622,36 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
     # entry on; decoded ones are dropped when they reach the top.
     passing: list[int] | None = None
 
+    pos = -1
     while True:
-        # Phase 1: ascending passes over the queued degree-one slots until a
-        # pass queues none for the next.  A slot whose message sleeps joins
-        # it untested: the test would fail again.
-        while (pos := due.find(1)) >= 0:
-            find = due.find
-            while pos >= 0:
-                due[pos] = 0
-                if slot_degree[pos] == 1:
-                    msg = slot_id_sum[pos]
-                    if msg in asleep:
-                        asleep[msg].append(pos)
-                    elif (sinr := sinr_of(msg)) >= thresholds[msg]:
-                        order.append(msg)
-                        slots.append(pos)
-                        sinrs.append(sinr)
-                        cancel(msg, pos)
-                    else:
-                        asleep[msg] = [pos]
-                        if enlist:
-                            enlist(msg)
-                pos = find(1, pos + 1)
-            due, later = later, due
+        # Phase 1: the next queued slot beyond pos, else the first of the
+        # next pass, until a pass would find none; the scan then leaves pos
+        # at -1, so after phase 2 the next one starts at slot 0.  A slot
+        # whose message sleeps joins it untested: the test would fail again.
+        while (pos := find(1, pos + 1)) >= 0 or (pos := find(1)) >= 0:
+            due[pos] = 0
+            msg = slot_id_sum[pos]
+            if msg in asleep:
+                asleep[msg].append(pos)
+            elif (sinr := sinr_of(msg)) >= thresholds[msg]:
+                order.append(msg)
+                slots.append(pos)
+                sinrs.append(sinr)
+                cancel(msg)
+            else:
+                sleep(msg, [pos])
         # Phase 2: peel the lowest-index undecoded message that passes
         # against the residual state and return to phase 1.  The first entry
-        # tests every message.  A later one tests, in ascending order, only
-        # the woken messages below the lowest known to pass: one above it
-        # cannot be the lowest that passes, and waits untested.
+        # tests every message.  Each further one tests, in ascending order,
+        # only the woken messages below the lowest known to pass: one above
+        # it cannot be the lowest that passes, and waits untested.
         if passing is None:
             alive = ~np.frombuffer(decoded, dtype=bool)
             ok = residual_sinrs() >= thr_arr
             passing = np.flatnonzero(ok & alive).tolist()
             for m in np.flatnonzero(alive & ~ok).tolist():
                 if m not in asleep:
-                    asleep[m] = []
-                    if enlist:
-                        enlist(m)
+                    sleep(m, [])
             woken.clear()
         while passing and decoded[passing[0]]:
             heapq.heappop(passing)
@@ -658,13 +662,11 @@ def _decode_mrc(graph: FrameGraph, profile: TransmitProfile, N0: float):
             if sinr_of(m) >= thresholds[m]:
                 heapq.heappush(passing, m)
             else:
-                asleep[m] = []
-                if enlist:
-                    enlist(m)
+                sleep(m, [])
         if not passing:
             return order, slots, sinrs
         msg = heapq.heappop(passing)
         order.append(msg)
         slots.append(-1)
         sinrs.append(sinr_of(msg))
-        cancel(msg, -1)
+        cancel(msg)

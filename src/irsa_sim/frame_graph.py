@@ -4,10 +4,10 @@ Messages are the variable nodes and slots the check nodes.  Indices are
 0-based dense integers so that adjacency is plain array indexing in the
 decoder's inner loop.  A frame holds its adjacency once, as CSR edge arrays
 (``edge_msg``, ``edge_slot``): every per-slot or per-message sum is one
-``np.bincount`` over them.  The per-message and per-slot lists that the
-two-phase receiver's scalar loops read are built from the arrays on first
-use (rate selection builds the per-message lists, power adaptation both);
-the peeling receivers slice ``edge_slot``, and neither they nor the tuners'
+``np.bincount`` over them.  The two-phase receiver's scalar loops read
+per-message lists, built from the arrays on first use; under power
+adaptation its re-sums slice ``edge_msg`` in slot order (``slot_order``).
+The peeling receivers slice ``edge_slot``, and neither they nor the tuners'
 order-free decoder build a list.
 """
 
@@ -42,7 +42,7 @@ class FrameGraph:
     ``edge_msg`` and ``edge_slot`` list the message and slot of every edge
     (read-only int64 CSR arrays), grouped by message in ascending order with
     each message's slots ascending; so within a slot the edges come in
-    ascending message order, as in ``slot_messages``.
+    ascending message order, the order ``slot_order`` keeps.
 
     ``FrameGraph(M, message_slots)`` validates per-message slot lists in any
     order.  ``FrameGraph(M, degrees=..., edge_slot=...)`` takes the CSR form
@@ -80,13 +80,6 @@ class FrameGraph:
         ends = np.cumsum(self.degrees).tolist()
         return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
-    @cached_property
-    def slot_messages(self) -> list[list[int]]:
-        """Each slot's messages, ascending; built on first use."""
-        msgs = self.edge_msg[self.slot_order()].tolist()
-        ends = np.cumsum(self.slot_degrees()).tolist()
-        return [msgs[a:b] for a, b in zip([0, *ends], ends)]
-
     def slot_order(self) -> np.ndarray:
         """The edges slot by slot, each slot's in ascending message order: a
         stable argsort of ``edge_slot``, as uint16 (sorted by radix, into
@@ -120,6 +113,8 @@ class FrameGraph:
                 raise ValueError(
                     f"line {lineno}: expected two tab-separated integers, got {line!r}"
                 ) from None
+            if not -(1 << 63) <= slot < 1 << 63:
+                raise ValueError(f"line {lineno}: slot index {slot} does not fit in 64 bits")
             msgs.append(msg)
             slots.append(slot)
         if not msgs:
@@ -166,7 +161,7 @@ def build_frame(
     that many distinct slots uniformly at random.
 
     Every edge draws its slot uniformly from [0, M); within a message, a
-    slot drawn again at a later edge position is redrawn, round after round
+    slot drawn again at a subsequent edge position is redrawn, round after round
     until no message repeats a slot.  Which edges redraw, and in what order,
     depends on edge positions and on which slots are equal, never on the
     slot labels: the process is unchanged by relabelling the slots, so each

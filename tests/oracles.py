@@ -12,12 +12,22 @@ from irsa_sim.schemes import (
 )
 
 
+def slot_messages(graph: FrameGraph) -> list[list[int]]:
+    """Each slot's messages, ascending, by a plain loop over the messages'
+    slot lists."""
+    members: list[list[int]] = [[] for _ in range(graph.M)]
+    for k, slots in enumerate(graph.message_slots):
+        for j in slots:
+            members[j].append(k)
+    return members
+
+
 def oracle_interference(graph: FrameGraph, energies, decoded) -> list[float]:
     """Every slot's interference from scratch: the energies of its
     undecoded messages added from 0.0 in ascending order, by an explicit
     loop (``sum`` may compensate)."""
     interference = []
-    for msgs in graph.slot_messages:
+    for msgs in slot_messages(graph):
         total = 0.0
         for m in msgs:
             if not decoded[m]:
@@ -52,9 +62,10 @@ def irsa_peeling_oracle(graph: FrameGraph) -> set[int]:
     oracle for the baseline decoder's decoded set.
     """
     decoded: set[int] = set()
+    members = slot_messages(graph)
     while True:
         newly: set[int] = set()
-        for msgs in graph.slot_messages:
+        for msgs in members:
             residual = [m for m in msgs if m not in decoded]
             if len(residual) == 1:
                 newly.add(residual[0])

@@ -839,6 +839,17 @@ assert "numpy.ma" not in sys.modules, "a command path imported numpy.ma"
         assert err.startswith(f"error: --edges {edges}: ")
         assert reason in err
 
+    @pytest.mark.parametrize("slots", [[], ["--slots", "5"]], ids=["edge_list", "flag"])
+    def test_decode_one_slot_past_64_bits_exits_1(self, tmp_path, capsys, slots):
+        edges = tmp_path / "frame.tsv"
+        edges.write_text("0\t1\n1\t99999999999999999999\n")
+        argv = ["decode-one", "--edges", str(edges), "--scheme", "IRSA", "--es-over-n0", "0.5"]
+        assert main(argv + slots) == 1
+        assert capsys.readouterr().err == (
+            f"error: --edges {edges}: line 2: slot index 99999999999999999999 "
+            "does not fit in 64 bits\n"
+        )
+
     def test_decode_one_slots_past_the_bound_exits_1_before_reading_edges(self, tmp_path, capsys):
         # The edge list does not exist: the flag is checked before it is opened.
         argv = ["decode-one", "--edges", str(tmp_path / "absent.tsv"), "--scheme", "IRSA",

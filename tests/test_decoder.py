@@ -29,7 +29,13 @@ from irsa_sim.schemes import (
     TuningParameterError,
     build_profile,
 )
-from oracles import effective_sinr, irsa_de_threshold, irsa_peeling_oracle, oracle_interference
+from oracles import (
+    effective_sinr,
+    irsa_de_threshold,
+    irsa_peeling_oracle,
+    oracle_interference,
+    slot_messages,
+)
 
 
 def example_graph():
@@ -52,6 +58,7 @@ def brute_force_fixed_point(graph, profile, scheme, cfg):
     """
     decoded = set()
     thr = profile.sinr_thresholds * (1 - 1e-9)
+    members = slot_messages(graph)
     while True:
         found = None
         for m in range(graph.K):
@@ -59,7 +66,7 @@ def brute_force_fixed_point(graph, profile, scheme, cfg):
                 continue
             if scheme.variant == "IRSA":
                 ok = any(
-                    sum(1 for x in graph.slot_messages[j] if x not in decoded) == 1
+                    sum(1 for x in members[j] if x not in decoded) == 1
                     for j in graph.message_slots[m]
                 )
             else:
@@ -67,7 +74,7 @@ def brute_force_fixed_point(graph, profile, scheme, cfg):
                 for j in graph.message_slots[m]:
                     interf = sum(
                         float(profile.energies[x])
-                        for x in graph.slot_messages[j]
+                        for x in members[j]
                         if x not in decoded and x != m
                     )
                     sinr += float(profile.energies[m]) / (interf + cfg.N0)
@@ -670,6 +677,7 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
     thresholds = [t * (1.0 - decoder.TIE_RTOL) for t in profile.sinr_thresholds.tolist()]
     decoded = [False] * K
     steps = []  # (message, phase, slot, SINR) in step order
+    members = slot_messages(graph)
     interference = oracle_interference(graph, energies, decoded)
 
     def sinr_of(msg):
@@ -690,7 +698,7 @@ def oracle_decode_frame(graph, profile, scheme, cfg):
         while progress:
             progress = False
             for j in range(M):
-                alive = [m for m in graph.slot_messages[j] if not decoded[m]]
+                alive = [m for m in members[j] if not decoded[m]]
                 if len(alive) != 1:
                     continue
                 sinr = sinr_of(alive[0])
@@ -1047,10 +1055,11 @@ class TestRsIntegerState:
         assert two_phase >= 60 and residual >= 500 and widest >= 40 and busiest >= 15
 
     def test_never_builds_the_slot_lists(self, monkeypatch):
+        # Only PA's re-sums read the frame slot by slot.
         def forbidden(graph):
-            raise AssertionError("RS decode read FrameGraph.slot_messages")
+            raise AssertionError("RS decode built FrameGraph.slot_order")
 
-        monkeypatch.setattr(FrameGraph, "slot_messages", property(forbidden))
+        monkeypatch.setattr(FrameGraph, "slot_order", forbidden)
         # The tune_rs_l2 point where the receiver stalls most (see
         # TestStalledRegistry.test_stalling_regimes_at_full_size).
         dist = modified_soliton(10)
@@ -1070,7 +1079,7 @@ class TestRsIntegerState:
         # G = 1.3 frames where messages sleep, are woken from their slots'
         # lists and sleep again, each time in a slot whose list the wake
         # took out: hundreds of times a frame.  Each sleep and wake is a
-        # call of the receiver's ``enlist`` and ``wake``, counted by a
+        # call of the receiver's ``sleep`` and ``wake``, counted by a
         # profile hook; every output is the stateless receiver's.
         dist = modified_soliton(10)
         cfg = ChannelConfig(K=300, M=231, tilde_Es=9e-4)
@@ -1079,9 +1088,9 @@ class TestRsIntegerState:
         calls, slept = Counter(), Counter()
 
         def count(frame, event, arg):
-            if event == "call" and frame.f_code.co_name in ("enlist", "wake"):
+            if event == "call" and frame.f_code.co_name in ("sleep", "wake"):
                 calls[frame.f_code.co_name] += 1
-                if frame.f_code.co_name == "enlist":
+                if frame.f_code.co_name == "sleep":
                     msg = frame.f_locals["msg"]
                     calls["again"] += slept[msg] > 0
                     slept[msg] += 1
@@ -1193,7 +1202,6 @@ class TestStaticPeeling:
         assert is_static(*setup)
         assert (decode_frame(*setup).phase == PHASE_RESIDUAL).any()
         assert "message_slots" not in g.__dict__
-        assert "slot_messages" not in g.__dict__
 
     @pytest.mark.parametrize("K, peels", [(255, 1), (256, 0)])
     def test_frames_busier_than_a_byte_take_the_two_phase_receiver(self, monkeypatch, K, peels):
@@ -1216,30 +1224,38 @@ class TestStaticPeeling:
     def test_slot_order_past_16_bits(self, monkeypatch, M):
         # The slot order sorts slot indices as 16-bit keys only where they
         # fit: at M = 2**16 + 1, slot 2**16 would sort as slot 0.  The order,
-        # the per-slot lists and the static path's SINRs equal those of the
-        # stable sort of the int64 indices.
+        # and the SINRs of the static path's replay and of the two-phase
+        # receiver's re-sums, which both read each slot's messages in it,
+        # equal those of the stable sort of the int64 indices.
         rng = np.random.default_rng(59)
         pool = [0, 1, 2, 5, M - 3, M - 2, M - 1]
         lists = [[0, M - 1], [5, M - 1], [0, 5]] + [
             rng.choice(pool, 2, replace=False).tolist() for _ in range(30)
         ]
 
-        def decode():
+        def decode(static=True):
             g = FrameGraph(M, lists)
-            return g, decode_frame(*unit_energy_setup(g, [0.1] * len(lists)))
+            with monkeypatch.context() as patch:
+                if not static:
+                    patch.setattr(
+                        decoder, "static_passes", lambda graph, *args: np.zeros(graph.K, bool)
+                    )
+                return g, decode_frame(*unit_energy_setup(g, [0.1] * len(lists)))
 
         g, got = decode()
         int64_order = np.argsort(g.edge_slot, kind="stable")
         assert np.array_equal(g.slot_order(), int64_order)
-        assert g.slot_messages == [
-            [k for k, slots in enumerate(lists) if j in slots] for j in range(M)
+        assert g.edge_msg[g.slot_order()].tolist() == [
+            k for j in pool for k, slots in enumerate(lists) if j in slots
         ]
         assert "message_slots" not in g.__dict__  # the static path ran
+        _, two_phase = decode(static=False)
         monkeypatch.setattr(FrameGraph, "slot_order", lambda g: int64_order)
         _, want = decode()
         assert (got.phase == PHASE_RESIDUAL).any()
         for name in RESULT_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(two_phase, name), getattr(want, name)), name
 
 
 class TestGenieRate:

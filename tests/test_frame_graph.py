@@ -20,6 +20,7 @@ from irsa_sim.distributions import (
 from irsa_sim.frame_graph import FrameGraph, build_frame
 from irsa_sim.harness import SweepSpec, _decoded_sets, _table, make_point
 from irsa_sim.schemes import SchemeConfig, build_profile
+from oracles import slot_messages
 
 
 def point_dist(degree: int) -> DegreeDistribution:
@@ -50,10 +51,11 @@ class TestFrameGraph:
 
     def test_inverse_adjacency(self):
         g = example_graph()
+        members = slot_messages(g)
         for k, slots in enumerate(g.message_slots):
             for j in slots:
-                assert k in g.slot_messages[j]
-        assert len(g.edge_slot) == sum(len(m) for m in g.slot_messages)
+                assert k in members[j]
+        assert len(g.edge_slot) == sum(len(m) for m in members)
 
     def test_rejects_out_of_range_and_duplicate_slots(self):
         with pytest.raises(ValueError):
@@ -82,7 +84,7 @@ class TestEdgeArrays:
         assert g.edge_slot.tolist() == flat
         assert g.edge_msg.tolist() == owner
         assert len(g.edge_msg) == len(g.edge_slot) == len(flat)
-        assert g.slot_degrees().tolist() == [len(m) for m in g.slot_messages]
+        assert g.slot_degrees().tolist() == [len(m) for m in slot_messages(g)]
 
     def test_build_frame(self):
         rng = np.random.default_rng(29)
@@ -103,6 +105,19 @@ class TestEdgeArrays:
         assert g.edge_msg.tolist() == [0, 0, 1, 1]
         assert g.edge_slot.tolist() == [1, 2, 0, 3]
 
+    @pytest.mark.parametrize(
+        "M, in_range", [(None, "slot count M = 9223372036854775808"), (5, "slot index out of")]
+    )
+    def test_load_edges_slot_past_64_bits(self, M, in_range):
+        # Past int64 the line is named; the largest int64 index reaches the
+        # range checks.
+        lines = ["0\t1", "", "1\t-9223372036854775809"]
+        with pytest.raises(ValueError, match="^line 3: slot index -9223372036854775809 does not"):
+            FrameGraph.load_edges(lines, M=M)
+        lines[2] = "1\t9223372036854775807"
+        with pytest.raises(ValueError, match=in_range):
+            FrameGraph.load_edges(lines, M=M)
+
     def test_arrays_are_read_only(self):
         g = example_graph()
         with pytest.raises(ValueError):
@@ -110,14 +125,10 @@ class TestEdgeArrays:
 
     @staticmethod
     def check_slot_lists(g):
-        """The lazy per-slot lists, built on first access, against the ones
-        the edge arrays give: each slot's messages in ascending order."""
-        assert "slot_messages" not in vars(g)
-        want = [[] for _ in range(g.M)]
-        for k, j in zip(g.edge_msg.tolist(), g.edge_slot.tolist()):
-            want[j].append(k)
-        assert g.slot_messages == want
-        assert g.slot_messages is g.slot_messages  # cached
+        """The edges in slot order (``slot_order``): slot after slot, each
+        slot's messages in ascending order."""
+        want = [k for members in slot_messages(g) for k in members]
+        assert g.edge_msg[g.slot_order()].tolist() == want
 
     def test_lazy_slot_lists(self):
         rng = np.random.default_rng(31)
@@ -145,10 +156,10 @@ class TestEdgeArrays:
             g = build_frame(point.cfg.K, point.cfg.M, point.dist, rng)
             for one in tables:
                 _decoded_sets(point, [g], one)
-            assert "message_slots" not in vars(g) and "slot_messages" not in vars(g)
+            assert "message_slots" not in vars(g)
             profile = build_profile(g.degrees, point.cfg, scheme, point.l_avg)
             assert decode_frame(g, profile, scheme, point.cfg).decoded_count > 0
-            assert "slot_messages" not in vars(g)
+            assert "message_slots" not in vars(g)
 
 
 class TestBuildFrame:

@@ -7,8 +7,10 @@ evaluation path as it stood before sweeps read one degree table per point,
 the tunes, the comparison and the RS and PA traces by the RS tuners as
 they stood before they shared one candidate evaluation, the static PA
 trace by the two-phase receiver as it stood before statically decodable
-frames took integer peeling, and the static PA tune by the mu tuner as it
-stood before it re-opened whole stacks of frames.  A change that
+frames took integer peeling, the static PA tune by the mu tuner as it
+stood before it re-opened whole stacks of frames, and the dense RS and PA
+traces by the two-phase receiver as it stood before its phase 1 kept one
+worklist.  A change that
 declares new numbers regenerates them with the commands below; any other
 change must leave them as they are.  CI runs the same commands through
 the installed entry point and compares each output with ``cmp``; a new
@@ -31,6 +33,10 @@ golden goes into its golden step as well:
         --hat-r-bits 10 --mu 1.0 > tests/data/irsa_frame.pa.decode-one.tsv
     irsa-sim decode-one --edges tests/data/irsa_frame.tsv --scheme PA \\
         --hat-r-bits 10 --mu 1.5 > tests/data/irsa_frame.pa_static.decode-one.tsv
+    irsa-sim decode-one --edges tests/data/ms10_frame.tsv --scheme RS \\
+        --es-over-n0 0.1 --alpha 0.866 --beta 0.707 > tests/data/ms10_frame.rs.decode-one.tsv
+    irsa-sim decode-one --edges tests/data/ms10_frame.tsv --scheme PA \\
+        --hat-r-bits 4 --mu 1.0 > tests/data/ms10_frame.pa.decode-one.tsv
 """
 
 import json
@@ -77,10 +83,10 @@ def test_compare_csv(tmp_path):
     assert got == (DATA / "compare_small.compare.csv").read_bytes()
 
 
-def assert_golden_trace(trace, args, capsys):
-    assert main(["decode-one", "--edges", str(DATA / "irsa_frame.tsv"), *args]) == 0
+def assert_golden_trace(trace, args, capsys, frame="irsa_frame"):
+    assert main(["decode-one", "--edges", str(DATA / f"{frame}.tsv"), *args]) == 0
     out = capsys.readouterr().out
-    assert out.encode() == (DATA / f"irsa_frame.{trace}.tsv").read_bytes()
+    assert out.encode() == (DATA / f"{frame}.{trace}.tsv").read_bytes()
 
 
 def test_irsa_decode_one_trace(capsys):
@@ -102,3 +108,20 @@ def test_mrc_decode_one_trace(trace, args, capsys):
     # undecoded.  At mu 1.5 the frame is statically decodable: it decodes
     # by integer peeling, two messages in phase 2.
     assert_golden_trace(trace, args, capsys)
+
+
+@pytest.mark.parametrize(
+    "trace, args",
+    [
+        ("rs.decode-one", ["--scheme", "RS", "--es-over-n0", "0.1", "--alpha", "0.866",
+                           "--beta", "0.707"]),
+        ("pa.decode-one", ["--scheme", "PA", "--hat-r-bits", "4", "--mu", "1.0"]),
+    ],
+    ids=["RS", "PA"],
+)
+def test_dense_decode_one_trace(trace, args, capsys):
+    # One K = 300 modified soliton Y=10 frame over 231 slots (G 1.3), drawn
+    # by build_frame from np.random.default_rng(0), which both schemes
+    # decode whole: 76 RS and 84 PA decodes in phase 2, and slots woken
+    # behind phase 1's scan position, which wait for its next pass.
+    assert_golden_trace(trace, args, capsys, frame="ms10_frame")
